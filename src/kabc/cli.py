@@ -119,18 +119,7 @@ def resolve_params(block: dict) -> Params:
     name = block.pop("preset", None)
     try:
         if name is not None:
-            name = str(name).lower()
-            if name in ("ch", "dp", "novikov", "forq"):
-                if block:
-                    raise ConfigError(f"preset {name!r} takes no extra parameters")
-                return preset(name)
-            if name == "gkbch":
-                return preset("gkbch", k=int(block.pop("k")), b=float(block.pop("b")))
-            if name == "ab":
-                return preset("ab", a=float(block.pop("a")), b=float(block.pop("b")))
-            if name == "bfam":
-                return preset("bfam", b=float(block.pop("b")))
-            raise ConfigError(f"unknown preset {name!r}")
+            return preset(str(name), **block)
         return params_mod.validate(block.pop("k"), block.pop("a"), block.pop("b"), block.pop("c"))
     except KeyError as missing:
         raise ConfigError(f"params block is missing {missing}") from None
@@ -203,6 +192,12 @@ def parse_config(path=None, overrides=(), subcommand="simulate", out_dir=None) -
         for ax in axes:
             if not isinstance(ax, dict) or "key" not in ax or "values" not in ax or not ax["values"]:
                 raise ConfigError("each sweep axis needs a key and a non-empty values list")
+    if subcommand == "sweep":
+        for name, cfg in _expand_sweep(spec):
+            try:
+                resolve_params(cfg["params"])
+            except ConfigError as err:
+                raise ConfigError(f"sweep point {name}: {err}") from None
     return spec
 
 
@@ -345,48 +340,44 @@ def _softbound_record(traj: Trajectory) -> dict:
 
 def _snapshot_diag_rows(traj: Trajectory, window, side):
     rows = []
+    # simulate stores a StepRecord for every time it stores a snapshot
     rec_by_t = {r.t: r for r in traj.records}
     for t, snap in zip(traj.times, traj.snapshots):
-        rec = rec_by_t.get(t)
-        hs = rec.hs_norm if rec else diagnostics.sobolev_norm(snap, traj.config.sobolev_s)
-        h1 = rec.h1_sq if rec else diagnostics.h1_squared(snap)
-        dt = rec.dt if rec else math.nan
+        rec = rec_by_t[t]
         try:
-            crest = diagnostics.crest_positions(_single(traj, t, snap))[0]
+            crest = diagnostics.crest_position(snap)
         except ValueError:
             crest = math.nan
         fit_u = decay_fit(snap, window, side)
         fit_ux = decay_fit(derivative(snap, 1), window, side)
         rows.append(
-            (t, hs, h1, dt, crest, fit_u.theta_hat, fit_ux.theta_hat, fit_u.r2, fit_u.floor_hit)
+            (t, rec.hs_norm, rec.h1_sq, rec.dt, crest, fit_u.theta_hat, fit_ux.theta_hat, fit_u.r2, fit_u.floor_hit)
         )
     return rows
-
-
-def _single(traj, t, snap):
-    one = Trajectory(config=traj.config)
-    one.times = [t]
-    one.snapshots = [snap]
-    return one
 
 
 DIAG_HEADER = ("t", "hs_norm", "h1_sq", "dt", "crest_x", "theta_hat_u", "theta_hat_ux", "r2", "floor_hit")
 PARTICLE_HEADER = ("seed", "t", "eta", "eta_x", "m_along", "invariant_residual")
 
 
+def _sim_config(spec: RunSpec, params: Params, t_end) -> SimConfig:
+    """SimConfig from the spec's grid and stepping keys."""
+    c = spec.config
+    return SimConfig(
+        params=params,
+        grid=spec.grid,
+        t_end=float(t_end),
+        cfl_safety=float(c["cfl_safety"]),
+        dt_max=float(c["dt_max"]),
+        output_stride=int(c["output_stride"]),
+        sobolev_s=float(c["sobolev_s"]),
+        spectral_filter=bool(c["spectral_filter"]),
+    )
+
+
 def _run_simulation(spec: RunSpec) -> tuple[Trajectory, Field]:
     u0 = build_profile(spec)
-    cfg = SimConfig(
-        params=spec.params,
-        grid=spec.grid,
-        t_end=float(spec.config["t_end"]),
-        cfl_safety=float(spec.config["cfl_safety"]),
-        dt_max=float(spec.config["dt_max"]),
-        output_stride=int(spec.config["output_stride"]),
-        sobolev_s=float(spec.config["sobolev_s"]),
-        spectral_filter=bool(spec.config["spectral_filter"]),
-    )
-    return simulate(cfg, u0), u0
+    return simulate(_sim_config(spec, spec.params, spec.config["t_end"]), u0), u0
 
 
 def _fit_window(spec: RunSpec):
@@ -444,16 +435,7 @@ def run_peakon_verify(spec: RunSpec):
         moll = block["moll_width"]
         moll = float(moll) if moll is not None else grid.dx
         u0 = exact.peakon_initial_condition(gamma, moll, grid)
-        cfg = SimConfig(
-            params=p,
-            grid=grid,
-            t_end=float(block["t_end"]),
-            cfl_safety=float(spec.config["cfl_safety"]),
-            dt_max=float(spec.config["dt_max"]),
-            output_stride=int(spec.config["output_stride"]),
-            spectral_filter=bool(spec.config["spectral_filter"]),
-        )
-        traj = simulate(cfg, u0)
+        traj = simulate(_sim_config(spec, p, block["t_end"]), u0)
         expected = PeakonSpec(gamma, p).speed
         measured = diagnostics.crest_track(traj)
         rel = abs(measured - expected) / abs(expected) if expected else math.nan
@@ -549,21 +531,17 @@ def run_lagrangian(spec: RunSpec):
         count = int(block["n_seeds"])
         seeds = grid.length / 2.0 + grid.length / 8.0 * np.linspace(-1.0, 1.0, count)
     ps = lagrangian.advect(traj, seeds)
-    p = spec.params
+    m_along = lagrangian.momentum_along(traj, ps)
     try:
-        residual = lagrangian.conservation_check(traj, ps, p)
-    except ValueError:
+        res = lagrangian.invariant_residuals(ps, m_along, spec.params)
+        residual = float(np.max(res))
+    except ValueError:  # off the a = 0, c = (3k - b)/2 subfamily
+        res = np.full_like(m_along, math.nan)
         residual = None
-    expo = p.b / p.k
-    m_fields = [lagrangian.momentum(s).values for s in traj.snapshots]
-    m0 = lagrangian.cubic_interp_periodic(m_fields[0], grid, ps.paths[0])
     rows = []
     for j, t in enumerate(ps.times):
-        m_along = lagrangian.cubic_interp_periodic(m_fields[j], grid, ps.paths[j])
-        inv = m_along * ps.stretch[j] ** expo if residual is not None else np.full_like(m_along, math.nan)
         for s in range(len(seeds)):
-            res = abs(inv[s] - m0[s]) / (abs(m0[s]) + 1e-12) if residual is not None else math.nan
-            rows.append((seeds[s], t, ps.paths[j][s], ps.stretch[j][s], m_along[s], res))
+            rows.append((seeds[s], t, ps.paths[j][s], ps.stretch[j][s], m_along[j][s], res[j][s]))
     _write_csv(os.path.join(spec.out_dir, "particles.csv"), PARTICLE_HEADER, rows)
     _write_csv(
         os.path.join(spec.out_dir, "summary.csv"),

@@ -183,25 +183,27 @@ def persistence_report(traj, theta: float, window=None, side: str = "right") -> 
     return PersistenceReport(theta, np.asarray(traj.times, dtype=float), fits_u, fits_ux)
 
 
+def crest_position(f: Field) -> float:
+    """Crest location by quadratic interpolation through the three nodes
+    around the maximum."""
+    grid = f.grid
+    v = f.values
+    j = int(np.argmax(v))
+    vmax, vmin = v[j], float(np.min(v))
+    if vmax - vmin <= 1e-13 * max(1.0, abs(vmax)):
+        raise ValueError("ambiguous maximum: field is flat")
+    if int(np.sum(v == vmax)) > 1:
+        raise ValueError("ambiguous maximum: multiple global maxima")
+    ym, y0, yp = v[(j - 1) % grid.n], v[j], v[(j + 1) % grid.n]
+    denom = ym - 2.0 * y0 + yp
+    delta = 0.0 if denom == 0.0 else 0.5 * (ym - yp) / denom
+    return grid.nodes[j] + delta * grid.dx
+
+
 def crest_positions(traj) -> np.ndarray:
-    """Crest location per snapshot by quadratic interpolation through the
-    three nodes around the maximum, unwrapped across the periodic seam."""
-    grid = traj.snapshots[0].grid
-    n, dx = grid.n, grid.dx
-    pos = []
-    for snap in traj.snapshots:
-        v = snap.values
-        j = int(np.argmax(v))
-        vmax, vmin = v[j], float(np.min(v))
-        if vmax - vmin <= 1e-13 * max(1.0, abs(vmax)):
-            raise ValueError("ambiguous maximum: field is flat")
-        if int(np.sum(v == vmax)) > 1:
-            raise ValueError("ambiguous maximum: multiple global maxima")
-        ym, y0, yp = v[(j - 1) % n], v[j], v[(j + 1) % n]
-        denom = ym - 2.0 * y0 + yp
-        delta = 0.0 if denom == 0.0 else 0.5 * (ym - yp) / denom
-        pos.append(grid.nodes[j] + delta * dx)
-    return np.unwrap(np.asarray(pos), period=grid.length)
+    """Crest location per snapshot, unwrapped across the periodic seam."""
+    pos = [crest_position(snap) for snap in traj.snapshots]
+    return np.unwrap(np.asarray(pos), period=traj.snapshots[0].grid.length)
 
 
 def crest_track(traj) -> float:

@@ -79,17 +79,6 @@ class Field:
         h.flags.writeable = False
         return h
 
-    def with_values(self, values) -> "Field":
-        return Field(self.grid, values)
-
-
-def zeros(grid: Grid) -> Field:
-    return Field(grid, np.zeros(grid.n))
-
-
-def from_function(grid: Grid, fn) -> Field:
-    return Field(grid, fn(grid.nodes))
-
 
 class SpectralOps:
     """Precomputed multipliers and padding sizes for one grid.

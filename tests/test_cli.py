@@ -84,6 +84,26 @@ class TestParseConfig:
         assert [cfg["params"]["b"] for _, cfg in subs] == [0.0, 1.0, 2.0, 3.0]
 
 
+    def test_k1_off_family_rejected_at_parse(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["simulate", "--set", 'params={"k":1,"a":0,"b":3,"c":1.5}', "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "u^{k-2} u_x^3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_point_rejected_at_parse(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main([
+            "sweep",
+            "--set", 'params={"k":2,"a":0,"b":3,"c":1.5}',
+            "--set", 'sweep.axes=[{"key":"params.k","values":[2,1,3]}]',
+            "--out", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert "u^{k-2} u_x^3" in capsys.readouterr().err
+        assert not out.exists()  # so no sub_* run directory either
+
+
 class TestSnapshotIO:
     def test_roundtrip_bitwise(self, tmp_path):
         g = Grid(64, 2 * np.pi)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kabc.diagnostics import (
     WeightSpec,
+    crest_position,
     crest_track,
     decay_fit,
     default_tail_window,
@@ -215,6 +216,19 @@ class TestCrestTrack:
         traj = make_traj(g, [f, f], [0.0, 1.0])
         with pytest.raises(ValueError):
             crest_track(traj)
+
+    def test_single_field_crest(self):
+        # the quadratic through the three nodes around the maximum places an
+        # off-node crest to a small fraction of dx; a tie for the maximum is
+        # ambiguous and refused
+        g = Grid(256, 2 * np.pi)
+        x0 = np.pi + 0.3 * g.dx
+        crest = crest_position(Field(g, np.exp(-4.0 * (g.nodes - x0) ** 2)))
+        assert crest == pytest.approx(x0, abs=1e-3 * g.dx)
+        two = np.zeros(256)
+        two[[10, 50]] = 1.0
+        with pytest.raises(ValueError, match="multiple global maxima"):
+            crest_position(Field(g, two))
 
     def test_seam_crossing_unwraps(self):
         spec = PeakonSpec(1.0, preset("ch"))

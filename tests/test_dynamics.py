@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kabc.dynamics import (
     BlowUpError,
@@ -9,18 +10,15 @@ from kabc.dynamics import (
     RhsOperator,
     SimConfig,
     cfl_dt,
-    f1,
-    f2,
     local_form_residual,
     mms_forcing,
     rhs,
     rk4_step,
     simulate,
-    step_rk4,
 )
 from kabc.exact import Peakon, mollified_profile
 from kabc.params import preset, validate
-from kabc.spectral import Field, Grid, derivative
+from kabc.spectral import Field, Grid, derivative, green_dx_convolve, helmholtz_inverse
 from kabc import diagnostics
 
 
@@ -30,59 +28,6 @@ def band_limited(grid, max_mode, seed, amp=0.25):
     coef[1 : max_mode + 1] = rng.normal(size=max_mode) + 1j * rng.normal(size=max_mode)
     v = np.fft.irfft(coef, grid.n)
     return Field(grid, v * (amp / np.max(np.abs(v))))
-
-
-class TestF1:
-    def test_zero(self):
-        g = Grid(64, 2 * np.pi)
-        assert np.all(f1(Field(g, np.zeros(64)), preset("novikov")).values == 0.0)
-
-    def test_constant_ch(self):
-        # u = 1 constant: only the b/(k+1) u^{k+1} term survives; CH gives 1
-        g = Grid(64, 2 * np.pi)
-        out = f1(Field(g, np.ones(64)), preset("ch"))
-        assert np.max(np.abs(out.values - 1.0)) < 1e-13
-
-    def test_sine_novikov_closed_form(self):
-        # b/(k+1) u^{k+1} + c u^{k-1} u_x^2 at (k=2, b=3, c=3/2):
-        # sin^3 + 1.5 sin cos^2
-        g = Grid(128, 2 * np.pi)
-        x = g.nodes
-        out = f1(Field(g, np.sin(x)), preset("novikov"))
-        want = np.sin(x) ** 3 + 1.5 * np.sin(x) * np.cos(x) ** 2
-        assert np.max(np.abs(out.values - want)) < 1e-10
-
-    def test_sine_forq_closed_form(self):
-        # (2/3) sin^3 + sin cos^2 (the u^{k-3} term is pruned at k = 2)
-        g = Grid(128, 2 * np.pi)
-        x = g.nodes
-        out = f1(Field(g, np.sin(x)), preset("forq"))
-        want = (2.0 / 3.0) * np.sin(x) ** 3 + np.sin(x) * np.cos(x) ** 2
-        assert np.max(np.abs(out.values - want)) < 1e-10
-
-
-class TestF2:
-    def test_zero(self):
-        g = Grid(64, 2 * np.pi)
-        assert np.all(f2(Field(g, np.zeros(64)), preset("forq")).values == 0.0)
-
-    def test_constant_is_zero(self):
-        g = Grid(64, 2 * np.pi)
-        out = f2(Field(g, np.full(64, 2.5)), preset("novikov"))
-        assert np.max(np.abs(out.values)) < 1e-13
-
-    def test_sine_forq_closed_form(self):
-        # coefficient k(k+2)-8a-b-c(k+1) = 1/3 at FORQ: (1/3) cos^3
-        g = Grid(128, 2 * np.pi)
-        x = g.nodes
-        out = f2(Field(g, np.sin(x)), preset("forq"))
-        assert np.max(np.abs(out.values - np.cos(x) ** 3 / 3.0)) < 1e-10
-
-    def test_ch_vanishes_identically(self):
-        # CH has k(k+2)-8a-b-c(k+1) = 3-2-1 = 0
-        g = Grid(64, 2 * np.pi)
-        out = f2(band_limited(g, 10, seed=4), preset("ch"))
-        assert np.max(np.abs(out.values)) < 1e-13
 
 
 class TestRhs:
@@ -97,6 +42,33 @@ class TestRhs:
         for name in ("ch", "novikov", "forq"):
             out = rhs(Field(g, np.full(64, 2.0)), preset(name))
             assert np.max(np.abs(out.values)) < 1e-12
+
+    def test_sine_novikov_closed_form(self):
+        # local -sin^2 cos; brackets f1 = sin^3 + 1.5 sin cos^2 and
+        # f2 = (k(k+2) - b - c(k+1)) cos^3 = 0.5 cos^3 at (k=2, b=3, c=3/2)
+        g = Grid(128, 2 * np.pi)
+        s, c = np.sin(g.nodes), np.cos(g.nodes)
+        want = (
+            -s**2 * c
+            - green_dx_convolve(Field(g, s**3 + 1.5 * s * c**2)).values
+            - helmholtz_inverse(Field(g, 0.5 * c**3)).values
+        )
+        out = rhs(Field(g, s), preset("novikov"))
+        assert np.max(np.abs(out.values - want)) < 1e-10
+
+    def test_sine_forq_closed_form(self):
+        # local -sin^2 cos + (1/3) cos^3; f1 = (2/3) sin^3 + sin cos^2 (the
+        # u^{k-3} term is pruned at k = 2); f2 = (8 - 8/3 - 2 - 3) cos^3
+        g = Grid(128, 2 * np.pi)
+        s, c = np.sin(g.nodes), np.cos(g.nodes)
+        want = (
+            -s**2 * c
+            + c**3 / 3.0
+            - green_dx_convolve(Field(g, (2.0 / 3.0) * s**3 + s * c**2)).values
+            - helmholtz_inverse(Field(g, c**3 / 3.0)).values
+        )
+        out = rhs(Field(g, s), preset("forq"))
+        assert np.max(np.abs(out.values - want)) < 1e-10
 
     def test_mollified_peakon_travels(self):
         # away from the crest the peakon satisfies u_t = -speed * u_x
@@ -137,6 +109,26 @@ class TestLocalFormResidual:
             res = local_form_residual(u, ut, p)
             assert np.max(np.abs(res.values)) < 1e-8
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(min_value=1, max_value=5),
+        a=st.floats(min_value=-2.0, max_value=2.0),
+        b=st.floats(min_value=-4.0, max_value=4.0),
+        c=st.floats(min_value=-2.0, max_value=2.0),
+        n=st.sampled_from([128, 256]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_whole_admissible_family(self, k, a, b, c, n, seed):
+        # k = 1 is admissible only with a = 0 and b + 2c = 3.  The band limit
+        # stays below n / (2(k+1)): at that limit the top mode of the
+        # degree-(k+1) products lands on Nyquist and the residual reflects
+        # the input, not the solver.
+        p = validate(1, 0.0, b, (3.0 - b) / 2.0) if k == 1 else validate(k, a, b, c)
+        g = Grid(n, 2 * np.pi)
+        u = band_limited(g, n // (2 * (k + 2)), seed=seed)
+        res = local_form_residual(u, rhs(u, p), p)
+        assert np.max(np.abs(res.values)) <= 1e-8
+
     def test_wrong_ut_gives_large_residual(self):
         p = preset("novikov")
         g = Grid(256, 2 * np.pi)
@@ -176,8 +168,8 @@ class TestCflDt:
 class TestRk4:
     def test_zero_stays_zero(self):
         g = Grid(64, 2 * np.pi)
-        out = step_rk4(Field(g, np.zeros(64)), 0.0, 0.1, preset("novikov"))
-        assert np.all(out.values == 0.0)
+        out = rk4_step(RhsOperator(g, preset("novikov")), np.zeros(64), 0.0, 0.1)
+        assert np.all(out == 0.0)
 
     def test_linear_decay_exact_taylor(self):
         # on u' = -u one RK4 step reproduces the 4-term Taylor polynomial
@@ -207,9 +199,8 @@ class TestRk4:
 
     def test_blowup_detected(self):
         g = Grid(64, 2 * np.pi)
-        huge = Field(g, np.full(64, 1e200))
         with pytest.raises(BlowUpError):
-            step_rk4(huge, 0.0, 0.1, preset("novikov"))
+            rk4_step(RhsOperator(g, preset("novikov")), np.full(64, 1e200), 0.0, 0.1)
 
 
 class TestSimulate:

@@ -8,7 +8,9 @@ from kabc.lagrangian import (
     advect,
     conservation_check,
     cubic_interp_periodic,
+    invariant_residuals,
     momentum,
+    momentum_along,
 )
 from kabc.params import preset, validate
 from kabc.spectral import Field, Grid
@@ -187,6 +189,23 @@ class TestConservationCheck:
         seeds = np.linspace(0, 2 * np.pi, 16, endpoint=False) + 0.1
         ps = advect(traj, seeds, core_margin=0.0)
         assert conservation_check(traj, ps, preset("novikov")) < 1e-4
+
+    def test_residual_arrays(self):
+        # one row per stored time, one column per seed; the check is their max
+        traj = self.novikov_run(128, 1e-2)
+        seeds = np.linspace(1.0, 5.0, 5)
+        ps = advect(traj, seeds, core_margin=0.0)
+        m_along = momentum_along(traj, ps)
+        res = invariant_residuals(ps, m_along, preset("novikov"))
+        assert m_along.shape == res.shape == (len(traj.times), len(seeds))
+        # the vectorised arrays equal the row-by-row computation exactly
+        g = traj.config.grid
+        for j, snap in enumerate(traj.snapshots):
+            row = cubic_interp_periodic(momentum(snap).values, g, ps.paths[j])
+            assert np.array_equal(m_along[j], row)
+            want = np.abs(row * ps.stretch[j] ** 1.5 - m_along[0]) / (np.abs(m_along[0]) + 1e-12)
+            assert np.array_equal(res[j], want)
+        assert conservation_check(traj, ps, preset("novikov")) == np.max(res)
 
     def test_pure_transport_exponent_zero(self):
         # b = 0, k = 1: the law reduces to m(eta, t) = m0 with no stretch

@@ -140,3 +140,12 @@ def test_periodic_peakon_admissible():
 def test_gkbch_always_circle_admissible(b):
     for k in (1, 2, 3):
         assert periodic_peakon_admissible(preset("gkbch", k=k, b=b))
+
+
+
+@given(b=finite_reals)
+def test_k1_admits_only_b_plus_2c_equal_3(b):
+    # off that line u^{k-2} u_x^3 gets a nonzero coefficient and needs 1/u
+    assert preset("bfam", b=b) == preset("gkbch", k=1, b=b)
+    with pytest.raises(ValueError, match=r"u\^\{k-2\} u_x\^3"):
+        validate(1, 0.0, b, (3.0 - b) / 2.0 + 1.0)
