@@ -8,6 +8,15 @@ where G* is the Helmholtz-inverse convolution and f1, f2 collect the
 degree-(k+1) monomials defined in params.coefficients.  This form is
 first-order in space plus smoothing convolutions, hence non-stiff, and is
 stepped explicitly with CFL-adaptive classical RK4.
+
+The RK4 state is the rfft half-spectrum of u, not its samples: each
+right-hand side evaluation goes from spectrum to spectrum, and a step makes
+one inverse transform to store the new samples.  One evaluation costs one
+inverse FFT on the padded grid per upsampled factor (u, u_x, and u_xx when
+c_f2_2 != 0) and one forward FFT there per bracket (local, f1, and f2 when
+it has a nonzero coefficient): 4 at k = 1 (CH, DP), 5 at k = 2 (Novikov,
+FORQ) and 6 at k >= 3 with a != 0, plus one forward FFT of the forcing
+samples when forcing is set.
 """
 
 from __future__ import annotations
@@ -114,11 +123,13 @@ def _power_table(base: np.ndarray, powers) -> dict:
 class RhsOperator:
     """Semi-discrete right-hand side bound to one (grid, params) pair.
 
-    All monomials have total degree k+1 in (u, u_x, u_xx) and are formed on
-    a zero-padded grid of size pad_size(k+1), then truncated back before the
-    smoothing multipliers are applied.  Terms with zero coefficient are
-    pruned up front, so no negative power of u is ever evaluated (Params
-    rejects the parameter sets that would need one).
+    Maps the rfft half-spectrum of u (length n//2 + 1) to the half-spectrum
+    of u_t.  All monomials have total degree k+1 in (u, u_x, u_xx) and are
+    formed on a zero-padded grid of size pad_size(k+1), upsampled straight
+    from the spectrum, then truncated back before the smoothing multipliers
+    are applied; see the module docstring for the FFTs per call.  Terms
+    with zero coefficient are pruned up front, so no negative power of u is
+    ever evaluated (Params rejects the parameter sets that would need one).
     """
 
     def __init__(self, grid: Grid, params: Params, forcing: Optional[Callable] = None):
@@ -139,17 +150,19 @@ class RhsOperator:
             upows.add(k - 3)
         self.u_powers = upows
 
-    def __call__(self, u: np.ndarray, t: float) -> np.ndarray:
+    def __call__(self, uh: np.ndarray, t: float) -> np.ndarray:
+        # n samples would otherwise be silently read as a spectrum
+        shape = (self.grid.n // 2 + 1,)
+        if np.shape(uh) != shape:
+            raise ValueError(f"expected an rfft half-spectrum of shape {shape}, got shape {np.shape(uh)}")
         # overflow to inf is the blow-up signal, not a warning condition
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._eval(u, t)
+            return self._eval(uh, t)
 
-    def _eval(self, u: np.ndarray, t: float) -> np.ndarray:
+    def _eval(self, uh: np.ndarray, t: float) -> np.ndarray:
         ops, cs, k, m = self.ops, self.coeffs, self.k, self.m
-        uh = np.fft.rfft(u)
-        ux = np.fft.irfft(uh * ops.ik, self.grid.n)
-        uu = ops.upsample(u, m)
-        vx = ops.upsample(ux, m)
+        uu = ops.upsample(uh, m)
+        vx = ops.upsample(uh * ops.ik, m)
         up = _power_table(uu, self.u_powers)
         vx2 = vx * vx
         vx3 = vx2 * vx
@@ -172,22 +185,21 @@ class RhsOperator:
             if cs.c_f2_1 != 0.0:
                 f2 += cs.c_f2_1 * up[k - 2] * vx3
             if cs.c_f2_2 != 0.0:
-                wxx = ops.upsample(np.fft.irfft(uh * ops.d2, self.grid.n), m)
+                wxx = ops.upsample(uh * ops.d2, m)
                 f2 += cs.c_f2_2 * up[k - 3] * vx3 * wxx
             rhs_hat -= ops.helmholtz * ops.reduce_hat(f2, m)
 
-        out = np.fft.irfft(rhs_hat, self.grid.n)
         if self.forcing is not None:
-            out = out + self.forcing(self.grid.nodes, t)
-        if not np.all(np.isfinite(out)):
+            rhs_hat += np.fft.rfft(self.forcing(self.grid.nodes, t))
+        if not np.all(np.isfinite(rhs_hat)):
             raise BlowUpError(t)
-        return out
+        return rhs_hat
 
 
 def rhs(u: Field, p: Params, t: float = 0.0, forcing: Optional[Callable] = None) -> Field:
     """Time derivative of u in the smoothed evolution form."""
     op = RhsOperator(u.grid, p, forcing)
-    return Field(u.grid, op(u.values, t))
+    return Field(u.grid, np.fft.irfft(op(u.hat, t), u.grid.n))
 
 
 def local_form_residual(u: Field, ut: Field, p: Params) -> Field:
@@ -282,7 +294,10 @@ def simulate(cfg: SimConfig, u0: Field) -> Trajectory:
         try:
             dt = cfl_dt(cur, cfg.params, cfg.cfl_safety, cfg.dt_max)
             dt = min(dt, cfg.t_end - t)
-            u_new = rk4_step(op, cur.values, t, dt)
+            uh_new = rk4_step(op, cur.hat, t, dt)
+            if filt is not None:
+                uh_new = uh_new * filt
+            u_new = np.fft.irfft(uh_new, cfg.grid.n)
             if not np.all(np.isfinite(u_new)):
                 raise BlowUpError(t)
         except BlowUpError:
@@ -291,8 +306,6 @@ def simulate(cfg: SimConfig, u0: Field) -> Trajectory:
                 traj.times.append(t)
                 traj.snapshots.append(cur)
             break
-        if filt is not None:
-            u_new = np.fft.irfft(np.fft.rfft(u_new) * filt, cfg.grid.n)
         t += dt
         step += 1
         cur = Field(cfg.grid, u_new)
@@ -333,5 +346,6 @@ def mms_forcing(u_star: ManufacturedSolution, p: Params, grid: Grid) -> Callable
     evaluated by the same discrete operators the solver uses."""
     op = RhsOperator(grid, p)
     def forcing(x: np.ndarray, t: float) -> np.ndarray:
-        return u_star.time_derivative(x, t) - op(u_star.value(x, t), t)
+        n_hat = op(np.fft.rfft(u_star.value(x, t)), t)
+        return u_star.time_derivative(x, t) - np.fft.irfft(n_hat, grid.n)
     return forcing

@@ -83,8 +83,9 @@ class Field:
 class SpectralOps:
     """Precomputed multipliers and padding sizes for one grid.
 
-    Works on raw sample arrays; the Field-level functions below are thin
-    wrappers.  Instances are cached per grid and treated as read-only.
+    Works on raw arrays: deriv and upsample take an rfft half-spectrum,
+    apply and product take samples.  The Field-level functions below are
+    thin wrappers.  Instances are cached per grid and treated as read-only.
     """
 
     def __init__(self, grid: Grid):
@@ -98,11 +99,12 @@ class SpectralOps:
         self.helmholtz = 1.0 / (1.0 + xi**2)
         self.green_dx = ik * self.helmholtz
 
-    def deriv(self, values: np.ndarray, order: int = 1) -> np.ndarray:
+    def deriv(self, hat: np.ndarray, order: int = 1) -> np.ndarray:
+        """Samples of the order-1 or order-2 derivative, from the half-spectrum."""
         if order not in (1, 2):
             raise ValueError(f"derivative order must be 1 or 2, got {order}")
         mult = self.ik if order == 1 else self.d2
-        return np.fft.irfft(np.fft.rfft(values) * mult, self.grid.n)
+        return np.fft.irfft(hat * mult, self.grid.n)
 
     def apply(self, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
         return np.fft.irfft(np.fft.rfft(values) * mult, self.grid.n)
@@ -113,14 +115,13 @@ class SpectralOps:
         m = math.ceil((n_factors + 1) * self.grid.n / 2)
         return m + (m % 2)
 
-    def upsample(self, values: np.ndarray, m: int) -> np.ndarray:
-        """Trigonometric interpolation of the samples onto m points."""
+    def upsample(self, hat: np.ndarray, m: int) -> np.ndarray:
+        """Trigonometric interpolation onto m points, from the half-spectrum."""
         n = self.grid.n
         if m == n:
-            return np.asarray(values, dtype=float).copy()
-        fh = np.fft.rfft(values)
+            return np.fft.irfft(hat, n)
         out = np.zeros(m // 2 + 1, dtype=complex)
-        out[: n // 2 + 1] = fh
+        out[: n // 2 + 1] = hat
         out[n // 2] *= 0.5  # split the combined +-Nyquist bin
         return np.fft.irfft(out, m) * (m / n)
 
@@ -140,9 +141,9 @@ class SpectralOps:
         if p == 1:
             return np.asarray(factor_values[0], dtype=float).copy()
         m = self.pad_size(p)
-        fine = self.upsample(factor_values[0], m)
+        fine = self.upsample(np.fft.rfft(factor_values[0]), m)
         for v in factor_values[1:]:
-            fine *= self.upsample(v, m)
+            fine *= self.upsample(np.fft.rfft(v), m)
         return np.fft.irfft(self.reduce_hat(fine, m), self.grid.n)
 
 
@@ -158,7 +159,7 @@ def transform_roundtrip(f: Field) -> Field:
 
 def derivative(f: Field, order: int = 1) -> Field:
     """Spectral derivative of order 1 or 2 (Nyquist zeroed for order 1)."""
-    return Field(f.grid, get_ops(f.grid).deriv(f.values, order))
+    return Field(f.grid, get_ops(f.grid).deriv(f.hat, order))
 
 
 def helmholtz_inverse(f: Field) -> Field:

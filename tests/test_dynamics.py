@@ -9,6 +9,7 @@ from kabc.dynamics import (
     ManufacturedSolution,
     RhsOperator,
     SimConfig,
+    _filter_multiplier,
     cfl_dt,
     local_form_residual,
     mms_forcing,
@@ -92,6 +93,41 @@ class TestRhs:
         out = rhs(Field(g, np.zeros(64)), preset("ch"), t=2.0, forcing=forcing)
         assert np.max(np.abs(out.values - 3.0 * np.cos(g.nodes))) < 1e-13
 
+    def test_samples_rejected(self):
+        # the operator maps half-spectra; n samples must not be misread as one
+        u = band_limited(Grid(64, 2 * np.pi), 8, seed=0)
+        with pytest.raises(ValueError, match=r"shape \(33,\)"):
+            RhsOperator(u.grid, preset("ch"))(u.values, 0.0)
+
+    @pytest.mark.parametrize(
+        "p, ffts",
+        [
+            (preset("ch"), 4),
+            (preset("dp"), 4),
+            (preset("novikov"), 5),
+            (preset("forq"), 5),
+            (validate(3, 0.5, 1.0, 0.5), 6),
+        ],
+    )
+    def test_fft_budget(self, p, ffts, monkeypatch):
+        # one padded inverse FFT per upsampled factor, one padded forward FFT
+        # per bracket, nothing at the base size
+        g = Grid(64, 2 * np.pi)
+        op = RhsOperator(g, p)
+        uh = band_limited(g, 8, seed=0).hat
+        calls = []
+
+        def counted(fft):
+            def call(*args, **kwargs):
+                calls.append(fft)
+                return fft(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft))
+        monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft))
+        op(uh, 0.0)
+        assert len(calls) == ffts
+
 
 class TestLocalFormResidual:
     def test_zero(self):
@@ -165,11 +201,29 @@ class TestCflDt:
         assert dt_forq < dt_nov
 
 
+def physical_space_reference(cfg, u0, traj):
+    """Replays traj's step sizes with RK4 on samples: every stage through
+    rhs(), the filter applied by a transform round trip."""
+    n = cfg.grid.n
+    filt = _filter_multiplier(cfg.grid) if cfg.spectral_filter else None
+
+    def f(v, t):
+        return rhs(Field(cfg.grid, v), cfg.params, t, cfg.forcing).values
+
+    v, t = u0.values, 0.0
+    for rec in traj.records[1:]:
+        v = rk4_step(f, v, t, rec.dt)
+        if filt is not None:
+            v = np.fft.irfft(np.fft.rfft(v) * filt, n)
+        t += rec.dt
+    return v
+
+
 class TestRk4:
     def test_zero_stays_zero(self):
         g = Grid(64, 2 * np.pi)
-        out = rk4_step(RhsOperator(g, preset("novikov")), np.zeros(64), 0.0, 0.1)
-        assert np.all(out == 0.0)
+        out = rk4_step(RhsOperator(g, preset("novikov")), np.fft.rfft(np.zeros(64)), 0.0, 0.1)
+        assert np.all(np.fft.irfft(out, 64) == 0.0)
 
     def test_linear_decay_exact_taylor(self):
         # on u' = -u one RK4 step reproduces the 4-term Taylor polynomial
@@ -182,7 +236,7 @@ class TestRk4:
     def test_local_error_fifth_order(self):
         p = preset("novikov")
         g = Grid(128, 2 * np.pi)
-        u = (0.3 * np.sin(g.nodes) + 0.1 * np.cos(2 * g.nodes))
+        u = np.fft.rfft(0.3 * np.sin(g.nodes) + 0.1 * np.cos(2 * g.nodes))
         op = RhsOperator(g, p)
 
         def reference(u0, dt, nsub=64):
@@ -193,14 +247,14 @@ class TestRk4:
             return v
 
         dt = 0.1
-        e1 = np.max(np.abs(rk4_step(op, u, 0.0, dt) - reference(u, dt)))
-        e2 = np.max(np.abs(rk4_step(op, u, 0.0, dt / 2) - reference(u, dt / 2)))
+        e1 = np.max(np.abs(np.fft.irfft(rk4_step(op, u, 0.0, dt) - reference(u, dt), g.n)))
+        e2 = np.max(np.abs(np.fft.irfft(rk4_step(op, u, 0.0, dt / 2) - reference(u, dt / 2), g.n)))
         assert 26.0 < e1 / e2 < 40.0
 
     def test_blowup_detected(self):
         g = Grid(64, 2 * np.pi)
         with pytest.raises(BlowUpError):
-            rk4_step(RhsOperator(g, preset("novikov")), np.full(64, 1e200), 0.0, 0.1)
+            rk4_step(RhsOperator(g, preset("novikov")), np.fft.rfft(np.full(64, 1e200)), 0.0, 0.1)
 
 
 class TestSimulate:
@@ -261,6 +315,44 @@ class TestSimulate:
         cfg = SimConfig(params=preset("novikov"), grid=g, t_end=0.25, dt_max=5e-3)
         traj = simulate(cfg, u0)
         assert diagnostics.h1_drift(traj) < 1e-7
+
+    @pytest.mark.parametrize("spectral_filter", [False, True])
+    @pytest.mark.parametrize(
+        "p, max_mode",
+        [
+            (preset("ch"), 127),
+            (preset("dp"), 127),
+            (preset("novikov"), 127),
+            # a != 0 makes full-band data ill-conditioned at this n: a
+            # 1e-16 relative perturbation of u0 moves FORQ's final state by
+            # O(1).  At k >= 3 (the c_f2_2, u_xx path) it blows up instead.
+            (preset("forq"), 40),
+            (validate(3, 0.5, 1.0, 0.5), 10),
+            (validate(4, -0.4, 2.0, 1.0), 10),
+        ],
+    )
+    def test_matches_physical_space_reference(self, p, max_mode, spectral_filter):
+        g = Grid(256, 2 * np.pi)
+        cfg = SimConfig(params=p, grid=g, t_end=0.05, dt_max=2.5e-3, spectral_filter=spectral_filter)
+        u0 = band_limited(g, max_mode, seed=1)
+        traj = simulate(cfg, u0)
+        assert not traj.blew_up
+        want = physical_space_reference(cfg, u0, traj)
+        got = traj.snapshots[-1].values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_matches_physical_space_reference_under_forcing(self):
+        p = preset("forq")
+        g = Grid(256, 2 * np.pi)
+        star = ManufacturedSolution(
+            lambda x, t: 0.1 * np.sin(x - t), lambda x, t: -0.1 * np.cos(x - t)
+        )
+        cfg = SimConfig(params=p, grid=g, t_end=0.25, dt_max=1.0 / 64, forcing=mms_forcing(star, p, g))
+        u0 = Field(g, star.value(g.nodes, 0.0))
+        traj = simulate(cfg, u0)
+        want = physical_space_reference(cfg, u0, traj)
+        got = traj.snapshots[-1].values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_spectral_filter_keeps_smooth_solution(self):
         # the filter touches only the top sixth of modes, so a well-resolved

@@ -7,6 +7,7 @@ from kabc.spectral import (
     Grid,
     dealiased_product,
     derivative,
+    get_ops,
     green_dx_convolve,
     helmholtz_inverse,
     inner,
@@ -118,6 +119,16 @@ class TestDerivative:
         g = Grid(16, 1.0)
         with pytest.raises(ValueError):
             derivative(Field(g, np.zeros(16)), 3)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_cached_transform_bit_identical(self, order):
+        # reusing f.hat must give exactly the transform-multiply-invert result
+        g = Grid(128, 2 * np.pi)
+        f = band_limited(g, 40, seed=3)
+        ops = get_ops(g)
+        mult = ops.ik if order == 1 else ops.d2
+        want = np.fft.irfft(np.fft.rfft(f.values) * mult, g.n)
+        assert np.array_equal(derivative(f, order).values, want)
 
 
 class TestHelmholtzInverse:
