@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .spectral import Field, derivative
+from .spectral import Field, Grid, derivative
 
 # Log fits discard samples at or below this magnitude: below the transform
 # round-off, log|f| is noise.
@@ -21,19 +22,28 @@ FIT_FLOOR = 1e-13
 R2_EXPONENTIAL = 0.995
 
 
+@lru_cache(maxsize=64)
+def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
+    """count * (1 + xi^2)^s per rfft bin, read-only: the count is 2 for the
+    bins that stand for +-m pairs, 1 for the mean and Nyquist bins."""
+    xi = grid.wavenumbers
+    weight = (1.0 + xi * xi) ** s
+    count = np.full(grid.n // 2 + 1, 2.0)
+    count[0] = 1.0
+    count[-1] = 1.0
+    w = count * weight
+    w.flags.writeable = False
+    return w
+
+
 def sobolev_norm(f: Field, s: float) -> float:
     """H^s norm, normalized so the square at s = 1 is the integral of
     u^2 + u_x^2 over the box."""
     if s < 0:
         raise ValueError("s must be >= 0")
     grid = f.grid
-    xi = grid.wavenumbers
-    weight = (1.0 + xi * xi) ** s
-    count = np.full(grid.n // 2 + 1, 2.0)  # rfft bins stand for +-m pairs
-    count[0] = 1.0
-    count[-1] = 1.0
     with np.errstate(over="ignore"):  # huge fields report an inf norm
-        total = np.sum(count * weight * np.abs(f.hat) ** 2) * grid.length / grid.n**2
+        total = np.sum(_sobolev_weight(grid, s) * np.abs(f.hat) ** 2) * grid.length / grid.n**2
     return math.sqrt(total)
 
 

@@ -108,28 +108,26 @@ class Trajectory:
         return 2.0 ** (1.0 + 1.0 / self.config.params.k)
 
 
-def _power_table(base: np.ndarray, powers) -> dict:
-    """base**j by repeated multiplication, for the requested nonnegative
-    integer exponents (u may be negative, so no exp/log)."""
-    top = max(powers)
-    table = {0: np.ones_like(base)}
-    acc = table[0]
-    for j in range(1, top + 1):
-        acc = acc * base
-        table[j] = acc
-    return {j: table[j] for j in powers}
-
-
 class RhsOperator:
     """Semi-discrete right-hand side bound to one (grid, params) pair.
 
     Maps the rfft half-spectrum of u (length n//2 + 1) to the half-spectrum
     of u_t.  All monomials have total degree k+1 in (u, u_x, u_xx) and are
-    formed on a zero-padded grid of size pad_size(k+1), upsampled straight
-    from the spectrum, then truncated back before the smoothing multipliers
-    are applied; see the module docstring for the FFTs per call.  Terms
-    with zero coefficient are pruned up front, so no negative power of u is
-    ever evaluated (Params rejects the parameter sets that would need one).
+    formed on a zero-padded grid of size m = pad_size(k+1), upsampled
+    straight from the spectrum, then truncated back before the smoothing
+    multipliers are applied; see the module docstring for the FFTs per call.
+    Terms with zero coefficient are pruned up front, so no negative power of
+    u is ever evaluated (Params rejects the parameter sets that would need
+    one).
+
+    The operator owns a workspace, allocated once and rewritten by every
+    call: the padded half-spectrum (m//2 + 1 bins, zero above n/2), the
+    padded forward-transform output, and real rows of length m for u, u_x
+    (and u_xx when c_f2_2 != 0), u_x^2, u_x^3, the powers u^2 .. u^(k+1),
+    one bracket accumulator and one term scratch.  So an operator is not
+    reentrant: one call at a time.  Each call still returns a fresh array,
+    never a view of the workspace, so results of earlier calls stay valid
+    (rk4_step holds four of them at once).
     """
 
     def __init__(self, grid: Grid, params: Params, forcing: Optional[Callable] = None):
@@ -140,15 +138,22 @@ class RhsOperator:
         self.coeffs = cs = coefficients(params)
         k = params.k
         self.k = k
-        self.m = self.ops.pad_size(k + 1)
-        upows = {k, k + 1}
-        if cs.c_f1_2 != 0.0:
-            upows.add(k - 1)
-        if cs.c_cub != 0.0 or cs.c_f2_1 != 0.0:
-            upows.add(k - 2)
-        if cs.c_f1_3 != 0.0 or cs.c_f2_2 != 0.0:
-            upows.add(k - 3)
-        self.u_powers = upows
+        self.m = m = self.ops.pad_size(k + 1)
+        self._pad_hat = np.zeros(m // 2 + 1, dtype=complex)  # bins above n/2 stay zero
+        self._fine_hat = np.empty(m // 2 + 1, dtype=complex)
+        self._u, self._ux, self._ux2, self._ux3, self._acc, self._term = np.empty((6, m))
+        self._uxx = np.empty(m) if cs.c_f2_2 != 0.0 else None
+        # u^1 is the u row itself; u^0 = 1 is never stored (see _bracket)
+        self._upow = {1: self._u, **{j: np.empty(m) for j in range(2, k + 2)}}
+
+        # brackets as terms (coef, j, factor, ...) = coef * u^j * factor * ...
+        def nonzero(*terms):
+            return [term for term in terms if term[0] != 0.0]
+
+        ux, ux2, ux3 = self._ux, self._ux2, self._ux3
+        self._local = [(-1.0, k, ux)] + nonzero((cs.c_cub, k - 2, ux3))
+        self._f1 = [(cs.c_f1_1, k + 1)] + nonzero((cs.c_f1_2, k - 1, ux2), (cs.c_f1_3, k - 3, ux2, ux2))
+        self._f2 = nonzero((cs.c_f2_1, k - 2, ux3), (cs.c_f2_2, k - 3, ux3, self._uxx))
 
     def __call__(self, uh: np.ndarray, t: float) -> np.ndarray:
         # n samples would otherwise be silently read as a spectrum
@@ -159,35 +164,37 @@ class RhsOperator:
         with np.errstate(over="ignore", invalid="ignore"):
             return self._eval(uh, t)
 
+    def _bracket(self, terms) -> np.ndarray:
+        """Sum of the terms in order, into the bracket accumulator.  Each term
+        is multiplied left to right, and u^0 = 1 is skipped: x * 1 = x."""
+        acc = self._acc
+        for i, (coef, j, *factors) in enumerate(terms):
+            out = self._term if i else acc
+            first, rest = (factors[0], factors[1:]) if j == 0 else (self._upow[j], factors)
+            np.multiply(coef, first, out=out)
+            for f in rest:
+                np.multiply(out, f, out=out)
+            if i:
+                acc += out
+        return acc
+
     def _eval(self, uh: np.ndarray, t: float) -> np.ndarray:
-        ops, cs, k, m = self.ops, self.coeffs, self.k, self.m
-        uu = ops.upsample(uh, m)
-        vx = ops.upsample(uh * ops.ik, m)
-        up = _power_table(uu, self.u_powers)
-        vx2 = vx * vx
-        vx3 = vx2 * vx
+        ops, m, up, pad, fine_hat = self.ops, self.m, self._upow, self._pad_hat, self._fine_hat
+        u = ops.upsample(uh, m, out=self._u, work=pad)
+        ux = ops.upsample(uh, m, mult=ops.ik, out=self._ux, work=pad)
+        if self._uxx is not None:
+            ops.upsample(uh, m, mult=ops.d2, out=self._uxx, work=pad)
+        for j in range(2, self.k + 2):
+            np.multiply(up[j - 1], u, out=up[j])
+        np.multiply(ux, ux, out=self._ux2)
+        np.multiply(self._ux2, ux, out=self._ux3)
 
-        local = -(up[k] * vx)
-        if cs.c_cub != 0.0:
-            local += cs.c_cub * up[k - 2] * vx3
-
-        f1 = cs.c_f1_1 * up[k + 1]
-        if cs.c_f1_2 != 0.0:
-            f1 += cs.c_f1_2 * up[k - 1] * vx2
-        if cs.c_f1_3 != 0.0:
-            f1 += cs.c_f1_3 * up[k - 3] * vx2 * vx2
-
-        rhs_hat = ops.reduce_hat(local, m)
-        rhs_hat -= ops.green_dx * ops.reduce_hat(f1, m)
-
-        if cs.c_f2_1 != 0.0 or cs.c_f2_2 != 0.0:
-            f2 = np.zeros_like(uu)
-            if cs.c_f2_1 != 0.0:
-                f2 += cs.c_f2_1 * up[k - 2] * vx3
-            if cs.c_f2_2 != 0.0:
-                wxx = ops.upsample(uh * ops.d2, m)
-                f2 += cs.c_f2_2 * up[k - 3] * vx3 * wxx
-            rhs_hat -= ops.helmholtz * ops.reduce_hat(f2, m)
+        rhs_hat = ops.reduce_hat(self._bracket(self._local), m, work=fine_hat).copy()
+        f1_hat = ops.reduce_hat(self._bracket(self._f1), m, work=fine_hat)
+        rhs_hat -= np.multiply(ops.green_dx, f1_hat, out=f1_hat)
+        if self._f2:
+            f2_hat = ops.reduce_hat(self._bracket(self._f2), m, work=fine_hat)
+            rhs_hat -= np.multiply(ops.helmholtz, f2_hat, out=f2_hat)
 
         if self.forcing is not None:
             rhs_hat += np.fft.rfft(self.forcing(self.grid.nodes, t))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -85,7 +85,10 @@ class SpectralOps:
 
     Works on raw arrays: deriv and upsample take an rfft half-spectrum,
     apply and product take samples.  The Field-level functions below are
-    thin wrappers.  Instances are cached per grid and treated as read-only.
+    thin wrappers.  Instances are cached per grid and shared, so they hold
+    no scratch memory: upsample and reduce_hat allocate their results
+    unless the caller passes its own buffers (out=, work=), which is how
+    RhsOperator assembles a right-hand side without allocating.
     """
 
     def __init__(self, grid: Grid):
@@ -115,23 +118,43 @@ class SpectralOps:
         m = math.ceil((n_factors + 1) * self.grid.n / 2)
         return m + (m % 2)
 
-    def upsample(self, hat: np.ndarray, m: int) -> np.ndarray:
-        """Trigonometric interpolation onto m points, from the half-spectrum."""
+    def upsample(self, hat: np.ndarray, m: int, mult: Optional[np.ndarray] = None,
+                 out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None) -> np.ndarray:
+        """Trigonometric interpolation onto m points, from the half-spectrum
+        (times the multiplier mult, when given).
+
+        out receives the m samples.  work is the padded half-spectrum, of
+        length m//2 + 1: only its first n//2 + 1 bins are written, so the
+        caller must pass one whose upper bins are zero.  Both are allocated
+        when not given.
+        """
         n = self.grid.n
         if m == n:
-            return np.fft.irfft(hat, n)
-        out = np.zeros(m // 2 + 1, dtype=complex)
-        out[: n // 2 + 1] = hat
-        out[n // 2] *= 0.5  # split the combined +-Nyquist bin
-        return np.fft.irfft(out, m) * (m / n)
+            return np.fft.irfft(hat if mult is None else hat * mult, n, out=out)
+        if work is None:
+            work = np.zeros(m // 2 + 1, dtype=complex)
+        if mult is None:
+            work[: n // 2 + 1] = hat
+        else:
+            np.multiply(hat, mult, out=work[: n // 2 + 1])
+        work[n // 2] *= 0.5  # split the combined +-Nyquist bin
+        fine = np.fft.irfft(work, m, out=out)
+        fine *= m / n
+        return fine
 
-    def reduce_hat(self, fine_values: np.ndarray, m: int) -> np.ndarray:
-        """Truncate fine-grid samples back to the base spectrum (rfft)."""
+    def reduce_hat(self, fine_values: np.ndarray, m: int, work: Optional[np.ndarray] = None) -> np.ndarray:
+        """Truncate fine-grid samples back to the base spectrum (rfft).
+
+        work, of length m//2 + 1, receives the forward transform, and the
+        result is then a view of its first n//2 + 1 bins; it is allocated
+        when not given.
+        """
         n = self.grid.n
-        fh = np.fft.rfft(fine_values) * (n / m)
+        fh = np.fft.rfft(fine_values, out=work)
         if m == n:
             return fh
-        out = fh[: n // 2 + 1].copy()
+        out = fh[: n // 2 + 1]
+        out *= n / m  # only the kept bins are scaled
         out[n // 2] = 2.0 * out[n // 2].real  # recombine the +-n/2 modes
         return out
 

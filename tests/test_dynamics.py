@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,53 @@ class TestRhs:
         monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft))
         op(uh, 0.0)
         assert len(calls) == ffts
+
+    @pytest.mark.parametrize(
+        "p, forced",
+        [
+            (preset("ch"), False),
+            (preset("dp"), False),
+            (preset("novikov"), False),
+            (preset("forq"), False),
+            (validate(3, 0.5, 1.0, 0.5), False),
+            (validate(4, -0.4, 2.0, 1.0), False),
+            (preset("forq"), True),
+        ],
+    )
+    def test_workspace_hygiene(self, p, forced):
+        # the workspace is rewritten by every call: a second call must match
+        # a fresh operator's, and must not write into the first result
+        g = Grid(128, 2 * np.pi)
+        forcing = None
+        if forced:
+            star = ManufacturedSolution(lambda x, t: 0.1 * np.sin(x - t), lambda x, t: -0.1 * np.cos(x - t))
+            forcing = mms_forcing(star, p, g)
+        op = RhsOperator(g, p, forcing)
+        a, b = band_limited(g, 10, seed=1).hat, band_limited(g, 10, seed=2).hat
+        out_a = op(a, 0.3)
+        kept_a = out_a.copy()
+        out_b = op(b, 0.3)
+        assert np.array_equal(out_b, RhsOperator(g, p, forcing)(b, 0.3))
+        assert np.array_equal(out_a, kept_a)
+        assert not np.shares_memory(out_a, out_b)
+
+    @pytest.mark.parametrize(
+        "p", [preset("ch"), preset("novikov"), preset("forq"), validate(3, 0.5, 1.0, 0.5)]
+    )
+    def test_allocation_budget(self, p):
+        # once warm, a call allocates its fresh result and a few small
+        # temporaries, nothing of the padded size
+        g = Grid(8192, 40 * np.pi)
+        op = RhsOperator(g, p)
+        uh = band_limited(g, 64, seed=0).hat
+        op(uh, 0.0)
+        tracemalloc.start()
+        try:
+            op(uh, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * (g.n // 2 + 1) * 16
 
 
 class TestLocalFormResidual:
@@ -383,6 +431,27 @@ class TestScalingSymmetry:
         va = lam * ta.snapshots[-1].values
         vb = tb.snapshots[-1].values
         assert np.max(np.abs(va - vb)) <= 1e-6 * np.max(np.abs(vb))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(min_value=1, max_value=5),
+        a=st.floats(min_value=-2.0, max_value=2.0),
+        b=st.floats(min_value=-4.0, max_value=4.0),
+        c=st.floats(min_value=-2.0, max_value=2.0),
+        n=st.sampled_from([128, 256]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_rhs_scaling_is_exact(self, k, a, b, c, n, seed):
+        # every term of the right-hand side has degree k+1 in u, so
+        # u -> lam u scales it by lam^(k+1); for a power of two lam every
+        # product, sum and FFT butterfly scales exactly, so equality is bitwise
+        p = validate(1, 0.0, b, (3.0 - b) / 2.0) if k == 1 else validate(k, a, b, c)
+        g = Grid(n, 2 * np.pi)
+        op = RhsOperator(g, p)
+        uh = band_limited(g, n // (2 * (k + 2)), seed=seed).hat
+        base = op(uh, 0.0)
+        for lam in (0.25, 0.5, 2.0, 4.0):
+            assert np.array_equal(op(lam * uh, 0.0), lam ** (k + 1) * base)
 
 
 class TestMms:
