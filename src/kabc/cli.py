@@ -417,6 +417,23 @@ def run_simulate(spec: RunSpec):
     return code, {"softbound": _softbound_record(traj), "final_t": traj.last_time, "blew_up": traj.blew_up}
 
 
+def _peakon_case_row(spec: RunSpec, case: dict) -> tuple:
+    """One speeds.csv row.  Its trajectory dies on return, so a
+    peakon-verify run holds one case's snapshots at a time."""
+    block = spec.config["peakon_verify"]
+    p = resolve_params({k: v for k, v in case.items() if k != "gamma"})
+    gamma = float(case.get("gamma", 1.0))
+    grid = spec.grid
+    moll = block["moll_width"]
+    moll = float(moll) if moll is not None else grid.dx
+    u0 = exact.peakon_initial_condition(gamma, moll, grid)
+    traj = simulate(_sim_config(spec, p, block["t_end"]), u0)
+    expected = PeakonSpec(gamma, p).speed
+    measured = diagnostics.crest_track(traj)
+    rel = abs(measured - expected) / abs(expected) if expected else math.nan
+    return (case.get("preset", "custom"), gamma, expected, measured, rel)
+
+
 def run_peakon_verify(spec: RunSpec):
     block = spec.config["peakon_verify"]
     cases = block["cases"]
@@ -427,20 +444,7 @@ def run_peakon_verify(spec: RunSpec):
             {"preset": "novikov", "gamma": math.sqrt(2.0)},
             {"preset": "forq", "gamma": 1.0},
         ]
-    rows = []
-    for case in cases:
-        p = resolve_params({k: v for k, v in case.items() if k != "gamma"})
-        gamma = float(case.get("gamma", 1.0))
-        grid = spec.grid
-        moll = block["moll_width"]
-        moll = float(moll) if moll is not None else grid.dx
-        u0 = exact.peakon_initial_condition(gamma, moll, grid)
-        traj = simulate(_sim_config(spec, p, block["t_end"]), u0)
-        expected = PeakonSpec(gamma, p).speed
-        measured = diagnostics.crest_track(traj)
-        rel = abs(measured - expected) / abs(expected) if expected else math.nan
-        name = case.get("preset", "custom")
-        rows.append((name, gamma, expected, measured, rel))
+    rows = [_peakon_case_row(spec, case) for case in cases]
     _write_csv(
         os.path.join(spec.out_dir, "speeds.csv"),
         ("preset", "gamma", "expected_speed", "measured_speed", "rel_err"),
@@ -674,6 +678,8 @@ def main(argv=None) -> int:
         sp.add_argument("--workers", default=None, type=int, help="sweep worker pool size")
     args = parser.parse_args(argv)
     try:
+        if args.workers is not None and args.subcommand != "sweep":
+            raise ConfigError(f"--workers applies only to sweep, not {args.subcommand}")
         spec = parse_config(args.config, args.set, args.subcommand, _out_dir(args.out, args.subcommand))
         if args.workers is not None:
             spec.config["sweep"]["workers"] = args.workers

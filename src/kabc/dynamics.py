@@ -15,8 +15,10 @@ one inverse transform to store the new samples.  One evaluation costs one
 inverse FFT on the padded grid per upsampled factor (u, u_x, and u_xx when
 c_f2_2 != 0) and one forward FFT there per bracket (local, f1, and f2 when
 it has a nonzero coefficient): 4 at k = 1 (CH, DP), 5 at k = 2 (Novikov,
-FORQ) and 6 at k >= 3 with a != 0, plus one forward FFT of the forcing
-samples when forcing is set.
+FORQ) and 6 at k >= 3 with a != 0.  When forcing is set, it is evaluated,
+and its samples forward-transformed, once per distinct stage time: RK4's two
+mid stages share t + dt/2, and a step's last stage time t + dt is the next
+step's first, so a forced step adds 2 forcing evaluations, not 4.
 """
 
 from __future__ import annotations
@@ -45,8 +47,10 @@ class SimConfig:
     """One run: parameters, grid, horizon and stepping controls.
 
     forcing, when present, is a callable (x_nodes, t) -> samples added to
-    the right-hand side.  spectral_filter enables a mild exponential filter
-    on the top sixth of modes (off by default; useful for peakon runs).
+    the right-hand side.  It must be a pure function of (x, t): RhsOperator
+    may reuse the value it got at a time t for a later call at the same t.
+    spectral_filter enables a mild exponential filter on the top sixth of
+    modes (off by default; useful for peakon runs).
     """
 
     params: Params
@@ -128,6 +132,11 @@ class RhsOperator:
     reentrant: one call at a time.  Each call still returns a fresh array,
     never a view of the workspace, so results of earlier calls stay valid
     (rk4_step holds four of them at once).
+
+    With forcing, the operator also keeps the forcing's half-spectrum for the
+    last two distinct times it was called at, read-only, oldest first.  A
+    call at a held t (exact float equality) reuses it; a call at any other t
+    evaluates the forcing and evicts the oldest.
     """
 
     def __init__(self, grid: Grid, params: Params, forcing: Optional[Callable] = None):
@@ -143,6 +152,7 @@ class RhsOperator:
         self._fine_hat = np.empty(m // 2 + 1, dtype=complex)
         self._u, self._ux, self._ux2, self._ux3, self._acc, self._term = np.empty((6, m))
         self._uxx = np.empty(m) if cs.c_f2_2 != 0.0 else None
+        self._forcing_hats: list[tuple[float, np.ndarray]] = []
         # u^1 is the u row itself; u^0 = 1 is never stored (see _bracket)
         self._upow = {1: self._u, **{j: np.empty(m) for j in range(2, k + 2)}}
 
@@ -178,6 +188,15 @@ class RhsOperator:
                 acc += out
         return acc
 
+    def _forcing_hat(self, t: float) -> np.ndarray:
+        for held_t, hat in self._forcing_hats:
+            if held_t == t:
+                return hat
+        hat = np.fft.rfft(self.forcing(self.grid.nodes, t))
+        hat.flags.writeable = False
+        self._forcing_hats = self._forcing_hats[-1:] + [(t, hat)]
+        return hat
+
     def _eval(self, uh: np.ndarray, t: float) -> np.ndarray:
         ops, m, up, pad, fine_hat = self.ops, self.m, self._upow, self._pad_hat, self._fine_hat
         u = ops.upsample(uh, m, out=self._u, work=pad)
@@ -197,7 +216,7 @@ class RhsOperator:
             rhs_hat -= np.multiply(ops.helmholtz, f2_hat, out=f2_hat)
 
         if self.forcing is not None:
-            rhs_hat += np.fft.rfft(self.forcing(self.grid.nodes, t))
+            rhs_hat += self._forcing_hat(t)
         if not np.all(np.isfinite(rhs_hat)):
             raise BlowUpError(t)
         return rhs_hat

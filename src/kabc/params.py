@@ -29,13 +29,7 @@ class Params:
     c: float
 
     def __post_init__(self):
-        k = self.k
-        if isinstance(k, float):
-            if not k.is_integer():
-                raise ValueError(f"k must be an integer, got {k!r}")
-            k = int(k)
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise TypeError(f"k must be an integer, got {k!r}")
+        k = _degree(self.k)
         object.__setattr__(self, "k", k)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -47,6 +41,17 @@ class Params:
         if self.a != 0.0 and k < 2:
             raise ValueError("a != 0 requires k >= 2; only a = 0 admits k = 1")
         _check_powers(self)
+
+
+def _degree(k) -> int:
+    """k as an int; an integral float is accepted, anything else rejected."""
+    if isinstance(k, float):
+        if not k.is_integer():
+            raise ValueError(f"k must be an integer, got {k!r}")
+        k = int(k)
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise TypeError(f"k must be an integer, got {k!r}")
+    return k
 
 
 def validate(k, a, b, c) -> Params:
@@ -77,7 +82,7 @@ def preset(name: str, **free) -> Params:
         return Params(*_FIXED_PRESETS[key])
     try:
         if key == "gkbch":
-            k, b = free.pop("k"), float(free.pop("b"))
+            k, b = _degree(free.pop("k")), float(free.pop("b"))
             if free:
                 raise TypeError(f"unexpected parameters for gkbch: {sorted(free)}")
             return Params(k, 0.0, b, (3.0 * k - b) / 2.0)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -89,6 +90,20 @@ class TestParseConfig:
         code = main(["simulate", "--set", 'params={"k":1,"a":0,"b":3,"c":1.5}', "--out", str(out)])
         assert code == EXIT_CONFIG
         assert "u^{k-2} u_x^3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ['"2"', "2.5"])
+    def test_gkbch_bad_k_named(self, tmp_path, capsys, k):
+        out = tmp_path / "out"
+        code = main(["simulate", "--set", f'params={{"preset":"gkbch","k":{k},"b":1}}', "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "k must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_workers_rejected_outside_sweep(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["mms", "--workers", "3", "--out", str(out)]) == EXIT_CONFIG
+        assert "--workers applies only to sweep" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_point_rejected_at_parse(self, tmp_path, capsys):
@@ -263,6 +278,29 @@ class TestOtherSubcommands:
         name, gamma, exp, meas, rel = rows[1].split(",")
         assert name == "ch" and float(exp) == 1.0
         assert float(rel) < 0.02
+
+    def test_peakon_verify_holds_one_trajectory_at_a_time(self, tmp_path, monkeypatch):
+        from kabc import cli
+
+        refs = []
+
+        def tracked(cfg, u0):
+            assert all(ref() is None for ref in refs)
+            traj = cli_simulate(cfg, u0)
+            refs.append(weakref.ref(traj))
+            return traj
+
+        cli_simulate = cli.simulate
+        monkeypatch.setattr(cli, "simulate", tracked)
+        cases = [{"preset": "ch", "gamma": 1.0}, {"preset": "dp", "gamma": 1.0}]
+        spec = parse_config(
+            None,
+            ["grid.n=256", f"peakon_verify={json.dumps({'cases': cases, 't_end': 0.1})}"],
+            "peakon-verify",
+            str(tmp_path / "pk"),
+        )
+        assert run(spec) == EXIT_OK
+        assert len(refs) == 2
 
     def test_mms_convergence_table(self, tmp_path):
         out = str(tmp_path / "mms")

@@ -402,6 +402,70 @@ class TestSimulate:
         got = traj.snapshots[-1].values
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_forcing_evaluated_once_per_distinct_stage_time(self):
+        # RK4's two mid stages share t + dt/2 and a step's t + dt is the next
+        # step's t, so N steps need 2N + 1 distinct forcing times
+        g = Grid(64, 2 * np.pi)
+        times = []
+
+        def forcing(x, t):
+            times.append(t)
+            return np.cos(x) * (1.0 + t)
+
+        cfg = SimConfig(params=preset("novikov"), grid=g, t_end=0.25, cfl_safety=1.0, dt_max=1.0 / 32, forcing=forcing)
+        traj = simulate(cfg, band_limited(g, 4, seed=0, amp=0.1))
+        steps = len(traj.records) - 1
+        assert steps == 8
+        assert len(times) == 2 * steps + 1
+        assert len(set(times)) == len(times)
+
+    @pytest.mark.parametrize("p", [preset("novikov"), preset("forq")])
+    def test_forced_trajectory_matches_uncached_forcing(self, p):
+        # the reference builds a fresh operator per stage, so it evaluates
+        # the forcing at every stage; it repeats simulate's state round trip
+        g = Grid(128, 2 * np.pi)
+        star = ManufacturedSolution(lambda x, t: 0.1 * np.sin(x - t), lambda x, t: -0.1 * np.cos(x - t))
+        forcing = mms_forcing(star, p, g)
+        cfg = SimConfig(params=p, grid=g, t_end=0.25, cfl_safety=1.0, dt_max=1.0 / 64, forcing=forcing)
+        u0 = Field(g, star.value(g.nodes, 0.0))
+        traj = simulate(cfg, u0)
+
+        def fresh(uh, t):
+            return RhsOperator(g, p, forcing)(uh, t)
+
+        u, t = u0, 0.0
+        for rec, snap in zip(traj.records[1:], traj.snapshots[1:]):
+            u = Field(g, np.fft.irfft(rk4_step(fresh, u.hat, t, rec.dt), g.n))
+            t += rec.dt
+            assert u.values.tobytes() == snap.values.tobytes()
+        assert len(traj.snapshots) == len(traj.records) == 17
+
+    def test_forcing_spectra_bounded_and_read_only(self):
+        g = Grid(64, 2 * np.pi)
+        op = RhsOperator(g, preset("ch"), lambda x, t: np.cos(x) * (1.0 + t))
+        uh = band_limited(g, 4, seed=0).hat
+        for t in (0.0, 0.1, 0.1, 0.2, 0.3, 0.2, 0.4, 0.5):
+            op(uh, t)
+            assert 1 <= len(op._forcing_hats) <= 2
+            for _, hat in op._forcing_hats:
+                assert not hat.flags.writeable
+                with pytest.raises(ValueError):
+                    hat[0] = 0.0
+        unforced = RhsOperator(g, preset("ch"))
+        unforced(uh, 0.1)
+        assert unforced._forcing_hats == []
+
+    def test_new_times_between_repeated_ones(self):
+        # every call, hit or miss, equals a fresh operator's result at its t
+        g = Grid(128, 2 * np.pi)
+        p = preset("forq")
+        star = ManufacturedSolution(lambda x, t: 0.1 * np.sin(x - t), lambda x, t: -0.1 * np.cos(x - t))
+        forcing = mms_forcing(star, p, g)
+        op = RhsOperator(g, p, forcing)
+        uh = band_limited(g, 10, seed=3).hat
+        for t in (0.0, 0.5, 0.0, 0.25, 0.5, 0.25, 0.75, 0.0, 0.0, 1.0, 0.75, 1.0):
+            assert op(uh, t).tobytes() == RhsOperator(g, p, forcing)(uh, t).tobytes()
+
     def test_spectral_filter_keeps_smooth_solution(self):
         # the filter touches only the top sixth of modes, so a well-resolved
         # run barely changes but stays deterministic

@@ -81,6 +81,14 @@ def test_preset_missing_free_parameter():
         preset("gkbch", k=2)
 
 
+@pytest.mark.parametrize("k, error", [("2", TypeError), (2.5, ValueError), (True, TypeError)])
+def test_gkbch_rejects_bad_k_by_name(k, error):
+    # k is checked before (3k - b)/2 is formed, so a string k is named, not
+    # multiplied
+    with pytest.raises(error, match=r"^k must be an integer"):
+        preset("gkbch", k=k, b=1.0)
+
+
 def test_coefficients_forq():
     cs = coefficients(preset("forq"))
     # 8 - 8/3 - 2 - 3 = 1/3
