@@ -1,8 +1,11 @@
 """Command-line driver: configuration, experiment orchestration, artifacts.
 
-The only module with side effects.  Every run writes plain CSV files plus
-one JSON manifest into its output directory; numeric artifacts are
-reproducible bit-for-bit, manifests differ at most in timestamps.
+The only module with side effects.  Each experiment is one pure
+``compute_<subcommand>(spec)`` that returns its exit code, its CSV tables
+as ``{filename: (header, rows)}`` and the manifest extras; ``run`` writes
+the tables plus one JSON manifest into the output directory (``sweep``
+writes its own aggregate).  Numeric artifacts are reproducible
+bit-for-bit, manifests differ at most in timestamps.
 
 Exit codes: 0 success, 2 blow-up (partial outputs kept), 3 configuration
 error, 4 I/O failure.
@@ -17,6 +20,7 @@ import datetime
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -127,6 +131,39 @@ def resolve_params(block: dict) -> Params:
         raise ConfigError(f"invalid parameters: {err}") from None
 
 
+DEFAULT_PEAKON_CASES = (
+    {"preset": "ch", "gamma": 1.0},
+    {"preset": "dp", "gamma": 1.0},
+    {"preset": "novikov", "gamma": math.sqrt(2.0)},
+    {"preset": "forq", "gamma": 1.0},
+)
+
+
+def _peakon_cases(config: dict) -> list[tuple[str, Params, float]]:
+    """(label, params, gamma) of each peakon_verify case; a ConfigError
+    names the offending case."""
+    cases = config["peakon_verify"]["cases"]
+    cases = DEFAULT_PEAKON_CASES if cases is None else cases
+    if not isinstance(cases, (list, tuple)) or not cases:
+        raise ConfigError("peakon_verify.cases must be a non-empty list")
+    resolved = []
+    for i, case in enumerate(cases):
+        try:
+            if not isinstance(case, dict):
+                raise ConfigError("a case must be an object")
+            unknown = sorted(set(case) - _PARAMS_KEYS - {"gamma"})
+            if unknown:
+                raise ConfigError(f"unknown keys {unknown}")
+            gamma = float(case.get("gamma", 1.0))
+            if not (math.isfinite(gamma) and gamma > 0.0):
+                raise ConfigError(f"gamma must be finite and > 0, got {gamma!r}")
+            p = resolve_params({k: v for k, v in case.items() if k != "gamma"})
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"peakon_verify.cases[{i}] {json.dumps(case)}: {err}") from None
+        resolved.append((str(case.get("preset", "custom")), p, gamma))
+    return resolved
+
+
 @dataclass
 class RunSpec:
     """A fully resolved run: subcommand plus plain-data configuration."""
@@ -178,8 +215,8 @@ def parse_config(path=None, overrides=(), subcommand="simulate", out_dir=None) -
     if fit_window is not None:
         if len(fit_window) != 2 or not fit_window[0] < fit_window[1]:
             raise ConfigError("fit.window must be [x_lo, x_hi] with x_lo < x_hi")
-    fitted = {subcommand, resolved["sweep"]["subcommand"] if subcommand == "sweep" else subcommand}
-    if fitted & {"simulate", "decay-scan"}:
+    target = resolved["sweep"]["subcommand"] if subcommand == "sweep" else subcommand
+    if {subcommand, target} & {"simulate", "decay-scan"}:
         lo, hi = fit_window if fit_window is not None else default_tail_window(grid)
         if (hi - lo) / grid.dx < 16:
             raise ConfigError("fit window holds fewer than 16 grid nodes")
@@ -192,12 +229,15 @@ def parse_config(path=None, overrides=(), subcommand="simulate", out_dir=None) -
         for ax in axes:
             if not isinstance(ax, dict) or "key" not in ax or "values" not in ax or not ax["values"]:
                 raise ConfigError("each sweep axis needs a key and a non-empty values list")
-    if subcommand == "sweep":
-        for name, cfg in _expand_sweep(spec):
-            try:
-                resolve_params(cfg["params"])
-            except ConfigError as err:
-                raise ConfigError(f"sweep point {name}: {err}") from None
+    for name, cfg in _expand_sweep(spec) if subcommand == "sweep" else [(None, resolved)]:
+        try:
+            resolve_params(cfg["params"])
+            if target == "peakon-verify":
+                _peakon_cases(cfg)
+        except ConfigError as err:
+            if name is None:
+                raise
+            raise ConfigError(f"sweep point {name}: {err}") from None
     return spec
 
 
@@ -228,14 +268,15 @@ def build_profile(spec: RunSpec) -> Field:
 # snapshot serialization
 
 
+def _snapshot_table(f: Field):
+    """(header, rows) of a snapshot CSV; the rows stream from f's arrays."""
+    return ("x", "u"), zip(f.grid.nodes, f.values)
+
+
 def write_snapshot(f: Field, path) -> None:
     """CSV with header x,u at full double precision (17 significant digits);
     round-trips bitwise through read_snapshot."""
-    lines = ["x,u"]
-    for x, v in zip(f.grid.nodes, f.values):
-        lines.append(f"{x:.17g},{v:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, *_snapshot_table(f))
 
 
 def read_snapshot(path, grid: Grid | None = None) -> Field:
@@ -360,24 +401,27 @@ DIAG_HEADER = ("t", "hs_norm", "h1_sq", "dt", "crest_x", "theta_hat_u", "theta_h
 PARTICLE_HEADER = ("seed", "t", "eta", "eta_x", "m_along", "invariant_residual")
 
 
-def _sim_config(spec: RunSpec, params: Params, t_end) -> SimConfig:
-    """SimConfig from the spec's grid and stepping keys."""
+def _sim_config(spec: RunSpec, params: Params, t_end, **overrides) -> SimConfig:
+    """SimConfig from the spec's grid and stepping keys; keyword arguments
+    override the stepping keys."""
     c = spec.config
-    return SimConfig(
-        params=params,
-        grid=spec.grid,
-        t_end=float(t_end),
-        cfl_safety=float(c["cfl_safety"]),
-        dt_max=float(c["dt_max"]),
-        output_stride=int(c["output_stride"]),
-        sobolev_s=float(c["sobolev_s"]),
-        spectral_filter=bool(c["spectral_filter"]),
-    )
+    stepping = {
+        "cfl_safety": float(c["cfl_safety"]),
+        "dt_max": float(c["dt_max"]),
+        "output_stride": int(c["output_stride"]),
+        "sobolev_s": float(c["sobolev_s"]),
+        "spectral_filter": bool(c["spectral_filter"]),
+    }
+    return SimConfig(params=params, grid=spec.grid, t_end=float(t_end), **{**stepping, **overrides})
 
 
-def _run_simulation(spec: RunSpec) -> tuple[Trajectory, Field]:
+def _run_simulation(spec: RunSpec) -> Trajectory:
     u0 = build_profile(spec)
-    return simulate(_sim_config(spec, spec.params, spec.config["t_end"]), u0), u0
+    return simulate(_sim_config(spec, spec.params, spec.config["t_end"]), u0)
+
+
+def _exit_code(traj: Trajectory) -> int:
+    return EXIT_BLOWUP if traj.blew_up else EXIT_OK
 
 
 def _fit_window(spec: RunSpec):
@@ -387,42 +431,28 @@ def _fit_window(spec: RunSpec):
     return (float(win[0]), float(win[1]))
 
 
-def run_simulate(spec: RunSpec):
-    traj, _ = _run_simulation(spec)
-    window = _fit_window(spec)
-    side = spec.config["fit"]["side"]
-    rows = _snapshot_diag_rows(traj, window, side)
-    _write_csv(os.path.join(spec.out_dir, "diagnostics.csv"), DIAG_HEADER, rows)
-    write_snapshot(traj.snapshots[-1], os.path.join(spec.out_dir, "final.csv"))
+def compute_simulate(spec: RunSpec):
+    traj = _run_simulation(spec)
+    rows = _snapshot_diag_rows(traj, _fit_window(spec), spec.config["fit"]["side"])
+    tables = {"diagnostics.csv": (DIAG_HEADER, rows), "final.csv": _snapshot_table(traj.snapshots[-1])}
     if spec.config["write_snapshots"]:
         for i, snap in enumerate(traj.snapshots):
-            write_snapshot(snap, os.path.join(spec.out_dir, f"snap_{i:06d}.csv"))
+            tables[f"snap_{i:06d}.csv"] = _snapshot_table(snap)
     try:
         drift = diagnostics.h1_drift(traj)
     except ValueError:
         drift = math.nan
-    summary = (
-        traj.last_time,
-        len(traj.records) - 1,
-        traj.sup_hs,
-        drift,
-        traj.blew_up,
-    )
-    _write_csv(
-        os.path.join(spec.out_dir, "summary.csv"),
-        ("final_t", "steps", "sup_hs", "h1_drift", "blew_up"),
-        [summary],
-    )
-    code = EXIT_BLOWUP if traj.blew_up else EXIT_OK
-    return code, {"softbound": _softbound_record(traj), "final_t": traj.last_time, "blew_up": traj.blew_up}
+    summary = (traj.last_time, len(traj.records) - 1, traj.sup_hs, drift, traj.blew_up)
+    tables["summary.csv"] = (("final_t", "steps", "sup_hs", "h1_drift", "blew_up"), [summary])
+    extras = {"softbound": _softbound_record(traj), "final_t": traj.last_time, "blew_up": traj.blew_up}
+    return _exit_code(traj), tables, extras
 
 
-def _peakon_case_row(spec: RunSpec, case: dict) -> tuple:
-    """One speeds.csv row.  Its trajectory dies on return, so a
-    peakon-verify run holds one case's snapshots at a time."""
+def _peakon_case(spec: RunSpec, label: str, p: Params, gamma: float):
+    """One speeds.csv row and the case's growth-bound record.  Its
+    trajectory dies on return, so a peakon-verify run holds one case's
+    snapshots at a time."""
     block = spec.config["peakon_verify"]
-    p = resolve_params({k: v for k, v in case.items() if k != "gamma"})
-    gamma = float(case.get("gamma", 1.0))
     grid = spec.grid
     moll = block["moll_width"]
     moll = float(moll) if moll is not None else grid.dx
@@ -431,35 +461,21 @@ def _peakon_case_row(spec: RunSpec, case: dict) -> tuple:
     expected = PeakonSpec(gamma, p).speed
     measured = diagnostics.crest_track(traj)
     rel = abs(measured - expected) / abs(expected) if expected else math.nan
-    return (case.get("preset", "custom"), gamma, expected, measured, rel)
+    return (label, gamma, expected, measured, rel), _softbound_record(traj)
 
 
-def run_peakon_verify(spec: RunSpec):
-    block = spec.config["peakon_verify"]
-    cases = block["cases"]
-    if cases is None:
-        cases = [
-            {"preset": "ch", "gamma": 1.0},
-            {"preset": "dp", "gamma": 1.0},
-            {"preset": "novikov", "gamma": math.sqrt(2.0)},
-            {"preset": "forq", "gamma": 1.0},
-        ]
-    rows = [_peakon_case_row(spec, case) for case in cases]
-    _write_csv(
-        os.path.join(spec.out_dir, "speeds.csv"),
-        ("preset", "gamma", "expected_speed", "measured_speed", "rel_err"),
-        rows,
-    )
+def compute_peakon_verify(spec: RunSpec):
+    results = [_peakon_case(spec, *case) for case in _peakon_cases(spec.config)]
+    rows = [row for row, _ in results]
     worst = max(r[4] for r in rows)
-    _write_csv(
-        os.path.join(spec.out_dir, "summary.csv"),
-        ("n_cases", "worst_rel_err"),
-        [(len(rows), worst)],
-    )
-    return EXIT_OK, {"worst_rel_err": worst}
+    tables = {
+        "speeds.csv": (("preset", "gamma", "expected_speed", "measured_speed", "rel_err"), rows),
+        "summary.csv": (("n_cases", "worst_rel_err"), [(len(rows), worst)]),
+    }
+    return EXIT_OK, tables, {"worst_rel_err": worst, "softbound": [sb for _, sb in results]}
 
 
-def run_mms(spec: RunSpec):
+def compute_mms(spec: RunSpec):
     block = spec.config["mms"]
     amp = float(block["amplitude"])
     dt0 = float(block["dt0"])
@@ -473,60 +489,44 @@ def run_mms(spec: RunSpec):
     )
     forcing = mms_forcing(star, p, grid)
     u0 = Field(grid, star.value(grid.nodes, 0.0))
-    errors, dts = [], []
+    rows = []
     for lvl in range(levels):
         dt = dt0 / 2**lvl
-        cfg = SimConfig(
-            params=p, grid=grid, t_end=t_end, cfl_safety=1.0, dt_max=dt,
-            output_stride=10**9, forcing=forcing,
-        )
+        cfg = _sim_config(spec, p, t_end, cfl_safety=1.0, dt_max=dt, output_stride=10**9, forcing=forcing)
         traj = simulate(cfg, u0)
         exactf = star.value(grid.nodes, traj.last_time)
-        errors.append(float(np.max(np.abs(traj.snapshots[-1].values - exactf))))
-        dts.append(dt)
-    rows = []
-    for i, (dt, err) in enumerate(zip(dts, errors)):
-        order = math.nan if i == 0 else math.log2(errors[i - 1] / err)
-        rows.append((dt, err, order))
-    _write_csv(os.path.join(spec.out_dir, "mms.csv"), ("dt", "final_max_error", "observed_order"), rows)
-    _write_csv(
-        os.path.join(spec.out_dir, "summary.csv"),
-        ("finest_dt", "finest_error", "last_order"),
-        [(dts[-1], errors[-1], rows[-1][2])],
-    )
-    return EXIT_OK, {"finest_error": errors[-1], "orders": [r[2] for r in rows[1:]]}
+        err = float(np.max(np.abs(traj.snapshots[-1].values - exactf)))
+        rows.append((dt, err, math.log2(rows[-1][1] / err) if rows else math.nan))
+    tables = {
+        "mms.csv": (("dt", "final_max_error", "observed_order"), rows),
+        "summary.csv": (("finest_dt", "finest_error", "last_order"), [rows[-1]]),
+    }
+    return EXIT_OK, tables, {"finest_error": rows[-1][1], "orders": [r[2] for r in rows[1:]]}
 
 
-def run_decay_scan(spec: RunSpec):
-    traj, _ = _run_simulation(spec)
+def compute_decay_scan(spec: RunSpec):
+    traj = _run_simulation(spec)
     theta = float(spec.config["fit"]["theta"])
-    window = _fit_window(spec)
-    report = persistence_report(traj, theta, window=window, side=spec.config["fit"]["side"])
-    rows = []
-    for t, fu, fx in zip(report.times, report.fits_u, report.fits_ux):
-        rows.append((t, fu.theta_hat, fu.r2, fu.floor_hit, fx.theta_hat, fx.r2, fx.floor_hit))
-    _write_csv(
-        os.path.join(spec.out_dir, "decay.csv"),
-        ("t", "theta_hat_u", "r2_u", "floor_hit_u", "theta_hat_ux", "r2_ux", "floor_hit_ux"),
-        rows,
-    )
+    report = persistence_report(traj, theta, window=_fit_window(spec), side=spec.config["fit"]["side"])
+    rows = [
+        (t, fu.theta_hat, fu.r2, fu.floor_hit, fx.theta_hat, fx.r2, fx.floor_hit)
+        for t, fu, fx in zip(report.times, report.fits_u, report.fits_ux)
+    ]
     extra = {
         "min_theta_u": report.min_theta_u,
         "min_theta_ux": report.min_theta_ux,
         "any_floor_hit": report.any_floor_hit,
         "reference_theta": theta,
     }
-    _write_csv(
-        os.path.join(spec.out_dir, "summary.csv"),
-        tuple(extra),
-        [tuple(extra.values())],
-    )
-    code = EXIT_BLOWUP if traj.blew_up else EXIT_OK
-    return code, {"decay": extra, "softbound": _softbound_record(traj)}
+    tables = {
+        "decay.csv": (("t", "theta_hat_u", "r2_u", "floor_hit_u", "theta_hat_ux", "r2_ux", "floor_hit_ux"), rows),
+        "summary.csv": (tuple(extra), [tuple(extra.values())]),
+    }
+    return _exit_code(traj), tables, {"decay": extra, "softbound": _softbound_record(traj)}
 
 
-def run_lagrangian(spec: RunSpec):
-    traj, _ = _run_simulation(spec)
+def compute_lagrangian(spec: RunSpec):
+    traj = _run_simulation(spec)
     block = spec.config["lagrangian"]
     grid = spec.grid
     if block["seeds"] is not None:
@@ -546,14 +546,12 @@ def run_lagrangian(spec: RunSpec):
     for j, t in enumerate(ps.times):
         for s in range(len(seeds)):
             rows.append((seeds[s], t, ps.paths[j][s], ps.stretch[j][s], m_along[j][s], res[j][s]))
-    _write_csv(os.path.join(spec.out_dir, "particles.csv"), PARTICLE_HEADER, rows)
-    _write_csv(
-        os.path.join(spec.out_dir, "summary.csv"),
-        ("max_invariant_residual", "n_seeds", "final_t"),
-        [(residual if residual is not None else math.nan, len(seeds), traj.last_time)],
-    )
-    code = EXIT_BLOWUP if traj.blew_up else EXIT_OK
-    return code, {"max_invariant_residual": residual, "softbound": _softbound_record(traj)}
+    summary = (residual if residual is not None else math.nan, len(seeds), traj.last_time)
+    tables = {
+        "particles.csv": (PARTICLE_HEADER, rows),
+        "summary.csv": (("max_invariant_residual", "n_seeds", "final_t"), [summary]),
+    }
+    return _exit_code(traj), tables, {"max_invariant_residual": residual, "softbound": _softbound_record(traj)}
 
 
 def _expand_sweep(spec: RunSpec):
@@ -575,7 +573,8 @@ def _expand_sweep(spec: RunSpec):
                 node = node.setdefault(key, {})
             node[keys[-1]] = value
             label_parts.append(f"{keys[-1]}={value:g}" if isinstance(value, float) else f"{keys[-1]}={value}")
-        name = f"sub_{i:03d}_" + "_".join(label_parts)
+        # one flat directory per point, whatever characters the values hold
+        name = re.sub(r"[^A-Za-z0-9._=+-]", "_", f"sub_{i:03d}_" + "_".join(label_parts))
         sub_specs.append((name, cfg))
     return sub_specs
 
@@ -621,15 +620,15 @@ def run_sweep(spec: RunSpec):
             agg_lines.append(f"{name},{ln}")
     with open(os.path.join(spec.out_dir, "aggregate.csv"), "w") as fh:
         fh.write("\n".join(agg_lines) + ("\n" if agg_lines else ""))
-    return worst, {"sub_runs": [name for name, _ in results]}
+    return worst, {}, {"sub_runs": [name for name, _ in results]}
 
 
 _RUNNERS = {
-    "simulate": run_simulate,
-    "peakon-verify": run_peakon_verify,
-    "mms": run_mms,
-    "decay-scan": run_decay_scan,
-    "lagrangian": run_lagrangian,
+    "simulate": compute_simulate,
+    "peakon-verify": compute_peakon_verify,
+    "mms": compute_mms,
+    "decay-scan": compute_decay_scan,
+    "lagrangian": compute_lagrangian,
     "sweep": run_sweep,
 }
 
@@ -639,12 +638,11 @@ def run(spec: RunSpec) -> int:
     os.makedirs(spec.out_dir, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.perf_counter()
-    result: dict = {"exit": EXIT_OK}
-    code = EXIT_OK
     try:
-        code, extras = _RUNNERS[spec.subcommand](spec)
-        result["exit"] = code
-        result.update(extras)
+        code, tables, extras = _RUNNERS[spec.subcommand](spec)
+        for name, (header, rows) in tables.items():
+            _write_csv(os.path.join(spec.out_dir, name), header, rows)
+        result = {"exit": code, **extras}
     except (dynamics.BlowUpError, lagrangian.WaveBreakingError) as err:
         result = {"exit": EXIT_BLOWUP, "error": str(err)}
         code = EXIT_BLOWUP

@@ -1,9 +1,10 @@
 """Acceptance suite.
 
 Each criterion runs at its stated tolerance and prints one pass/fail line
-(run with -s to see them).  Heavy simulations are shared through
-module-scoped fixtures; criterion 10 re-inspects every trajectory the other
-criteria produced.
+(run with -s to see them).  Criteria 3 to 8 run their experiment through
+the CLI's own parse_config and compute_* functions; heavy runs are shared
+through module-scoped fixtures.  Criterion 10 re-inspects the growth-bound
+record of every run the other criteria made.
 """
 
 import json
@@ -13,18 +14,11 @@ import time
 import numpy as np
 import pytest
 
-from kabc import diagnostics, lagrangian
-from kabc.cli import parse_config, run
-from kabc.dynamics import (
-    ManufacturedSolution,
-    SimConfig,
-    local_form_residual,
-    mms_forcing,
-    rhs,
-    simulate,
-)
-from kabc.exact import Bump, ExpTail, mollified_profile, peakon_initial_condition
-from kabc.params import preset, validate
+from kabc import cli
+from kabc.cli import _softbound_record, parse_config, run, write_snapshot
+from kabc.dynamics import SimConfig, local_form_residual, rhs, simulate
+from kabc.exact import bump_values
+from kabc.params import preset
 from kabc.spectral import (
     Field,
     Grid,
@@ -52,12 +46,19 @@ def band_limited(grid, max_mode, seed, amp=0.25):
     return Field(grid, v * (amp / np.max(np.abs(v))))
 
 
-ALL_TRAJECTORIES = []  # (label, trajectory), collected for criterion 10
+SOFTBOUNDS = []  # (label, growth-bound record) of every run, for criterion 10
 
 
-def _remember(label, traj):
-    ALL_TRAJECTORIES.append((label, traj))
-    return traj
+def spec_of(subcommand, **config):
+    """The RunSpec that `kabc <subcommand>` resolves from these config keys."""
+    return parse_config(None, [f"{key}={json.dumps(val)}" for key, val in config.items()], subcommand)
+
+
+def profile_file(tmp_path_factory, u0):
+    """A `file` profile block holding u0 (snapshots round-trip bitwise)."""
+    path = tmp_path_factory.mktemp("profile") / "u0.csv"
+    write_snapshot(u0, path)
+    return {"shape": "file", "path": str(path)}
 
 
 # ---------------------------------------------------------------------------
@@ -66,79 +67,77 @@ def _remember(label, traj):
 
 @pytest.fixture(scope="module")
 def peakon_runs():
-    cases = [
-        ("ch", 1.0, 1.0),
-        ("dp", 1.0, 1.0),
-        ("novikov", math.sqrt(2.0), 2.0),
-        ("forq", 1.0, 2.0 / 3.0),
-    ]
-    grid = Grid(8192, BOX)
-    out = {}
+    cases = [("ch", 1.0, 1.0), ("dp", 1.0, 1.0), ("novikov", math.sqrt(2.0), 2.0), ("forq", 1.0, 2.0 / 3.0)]
+    block = {"cases": [{"preset": name, "gamma": gamma} for name, gamma, _ in cases], "t_end": 5.0}
+    spec = spec_of("peakon-verify", grid={"n": 8192, "length": BOX}, output_stride=8, peakon_verify=block)
     t0 = time.perf_counter()
-    for name, gamma, expect in cases:
-        p = preset(name)
-        u0 = peakon_initial_condition(gamma, grid.dx, grid)
-        cfg = SimConfig(params=p, grid=grid, t_end=5.0, output_stride=8)
-        traj = _remember(f"peakon-{name}", simulate(cfg, u0))
-        out[name] = (p, gamma, expect, traj)
-    return out, time.perf_counter() - t0
+    _, tables, extras = cli.compute_peakon_verify(spec)
+    elapsed = time.perf_counter() - t0
+    SOFTBOUNDS.extend((f"peakon-{name}", sb) for (name, _, _), sb in zip(cases, extras["softbound"]))
+    speeds = {name: (expect, row[3]) for (name, _, expect), row in zip(cases, tables["speeds.csv"][1])}
+    return speeds, elapsed
 
 
 @pytest.fixture(scope="module")
-def h1_runs():
-    from kabc.exact import bump_values
-
+def h1_runs(tmp_path_factory):
     grid = Grid(512, BOX)
     x = grid.nodes
-    u0 = Field(grid, 0.5 * np.sin(x) * bump_values(x - grid.length / 2, 10.0))
-    cases = [
-        ("novikov", preset("novikov")),
-        ("forq", preset("forq")),
-        ("violator", validate(2, 0.0, 1.0, 1.0)),
-    ]
+    profile = profile_file(tmp_path_factory, Field(grid, 0.5 * np.sin(x) * bump_values(x - grid.length / 2, 10.0)))
+    violator = {"k": 2, "a": 0.0, "b": 1.0, "c": 1.0}
+    cases = [("novikov", {"preset": "novikov"}), ("forq", {"preset": "forq"}), ("violator", violator)]
+    box = {"n": 512, "length": BOX}
     out = {}
     t0 = time.perf_counter()
-    for label, p in cases:
-        cfg = SimConfig(params=p, grid=grid, t_end=1.0, dt_max=5e-3)
-        traj = _remember(f"h1-{label}", simulate(cfg, u0))
-        out[label] = diagnostics.h1_drift(traj)
+    for label, params in cases:
+        spec = spec_of("simulate", params=params, grid=box, profile=profile, t_end=1.0, dt_max=5e-3)
+        _, tables, extras = cli.compute_simulate(spec)
+        SOFTBOUNDS.append((f"h1-{label}", extras["softbound"]))
+        out[label] = tables["summary.csv"][1][0][3]  # h1_drift
     return out, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def persistence_runs():
-    grid = Grid(2048, BOX)
-    u0 = mollified_profile(ExpTail(0.5), 3.0 * grid.dx, grid)
+    profile = {"shape": "exp_tail", "theta": 0.5}
+    grid = {"n": 2048, "length": BOX}
     out = {}
     t0 = time.perf_counter()
     for name in ("ch", "novikov"):
-        cfg = SimConfig(params=preset(name), grid=grid, t_end=1.0, output_stride=10)
-        traj = _remember(f"persistence-{name}", simulate(cfg, u0))
-        out[name] = diagnostics.persistence_report(traj, 0.5)
+        spec = spec_of("decay-scan", params={"preset": name}, grid=grid, profile=profile, t_end=1.0, output_stride=10)
+        _, tables, extras = cli.compute_decay_scan(spec)
+        SOFTBOUNDS.append((f"persistence-{name}", extras["softbound"]))
+        rows = tables["decay.csv"][1]
+        out[name] = (extras["decay"], min(min(r[2] for r in rows), min(r[5] for r in rows)))  # r2_u, r2_ux
     return out, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def bump_run():
-    grid = Grid(2048, BOX)
-    u0 = mollified_profile(Bump(2.0), 1.0, grid)
+    profile = {"shape": "bump", "width": 2.0, "moll_width": 1.0}
+    grid = {"n": 2048, "length": BOX}
+    spec = spec_of("simulate", grid=grid, profile=profile, t_end=0.1, dt_max=5e-3, fit={"window": [5.0, 11.0]})
     t0 = time.perf_counter()
-    cfg = SimConfig(params=preset("ch"), grid=grid, t_end=0.1, dt_max=5e-3)
-    traj = _remember("bump-radiation", simulate(cfg, u0))
-    return traj, time.perf_counter() - t0
+    _, tables, extras = cli.compute_simulate(spec)
+    elapsed = time.perf_counter() - t0
+    SOFTBOUNDS.append(("bump-radiation", extras["softbound"]))
+    x, u = np.array(list(tables["final.csv"][1])).T
+    return (tables["diagnostics.csv"][1][-1], x, u), elapsed  # the final snapshot's fit row
 
 
 @pytest.fixture(scope="module")
-def lagrangian_runs():
+def lagrangian_runs(tmp_path_factory):
     def residual(n, dtm):
         grid = Grid(n, 2 * math.pi)
         x = grid.nodes
-        u0 = Field(grid, 0.3 * np.sin(x) + 0.1 * np.cos(2 * x) + 0.05)
-        cfg = SimConfig(params=preset("novikov"), grid=grid, t_end=0.5, dt_max=dtm, output_stride=1)
-        traj = _remember(f"lagrangian-n{n}", simulate(cfg, u0))
         seeds = np.linspace(0.0, grid.length, 16, endpoint=False) + 0.1
-        ps = lagrangian.advect(traj, seeds, core_margin=0.0)
-        return lagrangian.conservation_check(traj, ps, preset("novikov"))
+        spec = spec_of(
+            "lagrangian", params={"preset": "novikov"}, grid={"n": n, "length": grid.length},
+            profile=profile_file(tmp_path_factory, Field(grid, 0.3 * np.sin(x) + 0.1 * np.cos(2 * x) + 0.05)),
+            t_end=0.5, dt_max=dtm, lagrangian={"seeds": seeds.tolist()},
+        )
+        _, _, extras = cli.compute_lagrangian(spec)
+        SOFTBOUNDS.append((f"lagrangian-n{n}", extras["softbound"]))
+        return extras["max_invariant_residual"]
 
     t0 = time.perf_counter()
     res = {n: residual(n, dtm) for n, dtm in ((256, 5e-3), (512, 2.5e-3), (1024, 1.25e-3))}
@@ -207,23 +206,15 @@ def test_criterion_2_local_nonlocal_equivalence():
 
 def test_criterion_3_mms_convergence():
     t0 = time.perf_counter()
-    grid = Grid(128, 2 * math.pi)
-    star = ManufacturedSolution(
-        lambda x, t: 0.1 * np.sin(x - t), lambda x, t: -0.1 * np.cos(x - t)
-    )
     detail = []
     ok = True
     for name in ("novikov", "forq"):
-        p = preset(name)
-        forcing = mms_forcing(star, p, grid)
-        u0 = Field(grid, star.value(grid.nodes, 0.0))
-        errors = []
-        for lvl in range(5):  # dt halved 4 times
-            dt = 1.0 / 16 / 2**lvl
-            cfg = SimConfig(params=p, grid=grid, t_end=1.0, cfl_safety=1.0, dt_max=dt, output_stride=10**9, forcing=forcing)
-            traj = simulate(cfg, u0)
-            errors.append(float(np.max(np.abs(traj.snapshots[-1].values - star.value(grid.nodes, traj.last_time)))))
-        orders = [math.log2(errors[i] / errors[i + 1]) for i in range(4)]
+        mms = {"amplitude": 0.1, "dt0": 1.0 / 16, "levels": 5, "t_end": 1.0}  # dt halved 4 times
+        spec = spec_of("mms", params={"preset": name}, grid={"n": 128, "length": 2 * math.pi}, mms=mms)
+        _, tables, _ = cli.compute_mms(spec)
+        rows = tables["mms.csv"][1]
+        errors = [r[1] for r in rows]
+        orders = [r[2] for r in rows[1:]]
         ok = ok and all(abs(o - 4.0) <= 0.2 for o in orders) and errors[-1] <= 1e-8
         detail.append(f"{name}: orders={[f'{o:.2f}' for o in orders]} finest={errors[-1]:.2e}")
     elapsed = time.perf_counter() - t0
@@ -235,8 +226,7 @@ def test_criterion_4_peakon_speeds(peakon_runs):
     runs, elapsed = peakon_runs
     detail = []
     ok = True
-    for name, (p, gamma, expect, traj) in runs.items():
-        speed = diagnostics.crest_track(traj)
+    for name, (expect, speed) in runs.items():
         rel = abs(speed - expect) / abs(expect)
         ok = ok and rel <= 0.02
         detail.append(f"{name}: {speed:.4f} vs {expect:.4f} ({rel:.2%})")
@@ -265,29 +255,28 @@ def test_criterion_6_tail_persistence(persistence_runs):
     reports, elapsed = persistence_runs
     ok = True
     detail = []
-    for name, rep in reports.items():
-        r2_min = min(min(f.r2 for f in rep.fits_u), min(f.r2 for f in rep.fits_ux))
-        theta_min = min(rep.min_theta_u, rep.min_theta_ux)
-        ok = ok and theta_min >= 0.45 and r2_min >= 0.995 and not rep.any_floor_hit
-        detail.append(f"{name}: min theta={theta_min:.3f} min r2={r2_min:.4f} floor={rep.any_floor_hit}")
+    for name, (summary, r2_min) in reports.items():
+        theta_min = min(summary["min_theta_u"], summary["min_theta_ux"])
+        floor = summary["any_floor_hit"]
+        ok = ok and theta_min >= 0.45 and r2_min >= 0.995 and not floor
+        detail.append(f"{name}: min theta={theta_min:.3f} min r2={r2_min:.4f} floor={floor}")
     ok = ok and elapsed < 120.0
     report(6, "exponential tail persistence", ok, "; ".join(detail) + f" elapsed={elapsed:.1f}s")
 
 
 def test_criterion_7_compact_data_radiates_tail(bump_run):
-    traj, elapsed = bump_run
-    grid = traj.config.grid
+    (final_fit, x, u), elapsed = bump_run
+    theta_hat, r2 = final_fit[5], final_fit[7]  # theta_hat_u, r2 columns of diagnostics.csv
     window = (5.0, 11.0)
-    fit = diagnostics.decay_fit(traj.snapshots[-1], window, "right")
-    d = grid.nodes - grid.length / 2
+    d = x - BOX / 2
     sel = (d >= window[0]) & (d <= window[1])
-    amp = float(np.max(np.abs(traj.snapshots[-1].values[sel])))
-    ok = abs(fit.theta_hat - 1.0) <= 0.1 and amp > 1e-12 and elapsed < 60.0
+    amp = float(np.max(np.abs(u[sel])))
+    ok = abs(theta_hat - 1.0) <= 0.1 and amp > 1e-12 and elapsed < 60.0
     report(
         7,
         "compact data radiates an e^{-x} tail",
         ok,
-        f"theta_hat={fit.theta_hat:.4f} r2={fit.r2:.5f} tail_amp={amp:.2e} elapsed={elapsed:.1f}s",
+        f"theta_hat={theta_hat:.4f} r2={r2:.5f} tail_amp={amp:.2e} elapsed={elapsed:.1f}s",
     )
 
 
@@ -315,8 +304,9 @@ def test_criterion_9_scaling_symmetry():
     u0 = Field(grid, 0.25 * np.sin(grid.nodes) + 0.1 * np.cos(2 * grid.nodes))
     cfg_a = SimConfig(params=p, grid=grid, t_end=t_end, cfl_safety=1.0, dt_max=2e-3, output_stride=10**9)
     cfg_b = SimConfig(params=p, grid=grid, t_end=t_end / lam**k, cfl_safety=1.0, dt_max=2e-3 / lam**k, output_stride=10**9)
-    ta = _remember("scaling-base", simulate(cfg_a, u0))
-    tb = _remember("scaling-rescaled", simulate(cfg_b, Field(grid, lam * u0.values)))
+    ta = simulate(cfg_a, u0)
+    tb = simulate(cfg_b, Field(grid, lam * u0.values))
+    SOFTBOUNDS.extend([("scaling-base", _softbound_record(ta)), ("scaling-rescaled", _softbound_record(tb))])
     va = lam * ta.snapshots[-1].values
     vb = tb.snapshots[-1].values
     rel = float(np.max(np.abs(va - vb)) / np.max(np.abs(vb)))
@@ -328,16 +318,15 @@ def test_criterion_9_scaling_symmetry():
 def test_criterion_10_growth_bound_recorded(tmp_path):
     # warn-only: the heuristic H^s growth bound 2^{1+1/k} ||u0|| must be
     # recorded for every run above; exceedances are reported, not failed
-    assert ALL_TRAJECTORIES, "no trajectories were collected"
+    assert SOFTBOUNDS, "no growth-bound records were collected"
     exceeded = []
-    for label, traj in ALL_TRAJECTORIES:
-        hs0 = traj.records[0].hs_norm
-        bound = traj.softbound_factor() * hs0
-        assert traj.sup_hs >= 0.0  # record exists
-        if traj.softbound_exceeded_t is not None:
-            exceeded.append(f"{label} at t={traj.softbound_exceeded_t:.3f}")
+    for label, sb in SOFTBOUNDS:
+        assert sb["bound"] == sb["bound_factor"] * sb["hs0"]
+        assert sb["sup_hs"] >= 0.0  # record exists
+        if sb["exceeded_t"] is not None:
+            exceeded.append(f"{label} at t={sb['exceeded_t']:.3f}")
         else:
-            assert hs0 == 0.0 or traj.sup_hs <= bound
+            assert sb["hs0"] == 0.0 or sb["sup_hs"] <= sb["bound"]
 
     # the cli manifest must carry the same record
     cfg = tmp_path / "cfg.json"
@@ -352,7 +341,7 @@ def test_criterion_10_growth_bound_recorded(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     sb = manifest["result"]["softbound"]
     ok = {"hs0", "sup_hs", "bound_factor", "bound", "exceeded_t"} <= set(sb)
-    detail = f"{len(ALL_TRAJECTORIES)} runs checked"
+    detail = f"{len(SOFTBOUNDS)} runs checked"
     if exceeded:
         detail += "; WARN exceeded: " + ", ".join(exceeded)
     report(10, "H^s growth bound recorded (warn-only)", ok, detail)

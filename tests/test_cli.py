@@ -1,12 +1,15 @@
 import json
 import math
 import os
+import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kabc.cli import (
+    DEFAULT_CONFIG,
     ConfigError,
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -83,6 +86,7 @@ class TestParseConfig:
         subs = _expand_sweep(spec)
         assert len(subs) == 4
         assert [cfg["params"]["b"] for _, cfg in subs] == [0.0, 1.0, 2.0, 3.0]
+        assert [name for name, _ in subs] == ["sub_000_b=0", "sub_001_b=1", "sub_002_b=2", "sub_003_b=3"]
 
 
     def test_k1_off_family_rejected_at_parse(self, tmp_path, capsys):
@@ -117,6 +121,29 @@ class TestParseConfig:
         assert code == EXIT_CONFIG
         assert "u^{k-2} u_x^3" in capsys.readouterr().err
         assert not out.exists()  # so no sub_* run directory either
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ({"preset": "nope"}, "unknown preset 'nope'"),
+            ({"preset": "ch", "gamma": 1.0, "width": 2.0}, "unknown keys ['width']"),
+            ({"preset": "ch", "gamma": 0}, "gamma must be finite and > 0"),
+            ({"preset": "ch", "gamma": -1}, "gamma must be finite and > 0"),
+        ],
+        ids=["unknown-preset", "extra-key", "gamma-zero", "gamma-negative"],
+    )
+    @pytest.mark.parametrize("subcommand", ["peakon-verify", "sweep"])
+    def test_peakon_case_rejected_at_parse(self, tmp_path, capsys, case, message, subcommand):
+        out = tmp_path / "out"
+        argv = [subcommand, "--set", f"peakon_verify.cases={json.dumps([case])}", "--out", str(out)]
+        if subcommand == "sweep":
+            axes = [{"key": "peakon_verify.t_end", "values": [1.0, 2.0]}]
+            argv += ["--set", 'sweep.subcommand="peakon-verify"', "--set", f"sweep.axes={json.dumps(axes)}"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"peakon_verify.cases[0] {json.dumps(case)}: " in err
+        assert message in err
+        assert not out.exists()
 
 
 class TestSnapshotIO:
@@ -301,6 +328,11 @@ class TestOtherSubcommands:
         )
         assert run(spec) == EXIT_OK
         assert len(refs) == 2
+        records = manifest_of(tmp_path / "pk")["result"]["softbound"]
+        assert len(records) == len(cases)
+        for sb in records:
+            assert set(sb) == {"hs0", "sup_hs", "bound_factor", "bound", "exceeded_t"}
+            assert sb["bound"] == pytest.approx(sb["bound_factor"] * sb["hs0"], rel=1e-12)
 
     def test_mms_convergence_table(self, tmp_path):
         out = str(tmp_path / "mms")
@@ -419,6 +451,23 @@ class TestSweep:
         b = (tmp_path / "par" / "aggregate.csv").read_text()
         assert a == b
 
+    def test_sub_run_names_stay_flat(self, tmp_path):
+        g = Grid(128, 40 * math.pi)
+        snap = tmp_path / "profiles" / "u0.csv"
+        snap.parent.mkdir()
+        write_snapshot(Field(g, np.exp(-np.abs(g.nodes - g.length / 2))), snap)
+        sweep = {
+            "axes": [{"key": "profile", "values": [{"shape": "file", "path": str(snap)}, {"shape": "bump"}]}],
+            "workers": 1,
+        }
+        out = tmp_path / "sweep"
+        spec = parse_config(None, ["grid.n=128", "t_end=0.05", f"sweep={json.dumps(sweep)}"], "sweep", str(out))
+        assert run(spec) == EXIT_OK
+        names = [line.split(",", 1)[0] for line in (out / "aggregate.csv").read_text().splitlines()[1:]]
+        assert len(names) == 2
+        assert all(re.fullmatch(r"[A-Za-z0-9._=+-]+", name) for name in names)
+        assert sorted(os.listdir(out)) == sorted(names + ["aggregate.csv", "manifest.json"])
+
 
 class TestMainEntry:
     def test_exit_codes(self, tmp_path, monkeypatch):
@@ -469,3 +518,14 @@ class TestMainEntry:
         out = str(tmp_path / "explicit")
         assert main(["simulate", "--config", ok, "--out", out]) == EXIT_OK
         assert os.path.exists(os.path.join(out, "manifest.json"))
+
+
+class TestReadme:
+    def test_config_table_lists_every_top_level_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| key | default | meaning |", 1)[1].split("\n\n", 1)[0]
+        listed = []
+        for row in table.splitlines():
+            if row.startswith("| `"):
+                listed += re.findall(r"`([^`]+)`", row.split("|")[1])
+        assert sorted(listed) == sorted(DEFAULT_CONFIG)
