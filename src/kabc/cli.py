@@ -4,8 +4,11 @@ The only module with side effects.  Each experiment is one pure
 ``compute_<subcommand>(spec)`` that returns its exit code, its CSV tables
 as ``{filename: (header, rows)}`` and the manifest extras; ``run`` writes
 the tables plus one JSON manifest into the output directory (``sweep``
-writes its own aggregate).  Numeric artifacts are reproducible
-bit-for-bit, manifests differ at most in timestamps.
+writes its own aggregate).  The numeric tables (snapshots, particles) are
+2-D float arrays, written in blocks of rows with ``%.17g``: the same bytes
+as the value-by-value ``_fmt`` path that the small mixed-type tables take.
+Numeric artifacts are reproducible bit-for-bit, manifests differ at most
+in timestamps.
 
 Exit codes: 0 success, 2 blow-up (partial outputs kept), 3 configuration
 error, 4 I/O failure.
@@ -216,6 +219,8 @@ def parse_config(path=None, overrides=(), subcommand="simulate", out_dir=None) -
         if len(fit_window) != 2 or not fit_window[0] < fit_window[1]:
             raise ConfigError("fit.window must be [x_lo, x_hi] with x_lo < x_hi")
     target = resolved["sweep"]["subcommand"] if subcommand == "sweep" else subcommand
+    if target not in SUBCOMMANDS or target == "sweep":
+        raise ConfigError(f"sweep.subcommand must be a non-sweep subcommand, got {target!r}")
     if {subcommand, target} & {"simulate", "decay-scan"}:
         lo, hi = fit_window if fit_window is not None else default_tail_window(grid)
         if (hi - lo) / grid.dx < 16:
@@ -231,9 +236,10 @@ def parse_config(path=None, overrides=(), subcommand="simulate", out_dir=None) -
                 raise ConfigError("each sweep axis needs a key and a non-empty values list")
     for name, cfg in _expand_sweep(spec) if subcommand == "sweep" else [(None, resolved)]:
         try:
-            resolve_params(cfg["params"])
+            point = RunSpec(subcommand=target, config=cfg, out_dir="")
             if target == "peakon-verify":
                 _peakon_cases(cfg)
+            _check_run_settings(point)
         except ConfigError as err:
             if name is None:
                 raise
@@ -269,8 +275,9 @@ def build_profile(spec: RunSpec) -> Field:
 
 
 def _snapshot_table(f: Field):
-    """(header, rows) of a snapshot CSV; the rows stream from f's arrays."""
-    return ("x", "u"), zip(f.grid.nodes, f.values)
+    """(header, rows) of a snapshot CSV: rows is the (n, 2) array of nodes
+    and values."""
+    return ("x", "u"), np.column_stack((f.grid.nodes, f.values))
 
 
 def write_snapshot(f: Field, path) -> None:
@@ -326,11 +333,26 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# Rows per formatting call of an array table: large enough that the Python
+# overhead per block vanishes, small enough that a block's text stays small
+CSV_BLOCK_ROWS = 4096
+
+
 def _write_csv(path, header, rows) -> None:
+    """Write a header line and the rows.  A 2-D float array is formatted
+    CSV_BLOCK_ROWS rows per %-call with "%.17g", which gives the bytes
+    _fmt gives each float; any other iterable of rows goes value by value
+    through _fmt."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            for start in range(0, len(rows), CSV_BLOCK_ROWS):
+                block = rows[start : start + CSV_BLOCK_ROWS]
+                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+        else:
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _manifest(spec: RunSpec, started, wall_s, result: dict) -> dict:
@@ -415,6 +437,55 @@ def _sim_config(spec: RunSpec, params: Params, t_end, **overrides) -> SimConfig:
     return SimConfig(params=params, grid=spec.grid, t_end=float(t_end), **{**stepping, **overrides})
 
 
+def _mms_sim_config(spec: RunSpec, params: Params, dt, forcing=None) -> SimConfig:
+    """SimConfig of one mms level: fixed step dt, only the final state kept."""
+    t_end = spec.config["mms"]["t_end"]
+    return _sim_config(spec, params, t_end, cfl_safety=1.0, dt_max=dt, output_stride=10**9, forcing=forcing)
+
+
+def _lagrangian_seeds(spec: RunSpec) -> np.ndarray:
+    """lagrangian.seeds, or n_seeds points spread over the middle quarter
+    of the box."""
+    block = spec.config["lagrangian"]
+    if block["seeds"] is not None:
+        seeds = np.asarray([float(s) for s in block["seeds"]])
+        if seeds.size == 0 or not np.all(np.isfinite(seeds)):
+            raise ConfigError(f"lagrangian.seeds must be a non-empty list of finite numbers, got {block['seeds']!r}")
+        return seeds
+    count = int(block["n_seeds"])
+    if count < 1:
+        raise ConfigError(f"lagrangian.n_seeds must be >= 1, got {block['n_seeds']!r}")
+    length = spec.grid.length
+    return length / 2.0 + length / 8.0 * np.linspace(-1.0, 1.0, count)
+
+
+def _check_run_settings(spec: RunSpec) -> None:
+    """Build the SimConfig and read the study block the runner of
+    spec.subcommand will, so that a bad stepping or study key is a
+    ConfigError before any output exists."""
+    c = spec.config
+    try:
+        p = spec.params
+        if spec.subcommand == "mms":
+            block = c["mms"]
+            if int(block["levels"]) < 1:
+                raise ConfigError(f"mms.levels must be >= 1, got {block['levels']!r}")
+            dt0 = float(block["dt0"])
+            if not (math.isfinite(dt0) and dt0 > 0.0):
+                raise ConfigError(f"mms.dt0 must be positive and finite, got {block['dt0']!r}")
+            _mms_sim_config(spec, p, dt0)
+        elif spec.subcommand == "peakon-verify":
+            _sim_config(spec, p, c["peakon_verify"]["t_end"])
+        else:
+            _sim_config(spec, p, c["t_end"])
+        if spec.subcommand == "lagrangian":
+            _lagrangian_seeds(spec)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"invalid {spec.subcommand} settings: {err}") from None
+
+
 def _run_simulation(spec: RunSpec) -> Trajectory:
     u0 = build_profile(spec)
     return simulate(_sim_config(spec, spec.params, spec.config["t_end"]), u0)
@@ -480,7 +551,6 @@ def compute_mms(spec: RunSpec):
     amp = float(block["amplitude"])
     dt0 = float(block["dt0"])
     levels = int(block["levels"])
-    t_end = float(block["t_end"])
     grid = spec.grid
     p = spec.params
     star = ManufacturedSolution(
@@ -492,8 +562,7 @@ def compute_mms(spec: RunSpec):
     rows = []
     for lvl in range(levels):
         dt = dt0 / 2**lvl
-        cfg = _sim_config(spec, p, t_end, cfl_safety=1.0, dt_max=dt, output_stride=10**9, forcing=forcing)
-        traj = simulate(cfg, u0)
+        traj = simulate(_mms_sim_config(spec, p, dt, forcing), u0)
         exactf = star.value(grid.nodes, traj.last_time)
         err = float(np.max(np.abs(traj.snapshots[-1].values - exactf)))
         rows.append((dt, err, math.log2(rows[-1][1] / err) if rows else math.nan))
@@ -527,13 +596,7 @@ def compute_decay_scan(spec: RunSpec):
 
 def compute_lagrangian(spec: RunSpec):
     traj = _run_simulation(spec)
-    block = spec.config["lagrangian"]
-    grid = spec.grid
-    if block["seeds"] is not None:
-        seeds = np.asarray([float(s) for s in block["seeds"]])
-    else:
-        count = int(block["n_seeds"])
-        seeds = grid.length / 2.0 + grid.length / 8.0 * np.linspace(-1.0, 1.0, count)
+    seeds = _lagrangian_seeds(spec)
     ps = lagrangian.advect(traj, seeds)
     m_along = lagrangian.momentum_along(traj, ps)
     try:
@@ -542,13 +605,15 @@ def compute_lagrangian(spec: RunSpec):
     except ValueError:  # off the a = 0, c = (3k - b)/2 subfamily
         res = np.full_like(m_along, math.nan)
         residual = None
-    rows = []
-    for j, t in enumerate(ps.times):
-        for s in range(len(seeds)):
-            rows.append((seeds[s], t, ps.paths[j][s], ps.stretch[j][s], m_along[j][s], res[j][s]))
-    summary = (residual if residual is not None else math.nan, len(seeds), traj.last_time)
+    # one row per (time, seed), seed-fastest within each time
+    n_seeds, n_times = len(seeds), len(ps.times)
+    particles = np.column_stack((
+        np.tile(seeds, n_times), np.repeat(ps.times, n_seeds),
+        ps.paths.ravel(), ps.stretch.ravel(), m_along.ravel(), res.ravel(),
+    ))
+    summary = (residual if residual is not None else math.nan, n_seeds, traj.last_time)
     tables = {
-        "particles.csv": (PARTICLE_HEADER, rows),
+        "particles.csv": (PARTICLE_HEADER, particles),
         "summary.csv": (("max_invariant_residual", "n_seeds", "final_t"), [summary]),
     }
     return _exit_code(traj), tables, {"max_invariant_residual": residual, "softbound": _softbound_record(traj)}
@@ -590,8 +655,6 @@ def _run_sweep_child(args):
 
 def run_sweep(spec: RunSpec):
     sub = spec.config["sweep"]["subcommand"]
-    if sub not in SUBCOMMANDS or sub == "sweep":
-        raise ConfigError(f"sweep.subcommand must be a non-sweep subcommand, got {sub!r}")
     tasks = [(name, cfg, sub, spec.out_dir) for name, cfg in _expand_sweep(spec)]
     workers = spec.config["sweep"]["workers"]
     workers = os.cpu_count() if workers is None else int(workers)

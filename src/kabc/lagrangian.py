@@ -48,7 +48,12 @@ def momentum(u: Field) -> Field:
 
 def cubic_interp_periodic(values: np.ndarray, grid, q: np.ndarray) -> np.ndarray:
     """4-point Lagrange interpolation of grid samples at positions q,
-    periodic in the box."""
+    periodic in the box.
+
+    values may stack several fields along its leading axes (grid along the
+    last one); each is interpolated with the same stencil, so the result has
+    shape values.shape[:-1] + q.shape.
+    """
     n, dx = grid.n, grid.dx
     s = np.asarray(q, dtype=float) / dx
     j = np.floor(s).astype(int)
@@ -58,7 +63,7 @@ def cubic_interp_periodic(values: np.ndarray, grid, q: np.ndarray) -> np.ndarray
     w0 = (f * f - 1.0) * (f - 2.0) / 2.0
     w1 = -f * (f + 1.0) * (f - 2.0) / 2.0
     w2 = f * (f * f - 1.0) / 6.0
-    return wm * values[jm] + w0 * values[j0] + w1 * values[j1] + w2 * values[j2]
+    return wm * values[..., jm] + w0 * values[..., j0] + w1 * values[..., j1] + w2 * values[..., j2]
 
 
 def _window_indices(times, t_start, t_end):
@@ -76,7 +81,9 @@ def advect(traj, seeds, t_start: float = 0.0, t_end=None, core_margin=None) -> P
 
     u between grid nodes is cubic-interpolated; between snapshots it is
     linear in t, so one RK4 step per snapshot interval keeps the stage
-    fields smooth.  Requires the trajectory to be stored densely
+    fields smooth.  The interval's end samples of u and u_x are stacked
+    once, so each RK stage computes one stencil (indices and weights) for
+    all four.  Requires the trajectory to be stored densely
     (output_stride such that the snapshot spacing is ~2x the solver step).
     """
     grid = traj.config.grid
@@ -99,12 +106,12 @@ def advect(traj, seeds, t_start: float = 0.0, t_end=None, core_margin=None) -> P
     for i in range(len(times) - 1):
         t0, t1 = times[i], times[i + 1]
         h = t1 - t0
-        u0, u1 = u_fields[i], u_fields[i + 1]
-        ux0, ux1 = ux_fields[i], ux_fields[i + 1]
+        ends = np.stack((u_fields[i], u_fields[i + 1], ux_fields[i], ux_fields[i + 1]))
 
         def rate(eta_c, etax_c, frac):
-            uv = (1.0 - frac) * cubic_interp_periodic(u0, grid, eta_c) + frac * cubic_interp_periodic(u1, grid, eta_c)
-            uxv = (1.0 - frac) * cubic_interp_periodic(ux0, grid, eta_c) + frac * cubic_interp_periodic(ux1, grid, eta_c)
+            u0, u1, ux0, ux1 = cubic_interp_periodic(ends, grid, eta_c)
+            uv = (1.0 - frac) * u0 + frac * u1
+            uxv = (1.0 - frac) * ux0 + frac * ux1
             return uv**k, k * uv ** (k - 1) * uxv * etax_c
 
         d1, s1 = rate(eta, etax, 0.0)

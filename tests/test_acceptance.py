@@ -120,7 +120,7 @@ def bump_run():
     _, tables, extras = cli.compute_simulate(spec)
     elapsed = time.perf_counter() - t0
     SOFTBOUNDS.append(("bump-radiation", extras["softbound"]))
-    x, u = np.array(list(tables["final.csv"][1])).T
+    x, u = tables["final.csv"][1].T
     return (tables["diagnostics.csv"][1][-1], x, u), elapsed  # the final snapshot's fit row
 
 

@@ -2,19 +2,25 @@ import json
 import math
 import os
 import re
+import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kabc.cli import (
+    CSV_BLOCK_ROWS,
     DEFAULT_CONFIG,
     ConfigError,
     EXIT_BLOWUP,
     EXIT_CONFIG,
     EXIT_OK,
+    _write_csv,
     build_profile,
+    compute_lagrangian,
     main,
     parse_config,
     read_snapshot,
@@ -144,6 +150,83 @@ class TestParseConfig:
         assert f"peakon_verify.cases[0] {json.dumps(case)}: " in err
         assert message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "subcommand, overrides, key",
+        [
+            ("simulate", ["cfl_safety=2"], "cfl_safety"),
+            ("simulate", ["t_end=-1"], "t_end"),
+            ("simulate", ["dt_max=0"], "dt_max"),
+            ("simulate", ["output_stride=0"], "output_stride"),
+            ("peakon-verify", ["peakon_verify.t_end=0"], "t_end"),
+            ("mms", ["mms.levels=0"], "mms.levels"),
+            ("mms", ["mms.dt0=0"], "mms.dt0"),
+            ("mms", ["mms.dt0=-0.5"], "mms.dt0"),
+            ("mms", ["mms.t_end=-1"], "t_end"),
+            ("lagrangian", ["lagrangian.n_seeds=0"], "lagrangian.n_seeds"),
+            ("lagrangian", ["lagrangian.seeds=[]"], "lagrangian.seeds"),
+            ("lagrangian", ["lagrangian.seeds=[1.0, NaN]"], "lagrangian.seeds"),
+            ("lagrangian", ["lagrangian.seeds=[1.0, Infinity]"], "lagrangian.seeds"),
+            ("sweep", ['sweep.axes=[{"key": "cfl_safety", "values": [0.4, 2]}]'], "cfl_safety"),
+            ("sweep", ['sweep.subcommand="sweep"', 'sweep.axes=[{"key": "t_end", "values": [1]}]'], "sweep.subcommand"),
+        ],
+    )
+    def test_stepping_and_study_keys_rejected_at_parse(self, tmp_path, capsys, subcommand, overrides, key):
+        out = tmp_path / "out"
+        argv = [subcommand, "--out", str(out)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("kabc: configuration error: ")
+        assert key in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestCsvWriter:
+    SPECIAL = (
+        math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+        1e308, -1e308, 1.7976931348623157e308, 0.1, 1.0 / 3.0, 123456789012345678.0,
+    )
+
+    @staticmethod
+    def fmt_loop_bytes(header, table):
+        """Bytes of the value-by-value _fmt path for the same rows."""
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "loop.csv")
+            _write_csv(path, header, [tuple(row) for row in table])
+            return open(path, "rb").read()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ncols=st.integers(1, 3),
+        nrows=st.sampled_from([1, 2, 7, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1]),
+        pool=st.lists(st.sampled_from(SPECIAL) | st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40),
+        pick=st.integers(0, 2**32 - 1),
+    )
+    def test_array_path_writes_the_fmt_bytes(self, ncols, nrows, pool, pick):
+        values = np.array(pool + list(self.SPECIAL))
+        table = values[np.random.default_rng(pick).integers(len(values), size=(nrows, ncols))]
+        header = tuple(f"c{i}" for i in range(ncols))
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "array.csv")
+            _write_csv(path, header, table)
+            got = open(path, "rb").read()
+        assert got == self.fmt_loop_bytes(header, table)
+
+    def test_large_table_memory_is_bounded(self, tmp_path):
+        # the bound is fixed ahead of the measurement; a list of 600k numpy
+        # scalars alone is about 29 MB
+        table = np.random.default_rng(0).normal(size=(100_000, 6))
+        tracemalloc.start()
+        try:
+            _write_csv(tmp_path / "big.csv", tuple("abcdef"), table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+        assert len((tmp_path / "big.csv").read_text().splitlines()) == 100_001
 
 
 class TestSnapshotIO:
@@ -394,6 +477,41 @@ class TestOtherSubcommands:
         summary = (tmp_path / "lag" / "summary.csv").read_text().splitlines()
         vals = dict(zip(summary[0].split(","), summary[1].split(",")))
         assert float(vals["max_invariant_residual"]) < 1e-3
+
+    @pytest.mark.parametrize("preset", ["novikov", "forq"])
+    def test_particles_rows_seed_fastest(self, preset):
+        # the array table equals, bitwise, the rows of a (time, seed) loop
+        # with the seed fastest; forq is off the a = 0 subfamily (NaN residuals)
+        from kabc import lagrangian
+        from kabc.cli import _run_simulation
+
+        spec = parse_config(
+            None,
+            [f'params.preset="{preset}"', "grid.n=128", f"grid.length={2 * math.pi!r}",
+             'profile={"shape": "bump", "width": 1.0}', "t_end=0.05", "lagrangian.n_seeds=5"],
+            "lagrangian",
+        )
+        code, tables, _ = compute_lagrangian(spec)
+        assert code == EXIT_OK
+        header, table = tables["particles.csv"]
+        assert header == ("seed", "t", "eta", "eta_x", "m_along", "invariant_residual")
+
+        length = spec.grid.length
+        seeds = length / 2.0 + length / 8.0 * np.linspace(-1.0, 1.0, 5)
+        traj = _run_simulation(spec)
+        ps = lagrangian.advect(traj, seeds)
+        m_along = lagrangian.momentum_along(traj, ps)
+        try:
+            res = lagrangian.invariant_residuals(ps, m_along, spec.params)
+        except ValueError:
+            res = np.full_like(m_along, math.nan)
+        rows = []
+        for j, t in enumerate(ps.times):
+            for s in range(len(seeds)):
+                rows.append((seeds[s], t, ps.paths[j][s], ps.stretch[j][s], m_along[j][s], res[j][s]))
+        assert table.dtype == np.float64 and table.shape == (len(rows), 6)
+        assert table.tobytes() == np.array(rows).tobytes()
+        assert np.all(np.isnan(table[:, 5])) == (preset == "forq")
 
     def test_profile_file_grid_mismatch(self, tmp_path):
         g = Grid(64, 2 * math.pi)

@@ -79,6 +79,16 @@ class TestCubicInterp:
         got = cubic_interp_periodic(vals, g, g.nodes)
         assert np.max(np.abs(got - vals)) < 1e-13
 
+    def test_stacked_fields_equal_one_call_each(self):
+        g = Grid(64, 2 * np.pi)
+        rng = np.random.default_rng(5)
+        stack = rng.normal(size=(4, 64))
+        q = np.concatenate([rng.uniform(-g.length, 2 * g.length, size=37), g.nodes[:5]])
+        got = cubic_interp_periodic(stack, g, q)
+        assert got.shape == (4, q.size)
+        for row, values in zip(got, stack):
+            assert np.array_equal(row, cubic_interp_periodic(values, g, q))
+
     def test_periodic_wrap(self):
         g = Grid(32, 2 * np.pi)
         vals = np.cos(g.nodes)
@@ -169,6 +179,67 @@ class TestAdvect:
         traj = steady_traj(g, -A * np.sin(g.nodes - np.pi), np.linspace(0, 2.0, 201), preset("ch"))
         with pytest.raises(WaveBreakingError):
             advect(traj, np.array([np.pi]), core_margin=0.0)
+
+
+def advect_per_field(traj, seeds):
+    """advect's RK4 with one interpolation call per field and stage: the
+    reference the stacked stencil must reproduce bitwise."""
+    from kabc.spectral import derivative
+
+    grid, k = traj.config.grid, traj.config.params.k
+    times = np.asarray(traj.times, dtype=float)
+    u = [s.values for s in traj.snapshots]
+    ux = [derivative(s, 1).values for s in traj.snapshots]
+    eta, etax = np.array(seeds, dtype=float), np.ones(len(seeds))
+    paths, stretch = [eta.copy()], [etax.copy()]
+    for i in range(len(times) - 1):
+        h = times[i + 1] - times[i]
+
+        def rate(e, ex, frac):
+            uv = (1.0 - frac) * cubic_interp_periodic(u[i], grid, e) + frac * cubic_interp_periodic(u[i + 1], grid, e)
+            uxv = (1.0 - frac) * cubic_interp_periodic(ux[i], grid, e) + frac * cubic_interp_periodic(ux[i + 1], grid, e)
+            return uv**k, k * uv ** (k - 1) * uxv * ex
+
+        d1, s1 = rate(eta, etax, 0.0)
+        d2, s2 = rate(eta + 0.5 * h * d1, etax + 0.5 * h * s1, 0.5)
+        d3, s3 = rate(eta + 0.5 * h * d2, etax + 0.5 * h * s2, 0.5)
+        d4, s4 = rate(eta + h * d3, etax + h * s3, 1.0)
+        eta = eta + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        etax = etax + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+        paths.append(eta.copy())
+        stretch.append(etax.copy())
+    return np.asarray(paths), np.asarray(stretch)
+
+
+class TestAdvectStencil:
+    @pytest.fixture(scope="class", params=["ch", "novikov"])
+    def smooth_traj(self, request):
+        g = Grid(128, 2 * np.pi)
+        u0 = Field(g, 0.3 * np.sin(g.nodes) + 0.1 * np.cos(2 * g.nodes) + 0.05)
+        cfg = SimConfig(params=preset(request.param), grid=g, t_end=0.1, dt_max=5e-3, output_stride=1)
+        return simulate(cfg, u0)
+
+    def test_bitwise_equal_to_per_field_loop(self, smooth_traj):
+        seeds = np.linspace(0.2, 6.0, 11)
+        ps = advect(smooth_traj, seeds, core_margin=0.0)
+        paths, stretch = advect_per_field(smooth_traj, seeds)
+        assert np.array_equal(ps.paths, paths)
+        assert np.array_equal(ps.stretch, stretch)
+
+    def test_one_interpolation_call_per_stage(self, smooth_traj, monkeypatch):
+        from kabc import lagrangian
+
+        calls = []
+        interp = lagrangian.cubic_interp_periodic
+
+        def counted(*args):
+            calls.append(1)
+            return interp(*args)
+
+        monkeypatch.setattr(lagrangian, "cubic_interp_periodic", counted)
+        ps = advect(smooth_traj, np.array([1.0, 2.0, 3.0]), core_margin=0.0)
+        assert len(ps.times) == len(smooth_traj.times) > 2
+        assert len(calls) == 4 * (len(ps.times) - 1)
 
 
 class TestConservationCheck:
