@@ -247,26 +247,51 @@ def parse_config(path=None, overrides=(), subcommand="simulate", out_dir=None) -
     return spec
 
 
-def build_profile(spec: RunSpec) -> Field:
-    grid = spec.grid
-    prof = spec.config["profile"]
-    shape = str(prof.get("shape", "peakon")).lower()
-    moll = prof.get("moll_width")
-    if moll is None:
-        moll = 3.0 * grid.dx
+def _finite(value, key: str, positive: bool = False) -> float:
+    """value as a finite float (> 0 when positive), or a ConfigError naming key."""
     try:
-        if shape == "peakon":
-            return mollified_profile(Peakon(float(prof.get("gamma", 1.0))), float(moll), grid)
-        if shape == "exp_tail":
-            return mollified_profile(ExpTail(float(prof.get("theta", 0.5))), float(moll), grid)
-        if shape == "bump":
-            return mollified_profile(Bump(float(prof.get("width", 2.0))), float(moll), grid)
-        if shape == "file":
-            return read_snapshot(prof["path"], grid=grid)
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x) or (positive and not x > 0.0):
+        raise ConfigError(f"{key} must be {'positive and ' if positive else ''}finite, got {value!r}")
+    return x
+
+
+# shape name -> (profile class, its key, default); only the peakon's
+# amplitude may be zero or negative
+_PROFILE_SHAPES = {"peakon": (Peakon, "gamma", 1.0), "exp_tail": (ExpTail, "theta", 0.5), "bump": (Bump, "width", 2.0)}
+
+
+def _profile_shape(spec: RunSpec):
+    """(shape, moll_width) of the profile block, or (path, None) for a file
+    profile; a ConfigError names the offending key."""
+    prof = spec.config["profile"]
+    if not isinstance(prof, dict):
+        raise ConfigError(f"profile must be an object, got {prof!r}")
+    shape = str(prof.get("shape", "peakon")).lower()
+    if shape == "file":
+        if not isinstance(prof.get("path"), str):
+            raise ConfigError(f"profile.path must name a snapshot file, got {prof.get('path')!r}")
+        return prof["path"], None
+    if shape not in _PROFILE_SHAPES:
         raise ConfigError(f"unknown profile shape {shape!r}")
-    except (TypeError, ValueError, KeyError) as err:
-        if isinstance(err, ConfigError):
-            raise
+    cls, key, default = _PROFILE_SHAPES[shape]
+    value = _finite(prof.get(key, default), f"profile.{key}", positive=cls is not Peakon)
+    if cls is Bump and value > spec.grid.length / 4.0:
+        raise ConfigError(f"profile.width exceeds a quarter of the box, got {value!r}")
+    moll = prof.get("moll_width")
+    moll = 3.0 * spec.grid.dx if moll is None else _finite(moll, "profile.moll_width", positive=True)
+    return cls(value), moll
+
+
+def build_profile(spec: RunSpec) -> Field:
+    shape, moll = _profile_shape(spec)
+    try:
+        if moll is None:
+            return read_snapshot(shape, grid=spec.grid)
+        return mollified_profile(shape, moll, spec.grid)
+    except ValueError as err:
         raise ConfigError(f"invalid profile: {err}") from None
 
 
@@ -459,27 +484,64 @@ def _lagrangian_seeds(spec: RunSpec) -> np.ndarray:
     return length / 2.0 + length / 8.0 * np.linspace(-1.0, 1.0, count)
 
 
+def _fit_side(spec: RunSpec) -> str:
+    side = spec.config["fit"]["side"]
+    if side not in ("left", "right"):
+        raise ConfigError(f"fit.side must be \"left\" or \"right\", got {side!r}")
+    return side
+
+
+def _fit_theta(spec: RunSpec) -> float:
+    """The reference exponent of decay-scan, inside (0, 1)."""
+    theta = _finite(spec.config["fit"]["theta"], "fit.theta")
+    if not 0.0 < theta < 1.0:
+        raise ConfigError(f"fit.theta must lie in (0, 1), got {theta!r}")
+    return theta
+
+
+def _mms_study(spec: RunSpec) -> tuple[float, float, int]:
+    """(amplitude, dt0, levels) of the mms block."""
+    block = spec.config["mms"]
+    amp = _finite(block["amplitude"], "mms.amplitude")
+    if amp == 0.0:  # a zero error has no observed order
+        raise ConfigError("mms.amplitude must be nonzero")
+    levels = int(block["levels"])
+    if levels < 1:
+        raise ConfigError(f"mms.levels must be >= 1, got {block['levels']!r}")
+    return amp, _finite(block["dt0"], "mms.dt0", positive=True), levels
+
+
+def _peakon_moll_width(spec: RunSpec) -> float:
+    """peakon_verify.moll_width, or one grid step."""
+    moll = spec.config["peakon_verify"]["moll_width"]
+    return spec.grid.dx if moll is None else _finite(moll, "peakon_verify.moll_width", positive=True)
+
+
+# the study keys each runner reads, beyond its SimConfig
+_STUDY_READERS = {
+    "simulate": (_profile_shape, _fit_side),
+    "decay-scan": (_profile_shape, _fit_side, _fit_theta),
+    "lagrangian": (_profile_shape, _lagrangian_seeds),
+    "mms": (_mms_study,),
+    "peakon-verify": (_peakon_moll_width,),
+}
+
+
 def _check_run_settings(spec: RunSpec) -> None:
-    """Build the SimConfig and read the study block the runner of
+    """Build the SimConfig and read the study keys the runner of
     spec.subcommand will, so that a bad stepping or study key is a
     ConfigError before any output exists."""
     c = spec.config
     try:
         p = spec.params
+        for read in _STUDY_READERS[spec.subcommand]:
+            read(spec)
         if spec.subcommand == "mms":
-            block = c["mms"]
-            if int(block["levels"]) < 1:
-                raise ConfigError(f"mms.levels must be >= 1, got {block['levels']!r}")
-            dt0 = float(block["dt0"])
-            if not (math.isfinite(dt0) and dt0 > 0.0):
-                raise ConfigError(f"mms.dt0 must be positive and finite, got {block['dt0']!r}")
-            _mms_sim_config(spec, p, dt0)
+            _mms_sim_config(spec, p, float(c["mms"]["dt0"]))
         elif spec.subcommand == "peakon-verify":
             _sim_config(spec, p, c["peakon_verify"]["t_end"])
         else:
             _sim_config(spec, p, c["t_end"])
-        if spec.subcommand == "lagrangian":
-            _lagrangian_seeds(spec)
     except ConfigError:
         raise
     except (TypeError, ValueError) as err:
@@ -504,7 +566,7 @@ def _fit_window(spec: RunSpec):
 
 def compute_simulate(spec: RunSpec):
     traj = _run_simulation(spec)
-    rows = _snapshot_diag_rows(traj, _fit_window(spec), spec.config["fit"]["side"])
+    rows = _snapshot_diag_rows(traj, _fit_window(spec), _fit_side(spec))
     tables = {"diagnostics.csv": (DIAG_HEADER, rows), "final.csv": _snapshot_table(traj.snapshots[-1])}
     if spec.config["write_snapshots"]:
         for i, snap in enumerate(traj.snapshots):
@@ -523,12 +585,8 @@ def _peakon_case(spec: RunSpec, label: str, p: Params, gamma: float):
     """One speeds.csv row and the case's growth-bound record.  Its
     trajectory dies on return, so a peakon-verify run holds one case's
     snapshots at a time."""
-    block = spec.config["peakon_verify"]
-    grid = spec.grid
-    moll = block["moll_width"]
-    moll = float(moll) if moll is not None else grid.dx
-    u0 = exact.peakon_initial_condition(gamma, moll, grid)
-    traj = simulate(_sim_config(spec, p, block["t_end"]), u0)
+    u0 = exact.peakon_initial_condition(gamma, _peakon_moll_width(spec), spec.grid)
+    traj = simulate(_sim_config(spec, p, spec.config["peakon_verify"]["t_end"]), u0)
     expected = PeakonSpec(gamma, p).speed
     measured = diagnostics.crest_track(traj)
     rel = abs(measured - expected) / abs(expected) if expected else math.nan
@@ -547,10 +605,7 @@ def compute_peakon_verify(spec: RunSpec):
 
 
 def compute_mms(spec: RunSpec):
-    block = spec.config["mms"]
-    amp = float(block["amplitude"])
-    dt0 = float(block["dt0"])
-    levels = int(block["levels"])
+    amp, dt0, levels = _mms_study(spec)
     grid = spec.grid
     p = spec.params
     star = ManufacturedSolution(
@@ -575,8 +630,8 @@ def compute_mms(spec: RunSpec):
 
 def compute_decay_scan(spec: RunSpec):
     traj = _run_simulation(spec)
-    theta = float(spec.config["fit"]["theta"])
-    report = persistence_report(traj, theta, window=_fit_window(spec), side=spec.config["fit"]["side"])
+    theta = _fit_theta(spec)
+    report = persistence_report(traj, theta, window=_fit_window(spec), side=_fit_side(spec))
     rows = [
         (t, fu.theta_hat, fu.r2, fu.floor_hit, fx.theta_hat, fx.r2, fx.floor_hit)
         for t, fu, fx in zip(report.times, report.fits_u, report.fits_ux)

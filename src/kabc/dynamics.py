@@ -11,7 +11,9 @@ stepped explicitly with CFL-adaptive classical RK4.
 
 The RK4 state is the rfft half-spectrum of u, not its samples: each
 right-hand side evaluation goes from spectrum to spectrum, and a step makes
-one inverse transform to store the new samples.  One evaluation costs one
+one inverse transform to store the new samples and one forward transform of
+them to step on next.  simulate's loop is the only long-lived owner of a
+spectrum; the snapshots it stores are samples only.  One evaluation costs one
 inverse FFT on the padded grid per upsampled factor (u, u_x, and u_xx when
 c_f2_2 != 0) and one forward FFT there per bracket (local, f1, and f2 when
 it has a nonzero coefficient): 4 at k = 1 (CH, DP), 5 at k = 2 (Novikov,
@@ -72,6 +74,8 @@ class SimConfig:
             raise ValueError("dt_max must be positive")
         if self.output_stride < 1:
             raise ValueError("output_stride must be >= 1")
+        if not (math.isfinite(self.sobolev_s) and self.sobolev_s >= 0.0):
+            raise ValueError(f"sobolev_s must be finite and >= 0, got {self.sobolev_s!r}")
 
 
 @dataclass(frozen=True)
@@ -86,10 +90,12 @@ class StepRecord:
 class Trajectory:
     """Stored snapshots plus per-step scalar records.
 
-    blew_up marks a run aborted on non-finite values; the last stored time
-    is then the last good one.  softbound_exceeded_t records when the H^s
-    norm first exceeded 2^{1+1/k} times its initial value (a heuristic
-    lifespan warning, not an error).
+    Snapshots are sample-only Fields (n doubles each); the spectrum the run
+    stepped on is not kept.  blew_up marks a run aborted on non-finite
+    values; the last stored time is then the last good one.
+    softbound_exceeded_t records when the H^s norm first exceeded
+    2^{1+1/k} times its initial value (a heuristic lifespan warning, not an
+    error).
     """
 
     config: SimConfig
@@ -307,11 +313,11 @@ def simulate(cfg: SimConfig, u0: Field) -> Trajectory:
     filt = _filter_multiplier(cfg.grid) if cfg.spectral_filter else None
 
     t = 0.0
-    cur = u0
+    cur, uh = u0, u0.hat
     traj = Trajectory(config=cfg)
-    hs0 = diagnostics.sobolev_norm(u0, cfg.sobolev_s)
+    hs0, h1_sq = diagnostics.hs_and_h1_squared(uh, cfg.grid, cfg.sobolev_s)
     bound = traj.softbound_factor() * hs0
-    traj.records.append(StepRecord(0.0, 0.0, hs0, diagnostics.h1_squared(u0)))
+    traj.records.append(StepRecord(0.0, 0.0, hs0, h1_sq))
     traj.times.append(0.0)
     traj.snapshots.append(u0)
 
@@ -320,7 +326,7 @@ def simulate(cfg: SimConfig, u0: Field) -> Trajectory:
         try:
             dt = cfl_dt(cur, cfg.params, cfg.cfl_safety, cfg.dt_max)
             dt = min(dt, cfg.t_end - t)
-            uh_new = rk4_step(op, cur.hat, t, dt)
+            uh_new = rk4_step(op, uh, t, dt)
             if filt is not None:
                 uh_new = uh_new * filt
             u_new = np.fft.irfft(uh_new, cfg.grid.n)
@@ -334,9 +340,12 @@ def simulate(cfg: SimConfig, u0: Field) -> Trajectory:
             break
         t += dt
         step += 1
+        # step on the transform of the stored samples, not on uh_new: the
+        # two differ at round-off, and the samples are what the run reports
         cur = Field(cfg.grid, u_new)
-        hs = diagnostics.sobolev_norm(cur, cfg.sobolev_s)
-        traj.records.append(StepRecord(t, dt, hs, diagnostics.h1_squared(cur)))
+        uh = cur.hat
+        hs, h1_sq = diagnostics.hs_and_h1_squared(uh, cfg.grid, cfg.sobolev_s)
+        traj.records.append(StepRecord(t, dt, hs, h1_sq))
         if traj.softbound_exceeded_t is None and hs0 > 0.0 and hs > bound:
             traj.softbound_exceeded_t = t
         if step % cfg.output_stride == 0 or t >= cfg.t_end - 1e-12:

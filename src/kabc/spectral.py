@@ -55,8 +55,9 @@ class Field:
     """Real samples on a Grid.
 
     Value-semantic: the sample array is copied and made read-only on
-    construction, so the cached transform can never go stale.  Operations
-    return new Fields and never mutate their inputs.
+    construction.  A Field holds its samples only: hat transforms them on
+    every access, so a stored Field costs n doubles and not twice that.
+    Operations return new Fields and never mutate their inputs.
     """
 
     grid: Grid
@@ -72,12 +73,10 @@ class Field:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    @cached_property
+    @property
     def hat(self) -> np.ndarray:
-        """rfft of the samples (cached)."""
-        h = np.fft.rfft(self.values)
-        h.flags.writeable = False
-        return h
+        """rfft of the samples, computed on each access."""
+        return np.fft.rfft(self.values)
 
 
 class SpectralOps:

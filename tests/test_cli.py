@@ -169,6 +169,23 @@ class TestParseConfig:
             ("lagrangian", ["lagrangian.seeds=[1.0, Infinity]"], "lagrangian.seeds"),
             ("sweep", ['sweep.axes=[{"key": "cfl_safety", "values": [0.4, 2]}]'], "cfl_safety"),
             ("sweep", ['sweep.subcommand="sweep"', 'sweep.axes=[{"key": "t_end", "values": [1]}]'], "sweep.subcommand"),
+            ("simulate", ["sobolev_s=-1"], "sobolev_s"),
+            ("simulate", ["sobolev_s=Infinity"], "sobolev_s"),
+            ("mms", ['mms.amplitude="x"'], "mms.amplitude"),
+            ("mms", ["mms.amplitude=0"], "mms.amplitude"),
+            ("simulate", ['fit.side="up"'], "fit.side"),
+            ("decay-scan", ['fit.side="up"'], "fit.side"),
+            ("decay-scan", ['fit.theta="x"'], "fit.theta"),
+            ("decay-scan", ["fit.theta=1"], "fit.theta"),
+            ("peakon-verify", ["peakon_verify.moll_width=-1"], "peakon_verify.moll_width"),
+            ("simulate", ['profile.gamma="x"'], "profile.gamma"),
+            ("simulate", ['profile={"shape": "peakon", "moll_width": 0}'], "profile.moll_width"),
+            ("decay-scan", ['profile={"shape": "exp_tail", "theta": -1}'], "profile.theta"),
+            ("lagrangian", ['profile={"shape": "bump", "width": 100}'], "profile.width"),
+            ("simulate", ['profile={"shape": "file"}'], "profile.path"),
+            ("simulate", ['profile="peakon"'], "profile"),
+            ("sweep", ['sweep.axes=[{"key": "fit.side", "values": ["left", "up"]}]'], "fit.side"),
+            ("sweep", ['sweep.axes=[{"key": "sobolev_s", "values": [1, -1]}]'], "sobolev_s"),
         ],
     )
     def test_stepping_and_study_keys_rejected_at_parse(self, tmp_path, capsys, subcommand, overrides, key):

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -334,6 +335,39 @@ class TestSimulate:
         assert traj.last_time < 1.0
         for snap in traj.snapshots:
             assert np.all(np.isfinite(snap.values))
+
+    @pytest.mark.parametrize("spectral_filter", [False, True])
+    @pytest.mark.parametrize("name", ["ch", "forq"])
+    def test_records_are_the_stored_snapshots_norms(self, name, spectral_filter):
+        # simulate measures the spectrum it steps on; that must be the
+        # transform of the samples it stores, bit for bit
+        g = Grid(128, 2 * np.pi)
+        u0 = band_limited(g, 10, seed=4)
+        cfg = SimConfig(params=preset(name), grid=g, t_end=0.3, sobolev_s=2.5, spectral_filter=spectral_filter)
+        traj = simulate(cfg, u0)
+        assert len(traj.records) == len(traj.snapshots) > 10
+        for rec, t, snap in zip(traj.records, traj.times, traj.snapshots):
+            assert rec.t == t
+            assert rec.hs_norm == diagnostics.sobolev_norm(snap, 2.5)
+            assert rec.h1_sq == diagnostics.h1_squared(snap)
+
+    def test_trajectory_holds_samples_only(self):
+        # a stored snapshot costs its n doubles, not also the spectrum its
+        # step computed (which would make it about twice that)
+        g = Grid(4096, 40 * np.pi)
+        u0 = mollified_profile(Peakon(1.0), 3 * g.dx, g)
+        cfg = SimConfig(params=preset("ch"), grid=g, t_end=0.2)
+        simulate(cfg, u0)  # fills the per-grid caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            traj = simulate(cfg, u0)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.snapshots) > 10
+        assert held <= 1.25 * len(traj.snapshots) * g.n * 8 + 64 * 1024
 
     def test_softbound_recorded_for_small_data(self):
         g = Grid(128, 2 * np.pi)
