@@ -1,14 +1,17 @@
 """Command-line driver: configuration, experiment orchestration, artifacts.
 
-The only module with side effects.  Each experiment is one pure
-``compute_<subcommand>(spec)`` that returns its exit code, its CSV tables
-as ``{filename: (header, rows)}`` and the manifest extras; ``run`` writes
-the tables plus one JSON manifest into the output directory (``sweep``
-writes its own aggregate).  The numeric tables (snapshots, particles) are
-2-D float arrays, written in blocks of rows with ``%.17g``: the same bytes
-as the value-by-value ``_fmt`` path that the small mixed-type tables take.
-Numeric artifacts are reproducible bit-for-bit, manifests differ at most
-in timestamps.
+The only module with side effects.  ``parse_config`` resolves a config once
+into a ``RunSpec`` of typed values (a sweep's points included, each through
+the same resolver as a single run), so a bad value exits before any output
+exists.  Each experiment is one pure ``compute_<subcommand>(spec)`` that
+reads only those values and returns its exit code, its CSV tables as
+``{filename: (header, rows)}`` and the manifest extras; ``run`` writes the
+tables plus one JSON manifest into the output directory (``sweep`` writes
+its own aggregate).  The numeric tables (snapshots, particles) are 2-D float
+arrays, written in blocks of rows with ``%.17g``: the same bytes as the
+value-by-value ``_fmt`` path that the small mixed-type tables take.
+Numeric artifacts are reproducible bit-for-bit, manifests differ at most in
+timestamps.
 
 Exit codes: 0 success, 2 blow-up (partial outputs kept), 3 configuration
 error, 4 I/O failure.
@@ -26,7 +29,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,11 +110,8 @@ def _merge(base: dict, override: dict, atomic=()) -> dict:
     return out
 
 
-def _apply_override(cfg: dict, dotted: str, raw: str) -> None:
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
+def _set_dotted(cfg: dict, dotted: str, value) -> None:
+    """Set a dotted key (a --set override or a sweep axis) in cfg."""
     node = cfg
     keys = dotted.split(".")
     for key in keys[:-1]:
@@ -122,6 +122,8 @@ def _apply_override(cfg: dict, dotted: str, raw: str) -> None:
 
 
 def resolve_params(block: dict) -> Params:
+    if not isinstance(block, dict):
+        raise ConfigError(f"params must be an object, got {block!r}")
     block = dict(block)
     name = block.pop("preset", None)
     try:
@@ -142,10 +144,156 @@ DEFAULT_PEAKON_CASES = (
 )
 
 
-def _peakon_cases(config: dict) -> list[tuple[str, Params, float]]:
+@dataclass(frozen=True)
+class RunSpec:
+    """A run resolved once by parse_config: the typed values its runner
+    reads.  Beyond params and grid, only the fields that spec.subcommand's
+    runner reads are set (see _STUDY_READERS).  config is the merged raw
+    configuration, kept only for the manifest."""
+
+    subcommand: str
+    config: dict
+    out_dir: str
+    params: Params
+    grid: Grid
+    sim: SimConfig | None = None  # what the runner steps with; None for sweep
+    profile: tuple | None = None  # (shape, moll_width), or (path, None) for a file profile
+    fit_window: tuple[float, float] | None = None
+    fit_side: str | None = None
+    fit_theta: float | None = None
+    write_snapshots: bool = False
+    mms: tuple[float, float, int] | None = None  # (amplitude, dt0, levels)
+    peakon_cases: tuple = ()  # (label, params, gamma) per case
+    peakon_moll_width: float | None = None
+    seeds: np.ndarray | None = None
+    points: tuple = ()  # sweep: (name, RunSpec) per point, in axis order
+    workers: int = 1  # sweep process pool size
+
+
+def parse_config(path=None, overrides=(), subcommand="simulate", out_dir=None) -> RunSpec:
+    """Load the JSON config file (if any), apply --set overrides, fill
+    defaults, and resolve the run (see RunSpec).  Unknown keys are fatal
+    and listed; a bad value is a ConfigError naming its key."""
+    cfg: dict = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                cfg = json.load(fh)
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"malformed config file {path}: {err}") from None
+        if not isinstance(cfg, dict):
+            raise ConfigError("config file must hold a JSON object")
+    for item in overrides:
+        if "=" not in item:
+            raise ConfigError(f"--set expects key=value, got {item!r}")
+        dotted, raw = item.split("=", 1)
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        _set_dotted(cfg, dotted, value)
+    if subcommand not in SUBCOMMANDS:
+        raise ConfigError(f"unknown subcommand {subcommand!r}")
+    return _resolve(subcommand, cfg, out_dir or "")
+
+
+def _finite(value, key: str, positive: bool = False) -> float:
+    """value as a finite float (> 0 when positive), or a ConfigError naming key."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x) or (positive and not x > 0.0):
+        raise ConfigError(f"{key} must be {'positive and ' if positive else ''}finite, got {value!r}")
+    return x
+
+
+def _flag(cfg: dict, key: str) -> bool:
+    """A boolean key; any other value (say the string "no") is a ConfigError."""
+    if not isinstance(cfg[key], bool):
+        raise ConfigError(f"{key} must be true or false, got {cfg[key]!r}")
+    return cfg[key]
+
+
+# shape name -> (profile class, its key, default); only the peakon's
+# amplitude may be zero or negative
+_PROFILE_SHAPES = {"peakon": (Peakon, "gamma", 1.0), "exp_tail": (ExpTail, "theta", 0.5), "bump": (Bump, "width", 2.0)}
+
+
+def _profile_shape(cfg: dict, grid: Grid):
+    """(shape, moll_width) of the profile block, or (path, None) for a file
+    profile; a ConfigError names the offending key."""
+    prof = cfg["profile"]
+    if not isinstance(prof, dict):
+        raise ConfigError(f"profile must be an object, got {prof!r}")
+    shape = str(prof.get("shape", "peakon")).lower()
+    if shape == "file":
+        if not isinstance(prof.get("path"), str):
+            raise ConfigError(f"profile.path must name a snapshot file, got {prof.get('path')!r}")
+        return prof["path"], None
+    if shape not in _PROFILE_SHAPES:
+        raise ConfigError(f"unknown profile shape {shape!r}")
+    cls, key, default = _PROFILE_SHAPES[shape]
+    value = _finite(prof.get(key, default), f"profile.{key}", positive=cls is not Peakon)
+    if cls is Bump and value > grid.length / 4.0:
+        raise ConfigError(f"profile.width exceeds a quarter of the box, got {value!r}")
+    moll = prof.get("moll_width")
+    moll = 3.0 * grid.dx if moll is None else _finite(moll, "profile.moll_width", positive=True)
+    return cls(value), moll
+
+
+def _fit_window(cfg: dict, grid: Grid) -> tuple[float, float]:
+    """fit.window, or the default tail window; it must hold 16 grid nodes
+    and stay clear of the wrap-around seam."""
+    win = cfg["fit"]["window"]
+    if win is None:
+        lo, hi = default_tail_window(grid)
+    else:
+        if not isinstance(win, list) or len(win) != 2:
+            raise ConfigError(f"fit.window must be [x_lo, x_hi], got {win!r}")
+        lo, hi = (_finite(x, "fit.window") for x in win)
+        if not lo < hi:
+            raise ConfigError(f"fit.window must be [x_lo, x_hi] with x_lo < x_hi, got {win!r}")
+    if (hi - lo) / grid.dx < 16:
+        raise ConfigError("fit window holds fewer than 16 grid nodes")
+    if hi > grid.length / 2.0 - grid.length / 8.0:
+        raise ConfigError("fit window too close to the wrap-around seam")
+    return lo, hi
+
+
+def _fit_side(cfg: dict, grid: Grid) -> str:
+    side = cfg["fit"]["side"]
+    if side not in ("left", "right"):
+        raise ConfigError(f"fit.side must be \"left\" or \"right\", got {side!r}")
+    return side
+
+
+def _fit_theta(cfg: dict, grid: Grid) -> float:
+    """The reference exponent of decay-scan, inside (0, 1)."""
+    theta = _finite(cfg["fit"]["theta"], "fit.theta")
+    if not 0.0 < theta < 1.0:
+        raise ConfigError(f"fit.theta must lie in (0, 1), got {theta!r}")
+    return theta
+
+
+def _mms_study(cfg: dict, grid: Grid) -> tuple[float, float, int]:
+    """(amplitude, dt0, levels) of the mms block."""
+    block = cfg["mms"]
+    amp = _finite(block["amplitude"], "mms.amplitude")
+    if amp == 0.0:  # a zero error has no observed order
+        raise ConfigError("mms.amplitude must be nonzero")
+    levels = int(block["levels"])
+    if levels < 1:
+        raise ConfigError(f"mms.levels must be >= 1, got {block['levels']!r}")
+    return amp, _finite(block["dt0"], "mms.dt0", positive=True), levels
+
+
+def _peakon_cases(cfg: dict, grid: Grid) -> tuple:
     """(label, params, gamma) of each peakon_verify case; a ConfigError
     names the offending case."""
-    cases = config["peakon_verify"]["cases"]
+    cases = cfg["peakon_verify"]["cases"]
     cases = DEFAULT_PEAKON_CASES if cases is None else cases
     if not isinstance(cases, (list, tuple)) or not cases:
         raise ConfigError("peakon_verify.cases must be a non-empty list")
@@ -164,129 +312,131 @@ def _peakon_cases(config: dict) -> list[tuple[str, Params, float]]:
         except (TypeError, ValueError) as err:
             raise ConfigError(f"peakon_verify.cases[{i}] {json.dumps(case)}: {err}") from None
         resolved.append((str(case.get("preset", "custom")), p, gamma))
-    return resolved
+    return tuple(resolved)
 
 
-@dataclass
-class RunSpec:
-    """A fully resolved run: subcommand plus plain-data configuration."""
-
-    subcommand: str
-    config: dict
-    out_dir: str
-
-    @property
-    def params(self) -> Params:
-        return resolve_params(self.config["params"])
-
-    @property
-    def grid(self) -> Grid:
-        g = self.config["grid"]
-        return Grid(int(g["n"]), float(g["length"]))
+def _peakon_moll_width(cfg: dict, grid: Grid) -> float:
+    """peakon_verify.moll_width, or one grid step."""
+    moll = cfg["peakon_verify"]["moll_width"]
+    return grid.dx if moll is None else _finite(moll, "peakon_verify.moll_width", positive=True)
 
 
-def parse_config(path=None, overrides=(), subcommand="simulate", out_dir=None) -> RunSpec:
-    """Load the JSON config file (if any), apply --set overrides, fill
-    defaults, and validate.  Unknown keys are fatal and listed."""
-    cfg: dict = {}
-    if path is not None:
-        try:
-            with open(path) as fh:
-                cfg = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"malformed config file {path}: {err}") from None
-        if not isinstance(cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        dotted, raw = item.split("=", 1)
-        _apply_override(cfg, dotted, raw)
-    _check_keys(cfg)
-    resolved = _merge(DEFAULT_CONFIG, cfg, atomic=_ATOMIC_KEYS)
-    if subcommand not in SUBCOMMANDS:
-        raise ConfigError(f"unknown subcommand {subcommand!r}")
-    spec = RunSpec(subcommand=subcommand, config=resolved, out_dir=out_dir or "")
-    spec.params  # validates the parameter block
-    try:
-        grid = spec.grid
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"invalid grid: {err}") from None
-    fit_window = resolved["fit"]["window"]
-    if fit_window is not None:
-        if len(fit_window) != 2 or not fit_window[0] < fit_window[1]:
-            raise ConfigError("fit.window must be [x_lo, x_hi] with x_lo < x_hi")
-    target = resolved["sweep"]["subcommand"] if subcommand == "sweep" else subcommand
+def _lagrangian_seeds(cfg: dict, grid: Grid) -> np.ndarray:
+    """lagrangian.seeds, or n_seeds points spread over the middle quarter
+    of the box."""
+    block = cfg["lagrangian"]
+    if block["seeds"] is not None:
+        seeds = np.asarray([float(s) for s in block["seeds"]])
+        if seeds.size == 0 or not np.all(np.isfinite(seeds)):
+            raise ConfigError(f"lagrangian.seeds must be a non-empty list of finite numbers, got {block['seeds']!r}")
+        return seeds
+    count = int(block["n_seeds"])
+    if count < 1:
+        raise ConfigError(f"lagrangian.n_seeds must be >= 1, got {block['n_seeds']!r}")
+    return grid.length / 2.0 + grid.length / 8.0 * np.linspace(-1.0, 1.0, count)
+
+
+# the RunSpec fields each runner reads beyond params, grid and sim, and
+# the reader of each: reader(merged config, grid) -> the field's value
+_STUDY_READERS = {
+    "simulate": {
+        "profile": _profile_shape, "fit_window": _fit_window, "fit_side": _fit_side,
+        "write_snapshots": lambda cfg, grid: _flag(cfg, "write_snapshots"),
+    },
+    "decay-scan": {"profile": _profile_shape, "fit_window": _fit_window, "fit_side": _fit_side, "fit_theta": _fit_theta},
+    "lagrangian": {"profile": _profile_shape, "seeds": _lagrangian_seeds},
+    "mms": {"mms": _mms_study},
+    "peakon-verify": {"peakon_cases": _peakon_cases, "peakon_moll_width": _peakon_moll_width},
+}
+
+
+def _sim_config(cfg: dict, subcommand: str, params: Params, grid: Grid, study: dict) -> SimConfig:
+    """The SimConfig the runner of subcommand steps with.  peakon-verify and
+    mms have their own t_end; an mms level steps at a fixed dt (dt0 here,
+    each level replaces dt_max) and keeps only its final state."""
+    stepping = {
+        "cfl_safety": float(cfg["cfl_safety"]),
+        "dt_max": float(cfg["dt_max"]),
+        "output_stride": int(cfg["output_stride"]),
+        "sobolev_s": float(cfg["sobolev_s"]),
+        "spectral_filter": _flag(cfg, "spectral_filter"),
+    }
+    t_end = cfg["t_end"]
+    if subcommand == "peakon-verify":
+        t_end = cfg["peakon_verify"]["t_end"]
+    elif subcommand == "mms":
+        t_end = cfg["mms"]["t_end"]
+        stepping.update(cfl_safety=1.0, dt_max=study["mms"][1], output_stride=10**9)
+    return SimConfig(params=params, grid=grid, t_end=float(t_end), **stepping)
+
+
+def _sweep_points(cfg: dict, out_dir: str) -> tuple:
+    """(name, RunSpec) of every point of the product of the sweep axes, each
+    resolved by _resolve as the single run of sweep.subcommand whose config
+    is the sweep's with the point's axis keys set."""
+    target, axes = cfg["sweep"]["subcommand"], cfg["sweep"]["axes"]
     if target not in SUBCOMMANDS or target == "sweep":
         raise ConfigError(f"sweep.subcommand must be a non-sweep subcommand, got {target!r}")
-    if {subcommand, target} & {"simulate", "decay-scan"}:
-        lo, hi = fit_window if fit_window is not None else default_tail_window(grid)
-        if (hi - lo) / grid.dx < 16:
-            raise ConfigError("fit window holds fewer than 16 grid nodes")
-        if hi > grid.length / 2.0 - grid.length / 8.0:
-            raise ConfigError("fit window too close to the wrap-around seam")
-    if resolved["sweep"]["axes"] is not None:
-        axes = resolved["sweep"]["axes"]
-        if not isinstance(axes, list) or not axes:
-            raise ConfigError("sweep.axes must be a non-empty list")
-        for ax in axes:
-            if not isinstance(ax, dict) or "key" not in ax or "values" not in ax or not ax["values"]:
-                raise ConfigError("each sweep axis needs a key and a non-empty values list")
-    for name, cfg in _expand_sweep(spec) if subcommand == "sweep" else [(None, resolved)]:
+    if not isinstance(axes, list) or not axes:
+        raise ConfigError(f"sweep.axes must be a non-empty list, got {axes!r}")
+    combos = [[]]
+    for ax in axes:
+        if not (isinstance(ax, dict) and isinstance(ax.get("key"), str) and isinstance(ax.get("values"), list)
+                and ax["values"]):
+            raise ConfigError(f"each sweep axis needs a string key and a non-empty values list, got {ax!r}")
+        combos = [c + [(ax["key"], v)] for c in combos for v in ax["values"]]
+    points = []
+    for i, combo in enumerate(combos):
+        labels = [f"{key.split('.')[-1]}={format(value, 'g') if isinstance(value, float) else value}"
+                  for key, value in combo]
+        # one flat directory per point, whatever characters the values hold
+        name = re.sub(r"[^A-Za-z0-9._=+-]", "_", f"sub_{i:03d}_" + "_".join(labels))
+        point = copy.deepcopy(cfg)
+        point["sweep"] = copy.deepcopy(DEFAULT_CONFIG["sweep"])
         try:
-            point = RunSpec(subcommand=target, config=cfg, out_dir="")
-            if target == "peakon-verify":
-                _peakon_cases(cfg)
-            _check_run_settings(point)
+            for key, value in combo:
+                _set_dotted(point, key, value)
+            points.append((name, _resolve(target, point, os.path.join(out_dir, name))))
         except ConfigError as err:
-            if name is None:
-                raise
             raise ConfigError(f"sweep point {name}: {err}") from None
-    return spec
+    return tuple(points)
 
 
-def _finite(value, key: str, positive: bool = False) -> float:
-    """value as a finite float (> 0 when positive), or a ConfigError naming key."""
+def _sweep_workers(cfg: dict) -> int:
+    """sweep.workers (also set by --workers), or one per CPU."""
+    workers = cfg["sweep"]["workers"]
+    if workers is None:
+        return os.cpu_count() or 1
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+        raise ConfigError(f"sweep.workers must be an integer >= 1, got {workers!r}")
+    return workers
+
+
+def _resolve(subcommand: str, cfg: dict, out_dir: str) -> RunSpec:
+    """Check the keys of cfg, fill the defaults and read every value the
+    runner of subcommand uses: the one path from a config to a RunSpec, for
+    a single run and for each sweep point alike."""
+    _check_keys(cfg)
+    cfg = _merge(DEFAULT_CONFIG, cfg, atomic=_ATOMIC_KEYS)
+    p = resolve_params(cfg["params"])
     try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if not math.isfinite(x) or (positive and not x > 0.0):
-        raise ConfigError(f"{key} must be {'positive and ' if positive else ''}finite, got {value!r}")
-    return x
-
-
-# shape name -> (profile class, its key, default); only the peakon's
-# amplitude may be zero or negative
-_PROFILE_SHAPES = {"peakon": (Peakon, "gamma", 1.0), "exp_tail": (ExpTail, "theta", 0.5), "bump": (Bump, "width", 2.0)}
-
-
-def _profile_shape(spec: RunSpec):
-    """(shape, moll_width) of the profile block, or (path, None) for a file
-    profile; a ConfigError names the offending key."""
-    prof = spec.config["profile"]
-    if not isinstance(prof, dict):
-        raise ConfigError(f"profile must be an object, got {prof!r}")
-    shape = str(prof.get("shape", "peakon")).lower()
-    if shape == "file":
-        if not isinstance(prof.get("path"), str):
-            raise ConfigError(f"profile.path must name a snapshot file, got {prof.get('path')!r}")
-        return prof["path"], None
-    if shape not in _PROFILE_SHAPES:
-        raise ConfigError(f"unknown profile shape {shape!r}")
-    cls, key, default = _PROFILE_SHAPES[shape]
-    value = _finite(prof.get(key, default), f"profile.{key}", positive=cls is not Peakon)
-    if cls is Bump and value > spec.grid.length / 4.0:
-        raise ConfigError(f"profile.width exceeds a quarter of the box, got {value!r}")
-    moll = prof.get("moll_width")
-    moll = 3.0 * spec.grid.dx if moll is None else _finite(moll, "profile.moll_width", positive=True)
-    return cls(value), moll
+        grid = Grid(int(cfg["grid"]["n"]), float(cfg["grid"]["length"]))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"invalid grid: {err}") from None
+    base = {"subcommand": subcommand, "config": cfg, "out_dir": out_dir, "params": p, "grid": grid}
+    try:
+        if subcommand == "sweep":
+            return RunSpec(**base, points=_sweep_points(cfg, out_dir), workers=_sweep_workers(cfg))
+        study = {name: read(cfg, grid) for name, read in _STUDY_READERS[subcommand].items()}
+        return RunSpec(**base, sim=_sim_config(cfg, subcommand, p, grid, study), **study)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"invalid {subcommand} settings: {err}") from None
 
 
 def build_profile(spec: RunSpec) -> Field:
-    shape, moll = _profile_shape(spec)
+    shape, moll = spec.profile
     try:
         if moll is None:
             return read_snapshot(shape, grid=spec.grid)
@@ -448,127 +598,19 @@ DIAG_HEADER = ("t", "hs_norm", "h1_sq", "dt", "crest_x", "theta_hat_u", "theta_h
 PARTICLE_HEADER = ("seed", "t", "eta", "eta_x", "m_along", "invariant_residual")
 
 
-def _sim_config(spec: RunSpec, params: Params, t_end, **overrides) -> SimConfig:
-    """SimConfig from the spec's grid and stepping keys; keyword arguments
-    override the stepping keys."""
-    c = spec.config
-    stepping = {
-        "cfl_safety": float(c["cfl_safety"]),
-        "dt_max": float(c["dt_max"]),
-        "output_stride": int(c["output_stride"]),
-        "sobolev_s": float(c["sobolev_s"]),
-        "spectral_filter": bool(c["spectral_filter"]),
-    }
-    return SimConfig(params=params, grid=spec.grid, t_end=float(t_end), **{**stepping, **overrides})
-
-
-def _mms_sim_config(spec: RunSpec, params: Params, dt, forcing=None) -> SimConfig:
-    """SimConfig of one mms level: fixed step dt, only the final state kept."""
-    t_end = spec.config["mms"]["t_end"]
-    return _sim_config(spec, params, t_end, cfl_safety=1.0, dt_max=dt, output_stride=10**9, forcing=forcing)
-
-
-def _lagrangian_seeds(spec: RunSpec) -> np.ndarray:
-    """lagrangian.seeds, or n_seeds points spread over the middle quarter
-    of the box."""
-    block = spec.config["lagrangian"]
-    if block["seeds"] is not None:
-        seeds = np.asarray([float(s) for s in block["seeds"]])
-        if seeds.size == 0 or not np.all(np.isfinite(seeds)):
-            raise ConfigError(f"lagrangian.seeds must be a non-empty list of finite numbers, got {block['seeds']!r}")
-        return seeds
-    count = int(block["n_seeds"])
-    if count < 1:
-        raise ConfigError(f"lagrangian.n_seeds must be >= 1, got {block['n_seeds']!r}")
-    length = spec.grid.length
-    return length / 2.0 + length / 8.0 * np.linspace(-1.0, 1.0, count)
-
-
-def _fit_side(spec: RunSpec) -> str:
-    side = spec.config["fit"]["side"]
-    if side not in ("left", "right"):
-        raise ConfigError(f"fit.side must be \"left\" or \"right\", got {side!r}")
-    return side
-
-
-def _fit_theta(spec: RunSpec) -> float:
-    """The reference exponent of decay-scan, inside (0, 1)."""
-    theta = _finite(spec.config["fit"]["theta"], "fit.theta")
-    if not 0.0 < theta < 1.0:
-        raise ConfigError(f"fit.theta must lie in (0, 1), got {theta!r}")
-    return theta
-
-
-def _mms_study(spec: RunSpec) -> tuple[float, float, int]:
-    """(amplitude, dt0, levels) of the mms block."""
-    block = spec.config["mms"]
-    amp = _finite(block["amplitude"], "mms.amplitude")
-    if amp == 0.0:  # a zero error has no observed order
-        raise ConfigError("mms.amplitude must be nonzero")
-    levels = int(block["levels"])
-    if levels < 1:
-        raise ConfigError(f"mms.levels must be >= 1, got {block['levels']!r}")
-    return amp, _finite(block["dt0"], "mms.dt0", positive=True), levels
-
-
-def _peakon_moll_width(spec: RunSpec) -> float:
-    """peakon_verify.moll_width, or one grid step."""
-    moll = spec.config["peakon_verify"]["moll_width"]
-    return spec.grid.dx if moll is None else _finite(moll, "peakon_verify.moll_width", positive=True)
-
-
-# the study keys each runner reads, beyond its SimConfig
-_STUDY_READERS = {
-    "simulate": (_profile_shape, _fit_side),
-    "decay-scan": (_profile_shape, _fit_side, _fit_theta),
-    "lagrangian": (_profile_shape, _lagrangian_seeds),
-    "mms": (_mms_study,),
-    "peakon-verify": (_peakon_moll_width,),
-}
-
-
-def _check_run_settings(spec: RunSpec) -> None:
-    """Build the SimConfig and read the study keys the runner of
-    spec.subcommand will, so that a bad stepping or study key is a
-    ConfigError before any output exists."""
-    c = spec.config
-    try:
-        p = spec.params
-        for read in _STUDY_READERS[spec.subcommand]:
-            read(spec)
-        if spec.subcommand == "mms":
-            _mms_sim_config(spec, p, float(c["mms"]["dt0"]))
-        elif spec.subcommand == "peakon-verify":
-            _sim_config(spec, p, c["peakon_verify"]["t_end"])
-        else:
-            _sim_config(spec, p, c["t_end"])
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"invalid {spec.subcommand} settings: {err}") from None
-
-
 def _run_simulation(spec: RunSpec) -> Trajectory:
-    u0 = build_profile(spec)
-    return simulate(_sim_config(spec, spec.params, spec.config["t_end"]), u0)
+    return simulate(spec.sim, build_profile(spec))
 
 
 def _exit_code(traj: Trajectory) -> int:
     return EXIT_BLOWUP if traj.blew_up else EXIT_OK
 
 
-def _fit_window(spec: RunSpec):
-    win = spec.config["fit"]["window"]
-    if win is None:
-        return default_tail_window(spec.grid)
-    return (float(win[0]), float(win[1]))
-
-
 def compute_simulate(spec: RunSpec):
     traj = _run_simulation(spec)
-    rows = _snapshot_diag_rows(traj, _fit_window(spec), _fit_side(spec))
+    rows = _snapshot_diag_rows(traj, spec.fit_window, spec.fit_side)
     tables = {"diagnostics.csv": (DIAG_HEADER, rows), "final.csv": _snapshot_table(traj.snapshots[-1])}
-    if spec.config["write_snapshots"]:
+    if spec.write_snapshots:
         for i, snap in enumerate(traj.snapshots):
             tables[f"snap_{i:06d}.csv"] = _snapshot_table(snap)
     try:
@@ -585,8 +627,8 @@ def _peakon_case(spec: RunSpec, label: str, p: Params, gamma: float):
     """One speeds.csv row and the case's growth-bound record.  Its
     trajectory dies on return, so a peakon-verify run holds one case's
     snapshots at a time."""
-    u0 = exact.peakon_initial_condition(gamma, _peakon_moll_width(spec), spec.grid)
-    traj = simulate(_sim_config(spec, p, spec.config["peakon_verify"]["t_end"]), u0)
+    u0 = exact.peakon_initial_condition(gamma, spec.peakon_moll_width, spec.grid)
+    traj = simulate(replace(spec.sim, params=p), u0)
     expected = PeakonSpec(gamma, p).speed
     measured = diagnostics.crest_track(traj)
     rel = abs(measured - expected) / abs(expected) if expected else math.nan
@@ -594,7 +636,7 @@ def _peakon_case(spec: RunSpec, label: str, p: Params, gamma: float):
 
 
 def compute_peakon_verify(spec: RunSpec):
-    results = [_peakon_case(spec, *case) for case in _peakon_cases(spec.config)]
+    results = [_peakon_case(spec, *case) for case in spec.peakon_cases]
     rows = [row for row, _ in results]
     worst = max(r[4] for r in rows)
     tables = {
@@ -605,19 +647,18 @@ def compute_peakon_verify(spec: RunSpec):
 
 
 def compute_mms(spec: RunSpec):
-    amp, dt0, levels = _mms_study(spec)
+    amp, dt0, levels = spec.mms
     grid = spec.grid
-    p = spec.params
     star = ManufacturedSolution(
         value=lambda x, t: amp * np.sin(x - t),
         dt_value=lambda x, t: -amp * np.cos(x - t),
     )
-    forcing = mms_forcing(star, p, grid)
+    forcing = mms_forcing(star, spec.params, grid)
     u0 = Field(grid, star.value(grid.nodes, 0.0))
     rows = []
     for lvl in range(levels):
         dt = dt0 / 2**lvl
-        traj = simulate(_mms_sim_config(spec, p, dt, forcing), u0)
+        traj = simulate(replace(spec.sim, dt_max=dt, forcing=forcing), u0)
         exactf = star.value(grid.nodes, traj.last_time)
         err = float(np.max(np.abs(traj.snapshots[-1].values - exactf)))
         rows.append((dt, err, math.log2(rows[-1][1] / err) if rows else math.nan))
@@ -630,8 +671,7 @@ def compute_mms(spec: RunSpec):
 
 def compute_decay_scan(spec: RunSpec):
     traj = _run_simulation(spec)
-    theta = _fit_theta(spec)
-    report = persistence_report(traj, theta, window=_fit_window(spec), side=_fit_side(spec))
+    report = persistence_report(traj, spec.fit_theta, window=spec.fit_window, side=spec.fit_side)
     rows = [
         (t, fu.theta_hat, fu.r2, fu.floor_hit, fx.theta_hat, fx.r2, fx.floor_hit)
         for t, fu, fx in zip(report.times, report.fits_u, report.fits_ux)
@@ -640,7 +680,7 @@ def compute_decay_scan(spec: RunSpec):
         "min_theta_u": report.min_theta_u,
         "min_theta_ux": report.min_theta_ux,
         "any_floor_hit": report.any_floor_hit,
-        "reference_theta": theta,
+        "reference_theta": spec.fit_theta,
     }
     tables = {
         "decay.csv": (("t", "theta_hat_u", "r2_u", "floor_hit_u", "theta_hat_ux", "r2_ux", "floor_hit_ux"), rows),
@@ -651,7 +691,7 @@ def compute_decay_scan(spec: RunSpec):
 
 def compute_lagrangian(spec: RunSpec):
     traj = _run_simulation(spec)
-    seeds = _lagrangian_seeds(spec)
+    seeds = spec.seeds
     ps = lagrangian.advect(traj, seeds)
     m_along = lagrangian.momentum_along(traj, ps)
     try:
@@ -674,71 +714,28 @@ def compute_lagrangian(spec: RunSpec):
     return _exit_code(traj), tables, {"max_invariant_residual": residual, "softbound": _softbound_record(traj)}
 
 
-def _expand_sweep(spec: RunSpec):
-    axes = spec.config["sweep"]["axes"]
-    if not axes:
-        raise ConfigError("sweep requires sweep.axes")
-    combos = [[]]
-    for ax in axes:
-        combos = [c + [(ax["key"], v)] for c in combos for v in ax["values"]]
-    sub_specs = []
-    for i, combo in enumerate(combos):
-        cfg = copy.deepcopy(spec.config)
-        cfg["sweep"] = dict(DEFAULT_CONFIG["sweep"])
-        label_parts = []
-        for dotted, value in combo:
-            node = cfg
-            keys = dotted.split(".")
-            for key in keys[:-1]:
-                node = node.setdefault(key, {})
-            node[keys[-1]] = value
-            label_parts.append(f"{keys[-1]}={value:g}" if isinstance(value, float) else f"{keys[-1]}={value}")
-        # one flat directory per point, whatever characters the values hold
-        name = re.sub(r"[^A-Za-z0-9._=+-]", "_", f"sub_{i:03d}_" + "_".join(label_parts))
-        sub_specs.append((name, cfg))
-    return sub_specs
-
-
-def _run_sweep_child(args):
-    name, cfg, subcommand, out_dir = args
-    sub_out = os.path.join(out_dir, name)
-    os.makedirs(sub_out, exist_ok=True)
-    spec = RunSpec(subcommand=subcommand, config=cfg, out_dir=sub_out)
-    code = run(spec)
-    return name, code
-
-
 def run_sweep(spec: RunSpec):
-    sub = spec.config["sweep"]["subcommand"]
-    tasks = [(name, cfg, sub, spec.out_dir) for name, cfg in _expand_sweep(spec)]
-    workers = spec.config["sweep"]["workers"]
-    workers = os.cpu_count() if workers is None else int(workers)
-    results = []
-    if workers > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_sweep_child, tasks))
+    names, points = zip(*spec.points)
+    if spec.workers > 1 and len(points) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=spec.workers) as pool:
+            codes = list(pool.map(run, points))
     else:
-        results = [_run_sweep_child(t) for t in tasks]
+        codes = [run(point) for point in points]
     # aggregate: copy each sub-run's summary row verbatim so aggregate rows
     # stay bitwise identical to the single-run outputs
     agg_lines = []
-    header = None
-    worst = EXIT_OK
-    for name, code in results:
-        worst = max(worst, code)
+    for name in names:
         path = os.path.join(spec.out_dir, name, "summary.csv")
         if not os.path.exists(path):
             continue
         with open(path) as fh:
             lines = fh.read().splitlines()
-        if header is None:
-            header = "run," + lines[0]
-            agg_lines.append(header)
-        for ln in lines[1:]:
-            agg_lines.append(f"{name},{ln}")
+        if not agg_lines:
+            agg_lines.append("run," + lines[0])
+        agg_lines += [f"{name},{ln}" for ln in lines[1:]]
     with open(os.path.join(spec.out_dir, "aggregate.csv"), "w") as fh:
         fh.write("\n".join(agg_lines) + ("\n" if agg_lines else ""))
-    return worst, {}, {"sub_runs": [name for name, _ in results]}
+    return max(codes), {}, {"sub_runs": names}
 
 
 _RUNNERS = {
@@ -793,12 +790,12 @@ def main(argv=None) -> int:
         sp.add_argument("--out", default=None, help=f"output directory (default ${OUT_ROOT_ENV}/<subcommand>)")
         sp.add_argument("--workers", default=None, type=int, help="sweep worker pool size")
     args = parser.parse_args(argv)
+    # --workers is the last sweep.workers override
+    overrides = args.set + ([] if args.workers is None else [f"sweep.workers={args.workers}"])
     try:
         if args.workers is not None and args.subcommand != "sweep":
             raise ConfigError(f"--workers applies only to sweep, not {args.subcommand}")
-        spec = parse_config(args.config, args.set, args.subcommand, _out_dir(args.out, args.subcommand))
-        if args.workers is not None:
-            spec.config["sweep"]["workers"] = args.workers
+        spec = parse_config(args.config, overrides, args.subcommand, _out_dir(args.out, args.subcommand))
     except ConfigError as err:
         print(f"kabc: configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,6 +18,7 @@ from kabc.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
     EXIT_OK,
+    _RUNNERS,
     _write_csv,
     build_profile,
     compute_lagrangian,
@@ -79,8 +80,6 @@ class TestParseConfig:
             parse_config("/nonexistent/config.json", [], "simulate")
 
     def test_sweep_expansion(self, tmp_path):
-        from kabc.cli import _expand_sweep
-
         path = write_config(
             tmp_path,
             {
@@ -89,10 +88,9 @@ class TestParseConfig:
             },
         )
         spec = parse_config(path, [], "sweep")
-        subs = _expand_sweep(spec)
-        assert len(subs) == 4
-        assert [cfg["params"]["b"] for _, cfg in subs] == [0.0, 1.0, 2.0, 3.0]
-        assert [name for name, _ in subs] == ["sub_000_b=0", "sub_001_b=1", "sub_002_b=2", "sub_003_b=3"]
+        assert len(spec.points) == 4
+        assert [point.params.b for _, point in spec.points] == [0.0, 1.0, 2.0, 3.0]
+        assert [name for name, _ in spec.points] == ["sub_000_b=0", "sub_001_b=1", "sub_002_b=2", "sub_003_b=3"]
 
 
     def test_k1_off_family_rejected_at_parse(self, tmp_path, capsys):
@@ -115,6 +113,43 @@ class TestParseConfig:
         assert main(["mms", "--workers", "3", "--out", str(out)]) == EXIT_CONFIG
         assert "--workers applies only to sweep" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_workers_flag_is_the_last_sweep_workers_override(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        axes = 'sweep.axes=[{"key": "t_end", "values": [0.1]}]'
+        assert main(["sweep", "--set", axes, "--set", "sweep.workers=2", "--workers", "0", "--out", str(out)]) == EXIT_CONFIG
+        assert "sweep.workers must be an integer >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "axis, message",
+        [
+            ({"key": "grid.n", "values": [64]}, "fit window holds fewer than 16 grid nodes"),
+            ({"key": "bogus", "values": [1]}, "unknown config keys: bogus"),
+            ({"key": "t_end.x", "values": [1]}, "cannot override through non-mapping key 't_end'"),
+            ({"key": "t_end", "values": 0.5}, "each sweep axis needs a string key and a non-empty values list"),
+            ({"key": 5, "values": [1]}, "each sweep axis needs a string key and a non-empty values list"),
+        ],
+        ids=["fit-window", "unknown-key", "non-mapping", "values-not-list", "key-not-string"],
+    )
+    def test_sweep_point_fails_as_the_single_run(self, tmp_path, capsys, axis, message):
+        # a valid axis point fails with the message of the single run that
+        # takes the sweep's base config with the axis value set
+        config = write_config(tmp_path, {"t_end": 0.5})
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", config, "--set", f"sweep.axes={json.dumps([axis])}", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert not out.exists()
+        if isinstance(axis["key"], str) and isinstance(axis["values"], list):
+            assert re.fullmatch(rf"kabc: configuration error: sweep point sub_000_\S+: {re.escape(message)}\n", err)
+            single = tmp_path / "single"
+            argv = ["simulate", "--config", config, "--set", f"{axis['key']}={json.dumps(axis['values'][0])}"]
+            assert main(argv + ["--out", str(single)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"kabc: configuration error: {message}\n"
+            assert not single.exists()
+        else:
+            assert err == f"kabc: configuration error: {message}, got {axis!r}\n"
 
     def test_sweep_point_rejected_at_parse(self, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -186,6 +221,17 @@ class TestParseConfig:
             ("simulate", ['profile="peakon"'], "profile"),
             ("sweep", ['sweep.axes=[{"key": "fit.side", "values": ["left", "up"]}]'], "fit.side"),
             ("sweep", ['sweep.axes=[{"key": "sobolev_s", "values": [1, -1]}]'], "sobolev_s"),
+            ("simulate", ['spectral_filter="no"'], "spectral_filter"),
+            ("mms", ["spectral_filter=1"], "spectral_filter"),
+            ("simulate", ['write_snapshots="no"'], "write_snapshots"),
+            ("simulate", ["fit.window=5"], "fit.window"),
+            ("simulate", ['fit.window=["a", 3]'], "fit.window"),
+            ("decay-scan", ["fit.window=[11, 5]"], "fit.window"),
+            ("decay-scan", ["fit.window=[5, 11, 12]"], "fit.window"),
+            ("simulate", ['params="ch"'], "params"),
+            ("sweep", ['sweep.workers="x"', 'sweep.axes=[{"key": "t_end", "values": [1]}]'], "sweep.workers"),
+            ("sweep", ["sweep.workers=0", 'sweep.axes=[{"key": "t_end", "values": [1]}]'], "sweep.workers"),
+            ("sweep", ["sweep.workers=2.5", 'sweep.axes=[{"key": "t_end", "values": [1]}]'], "sweep.workers"),
         ],
     )
     def test_stepping_and_study_keys_rejected_at_parse(self, tmp_path, capsys, subcommand, overrides, key):
@@ -541,6 +587,31 @@ class TestOtherSubcommands:
         spec = parse_config(path, [], "simulate", str(tmp_path / "x"))
         with pytest.raises(ConfigError, match="grid mismatch"):
             build_profile(spec)
+
+
+@pytest.mark.parametrize(
+    "subcommand, overrides",
+    [
+        ("simulate", ["grid.n=128", "t_end=0.05", 'profile={"shape": "bump", "width": 2.0}', "write_snapshots=true"]),
+        ("decay-scan", ["grid.n=256", "t_end=0.05", 'profile={"shape": "exp_tail", "theta": 0.5}', "output_stride=5"]),
+        ("peakon-verify", ["grid.n=256", 'peakon_verify={"cases": [{"preset": "forq"}], "t_end": 0.05}']),
+        ("mms", ['params.preset="forq"', "grid.n=32", f"grid.length={2 * math.pi!r}", 'mms={"levels": 2, "t_end": 0.25}']),
+        ("lagrangian", ['params.preset="novikov"', "grid.n=128", f"grid.length={2 * math.pi!r}",
+                        'profile={"shape": "bump", "width": 1.0}', "t_end=0.05", "lagrangian.n_seeds=5"]),
+    ],
+)
+def test_runners_read_only_the_resolved_values(subcommand, overrides):
+    # the raw config is the manifest's record: emptying it after parse_config
+    # must not change what the runner computes
+    def tables_of(spec):
+        _, tables, _ = _RUNNERS[subcommand](spec)
+        return {name: (header, rows.tobytes() if isinstance(rows, np.ndarray) else repr(rows))
+                for name, (header, rows) in tables.items()}
+
+    expected = tables_of(parse_config(None, overrides, subcommand))
+    spec = parse_config(None, overrides, subcommand)
+    spec.config.clear()
+    assert tables_of(spec) == expected
 
 
 class TestSweep:

@@ -326,6 +326,27 @@ class TestSimulate:
         assert [r.t for r in a.records] == [r.t for r in b.records]
         assert [r.hs_norm for r in a.records] == [r.hs_norm for r in b.records]
 
+    def test_forq_step_transforms_forward_once_beyond_its_rhs_calls(self, monkeypatch):
+        # cfl_dt takes u_x (a != 0) from the spectrum simulate steps on, so a
+        # step's forward transforms are its 4 RHS calls' plus its new samples'
+        g = Grid(64, 2 * np.pi)
+        p = preset("forq")
+        u0 = band_limited(g, 8, seed=0)
+        rfft, calls = np.fft.rfft, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        RhsOperator(g, p)(rfft(u0.values), 0.0)
+        per_rhs = len(calls)
+        calls.clear()
+        traj = simulate(SimConfig(params=p, grid=g, t_end=0.05, dt_max=0.01), u0)
+        steps = len(traj.records) - 1
+        assert steps == 5
+        assert len(calls) == 1 + steps * (4 * per_rhs + 1)  # u0's transform first
+
     def test_blowup_contained(self):
         g = Grid(64, 2 * np.pi)
         u0 = Field(g, np.full(64, 1e200))
