@@ -1,20 +1,19 @@
 """Command-line driver: configuration, experiment orchestration, artifacts.
 
-The only module with side effects.  ``parse_config`` resolves a config once
-into a ``RunSpec`` of typed values (a sweep's points included, each through
-the same resolver as a single run), so a bad value exits before any output
-exists.  Each experiment is one pure ``compute_<subcommand>(spec)`` that
-reads only those values and returns its exit code, its CSV tables as
-``{filename: (header, rows)}`` and the manifest extras; ``run`` writes the
-tables plus one JSON manifest into the output directory (``sweep`` writes
-its own aggregate).  The numeric tables (snapshots, particles) are 2-D float
-arrays, written in blocks of rows with ``%.17g``: the same bytes as the
-value-by-value ``_fmt`` path that the small mixed-type tables take.
-Numeric artifacts are reproducible bit-for-bit, manifests differ at most in
-timestamps.
+The only module with side effects.  ``parse_config`` reads every key through
+its entry in one table (``_KEYS``: default and typed reader) and resolves a
+config once into a ``RunSpec`` (a sweep's points too, each as a single run),
+so a bad value exits before any output exists.  Each experiment is one pure
+``compute_<subcommand>(spec)`` that reads only those values and returns its
+exit code, its CSV tables as ``{filename: (header, rows)}`` and the manifest
+extras; ``run`` writes the tables plus one JSON manifest into the output
+directory (``sweep`` writes its own aggregate).  The numeric tables are 2-D
+float arrays, written in blocks of rows with ``%.17g``: the same bytes as
+the value-by-value ``_fmt`` path of the small mixed-type tables.  Numeric
+artifacts are reproducible bit-for-bit, manifests differ in timestamps.
 
 Exit codes: 0 success, 2 blow-up (partial outputs kept), 3 configuration
-error, 4 I/O failure.
+error (command-line usage included), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -54,60 +53,91 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration."""
 
 
-DEFAULT_CONFIG = {
-    "params": {"preset": "ch"},
-    "grid": {"n": 512, "length": 40.0 * math.pi},
-    "profile": {"shape": "peakon", "gamma": 1.0},
-    "t_end": 1.0,
-    "cfl_safety": 0.4,
-    "dt_max": 1e-2,
-    "output_stride": 1,
-    "sobolev_s": 3.0,
-    "spectral_filter": False,
-    "write_snapshots": False,
-    "fit": {"window": None, "side": "right", "theta": 0.5},
-    "peakon_verify": {"cases": None, "t_end": 5.0, "moll_width": None},
-    "mms": {"amplitude": 0.1, "dt0": 0.0625, "levels": 5, "t_end": 1.0},
-    "lagrangian": {"n_seeds": 16, "seeds": None},
-    "sweep": {"subcommand": "simulate", "axes": None, "workers": None},
+def _real(bound: str = "", ok=lambda x: True):
+    """A finite real number (an int or a float, not a bool) for which ok
+    holds; bound says in words what ok asks."""
+    def read(value, key):
+        # abs <= max rejects NaN and, unlike math.isfinite, an int beyond a double
+        real = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (real and abs(value) <= sys.float_info.max and ok(value)):
+            raise ConfigError(f"{key} must be finite{' and ' + bound if bound else ''}, got {value!r}")
+        return float(value)
+    return read
+
+
+def _integer(lo: int = 1):
+    """An integer >= lo, read by the rule of params.as_int."""
+    def read(value, key):
+        try:
+            n = params_mod.as_int(value, key)
+            if n >= lo:
+                return n
+        except (TypeError, ValueError):
+            pass
+        raise ConfigError(f"{key} must be an integer >= {lo}, got {value!r}")
+    return read
+
+
+def _flag(value, key):
+    """true or false; any other value (say the string "no") is rejected."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _choice(*options):
+    def read(value, key):
+        if value not in options:
+            raise ConfigError(f"{key} must be one of {', '.join(map(json.dumps, options))}, got {value!r}")
+        return value
+    return read
+
+
+def _optional(read):
+    """read, or None for a null value."""
+    return lambda value, key: None if value is None else read(value, key)
+
+
+_FINITE = _real()
+_POSITIVE = _real("> 0", lambda x: x > 0.0)
+
+# Every config key, dotted: (default, reader).  reader(value, key) is the
+# typed value or a ConfigError naming key; every scalar key is read on every
+# run, used or not.  None marks a structured key, read by its own reader
+# below: params on every run, sweep.axes by sweep and the others by the
+# runners that use them (_STUDY_READERS).
+_KEYS = {
+    "params": ({"preset": "ch"}, None),
+    "grid.n": (512, _integer(8)),  # and even, checked by _resolve
+    "grid.length": (40.0 * math.pi, _POSITIVE),
+    "profile": ({"shape": "peakon", "gamma": 1.0}, None),
+    "t_end": (1.0, _POSITIVE),
+    "cfl_safety": (0.4, _real("in (0, 1]", lambda x: 0.0 < x <= 1.0)),
+    "dt_max": (1e-2, _POSITIVE),
+    "output_stride": (1, _integer()),
+    "sobolev_s": (3.0, _real(">= 0", lambda x: x >= 0.0)),
+    "spectral_filter": (False, _flag),
+    "write_snapshots": (False, _flag),
+    "fit.window": (None, None),
+    "fit.side": ("right", _choice("left", "right")),
+    "fit.theta": (0.5, _real("in (0, 1)", lambda x: 0.0 < x < 1.0)),
+    "peakon_verify.cases": (None, None),
+    "peakon_verify.t_end": (5.0, _POSITIVE),
+    "peakon_verify.moll_width": (None, _optional(_POSITIVE)),
+    # a zero amplitude has a zero error, so no observed order
+    "mms.amplitude": (0.1, _real("nonzero", lambda x: x != 0.0)),
+    "mms.dt0": (0.0625, _POSITIVE),
+    "mms.levels": (5, _integer()),
+    "mms.t_end": (1.0, _POSITIVE),
+    "lagrangian.n_seeds": (16, _integer()),
+    "lagrangian.seeds": (None, None),
+    "sweep.subcommand": ("simulate", _choice(*(name for name in SUBCOMMANDS if name != "sweep"))),
+    "sweep.axes": (None, None),
+    "sweep.workers": (None, _optional(_integer())),
 }
 
 _PARAMS_KEYS = {"preset", "k", "a", "b", "c"}
 _PROFILE_KEYS = {"shape", "gamma", "theta", "width", "moll_width", "path"}
-
-
-def _check_keys(cfg: dict) -> None:
-    unknown = []
-    for key, val in cfg.items():
-        if key not in DEFAULT_CONFIG:
-            unknown.append(key)
-            continue
-        base = DEFAULT_CONFIG[key]
-        if isinstance(base, dict) and isinstance(val, dict) and key not in ("params", "profile"):
-            for sub in val:
-                if sub not in base:
-                    unknown.append(f"{key}.{sub}")
-    if "params" in cfg and isinstance(cfg["params"], dict):
-        unknown += [f"params.{s}" for s in cfg["params"] if s not in _PARAMS_KEYS]
-    if "profile" in cfg and isinstance(cfg["profile"], dict):
-        unknown += [f"profile.{s}" for s in cfg["profile"] if s not in _PROFILE_KEYS]
-    if unknown:
-        raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
-
-
-# params/profile are alternative-shaped blocks (preset vs quadruple, one
-# shape per profile): a user block replaces the default instead of merging
-_ATOMIC_KEYS = ("params", "profile")
-
-
-def _merge(base: dict, override: dict, atomic=()) -> dict:
-    out = copy.deepcopy(base)
-    for key, val in override.items():
-        if key not in atomic and isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
-    return out
 
 
 def _set_dotted(cfg: dict, dotted: str, value) -> None:
@@ -119,6 +149,33 @@ def _set_dotted(cfg: dict, dotted: str, value) -> None:
         if not isinstance(node, dict):
             raise ConfigError(f"cannot override through non-mapping key {key!r}")
     node[keys[-1]] = value
+
+
+DEFAULT_CONFIG: dict = {}
+for _key in _KEYS:
+    _set_dotted(DEFAULT_CONFIG, _key, _KEYS[_key][0])
+
+
+def _merged(cfg: dict) -> dict:
+    """cfg over the defaults: a block (fit, mms, ...) merges key by key, any
+    other value replaces its default whole.  Unknown keys are fatal, listed."""
+    out, unknown = copy.deepcopy(DEFAULT_CONFIG), []
+    for key, val in copy.deepcopy(cfg).items():
+        if key in _KEYS:
+            out[key] = val
+        elif key not in out:
+            unknown.append(key)
+        elif not isinstance(val, dict):
+            raise ConfigError(f"{key} must be an object, got {val!r}")
+        else:
+            unknown += [f"{key}.{sub}" for sub in val if sub not in out[key]]
+            out[key].update(val)
+    for block, known in (("params", _PARAMS_KEYS), ("profile", _PROFILE_KEYS)):
+        if isinstance(out[block], dict):
+            unknown += [f"{block}.{sub}" for sub in out[block] if sub not in known]
+    if unknown:
+        raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
+    return out
 
 
 def resolve_params(block: dict) -> Params:
@@ -147,16 +204,16 @@ DEFAULT_PEAKON_CASES = (
 @dataclass(frozen=True)
 class RunSpec:
     """A run resolved once by parse_config: the typed values its runner
-    reads.  Beyond params and grid, only the fields that spec.subcommand's
-    runner reads are set (see _STUDY_READERS).  config is the merged raw
-    configuration, kept only for the manifest."""
+    reads.  The structured fields (see _STUDY_READERS) are set only for the
+    subcommands whose runner reads them, points only for sweep.  config is
+    the merged raw configuration, kept only for the manifest."""
 
     subcommand: str
     config: dict
     out_dir: str
     params: Params
     grid: Grid
-    sim: SimConfig | None = None  # what the runner steps with; None for sweep
+    sim: SimConfig  # what the runner steps with
     profile: tuple | None = None  # (shape, moll_width), or (path, None) for a file profile
     fit_window: tuple[float, float] | None = None
     fit_side: str | None = None
@@ -179,8 +236,8 @@ def parse_config(path=None, overrides=(), subcommand="simulate", out_dir=None) -
         try:
             with open(path) as fh:
                 cfg = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
+        except OSError as err:
+            raise ConfigError(f"cannot read config file: {err}") from None
         except json.JSONDecodeError as err:
             raise ConfigError(f"malformed config file {path}: {err}") from None
         if not isinstance(cfg, dict):
@@ -199,33 +256,14 @@ def parse_config(path=None, overrides=(), subcommand="simulate", out_dir=None) -
     return _resolve(subcommand, cfg, out_dir or "")
 
 
-def _finite(value, key: str, positive: bool = False) -> float:
-    """value as a finite float (> 0 when positive), or a ConfigError naming key."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if not math.isfinite(x) or (positive and not x > 0.0):
-        raise ConfigError(f"{key} must be {'positive and ' if positive else ''}finite, got {value!r}")
-    return x
-
-
-def _flag(cfg: dict, key: str) -> bool:
-    """A boolean key; any other value (say the string "no") is a ConfigError."""
-    if not isinstance(cfg[key], bool):
-        raise ConfigError(f"{key} must be true or false, got {cfg[key]!r}")
-    return cfg[key]
-
-
 # shape name -> (profile class, its key, default); only the peakon's
 # amplitude may be zero or negative
 _PROFILE_SHAPES = {"peakon": (Peakon, "gamma", 1.0), "exp_tail": (ExpTail, "theta", 0.5), "bump": (Bump, "width", 2.0)}
 
 
-def _profile_shape(cfg: dict, grid: Grid):
-    """(shape, moll_width) of the profile block, or (path, None) for a file
-    profile; a ConfigError names the offending key."""
-    prof = cfg["profile"]
+def _profile_shape(vals: dict, grid: Grid):
+    """(shape, moll_width) of the profile block, or (path, None) for a file."""
+    prof = vals["profile"]
     if not isinstance(prof, dict):
         raise ConfigError(f"profile must be an object, got {prof!r}")
     shape = str(prof.get("shape", "peakon")).lower()
@@ -236,24 +274,23 @@ def _profile_shape(cfg: dict, grid: Grid):
     if shape not in _PROFILE_SHAPES:
         raise ConfigError(f"unknown profile shape {shape!r}")
     cls, key, default = _PROFILE_SHAPES[shape]
-    value = _finite(prof.get(key, default), f"profile.{key}", positive=cls is not Peakon)
+    value = (_FINITE if cls is Peakon else _POSITIVE)(prof.get(key, default), f"profile.{key}")
     if cls is Bump and value > grid.length / 4.0:
         raise ConfigError(f"profile.width exceeds a quarter of the box, got {value!r}")
-    moll = prof.get("moll_width")
-    moll = 3.0 * grid.dx if moll is None else _finite(moll, "profile.moll_width", positive=True)
-    return cls(value), moll
+    moll = _optional(_POSITIVE)(prof.get("moll_width"), "profile.moll_width")
+    return cls(value), 3.0 * grid.dx if moll is None else moll
 
 
-def _fit_window(cfg: dict, grid: Grid) -> tuple[float, float]:
+def _fit_window(vals: dict, grid: Grid) -> tuple[float, float]:
     """fit.window, or the default tail window; it must hold 16 grid nodes
     and stay clear of the wrap-around seam."""
-    win = cfg["fit"]["window"]
+    win = vals["fit.window"]
     if win is None:
         lo, hi = default_tail_window(grid)
     else:
         if not isinstance(win, list) or len(win) != 2:
             raise ConfigError(f"fit.window must be [x_lo, x_hi], got {win!r}")
-        lo, hi = (_finite(x, "fit.window") for x in win)
+        lo, hi = (_FINITE(x, "fit.window") for x in win)
         if not lo < hi:
             raise ConfigError(f"fit.window must be [x_lo, x_hi] with x_lo < x_hi, got {win!r}")
     if (hi - lo) / grid.dx < 16:
@@ -263,38 +300,10 @@ def _fit_window(cfg: dict, grid: Grid) -> tuple[float, float]:
     return lo, hi
 
 
-def _fit_side(cfg: dict, grid: Grid) -> str:
-    side = cfg["fit"]["side"]
-    if side not in ("left", "right"):
-        raise ConfigError(f"fit.side must be \"left\" or \"right\", got {side!r}")
-    return side
-
-
-def _fit_theta(cfg: dict, grid: Grid) -> float:
-    """The reference exponent of decay-scan, inside (0, 1)."""
-    theta = _finite(cfg["fit"]["theta"], "fit.theta")
-    if not 0.0 < theta < 1.0:
-        raise ConfigError(f"fit.theta must lie in (0, 1), got {theta!r}")
-    return theta
-
-
-def _mms_study(cfg: dict, grid: Grid) -> tuple[float, float, int]:
-    """(amplitude, dt0, levels) of the mms block."""
-    block = cfg["mms"]
-    amp = _finite(block["amplitude"], "mms.amplitude")
-    if amp == 0.0:  # a zero error has no observed order
-        raise ConfigError("mms.amplitude must be nonzero")
-    levels = int(block["levels"])
-    if levels < 1:
-        raise ConfigError(f"mms.levels must be >= 1, got {block['levels']!r}")
-    return amp, _finite(block["dt0"], "mms.dt0", positive=True), levels
-
-
-def _peakon_cases(cfg: dict, grid: Grid) -> tuple:
+def _peakon_cases(vals: dict, grid: Grid) -> tuple:
     """(label, params, gamma) of each peakon_verify case; a ConfigError
     names the offending case."""
-    cases = cfg["peakon_verify"]["cases"]
-    cases = DEFAULT_PEAKON_CASES if cases is None else cases
+    cases = DEFAULT_PEAKON_CASES if vals["peakon_verify.cases"] is None else vals["peakon_verify.cases"]
     if not isinstance(cases, (list, tuple)) or not cases:
         raise ConfigError("peakon_verify.cases must be a non-empty list")
     resolved = []
@@ -305,78 +314,40 @@ def _peakon_cases(cfg: dict, grid: Grid) -> tuple:
             unknown = sorted(set(case) - _PARAMS_KEYS - {"gamma"})
             if unknown:
                 raise ConfigError(f"unknown keys {unknown}")
-            gamma = float(case.get("gamma", 1.0))
-            if not (math.isfinite(gamma) and gamma > 0.0):
-                raise ConfigError(f"gamma must be finite and > 0, got {gamma!r}")
-            p = resolve_params({k: v for k, v in case.items() if k != "gamma"})
-        except (TypeError, ValueError) as err:
+            gamma = _POSITIVE(case.get("gamma", 1.0), "gamma")
+            p = resolve_params({key: val for key, val in case.items() if key != "gamma"})
+        except ConfigError as err:
             raise ConfigError(f"peakon_verify.cases[{i}] {json.dumps(case)}: {err}") from None
         resolved.append((str(case.get("preset", "custom")), p, gamma))
     return tuple(resolved)
 
 
-def _peakon_moll_width(cfg: dict, grid: Grid) -> float:
-    """peakon_verify.moll_width, or one grid step."""
-    moll = cfg["peakon_verify"]["moll_width"]
-    return grid.dx if moll is None else _finite(moll, "peakon_verify.moll_width", positive=True)
-
-
-def _lagrangian_seeds(cfg: dict, grid: Grid) -> np.ndarray:
+def _lagrangian_seeds(vals: dict, grid: Grid) -> np.ndarray:
     """lagrangian.seeds, or n_seeds points spread over the middle quarter
     of the box."""
-    block = cfg["lagrangian"]
-    if block["seeds"] is not None:
-        seeds = np.asarray([float(s) for s in block["seeds"]])
-        if seeds.size == 0 or not np.all(np.isfinite(seeds)):
-            raise ConfigError(f"lagrangian.seeds must be a non-empty list of finite numbers, got {block['seeds']!r}")
-        return seeds
-    count = int(block["n_seeds"])
-    if count < 1:
-        raise ConfigError(f"lagrangian.n_seeds must be >= 1, got {block['n_seeds']!r}")
-    return grid.length / 2.0 + grid.length / 8.0 * np.linspace(-1.0, 1.0, count)
+    seeds = vals["lagrangian.seeds"]
+    if seeds is None:
+        return grid.length / 2.0 + grid.length / 8.0 * np.linspace(-1.0, 1.0, vals["lagrangian.n_seeds"])
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigError(f"lagrangian.seeds must be a non-empty list of finite numbers, got {seeds!r}")
+    return np.array([_FINITE(s, "lagrangian.seeds") for s in seeds])
 
 
-# the RunSpec fields each runner reads beyond params, grid and sim, and
-# the reader of each: reader(merged config, grid) -> the field's value
+# the structured RunSpec fields each runner reads, and the reader of each:
+# reader(values by dotted key, grid) is the field's value
 _STUDY_READERS = {
-    "simulate": {
-        "profile": _profile_shape, "fit_window": _fit_window, "fit_side": _fit_side,
-        "write_snapshots": lambda cfg, grid: _flag(cfg, "write_snapshots"),
-    },
-    "decay-scan": {"profile": _profile_shape, "fit_window": _fit_window, "fit_side": _fit_side, "fit_theta": _fit_theta},
+    "simulate": {"profile": _profile_shape, "fit_window": _fit_window},
+    "decay-scan": {"profile": _profile_shape, "fit_window": _fit_window},
     "lagrangian": {"profile": _profile_shape, "seeds": _lagrangian_seeds},
-    "mms": {"mms": _mms_study},
-    "peakon-verify": {"peakon_cases": _peakon_cases, "peakon_moll_width": _peakon_moll_width},
+    "peakon-verify": {"peakon_cases": _peakon_cases},
 }
 
 
-def _sim_config(cfg: dict, subcommand: str, params: Params, grid: Grid, study: dict) -> SimConfig:
-    """The SimConfig the runner of subcommand steps with.  peakon-verify and
-    mms have their own t_end; an mms level steps at a fixed dt (dt0 here,
-    each level replaces dt_max) and keeps only its final state."""
-    stepping = {
-        "cfl_safety": float(cfg["cfl_safety"]),
-        "dt_max": float(cfg["dt_max"]),
-        "output_stride": int(cfg["output_stride"]),
-        "sobolev_s": float(cfg["sobolev_s"]),
-        "spectral_filter": _flag(cfg, "spectral_filter"),
-    }
-    t_end = cfg["t_end"]
-    if subcommand == "peakon-verify":
-        t_end = cfg["peakon_verify"]["t_end"]
-    elif subcommand == "mms":
-        t_end = cfg["mms"]["t_end"]
-        stepping.update(cfl_safety=1.0, dt_max=study["mms"][1], output_stride=10**9)
-    return SimConfig(params=params, grid=grid, t_end=float(t_end), **stepping)
-
-
-def _sweep_points(cfg: dict, out_dir: str) -> tuple:
+def _sweep_points(cfg: dict, vals: dict, out_dir: str) -> tuple:
     """(name, RunSpec) of every point of the product of the sweep axes, each
     resolved by _resolve as the single run of sweep.subcommand whose config
     is the sweep's with the point's axis keys set."""
-    target, axes = cfg["sweep"]["subcommand"], cfg["sweep"]["axes"]
-    if target not in SUBCOMMANDS or target == "sweep":
-        raise ConfigError(f"sweep.subcommand must be a non-sweep subcommand, got {target!r}")
+    axes = vals["sweep.axes"]
     if not isinstance(axes, list) or not axes:
         raise ConfigError(f"sweep.axes must be a non-empty list, got {axes!r}")
     combos = [[]]
@@ -384,55 +355,55 @@ def _sweep_points(cfg: dict, out_dir: str) -> tuple:
         if not (isinstance(ax, dict) and isinstance(ax.get("key"), str) and isinstance(ax.get("values"), list)
                 and ax["values"]):
             raise ConfigError(f"each sweep axis needs a string key and a non-empty values list, got {ax!r}")
-        combos = [c + [(ax["key"], v)] for c in combos for v in ax["values"]]
+        combos = [c + [(ax["key"], value)] for c in combos for value in ax["values"]]
     points = []
     for i, combo in enumerate(combos):
         labels = [f"{key.split('.')[-1]}={format(value, 'g') if isinstance(value, float) else value}"
                   for key, value in combo]
         # one flat directory per point, whatever characters the values hold
         name = re.sub(r"[^A-Za-z0-9._=+-]", "_", f"sub_{i:03d}_" + "_".join(labels))
-        point = copy.deepcopy(cfg)
-        point["sweep"] = copy.deepcopy(DEFAULT_CONFIG["sweep"])
+        point = copy.deepcopy(dict(cfg, sweep={}))  # a point is no sweep
         try:
             for key, value in combo:
                 _set_dotted(point, key, value)
-            points.append((name, _resolve(target, point, os.path.join(out_dir, name))))
+            points.append((name, _resolve(vals["sweep.subcommand"], point, os.path.join(out_dir, name))))
         except ConfigError as err:
             raise ConfigError(f"sweep point {name}: {err}") from None
     return tuple(points)
 
 
-def _sweep_workers(cfg: dict) -> int:
-    """sweep.workers (also set by --workers), or one per CPU."""
-    workers = cfg["sweep"]["workers"]
-    if workers is None:
-        return os.cpu_count() or 1
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ConfigError(f"sweep.workers must be an integer >= 1, got {workers!r}")
-    return workers
-
-
 def _resolve(subcommand: str, cfg: dict, out_dir: str) -> RunSpec:
-    """Check the keys of cfg, fill the defaults and read every value the
-    runner of subcommand uses: the one path from a config to a RunSpec, for
-    a single run and for each sweep point alike."""
-    _check_keys(cfg)
-    cfg = _merge(DEFAULT_CONFIG, cfg, atomic=_ATOMIC_KEYS)
+    """Check the keys of cfg, fill the defaults, read every key and then the
+    structured keys the runner of subcommand uses: the one path from a
+    config to a RunSpec, for a single run and for each sweep point alike."""
+    cfg = _merged(cfg)
     p = resolve_params(cfg["params"])
-    try:
-        grid = Grid(int(cfg["grid"]["n"]), float(cfg["grid"]["length"]))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"invalid grid: {err}") from None
-    base = {"subcommand": subcommand, "config": cfg, "out_dir": out_dir, "params": p, "grid": grid}
-    try:
-        if subcommand == "sweep":
-            return RunSpec(**base, points=_sweep_points(cfg, out_dir), workers=_sweep_workers(cfg))
-        study = {name: read(cfg, grid) for name, read in _STUDY_READERS[subcommand].items()}
-        return RunSpec(**base, sim=_sim_config(cfg, subcommand, p, grid, study), **study)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"invalid {subcommand} settings: {err}") from None
+    vals = {}  # every key's value, typed where _KEYS gives a reader
+    for key, (_, read) in _KEYS.items():
+        block, dot, leaf = key.partition(".")
+        raw = cfg[block][leaf] if dot else cfg[key]
+        vals[key] = raw if read is None else read(raw, key)
+    if vals["grid.n"] % 2:
+        raise ConfigError(f"grid.n must be even, got {vals['grid.n']}")
+    grid = Grid(vals["grid.n"], vals["grid.length"])
+    # peakon-verify and mms have their own t_end; an mms level steps at a
+    # fixed dt (dt0 here, each level replaces dt_max), keeping its end only
+    stepping = {key: vals[key] for key in ("cfl_safety", "dt_max", "output_stride", "sobolev_s", "spectral_filter")}
+    t_end = {"peakon-verify": vals["peakon_verify.t_end"], "mms": vals["mms.t_end"]}.get(subcommand, vals["t_end"])
+    if subcommand == "mms":
+        stepping.update(cfl_safety=1.0, dt_max=vals["mms.dt0"], output_stride=10**9)
+    spec = RunSpec(
+        subcommand=subcommand, config=cfg, out_dir=out_dir, params=p, grid=grid,
+        sim=SimConfig(params=p, grid=grid, t_end=t_end, **stepping),
+        fit_side=vals["fit.side"], fit_theta=vals["fit.theta"], write_snapshots=vals["write_snapshots"],
+        mms=(vals["mms.amplitude"], vals["mms.dt0"], vals["mms.levels"]),
+        # both are null or positive, so `or` picks the default for null only
+        peakon_moll_width=vals["peakon_verify.moll_width"] or grid.dx,
+        workers=vals["sweep.workers"] or os.cpu_count() or 1,
+    )
+    if subcommand == "sweep":
+        return replace(spec, points=_sweep_points(cfg, vals, out_dir))
+    return replace(spec, **{field: read(vals, grid) for field, read in _STUDY_READERS.get(subcommand, {}).items()})
 
 
 def build_profile(spec: RunSpec) -> Field:
@@ -735,7 +706,7 @@ def run_sweep(spec: RunSpec):
         agg_lines += [f"{name},{ln}" for ln in lines[1:]]
     with open(os.path.join(spec.out_dir, "aggregate.csv"), "w") as fh:
         fh.write("\n".join(agg_lines) + ("\n" if agg_lines else ""))
-    return max(codes), {}, {"sub_runs": names}
+    return max(codes), {}, {"sub_runs": names, "sub_run_exits": codes}
 
 
 _RUNNERS = {
@@ -749,7 +720,9 @@ _RUNNERS = {
 
 
 def run(spec: RunSpec) -> int:
-    """Execute a resolved RunSpec, writing artifacts under spec.out_dir."""
+    """Execute a resolved RunSpec, writing artifacts under spec.out_dir.  A
+    run that fails once started (blow-up, a profile file that is missing or
+    does not fit the grid) still writes its manifest, with the error."""
     os.makedirs(spec.out_dir, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.perf_counter()
@@ -757,24 +730,29 @@ def run(spec: RunSpec) -> int:
         code, tables, extras = _RUNNERS[spec.subcommand](spec)
         for name, (header, rows) in tables.items():
             _write_csv(os.path.join(spec.out_dir, name), header, rows)
-        result = {"exit": code, **extras}
     except (dynamics.BlowUpError, lagrangian.WaveBreakingError) as err:
-        result = {"exit": EXIT_BLOWUP, "error": str(err)}
-        code = EXIT_BLOWUP
-    manifest = _manifest(spec, started, time.perf_counter() - t0, result)
+        code, extras = EXIT_BLOWUP, {"error": str(err)}
+    except ConfigError as err:
+        code, extras = EXIT_CONFIG, {"error": str(err)}
+        print(f"kabc: configuration error: {err}", file=sys.stderr)
+    except OSError as err:
+        code, extras = EXIT_IO, {"error": str(err)}
+        print(f"kabc: I/O error: {err}", file=sys.stderr)
+    manifest = _manifest(spec, started, time.perf_counter() - t0, {"exit": code, **extras})
     _write_manifest(spec.out_dir, manifest)
     return code
 
 
-def _out_dir(arg_out, subcommand) -> str:
-    if arg_out:
-        return arg_out
-    root = os.environ.get(OUT_ROOT_ENV, "runs")
-    return os.path.join(root, subcommand)
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 3, not argparse's 2 (the blow-up code)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kabc",
         description="Pseudospectral simulator and verification harness for the "
         "k-abc family of nonlinear wave equations.",
@@ -788,23 +766,21 @@ def main(argv=None) -> int:
             help="override a (dotted) config key; numbers parsed as decimal doubles",
         )
         sp.add_argument("--out", default=None, help=f"output directory (default ${OUT_ROOT_ENV}/<subcommand>)")
-        sp.add_argument("--workers", default=None, type=int, help="sweep worker pool size")
-    args = parser.parse_args(argv)
-    # --workers is the last sweep.workers override
-    overrides = args.set + ([] if args.workers is None else [f"sweep.workers={args.workers}"])
+        sp.add_argument("--workers", default=None, help="sweep worker pool size")
     try:
+        args = parser.parse_args(argv)
         if args.workers is not None and args.subcommand != "sweep":
             raise ConfigError(f"--workers applies only to sweep, not {args.subcommand}")
-        spec = parse_config(args.config, overrides, args.subcommand, _out_dir(args.out, args.subcommand))
+        # --workers is the last sweep.workers override, read as --set reads it
+        overrides = args.set + ([] if args.workers is None else [f"sweep.workers={args.workers}"])
+        out_dir = args.out or os.path.join(os.environ.get(OUT_ROOT_ENV, "runs"), args.subcommand)
+        spec = parse_config(args.config, overrides, args.subcommand, out_dir)
     except ConfigError as err:
         print(f"kabc: configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         return run(spec)
-    except ConfigError as err:
-        print(f"kabc: configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as err:
+    except OSError as err:  # no writable output directory
         print(f"kabc: I/O error: {err}", file=sys.stderr)
         return EXIT_IO
 

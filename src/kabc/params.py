@@ -29,7 +29,7 @@ class Params:
     c: float
 
     def __post_init__(self):
-        k = _degree(self.k)
+        k = as_int(self.k)
         object.__setattr__(self, "k", k)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -43,15 +43,16 @@ class Params:
         _check_powers(self)
 
 
-def _degree(k) -> int:
-    """k as an int; an integral float is accepted, anything else rejected."""
-    if isinstance(k, float):
-        if not k.is_integer():
-            raise ValueError(f"k must be an integer, got {k!r}")
-        k = int(k)
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise TypeError(f"k must be an integer, got {k!r}")
-    return k
+def as_int(value, name: str = "k") -> int:
+    """value as an int: an integral float reads as its int; a fraction, a
+    bool or any other type is rejected with an error naming name."""
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def validate(k, a, b, c) -> Params:
@@ -82,7 +83,7 @@ def preset(name: str, **free) -> Params:
         return Params(*_FIXED_PRESETS[key])
     try:
         if key == "gkbch":
-            k, b = _degree(free.pop("k")), float(free.pop("b"))
+            k, b = as_int(free.pop("k")), float(free.pop("b"))
             if free:
                 raise TypeError(f"unexpected parameters for gkbch: {sorted(free)}")
             return Params(k, 0.0, b, (3.0 * k - b) / 2.0)
@@ -157,8 +158,8 @@ def h1_conserved(p: Params) -> bool:
     """Whether the squared H^1 norm is invariant under the flow.
 
     The condition is 9a + b + 4c = 9 for k = 2, and a = 0 together with
-    2c + (2/k)(b + 2c - 3k) + 1 = 2k for k >= 3.  For k = 1 the k >= 3
-    formula is evaluated as an extrapolation (see h1_condition_label).
+    2c + (2/k)(b + 2c - 3k) + 1 = 2k for k >= 3 and for k = 1, where on the
+    admissible line b + 2c = 3 it holds at CH (b = 2) only.
     """
     k, a, b, c = p.k, p.a, p.b, p.c
     if k == 2:
@@ -169,13 +170,12 @@ def h1_conserved(p: Params) -> bool:
 
 
 def h1_condition_label(p: Params) -> str:
-    """Which conservation condition h1_conserved applied: "k2", "k3plus", or
-    "k1-extrapolated-unverified" (the k = 1 case is not covered by the
-    analysis the condition comes from)."""
+    """Which conservation condition h1_conserved applied: "k1", "k2" or
+    "k3plus"."""
     if p.k == 2:
         return "k2"
     if p.k == 1:
-        return "k1-extrapolated-unverified"
+        return "k1"
     return "k3plus"
 
 

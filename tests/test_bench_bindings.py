@@ -5,7 +5,9 @@ from outside, and ``bench/run.py``'s ``layer_metrics`` looks the wrapped
 names up in its report, so a renamed or removed binding fails every
 benchmark run.  This runs the benchmark's own traced run at smoke size
 (small enough for the test suite) and checks that it yields every
-per-layer metric that ``BENCHMARK.json`` lists.
+per-layer metric that ``BENCHMARK.json`` lists, with the deterministic
+step, RHS and FFT counts pinned exactly, so a change in the work a run does
+shows up here.
 """
 
 import json
@@ -29,7 +31,11 @@ def bench():
     return run, workloads
 
 
-@pytest.mark.parametrize("name", ["mms-32", "lagrangian-256"])
+# (dynamics.steps, dynamics.rhs_calls, spectral.fft_calls) of each smoke run
+SMOKE_COUNTS = {"mms-32": (30, 184, 1206), "lagrangian-256": (20, 80, 525)}
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE_COUNTS))
 def test_traced_smoke_run_yields_every_layer_metric(bench, name, tmp_path):
     run, workloads = bench
     workload = next(w for w in workloads.SMOKE if w.name == name)
@@ -40,3 +46,5 @@ def test_traced_smoke_run_yields_every_layer_metric(bench, name, tmp_path):
         listed = {m["name"] for m in json.load(fh)["per_layer"]}
     # trace.overhead_s compares traced and untraced wall times across runs
     assert listed - {"trace.overhead_s"} <= set(layer)
+    counts = tuple(layer[key] for key in ("dynamics.steps", "dynamics.rhs_calls", "spectral.fft_calls"))
+    assert counts == SMOKE_COUNTS[name]

@@ -17,7 +17,11 @@ from kabc.cli import (
     ConfigError,
     EXIT_BLOWUP,
     EXIT_CONFIG,
+    EXIT_IO,
     EXIT_OK,
+    SUBCOMMANDS,
+    RunSpec,
+    _KEYS,
     _RUNNERS,
     _write_csv,
     build_profile,
@@ -232,6 +236,13 @@ class TestParseConfig:
             ("sweep", ['sweep.workers="x"', 'sweep.axes=[{"key": "t_end", "values": [1]}]'], "sweep.workers"),
             ("sweep", ["sweep.workers=0", 'sweep.axes=[{"key": "t_end", "values": [1]}]'], "sweep.workers"),
             ("sweep", ["sweep.workers=2.5", 'sweep.axes=[{"key": "t_end", "values": [1]}]'], "sweep.workers"),
+            ("simulate", ["output_stride=2.5"], "output_stride"),
+            ("simulate", ["grid.n=128.7"], "grid.n"),
+            ("mms", ["mms.levels=2.9"], "mms.levels"),
+            ("lagrangian", ["lagrangian.n_seeds=3.5"], "lagrangian.n_seeds"),
+            ("simulate", ['cfl_safety="x"'], "cfl_safety"),
+            ("simulate", ['output_stride="x"'], "output_stride"),
+            ("simulate", ["t_end.x=1"], "t_end"),
         ],
     )
     def test_stepping_and_study_keys_rejected_at_parse(self, tmp_path, capsys, subcommand, overrides, key):
@@ -245,6 +256,60 @@ class TestParseConfig:
         assert key in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestParseFuzz:
+    # values on each side of every bound in the key table (0 and 1 for the
+    # reals, 1 and 8 for the integers), and wrong-typed values
+    EDGES = (0, 1, -1, 0.5, 1.5, -0.0, 1e-300, 7, 8, 9, 10, 2.5, "x", "left", True, False, None,
+             math.nan, math.inf, -math.inf, {"x": 1}, [1.0], [5.0, 11.0])
+    INTEGER_KEYS = ("grid.n", "output_stride", "mms.levels", "lagrangian.n_seeds", "sweep.workers")
+
+    @staticmethod
+    def rejected(key, value):
+        """Whether the table's reader of key rejects value on its own."""
+        read = _KEYS[key][1]
+        try:
+            read(value, key)
+        except ConfigError:
+            return True
+        return False
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        subcommand=st.sampled_from(SUBCOMMANDS),
+        changes=st.lists(
+            st.sampled_from(sorted(_KEYS)).flatmap(
+                lambda key: st.tuples(st.just(key), st.sampled_from((_KEYS[key][0],) + TestParseFuzz.EDGES))
+            ),
+            max_size=3,
+        ),
+    )
+    def test_parse_gives_a_spec_or_a_config_error_naming_the_key(self, subcommand, changes):
+        changes = dict(changes)
+        overrides = ['sweep.axes=[{"key": "t_end", "values": [0.5]}]']
+        overrides += [f"{key}={json.dumps(value)}" for key, value in changes.items()]
+        bad = []
+        for key, value in changes.items():
+            if _KEYS[key][1] is None:
+                continue
+            # a string is the right type for the choice keys only, whose default is a string
+            wrong_type = isinstance(value, (dict, list)) or (isinstance(value, float) and not math.isfinite(value))
+            wrong_type |= isinstance(value, str) and not isinstance(_KEYS[key][0], str)
+            if wrong_type or (key in self.INTEGER_KEYS and value == 2.5):
+                assert self.rejected(key, value), (key, value)
+            if self.rejected(key, value):
+                bad.append(key)
+        try:
+            spec = parse_config(None, overrides, subcommand, "out")
+        except ConfigError as err:
+            # a changed structured key (params, profile, ...) may fail first,
+            # under its own message
+            structured = any(_KEYS[key][1] is None for key in changes)
+            assert not bad or structured or any(key in str(err) for key in bad), (bad, str(err))
+        else:
+            assert isinstance(spec, RunSpec)
+            assert not bad
 
 
 class TestCsvWriter:
@@ -358,7 +423,7 @@ class TestRunSimulate:
         assert np.all(final.values == 0.0)
         man = manifest_of(out)
         assert man["result"]["exit"] == EXIT_OK
-        assert man["h1_condition"] == "k1-extrapolated-unverified"
+        assert man["h1_condition"] == "k1"
 
     def test_blowup_exit_code_and_partial_outputs(self, tmp_path):
         out = str(tmp_path / "blow")
@@ -674,6 +739,31 @@ class TestSweep:
         assert all(re.fullmatch(r"[A-Za-z0-9._=+-]+", name) for name in names)
         assert sorted(os.listdir(out)) == sorted(names + ["aggregate.csv", "manifest.json"])
 
+    def test_failing_points_do_not_stop_the_sweep(self, tmp_path, capsys):
+        # a missing file fails with an I/O error (4), a file on another grid
+        # with a configuration error (3); every point still runs
+        good, other_grid = tmp_path / "u0.csv", tmp_path / "u0_64.csv"
+        for path, n in ((good, 128), (other_grid, 64)):
+            g = Grid(n, 40 * math.pi)
+            write_snapshot(Field(g, np.exp(-np.abs(g.nodes - g.length / 2))), path)
+        paths = [str(tmp_path / "missing.csv"), str(good), str(other_grid)]
+        sweep = {"axes": [{"key": "profile.path", "values": paths}], "workers": 1}
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--set", "grid.n=128", "--set", "t_end=0.05", "--set", 'profile={"shape": "file"}',
+                "--set", f"sweep={json.dumps(sweep)}", "--out", str(out)]
+        assert main(argv) == EXIT_IO  # the worst point's code
+        result = manifest_of(out)["result"]
+        assert result["sub_run_exits"] == [EXIT_IO, EXIT_OK, EXIT_CONFIG]
+        for name, code in zip(result["sub_runs"], result["sub_run_exits"]):
+            assert manifest_of(out / name)["result"]["exit"] == code
+        assert "missing.csv" in manifest_of(out / result["sub_runs"][0])["result"]["error"]
+        assert "grid mismatch" in manifest_of(out / result["sub_runs"][2])["result"]["error"]
+        agg = (out / "aggregate.csv").read_text().splitlines()
+        assert [line.split(",", 1)[0] for line in agg[1:]] == [result["sub_runs"][1]]
+        err = capsys.readouterr().err
+        assert "kabc: I/O error: " in err and "kabc: configuration error: " in err
+        assert "Traceback" not in err
+
 
 class TestMainEntry:
     def test_exit_codes(self, tmp_path, monkeypatch):
@@ -695,9 +785,31 @@ class TestMainEntry:
         # env-var output root was honored
         assert os.path.exists(tmp_path / "root" / "simulate" / "manifest.json")
 
-    def test_io_error_exit_code(self, tmp_path):
-        from kabc.cli import EXIT_IO
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--bogus"], "unrecognized arguments: --bogus"),
+            (["sweep", "--workers", "2.5"], "sweep.workers must be an integer >= 1, got 2.5"),
+            ([], "the following arguments are required: subcommand"),
+        ],
+        ids=["unknown-flag", "fractional-workers", "no-subcommand"],
+    )
+    def test_usage_errors_exit_3(self, tmp_path, monkeypatch, capsys, argv, message):
+        # argparse's own exit code, 2, is the blow-up code
+        monkeypatch.setenv("KABC_OUT", str(tmp_path / "root"))
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"kabc: configuration error: {message}"
+        assert "Traceback" not in err
+        assert not (tmp_path / "root").exists()
 
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["simulate", "--help"])
+        assert stop.value.code == 0
+        assert "--workers" in capsys.readouterr().out
+
+    def test_io_error_exit_code(self, tmp_path):
         ok = write_config(
             tmp_path,
             {
@@ -727,11 +839,18 @@ class TestMainEntry:
 
 
 class TestReadme:
-    def test_config_table_lists_every_top_level_key(self):
+    @staticmethod
+    def config_table():
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        table = readme.split("| key | default | meaning |", 1)[1].split("\n\n", 1)[0]
+        return readme.split("| key | default | meaning |", 1)[1].split("\n\n", 1)[0]
+
+    def test_config_table_lists_every_top_level_key(self):
         listed = []
-        for row in table.splitlines():
+        for row in self.config_table().splitlines():
             if row.startswith("| `"):
                 listed += re.findall(r"`([^`]+)`", row.split("|")[1])
         assert sorted(listed) == sorted(DEFAULT_CONFIG)
+
+    def test_config_table_names_every_dotted_key(self):
+        table = self.config_table()
+        assert [key for key in _KEYS if f"`{key}`" not in table] == []

@@ -20,7 +20,7 @@ from kabc.dynamics import (
     simulate,
 )
 from kabc.exact import Peakon, mollified_profile
-from kabc.params import preset, validate
+from kabc.params import h1_conserved, preset, validate
 from kabc.spectral import Field, Grid, derivative, green_dx_convolve, helmholtz_inverse
 from kabc import diagnostics
 
@@ -221,6 +221,41 @@ class TestLocalFormResidual:
         bad = Field(g, rhs(u, p).values + 0.01 * np.sin(g.nodes))
         res = local_form_residual(u, bad, p)
         assert np.max(np.abs(res.values)) > 1e-3
+
+
+class TestH1ConservationRule:
+    # Fixed before measuring.  On this data the rates measure at most 6e-16
+    # on the manifolds and at least 1.4e-2 off them (c shifted by 0.1).
+    TOL = 1e-10
+    SHIFT = 0.1
+
+    @staticmethod
+    def h1_rate(p):
+        """dE/dt = 2<(1 - d_xx)u, u_t> from one rhs() call, E the squared H^1
+        norm, on smooth data that is not symmetric: for even data the
+        off-manifold rate, a multiple of int u^{k-1} u_x^3, vanishes."""
+        g = Grid(256, 2 * np.pi)
+        u = Field(g, 0.5 + 0.3 * np.sin(g.nodes) + 0.2 * np.cos(2 * g.nodes + 1.0))
+        m = u.values - derivative(u, 2).values
+        return 2.0 * g.dx * np.dot(m, rhs(u, p).values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(min_value=1, max_value=5),
+        a=st.floats(min_value=-2.0, max_value=2.0),
+        b=st.floats(min_value=-4.0, max_value=4.0),
+        shift=st.sampled_from([0.0, -SHIFT, SHIFT]),
+    )
+    def test_rule_holds_exactly_where_the_rate_vanishes(self, k, a, b, shift):
+        if k == 1:  # the admissible line b + 2c = 3 meets the manifold at CH only
+            b = 2.0 + shift
+            p = validate(1, 0.0, b, (3.0 - b) / 2.0)
+        elif k == 2:  # 9a + b + 4c = 9
+            p = validate(2, a, b, (9.0 - 9.0 * a - b) / 4.0 + shift)
+        else:  # a = 0 and 2c + (2/k)(b + 2c - 3k) + 1 = 2k
+            p = validate(k, 0.0, b, (2.0 * k + 5.0 - 2.0 * b / k) / (2.0 + 4.0 / k) + shift)
+        assert h1_conserved(p) == (shift == 0.0)
+        assert h1_conserved(p) == (abs(self.h1_rate(p)) <= self.TOL)
 
 
 class TestCflDt:
