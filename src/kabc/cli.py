@@ -33,11 +33,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__, diagnostics, dynamics, exact, lagrangian, params as params_mod
-from .diagnostics import decay_fit, default_tail_window, persistence_report
+from .diagnostics import default_tail_window
 from .dynamics import ManufacturedSolution, SimConfig, Trajectory, mms_forcing, simulate
 from .exact import Bump, ExpTail, Peakon, PeakonSpec, mollified_profile
 from .params import Params, preset
-from .spectral import Field, Grid, derivative
+from .spectral import Field, Grid
 
 EXIT_OK = 0
 EXIT_BLOWUP = 2
@@ -100,6 +100,19 @@ def _optional(read):
 
 _FINITE = _real()
 _POSITIVE = _real("> 0", lambda x: x > 0.0)
+# a shorter run would take no step
+_T_END = _real(f"> {dynamics.T_END_TOL:g}", lambda x: x > dynamics.T_END_TOL)
+
+# At 2**24 nodes one k = 2 RHS workspace already holds 2.5 GB
+GRID_N_MAX = 2**24
+
+
+def _grid_n(value, key):
+    """An even integer in [8, GRID_N_MAX]."""
+    n = _integer(8)(value, key)
+    if n % 2 or n > GRID_N_MAX:
+        raise ConfigError(f"{key} must be an even integer in [8, {GRID_N_MAX}], got {value!r}")
+    return n
 
 # Every config key, dotted: (default, reader).  reader(value, key) is the
 # typed value or a ConfigError naming key; every scalar key is read on every
@@ -108,10 +121,10 @@ _POSITIVE = _real("> 0", lambda x: x > 0.0)
 # runners that use them (_STUDY_READERS).
 _KEYS = {
     "params": ({"preset": "ch"}, None),
-    "grid.n": (512, _integer(8)),  # and even, checked by _resolve
+    "grid.n": (512, _grid_n),
     "grid.length": (40.0 * math.pi, _POSITIVE),
     "profile": ({"shape": "peakon", "gamma": 1.0}, None),
-    "t_end": (1.0, _POSITIVE),
+    "t_end": (1.0, _T_END),
     "cfl_safety": (0.4, _real("in (0, 1]", lambda x: 0.0 < x <= 1.0)),
     "dt_max": (1e-2, _POSITIVE),
     "output_stride": (1, _integer()),
@@ -122,13 +135,13 @@ _KEYS = {
     "fit.side": ("right", _choice("left", "right")),
     "fit.theta": (0.5, _real("in (0, 1)", lambda x: 0.0 < x < 1.0)),
     "peakon_verify.cases": (None, None),
-    "peakon_verify.t_end": (5.0, _POSITIVE),
+    "peakon_verify.t_end": (5.0, _T_END),
     "peakon_verify.moll_width": (None, _optional(_POSITIVE)),
     # a zero amplitude has a zero error, so no observed order
     "mms.amplitude": (0.1, _real("nonzero", lambda x: x != 0.0)),
     "mms.dt0": (0.0625, _POSITIVE),
     "mms.levels": (5, _integer()),
-    "mms.t_end": (1.0, _POSITIVE),
+    "mms.t_end": (1.0, _T_END),
     "lagrangian.n_seeds": (16, _integer()),
     "lagrangian.seeds": (None, None),
     "sweep.subcommand": ("simulate", _choice(*(name for name in SUBCOMMANDS if name != "sweep"))),
@@ -383,8 +396,6 @@ def _resolve(subcommand: str, cfg: dict, out_dir: str) -> RunSpec:
         block, dot, leaf = key.partition(".")
         raw = cfg[block][leaf] if dot else cfg[key]
         vals[key] = raw if read is None else read(raw, key)
-    if vals["grid.n"] % 2:
-        raise ConfigError(f"grid.n must be even, got {vals['grid.n']}")
     grid = Grid(vals["grid.n"], vals["grid.length"])
     # peakon-verify and mms have their own t_end; an mms level steps at a
     # fixed dt (dt0 here, each level replaces dt_max), keeping its end only
@@ -432,10 +443,9 @@ def write_snapshot(f: Field, path) -> None:
     _write_csv(path, *_snapshot_table(f))
 
 
-def read_snapshot(path, grid: Grid | None = None) -> Field:
-    """Read a snapshot CSV.  With a grid, the file must match it exactly
-    (row count and node positions); without one, the grid is inferred from
-    the x column."""
+def read_snapshot(path, grid: Grid) -> Field:
+    """Read a snapshot CSV; it must match grid exactly (row count and node
+    positions)."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != "x,u":
@@ -446,23 +456,12 @@ def read_snapshot(path, grid: Grid | None = None) -> Field:
         raise ValueError(f"malformed snapshot file {path}: non-numeric row") from None
     if any(len(r) != 2 for r in rows):
         raise ValueError(f"malformed snapshot file {path}: expected 2 columns")
+    if len(rows) != grid.n:
+        raise ValueError(f"grid mismatch: file has {len(rows)} rows, grid needs {grid.n}")
     xs = np.array([r[0] for r in rows])
-    vs = np.array([r[1] for r in rows])
-    if grid is not None:
-        if len(rows) != grid.n:
-            raise ValueError(f"grid mismatch: file has {len(rows)} rows, grid needs {grid.n}")
-        if np.max(np.abs(xs - grid.nodes)) > 1e-12 * grid.length:
-            raise ValueError("grid mismatch: node positions differ")
-        return Field(grid, vs)
-    if len(xs) < 8:
-        raise ValueError("snapshot too short to infer a grid")
-    dx = xs[1] - xs[0]
-    if np.max(np.abs(np.diff(xs) - dx)) > 1e-9 * max(abs(dx), 1.0):
-        raise ValueError("snapshot x column is not uniformly spaced")
-    n = len(xs)
-    if n % 2:
-        raise ValueError(f"grid mismatch: snapshot has odd row count {n}")
-    return Field(Grid(n, float(n * dx)), vs)
+    if np.max(np.abs(xs - grid.nodes)) > 1e-12 * grid.length:
+        raise ValueError("grid mismatch: node positions differ")
+    return Field(grid, np.array([r[1] for r in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -551,14 +550,13 @@ def _snapshot_diag_rows(traj: Trajectory, window, side):
     rows = []
     # simulate stores a StepRecord for every time it stores a snapshot
     rec_by_t = {r.t: r for r in traj.records}
-    for t, snap in zip(traj.times, traj.snapshots):
+    fits = diagnostics.snapshot_decay_fits(traj, window, side)
+    for t, snap, (fit_u, fit_ux) in zip(traj.times, traj.snapshots, fits):
         rec = rec_by_t[t]
         try:
             crest = diagnostics.crest_position(snap)
         except ValueError:
             crest = math.nan
-        fit_u = decay_fit(snap, window, side)
-        fit_ux = decay_fit(derivative(snap, 1), window, side)
         rows.append(
             (t, rec.hs_norm, rec.h1_sq, rec.dt, crest, fit_u.theta_hat, fit_ux.theta_hat, fit_u.r2, fit_u.floor_hit)
         )
@@ -630,6 +628,10 @@ def compute_mms(spec: RunSpec):
     for lvl in range(levels):
         dt = dt0 / 2**lvl
         traj = simulate(replace(spec.sim, dt_max=dt, forcing=forcing), u0)
+        # only a level's last step may be cut short, to land on t_end
+        cfl = min((rec.dt for rec in traj.records[1:-1]), default=dt)
+        if cfl < dt:
+            raise ConfigError(f"mms.dt0 {dt0:g} gives level {lvl} the dt {dt:g}, but the CFL step is {cfl:.6g}")
         exactf = star.value(grid.nodes, traj.last_time)
         err = float(np.max(np.abs(traj.snapshots[-1].values - exactf)))
         rows.append((dt, err, math.log2(rows[-1][1] / err) if rows else math.nan))
@@ -642,15 +644,19 @@ def compute_mms(spec: RunSpec):
 
 def compute_decay_scan(spec: RunSpec):
     traj = _run_simulation(spec)
-    report = persistence_report(traj, spec.fit_theta, window=spec.fit_window, side=spec.fit_side)
+    fits = diagnostics.snapshot_decay_fits(traj, spec.fit_window, spec.fit_side)
     rows = [
         (t, fu.theta_hat, fu.r2, fu.floor_hit, fx.theta_hat, fx.r2, fx.floor_hit)
-        for t, fu, fx in zip(report.times, report.fits_u, report.fits_ux)
+        for t, (fu, fx) in zip(traj.times, fits)
     ]
+
+    def min_theta(col):
+        return min((row[col] for row in rows if math.isfinite(row[col])), default=math.nan)
+
     extra = {
-        "min_theta_u": report.min_theta_u,
-        "min_theta_ux": report.min_theta_ux,
-        "any_floor_hit": report.any_floor_hit,
+        "min_theta_u": min_theta(1),
+        "min_theta_ux": min_theta(4),
+        "any_floor_hit": any(row[3] or row[6] for row in rows),
         "reference_theta": spec.fit_theta,
     }
     tables = {
@@ -687,8 +693,9 @@ def compute_lagrangian(spec: RunSpec):
 
 def run_sweep(spec: RunSpec):
     names, points = zip(*spec.points)
-    if spec.workers > 1 and len(points) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    workers = min(spec.workers, len(points))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             codes = list(pool.map(run, points))
     else:
         codes = [run(point) for point in points]

@@ -1,7 +1,10 @@
 """Measurement instruments: Sobolev norms, conservation drift, exponential
 decay-rate fits, weighted sup norms, and crest tracking.
 
-All functions here are read-only analyses of fields or trajectories.
+All functions here are read-only analyses of fields or trajectories.  The
+tail decay of a run is measured one way: snapshot_decay_fits fits u and u_x
+on every stored snapshot, and both simulate's diagnostics.csv and
+decay-scan's decay.csv are made from its fits.
 """
 
 from __future__ import annotations
@@ -17,9 +20,6 @@ from .spectral import Field, Grid, derivative
 # Log fits discard samples at or below this magnitude: below the transform
 # round-off, log|f| is noise.
 FIT_FLOOR = 1e-13
-
-# A windowed fit counts as "exponential" only above this r^2.
-R2_EXPONENTIAL = 0.995
 
 
 @lru_cache(maxsize=64)
@@ -109,18 +109,11 @@ class DecayFit:
     """
 
     theta_hat: float
-    window: tuple[float, float]
     r2: float
     floor_hit: bool
-    n_used: int
-
-    @property
-    def is_exponential(self) -> bool:
-        """Clean exponential: good r^2 and no sample lost to the floor."""
-        return (not self.floor_hit) and math.isfinite(self.r2) and self.r2 >= R2_EXPONENTIAL
 
 
-def decay_fit(f: Field, window, side: str = "right") -> DecayFit:
+def decay_fit(f: Field, window, side: str) -> DecayFit:
     """Fit |f| ~ A exp(-theta_hat * d) on d in [x_lo, x_hi] from the box
     center, one-sided.  Samples at or below FIT_FLOOR are excluded and set
     floor_hit.  The window must hold at least 16 nodes and stay at least
@@ -143,15 +136,14 @@ def decay_fit(f: Field, window, side: str = "right") -> DecayFit:
     v = np.abs(f.values[sel])
     keep = v > FIT_FLOOR
     floor_hit = bool(np.any(~keep))
-    n_used = int(np.sum(keep))
-    if n_used < 2:
-        return DecayFit(math.nan, (x_lo, x_hi), math.nan, True, n_used)
+    if np.count_nonzero(keep) < 2:
+        return DecayFit(math.nan, math.nan, True)
     dd, logv = d[keep], np.log(v[keep])
     slope, intercept = np.polyfit(dd, logv, 1)
     resid = logv - (slope * dd + intercept)
     ss_tot = float(np.sum((logv - logv.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return DecayFit(float(-slope), (x_lo, x_hi), r2, floor_hit, n_used)
+    return DecayFit(float(-slope), r2, floor_hit)
 
 
 def default_tail_window(grid) -> tuple[float, float]:
@@ -160,48 +152,10 @@ def default_tail_window(grid) -> tuple[float, float]:
     return (grid.length / 8.0, grid.length / 4.0)
 
 
-@dataclass
-class PersistenceReport:
-    """Per-snapshot decay fits of u and u_x against a reference exponent."""
-
-    reference_theta: float
-    times: np.ndarray
-    fits_u: list[DecayFit]
-    fits_ux: list[DecayFit]
-
-    @staticmethod
-    def _min_theta(fits) -> float:
-        vals = [g.theta_hat for g in fits if math.isfinite(g.theta_hat)]
-        return min(vals) if vals else math.nan
-
-    @property
-    def min_theta_u(self) -> float:
-        return self._min_theta(self.fits_u)
-
-    @property
-    def min_theta_ux(self) -> float:
-        return self._min_theta(self.fits_ux)
-
-    @property
-    def any_floor_hit(self) -> bool:
-        return any(g.floor_hit for g in self.fits_u + self.fits_ux)
-
-
-def persistence_report(traj, theta: float, window=None, side: str = "right") -> PersistenceReport:
-    """decay_fit applied to every stored snapshot and its derivative.
-
-    theta is the reference exponent the fits are compared against (it must
-    lie in (0, 1), where tail persistence is expected to hold).
-    """
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
-    if window is None:
-        window = default_tail_window(traj.snapshots[0].grid)
-    fits_u, fits_ux = [], []
-    for snap in traj.snapshots:
-        fits_u.append(decay_fit(snap, window, side))
-        fits_ux.append(decay_fit(derivative(snap, 1), window, side))
-    return PersistenceReport(theta, np.asarray(traj.times, dtype=float), fits_u, fits_ux)
+def snapshot_decay_fits(traj, window, side: str) -> list[tuple[DecayFit, DecayFit]]:
+    """(decay_fit of u, decay_fit of u_x) on window and side, for every
+    stored snapshot of traj."""
+    return [(decay_fit(snap, window, side), decay_fit(derivative(snap, 1), window, side)) for snap in traj.snapshots]
 
 
 def crest_position(f: Field) -> float:

@@ -36,6 +36,11 @@ from .params import Params, coefficients
 from .spectral import Field, Grid, dealiased_product, derivative, get_ops
 
 
+# simulate ends a run once t is within this of t_end, so a t_end at or below
+# it would take no step
+T_END_TOL = 1e-12
+
+
 class BlowUpError(RuntimeError):
     """A stage or step produced non-finite samples."""
 
@@ -66,8 +71,8 @@ class SimConfig:
     spectral_filter: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_end) and self.t_end > 0.0):
-            raise ValueError("t_end must be positive and finite")
+        if not (math.isfinite(self.t_end) and self.t_end > T_END_TOL):
+            raise ValueError(f"t_end must be finite and > {T_END_TOL:g}")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must lie in (0, 1]")
         if not self.dt_max > 0.0:
@@ -323,7 +328,7 @@ def simulate(cfg: SimConfig, u0: Field) -> Trajectory:
     traj.snapshots.append(u0)
 
     step = 0
-    while t < cfg.t_end - 1e-12:
+    while t < cfg.t_end - T_END_TOL:
         try:
             dt = cfl_dt(cur, cfg.params, cfg.cfl_safety, cfg.dt_max, uh)
             dt = min(dt, cfg.t_end - t)
@@ -349,7 +354,7 @@ def simulate(cfg: SimConfig, u0: Field) -> Trajectory:
         traj.records.append(StepRecord(t, dt, hs, h1_sq))
         if traj.softbound_exceeded_t is None and hs0 > 0.0 and hs > bound:
             traj.softbound_exceeded_t = t
-        if step % cfg.output_stride == 0 or t >= cfg.t_end - 1e-12:
+        if step % cfg.output_stride == 0 or t >= cfg.t_end - T_END_TOL:
             traj.times.append(t)
             traj.snapshots.append(cur)
     return traj
@@ -357,23 +362,10 @@ def simulate(cfg: SimConfig, u0: Field) -> Trajectory:
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    """Analytic space-time field u(x, t) with an optional analytic time
-    derivative.  Without one, a fourth-order central difference with step
-    1e-6 is used."""
+    """Analytic space-time field u(x, t) and its analytic time derivative."""
 
     value: Callable[[np.ndarray, float], np.ndarray]
-    dt_value: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-
-    def time_derivative(self, x: np.ndarray, t: float) -> np.ndarray:
-        if self.dt_value is not None:
-            return self.dt_value(x, t)
-        h = 1e-6
-        return (
-            -self.value(x, t + 2 * h)
-            + 8.0 * self.value(x, t + h)
-            - 8.0 * self.value(x, t - h)
-            + self.value(x, t - 2 * h)
-        ) / (12.0 * h)
+    dt_value: Callable[[np.ndarray, float], np.ndarray]
 
 
 def mms_forcing(u_star: ManufacturedSolution, p: Params, grid: Grid) -> Callable:
@@ -383,5 +375,5 @@ def mms_forcing(u_star: ManufacturedSolution, p: Params, grid: Grid) -> Callable
     op = RhsOperator(grid, p)
     def forcing(x: np.ndarray, t: float) -> np.ndarray:
         n_hat = op(np.fft.rfft(u_star.value(x, t)), t)
-        return u_star.time_derivative(x, t) - np.fft.irfft(n_hat, grid.n)
+        return u_star.dt_value(x, t) - np.fft.irfft(n_hat, grid.n)
     return forcing

@@ -28,17 +28,12 @@ class WaveBreakingError(RuntimeError):
 
 @dataclass
 class ParticleSet:
-    """Paths eta(x0, t) and stretches eta_x(x0, t) at stored times.
-
-    left_core flags seeds whose path came within the core margin of the
-    periodic seam at any stored time (informational, not fatal).
-    """
+    """Paths eta(x0, t) and stretches eta_x(x0, t) at stored times."""
 
     seeds: np.ndarray
     times: np.ndarray
     paths: np.ndarray    # (n_times, n_seeds)
     stretch: np.ndarray  # (n_times, n_seeds)
-    left_core: np.ndarray
 
 
 def momentum(u: Field) -> Field:
@@ -66,18 +61,8 @@ def cubic_interp_periodic(values: np.ndarray, grid, q: np.ndarray) -> np.ndarray
     return wm * values[..., jm] + w0 * values[..., j0] + w1 * values[..., j1] + w2 * values[..., j2]
 
 
-def _window_indices(times, t_start, t_end):
-    t = np.asarray(times, dtype=float)
-    if t_end is None:
-        t_end = t[-1]
-    idx = np.nonzero((t >= t_start - 1e-12) & (t <= t_end + 1e-12))[0]
-    if len(idx) < 2:
-        raise ValueError("advection window must cover at least two snapshots")
-    return idx
-
-
-def advect(traj, seeds, t_start: float = 0.0, t_end=None, core_margin=None) -> ParticleSet:
-    """Integrate particle paths through the stored snapshots.
+def advect(traj, seeds) -> ParticleSet:
+    """Integrate particle paths through all stored snapshots.
 
     u between grid nodes is cubic-interpolated; between snapshots it is
     linear in t, so one RK4 step per snapshot interval keeps the stage
@@ -88,12 +73,9 @@ def advect(traj, seeds, t_start: float = 0.0, t_end=None, core_margin=None) -> P
     """
     grid = traj.config.grid
     k = traj.config.params.k
-    if core_margin is None:
-        core_margin = grid.length / 8.0
-    idx = _window_indices(traj.times, t_start, t_end)
-    times = np.asarray(traj.times, dtype=float)[idx]
-    u_fields = [traj.snapshots[i].values for i in idx]
-    ux_fields = [derivative(traj.snapshots[i], 1).values for i in idx]
+    times = np.asarray(traj.times, dtype=float)
+    u_fields = [snap.values for snap in traj.snapshots]
+    ux_fields = [derivative(snap, 1).values for snap in traj.snapshots]
 
     eta = np.asarray(seeds, dtype=float).copy()
     if eta.ndim != 1 or eta.size == 0:
@@ -101,7 +83,6 @@ def advect(traj, seeds, t_start: float = 0.0, t_end=None, core_margin=None) -> P
     etax = np.ones_like(eta)
     paths = [eta.copy()]
     stretch = [etax.copy()]
-    left_core = _near_seam(eta, grid, core_margin)
 
     for i in range(len(times) - 1):
         t0, t1 = times[i], times[i + 1]
@@ -124,7 +105,6 @@ def advect(traj, seeds, t_start: float = 0.0, t_end=None, core_margin=None) -> P
             raise WaveBreakingError(
                 f"eta_x lost positivity at t = {t1:.6g} (min {float(np.min(etax)):.3e})"
             )
-        left_core |= _near_seam(eta, grid, core_margin)
         paths.append(eta.copy())
         stretch.append(etax.copy())
 
@@ -133,13 +113,7 @@ def advect(traj, seeds, t_start: float = 0.0, t_end=None, core_margin=None) -> P
         times=times,
         paths=np.asarray(paths),
         stretch=np.asarray(stretch),
-        left_core=left_core,
     )
-
-
-def _near_seam(eta, grid, margin):
-    d = np.mod(eta, grid.length)
-    return np.minimum(d, grid.length - d) < margin
 
 
 def momentum_along(traj, ps: ParticleSet) -> np.ndarray:

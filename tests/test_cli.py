@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -243,6 +244,13 @@ class TestParseConfig:
             ("simulate", ['cfl_safety="x"'], "cfl_safety"),
             ("simulate", ['output_stride="x"'], "output_stride"),
             ("simulate", ["t_end.x=1"], "t_end"),
+            ("lagrangian", ["t_end=1e-13", "grid.n=64"], "t_end"),
+            ("peakon-verify", ["peakon_verify.t_end=1e-13", "grid.n=256"], "peakon_verify.t_end"),
+            ("mms", ["mms.t_end=1e-13", "grid.n=32"], "mms.t_end"),
+            ("simulate", ["grid.n=1e300"], "grid.n"),
+            ("simulate", ["grid.n=1" + "0" * 400], "grid.n"),
+            ("simulate", ["grid.n=129"], "grid.n"),
+            ("simulate", [f"grid.n={2**24 + 2}"], "grid.n"),
         ],
     )
     def test_stepping_and_study_keys_rejected_at_parse(self, tmp_path, capsys, subcommand, overrides, key):
@@ -258,10 +266,15 @@ class TestParseConfig:
         assert not out.exists()
 
 
+def test_grid_n_ceiling_is_inclusive():
+    # reading a size allocates nothing; 2**24 + 2 is a row of the test above
+    assert _KEYS["grid.n"][1](2**24, "grid.n") == 2**24
+
+
 class TestParseFuzz:
-    # values on each side of every bound in the key table (0 and 1 for the
-    # reals, 1 and 8 for the integers), and wrong-typed values
-    EDGES = (0, 1, -1, 0.5, 1.5, -0.0, 1e-300, 7, 8, 9, 10, 2.5, "x", "left", True, False, None,
+    # values on each side of every bound in the key table (0, 1 and the t_end
+    # floor 1e-12 for the reals, 1 and 8 for the integers), and wrong-typed values
+    EDGES = (0, 1, -1, 0.5, 1.5, -0.0, 1e-300, 1e-12, 2e-12, 7, 8, 9, 10, 2.5, "x", "left", True, False, None,
              math.nan, math.inf, -math.inf, {"x": 1}, [1.0], [5.0, 11.0])
     INTEGER_KEYS = ("grid.n", "output_stride", "mms.levels", "lagrangian.n_seeds", "sweep.workers")
 
@@ -366,15 +379,6 @@ class TestSnapshotIO:
         back = read_snapshot(path, grid=g)
         assert np.array_equal(back.values, f.values)
 
-    def test_grid_inference(self, tmp_path):
-        g = Grid(64, 2 * np.pi)
-        f = Field(g, np.sin(g.nodes))
-        path = tmp_path / "snap.csv"
-        write_snapshot(f, path)
-        back = read_snapshot(path)
-        assert back.grid.n == 64
-        assert back.grid.length == pytest.approx(2 * math.pi, rel=1e-12)
-
     def test_row_count_mismatch(self, tmp_path):
         g = Grid(64, 2 * np.pi)
         f = Field(g, np.zeros(64))
@@ -387,7 +391,7 @@ class TestSnapshotIO:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="malformed"):
-            read_snapshot(path)
+            read_snapshot(path, grid=Grid(64, 2 * np.pi))
 
     def test_zero_field_rows(self, tmp_path):
         g = Grid(64, 2 * np.pi)
@@ -419,7 +423,7 @@ class TestRunSimulate:
             cols = row.split(",")
             assert float(cols[1]) == 0.0  # hs norm of the zero field
             assert cols[8] == "true"      # floor_hit on an empty tail
-        final = read_snapshot(tmp_path / "out" / "final.csv")
+        final = read_snapshot(tmp_path / "out" / "final.csv", grid=Grid(128, 40 * math.pi))
         assert np.all(final.values == 0.0)
         man = manifest_of(out)
         assert man["result"]["exit"] == EXIT_OK
@@ -479,7 +483,7 @@ class TestRunSimulate:
         run(parse_config(path, [], "simulate", out))
         snaps = sorted(p for p in os.listdir(out) if p.startswith("snap_"))
         assert len(snaps) >= 3
-        first = read_snapshot(os.path.join(out, snaps[0]))
+        first = read_snapshot(os.path.join(out, snaps[0]), grid=Grid(128, 40 * math.pi))
         assert first.grid.n == 128
 
     def test_softbound_recorded_in_manifest(self, tmp_path):
@@ -561,6 +565,19 @@ class TestOtherSubcommands:
         orders = [float(r.split(",")[2]) for r in rows[2:]]
         assert all(abs(o - 4.0) < 0.5 for o in orders)
 
+    def test_mms_level_cut_by_cfl_exits_3(self, tmp_path, capsys):
+        # CH at amplitude 3 steps at the CFL step (0.018 to 0.033), not at
+        # the level dt 0.1: its dt column and orders would be false
+        out = tmp_path / "mms"
+        argv = ["mms", "--out", str(out), "--set", 'params.preset="ch"', "--set", "grid.length=6.283185307179586",
+                "--set", "grid.n=64", "--set", "mms.amplitude=3", "--set", "mms.dt0=0.1", "--set", "mms.levels=3"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("kabc: configuration error: mms.dt0")
+        assert "CFL step" in err and "Traceback" not in err
+        assert "mms.dt0" in manifest_of(out)["result"]["error"]
+        assert not (out / "mms.csv").exists()
+
     def test_decay_scan(self, tmp_path):
         out = str(tmp_path / "decay")
         path = write_config(
@@ -579,6 +596,19 @@ class TestOtherSubcommands:
         summary = (tmp_path / "decay" / "summary.csv").read_text().splitlines()
         vals = dict(zip(summary[0].split(","), summary[1].split(",")))
         assert float(vals["min_theta_u"]) == pytest.approx(0.5, abs=0.05)
+
+    def test_simulate_and_decay_scan_fit_alike(self, tmp_path):
+        # both tables come from one set of per-snapshot fits: equal bitwise
+        overrides = ['profile={"shape": "exp_tail", "theta": 0.5}', "grid.n=256", "t_end=0.1", "output_stride=5"]
+        columns = {}
+        for subcommand, name, cols in (("simulate", "diagnostics.csv", (5, 6)), ("decay-scan", "decay.csv", (1, 4))):
+            out = tmp_path / subcommand
+            assert run(parse_config(None, overrides, subcommand, str(out))) == EXIT_OK
+            rows = [line.split(",") for line in (out / name).read_text().splitlines()]
+            assert [rows[0][c] for c in cols] == ["theta_hat_u", "theta_hat_ux"]
+            columns[subcommand] = [[row[c] for c in cols] for row in rows[1:]]
+        assert len(columns["simulate"]) == 3
+        assert columns["simulate"] == columns["decay-scan"]
 
     def test_lagrangian_subcommand(self, tmp_path):
         out = str(tmp_path / "lag")
@@ -721,6 +751,29 @@ class TestSweep:
         a = (tmp_path / "serial" / "aggregate.csv").read_text()
         b = (tmp_path / "par" / "aggregate.csv").read_text()
         assert a == b
+
+    @pytest.mark.parametrize("workers, n_points, pool", [(64, 2, 2), (10**6, 3, 3), (2, 3, 2)])
+    def test_pool_never_exceeds_the_points(self, tmp_path, monkeypatch, workers, n_points, pool):
+        sizes = []
+
+        class SerialPool:  # records the pool size, starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        sweep = {"axes": [{"key": "t_end", "values": [0.01 * (i + 1) for i in range(n_points)]}], "workers": workers}
+        spec = parse_config(None, ["grid.n=128", f"sweep={json.dumps(sweep)}"], "sweep", str(tmp_path / "sweep"))
+        assert run(spec) == EXIT_OK
+        assert sizes == [pool]
 
     def test_sub_run_names_stay_flat(self, tmp_path):
         g = Grid(128, 40 * math.pi)

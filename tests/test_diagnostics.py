@@ -14,7 +14,7 @@ from kabc.diagnostics import (
     h1_drift,
     h1_squared,
     hs_and_h1_squared,
-    persistence_report,
+    snapshot_decay_fits,
     sobolev_norm,
     weighted_sup,
 )
@@ -165,7 +165,6 @@ class TestDecayFit:
         fit = decay_fit(f, (5.0, 10.0), "right")
         assert fit.theta_hat >= 5.0 or not math.isfinite(fit.theta_hat)
         assert fit.floor_hit or fit.r2 < 0.995
-        assert not fit.is_exponential
         # window [2, 5] keeps everything above the floor: the parabola in
         # log-space shows up as a bad linear fit with steep local slope 2*d
         g2 = Grid(1024, 40 * np.pi)
@@ -174,7 +173,6 @@ class TestDecayFit:
         assert not fit2.floor_hit
         assert fit2.theta_hat >= 5.0
         assert fit2.r2 < 0.995
-        assert not fit2.is_exponential
 
     def test_all_below_floor(self):
         g = self.grid()
@@ -284,31 +282,26 @@ class TestCrestTrack:
         assert crest_track(traj) == pytest.approx(1.0, rel=2e-3)
 
 
-class TestPersistenceReport:
+class TestSnapshotDecayFits:
     def test_zero_trajectory_all_floor(self):
         g = Grid(512, 40 * np.pi)
         z = Field(g, np.zeros(512))
         traj = make_traj(g, [z, z, z], [0.0, 0.5, 1.0])
-        rep = persistence_report(traj, 0.5)
-        assert all(f.floor_hit for f in rep.fits_u)
-        assert all(f.floor_hit for f in rep.fits_ux)
-        assert math.isnan(rep.min_theta_u)
+        fits = snapshot_decay_fits(traj, default_tail_window(g), "right")
+        assert len(fits) == 3
+        assert all(fu.floor_hit and fx.floor_hit for fu, fx in fits)
+        assert all(math.isnan(fu.theta_hat) for fu, _ in fits)
 
     def test_static_exponential(self):
         g = Grid(512, 40 * np.pi)
         d = np.abs(g.nodes - g.length / 2)
         f = Field(g, np.exp(-0.5 * d))
         traj = make_traj(g, [f, f], [0.0, 1.0])
-        rep = persistence_report(traj, 0.5)
-        assert rep.min_theta_u == pytest.approx(0.5, abs=0.01)
-        assert not rep.any_floor_hit
-
-    def test_theta_out_of_range(self):
-        g = Grid(512, 40 * np.pi)
-        f = Field(g, np.exp(-np.abs(g.nodes - g.length / 2)))
-        traj = make_traj(g, [f], [0.0])
-        with pytest.raises(ValueError):
-            persistence_report(traj, 1.5)
+        fits = snapshot_decay_fits(traj, default_tail_window(g), "right")
+        assert len(fits) == 2
+        for fu, fx in fits:
+            assert fu.theta_hat == pytest.approx(0.5, abs=0.01)
+            assert not (fu.floor_hit or fx.floor_hit)
 
     def test_default_window(self):
         g = Grid(512, 40 * np.pi)

@@ -112,7 +112,7 @@ class TestAdvect:
         g = Grid(64, 2 * np.pi)
         traj = steady_traj(g, np.full(64, kappa), np.linspace(0, 1, 21), preset("novikov"))
         seeds = np.array([1.0, 3.0])
-        ps = advect(traj, seeds, core_margin=0.0)
+        ps = advect(traj, seeds)
         want = seeds[None, :] + kappa**k * ps.times[:, None]
         assert np.max(np.abs(ps.paths - want)) < 1e-12
         assert np.max(np.abs(ps.stretch - 1.0)) < 1e-12
@@ -124,7 +124,7 @@ class TestAdvect:
         g = Grid(256, 2 * np.pi)
         traj = steady_traj(g, A * np.sin(g.nodes), np.linspace(0, 1, 101), preset("ch"))
         seeds = np.array([1.0, 2.0])
-        ps = advect(traj, seeds, core_margin=0.0)
+        ps = advect(traj, seeds)
         want = 2.0 * np.arctan(np.tan(seeds / 2.0) * np.exp(A * ps.times[:, None]))
         assert np.max(np.abs(ps.paths - want)) < 1e-6
 
@@ -147,10 +147,14 @@ class TestAdvect:
         cfg = SimConfig(params=p, grid=g, t_end=0.5, dt_max=2.5e-3, output_stride=1)
         traj = simulate(cfg, u0)
         seeds = np.linspace(0.5, 5.5, 7)
-        t_mid = traj.times[len(traj.times) // 2]
-        direct = advect(traj, seeds, core_margin=0.0)
-        leg1 = advect(traj, seeds, t_end=t_mid, core_margin=0.0)
-        leg2 = advect(traj, leg1.paths[-1], t_start=t_mid, core_margin=0.0)
+        mid = len(traj.times) // 2
+
+        def leg(part):
+            return Trajectory(config=cfg, times=traj.times[part], snapshots=traj.snapshots[part])
+
+        direct = advect(traj, seeds)
+        leg1 = advect(leg(slice(None, mid + 1)), seeds)
+        leg2 = advect(leg(slice(mid, None)), leg1.paths[-1])
         assert np.max(np.abs(leg2.paths[-1] - direct.paths[-1])) < 1e-6
 
     def test_stretch_matches_seed_differences(self):
@@ -161,15 +165,9 @@ class TestAdvect:
         traj = simulate(cfg, u0)
         h = 1e-3
         x0 = 2.0
-        ps = advect(traj, np.array([x0 - h, x0, x0 + h]), core_margin=0.0)
+        ps = advect(traj, np.array([x0 - h, x0, x0 + h]))
         fd = (ps.paths[-1, 2] - ps.paths[-1, 0]) / (2 * h)
         assert abs(fd - ps.stretch[-1, 1]) < 1e-4
-
-    def test_core_margin_flag(self):
-        g = Grid(64, 2 * np.pi)
-        traj = steady_traj(g, np.zeros(64), np.linspace(0, 1, 5), preset("ch"))
-        ps = advect(traj, np.array([0.1, np.pi]))  # default margin L/8
-        assert ps.left_core[0] and not ps.left_core[1]
 
     def test_wave_breaking_aborts(self):
         # frozen compressive field: eta_x ~ exp(-A t) collapses through the
@@ -178,7 +176,7 @@ class TestAdvect:
         g = Grid(256, 2 * np.pi)
         traj = steady_traj(g, -A * np.sin(g.nodes - np.pi), np.linspace(0, 2.0, 201), preset("ch"))
         with pytest.raises(WaveBreakingError):
-            advect(traj, np.array([np.pi]), core_margin=0.0)
+            advect(traj, np.array([np.pi]))
 
 
 def advect_per_field(traj, seeds):
@@ -221,7 +219,7 @@ class TestAdvectStencil:
 
     def test_bitwise_equal_to_per_field_loop(self, smooth_traj):
         seeds = np.linspace(0.2, 6.0, 11)
-        ps = advect(smooth_traj, seeds, core_margin=0.0)
+        ps = advect(smooth_traj, seeds)
         paths, stretch = advect_per_field(smooth_traj, seeds)
         assert np.array_equal(ps.paths, paths)
         assert np.array_equal(ps.stretch, stretch)
@@ -237,7 +235,7 @@ class TestAdvectStencil:
             return interp(*args)
 
         monkeypatch.setattr(lagrangian, "cubic_interp_periodic", counted)
-        ps = advect(smooth_traj, np.array([1.0, 2.0, 3.0]), core_margin=0.0)
+        ps = advect(smooth_traj, np.array([1.0, 2.0, 3.0]))
         assert len(ps.times) == len(smooth_traj.times) > 2
         assert len(calls) == 4 * (len(ps.times) - 1)
 
@@ -252,20 +250,20 @@ class TestConservationCheck:
     def test_zero_solution(self):
         g = Grid(64, 2 * np.pi)
         traj = steady_traj(g, np.zeros(64), np.linspace(0, 0.5, 6), preset("novikov"))
-        ps = advect(traj, np.array([1.0, 2.0]), core_margin=0.0)
+        ps = advect(traj, np.array([1.0, 2.0]))
         assert conservation_check(traj, ps, preset("novikov")) == 0.0
 
     def test_novikov_smooth_run(self):
         traj = self.novikov_run(256, 5e-3)
         seeds = np.linspace(0, 2 * np.pi, 16, endpoint=False) + 0.1
-        ps = advect(traj, seeds, core_margin=0.0)
+        ps = advect(traj, seeds)
         assert conservation_check(traj, ps, preset("novikov")) < 1e-4
 
     def test_residual_arrays(self):
         # one row per stored time, one column per seed; the check is their max
         traj = self.novikov_run(128, 1e-2)
         seeds = np.linspace(1.0, 5.0, 5)
-        ps = advect(traj, seeds, core_margin=0.0)
+        ps = advect(traj, seeds)
         m_along = momentum_along(traj, ps)
         res = invariant_residuals(ps, m_along, preset("novikov"))
         assert m_along.shape == res.shape == (len(traj.times), len(seeds))
@@ -286,14 +284,14 @@ class TestConservationCheck:
         cfg = SimConfig(params=p, grid=g, t_end=0.25, dt_max=2.5e-3, output_stride=1)
         traj = simulate(cfg, u0)
         seeds = np.linspace(1.0, 5.0, 8)
-        ps = advect(traj, seeds, core_margin=0.0)
+        ps = advect(traj, seeds)
         assert p.b / p.k == 0.0
         assert conservation_check(traj, ps, p) < 1e-4
 
     def test_rejects_off_family_params(self):
         g = Grid(64, 2 * np.pi)
         traj = steady_traj(g, np.zeros(64), [0.0, 0.1], preset("forq"))
-        ps = advect(traj, np.array([1.0]), core_margin=0.0)
+        ps = advect(traj, np.array([1.0]))
         with pytest.raises(ValueError):
             conservation_check(traj, ps, preset("forq"))  # a != 0
         with pytest.raises(ValueError):
@@ -303,7 +301,7 @@ class TestConservationCheck:
         def residual(n, dtm):
             traj = self.novikov_run(n, dtm)
             seeds = np.linspace(0, 2 * np.pi, 16, endpoint=False) + 0.1
-            ps = advect(traj, seeds, core_margin=0.0)
+            ps = advect(traj, seeds)
             return conservation_check(traj, ps, preset("novikov"))
 
         coarse = residual(256, 5e-3)
