@@ -11,7 +11,6 @@ from .params import (  # noqa: F401
     h1_conserved,
     periodic_peakon_admissible,
     preset,
-    validate,
 )
 from .spectral import Field, Grid  # noqa: F401
 from .dynamics import SimConfig, Trajectory, simulate  # noqa: F401

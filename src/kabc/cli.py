@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__, diagnostics, dynamics, exact, lagrangian, params as params_mod
 from .diagnostics import default_tail_window
 from .dynamics import ManufacturedSolution, SimConfig, Trajectory, mms_forcing, simulate
-from .exact import Bump, ExpTail, Peakon, PeakonSpec, mollified_profile
+from .exact import PeakonSpec, mollified_profile
 from .params import Params, preset
 from .spectral import Field, Grid
 
@@ -117,8 +117,8 @@ def _grid_n(value, key):
 # Every config key, dotted: (default, reader).  reader(value, key) is the
 # typed value or a ConfigError naming key; every scalar key is read on every
 # run, used or not.  None marks a structured key, read by its own reader
-# below: params on every run, sweep.axes by sweep and the others by the
-# runners that use them (_STUDY_READERS).
+# below: params on every run, sweep.axes by sweep only, fit.window by
+# simulate and decay-scan only, and the others by every run but a sweep.
 _KEYS = {
     "params": ({"preset": "ch"}, None),
     "grid.n": (512, _grid_n),
@@ -133,7 +133,6 @@ _KEYS = {
     "write_snapshots": (False, _flag),
     "fit.window": (None, None),
     "fit.side": ("right", _choice("left", "right")),
-    "fit.theta": (0.5, _real("in (0, 1)", lambda x: 0.0 < x < 1.0)),
     "peakon_verify.cases": (None, None),
     "peakon_verify.t_end": (5.0, _T_END),
     "peakon_verify.moll_width": (None, _optional(_POSITIVE)),
@@ -142,7 +141,6 @@ _KEYS = {
     "mms.dt0": (0.0625, _POSITIVE),
     "mms.levels": (5, _integer()),
     "mms.t_end": (1.0, _T_END),
-    "lagrangian.n_seeds": (16, _integer()),
     "lagrangian.seeds": (None, None),
     "sweep.subcommand": ("simulate", _choice(*(name for name in SUBCOMMANDS if name != "sweep"))),
     "sweep.axes": (None, None),
@@ -199,7 +197,7 @@ def resolve_params(block: dict) -> Params:
     try:
         if name is not None:
             return preset(str(name), **block)
-        return params_mod.validate(block.pop("k"), block.pop("a"), block.pop("b"), block.pop("c"))
+        return Params(block.pop("k"), block.pop("a"), block.pop("b"), block.pop("c"))
     except KeyError as missing:
         raise ConfigError(f"params block is missing {missing}") from None
     except (TypeError, ValueError) as err:
@@ -217,9 +215,10 @@ DEFAULT_PEAKON_CASES = (
 @dataclass(frozen=True)
 class RunSpec:
     """A run resolved once by parse_config: the typed values its runner
-    reads.  The structured fields (see _STUDY_READERS) are set only for the
-    subcommands whose runner reads them, points only for sweep.  config is
-    the merged raw configuration, kept only for the manifest."""
+    reads.  Every run but a sweep sets profile, peakon_cases and seeds;
+    fit_window is set for simulate and decay-scan only, points for sweep
+    only.  config is the merged raw configuration, kept only for the
+    manifest."""
 
     subcommand: str
     config: dict
@@ -227,10 +226,9 @@ class RunSpec:
     params: Params
     grid: Grid
     sim: SimConfig  # what the runner steps with
-    profile: tuple | None = None  # (shape, moll_width), or (path, None) for a file profile
+    profile: tuple | None = None  # (shape, value, moll_width), or ("file", path, None)
     fit_window: tuple[float, float] | None = None
     fit_side: str | None = None
-    fit_theta: float | None = None
     write_snapshots: bool = False
     mms: tuple[float, float, int] | None = None  # (amplitude, dt0, levels)
     peakon_cases: tuple = ()  # (label, params, gamma) per case
@@ -269,13 +267,14 @@ def parse_config(path=None, overrides=(), subcommand="simulate", out_dir=None) -
     return _resolve(subcommand, cfg, out_dir or "")
 
 
-# shape name -> (profile class, its key, default); only the peakon's
-# amplitude may be zero or negative
-_PROFILE_SHAPES = {"peakon": (Peakon, "gamma", 1.0), "exp_tail": (ExpTail, "theta", 0.5), "bump": (Bump, "width", 2.0)}
+# shape name -> (its key, default, reader); only the peakon's amplitude may
+# be zero or negative
+_PROFILE_SHAPES = {"peakon": ("gamma", 1.0, _FINITE), "exp_tail": ("theta", 0.5, _POSITIVE), "bump": ("width", 2.0, _POSITIVE)}
 
 
-def _profile_shape(vals: dict, grid: Grid):
-    """(shape, moll_width) of the profile block, or (path, None) for a file."""
+def _profile(vals: dict, grid: Grid) -> tuple:
+    """(shape, value, moll_width) of the profile block, or ("file", path,
+    None); a bump is at most a quarter of the box wide."""
     prof = vals["profile"]
     if not isinstance(prof, dict):
         raise ConfigError(f"profile must be an object, got {prof!r}")
@@ -283,15 +282,15 @@ def _profile_shape(vals: dict, grid: Grid):
     if shape == "file":
         if not isinstance(prof.get("path"), str):
             raise ConfigError(f"profile.path must name a snapshot file, got {prof.get('path')!r}")
-        return prof["path"], None
+        return shape, prof["path"], None
     if shape not in _PROFILE_SHAPES:
         raise ConfigError(f"unknown profile shape {shape!r}")
-    cls, key, default = _PROFILE_SHAPES[shape]
-    value = (_FINITE if cls is Peakon else _POSITIVE)(prof.get(key, default), f"profile.{key}")
-    if cls is Bump and value > grid.length / 4.0:
+    key, default, read = _PROFILE_SHAPES[shape]
+    value = read(prof.get(key, default), f"profile.{key}")
+    if shape == "bump" and value > grid.length / 4.0:
         raise ConfigError(f"profile.width exceeds a quarter of the box, got {value!r}")
     moll = _optional(_POSITIVE)(prof.get("moll_width"), "profile.moll_width")
-    return cls(value), 3.0 * grid.dx if moll is None else moll
+    return shape, value, 3.0 * grid.dx if moll is None else moll
 
 
 def _fit_window(vals: dict, grid: Grid) -> tuple[float, float]:
@@ -313,7 +312,7 @@ def _fit_window(vals: dict, grid: Grid) -> tuple[float, float]:
     return lo, hi
 
 
-def _peakon_cases(vals: dict, grid: Grid) -> tuple:
+def _peakon_cases(vals: dict) -> tuple:
     """(label, params, gamma) of each peakon_verify case; a ConfigError
     names the offending case."""
     cases = DEFAULT_PEAKON_CASES if vals["peakon_verify.cases"] is None else vals["peakon_verify.cases"]
@@ -336,24 +335,14 @@ def _peakon_cases(vals: dict, grid: Grid) -> tuple:
 
 
 def _lagrangian_seeds(vals: dict, grid: Grid) -> np.ndarray:
-    """lagrangian.seeds, or n_seeds points spread over the middle quarter
-    of the box."""
+    """lagrangian.seeds, or 16 points spread over the middle quarter of the
+    box."""
     seeds = vals["lagrangian.seeds"]
     if seeds is None:
-        return grid.length / 2.0 + grid.length / 8.0 * np.linspace(-1.0, 1.0, vals["lagrangian.n_seeds"])
+        return grid.length / 2.0 + grid.length / 8.0 * np.linspace(-1.0, 1.0, 16)
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError(f"lagrangian.seeds must be a non-empty list of finite numbers, got {seeds!r}")
     return np.array([_FINITE(s, "lagrangian.seeds") for s in seeds])
-
-
-# the structured RunSpec fields each runner reads, and the reader of each:
-# reader(values by dotted key, grid) is the field's value
-_STUDY_READERS = {
-    "simulate": {"profile": _profile_shape, "fit_window": _fit_window},
-    "decay-scan": {"profile": _profile_shape, "fit_window": _fit_window},
-    "lagrangian": {"profile": _profile_shape, "seeds": _lagrangian_seeds},
-    "peakon-verify": {"peakon_cases": _peakon_cases},
-}
 
 
 def _sweep_points(cfg: dict, vals: dict, out_dir: str) -> tuple:
@@ -387,8 +376,9 @@ def _sweep_points(cfg: dict, vals: dict, out_dir: str) -> tuple:
 
 def _resolve(subcommand: str, cfg: dict, out_dir: str) -> RunSpec:
     """Check the keys of cfg, fill the defaults, read every key and then the
-    structured keys the runner of subcommand uses: the one path from a
-    config to a RunSpec, for a single run and for each sweep point alike."""
+    structured keys: the one path from a config to a RunSpec, for a single
+    run and for each sweep point alike.  A sweep reads its points, whose
+    runs read the structured keys."""
     cfg = _merged(cfg)
     p = resolve_params(cfg["params"])
     vals = {}  # every key's value, typed where _KEYS gives a reader
@@ -406,7 +396,7 @@ def _resolve(subcommand: str, cfg: dict, out_dir: str) -> RunSpec:
     spec = RunSpec(
         subcommand=subcommand, config=cfg, out_dir=out_dir, params=p, grid=grid,
         sim=SimConfig(params=p, grid=grid, t_end=t_end, **stepping),
-        fit_side=vals["fit.side"], fit_theta=vals["fit.theta"], write_snapshots=vals["write_snapshots"],
+        fit_side=vals["fit.side"], write_snapshots=vals["write_snapshots"],
         mms=(vals["mms.amplitude"], vals["mms.dt0"], vals["mms.levels"]),
         # both are null or positive, so `or` picks the default for null only
         peakon_moll_width=vals["peakon_verify.moll_width"] or grid.dx,
@@ -414,15 +404,20 @@ def _resolve(subcommand: str, cfg: dict, out_dir: str) -> RunSpec:
     )
     if subcommand == "sweep":
         return replace(spec, points=_sweep_points(cfg, vals, out_dir))
-    return replace(spec, **{field: read(vals, grid) for field, read in _STUDY_READERS.get(subcommand, {}).items()})
+    spec = replace(spec, profile=_profile(vals, grid), peakon_cases=_peakon_cases(vals),
+                   seeds=_lagrangian_seeds(vals, grid))
+    # the default fit window needs n >= 128, finer than an mms run needs
+    if subcommand in ("simulate", "decay-scan"):
+        spec = replace(spec, fit_window=_fit_window(vals, grid))
+    return spec
 
 
 def build_profile(spec: RunSpec) -> Field:
-    shape, moll = spec.profile
+    shape, value, moll = spec.profile
     try:
-        if moll is None:
-            return read_snapshot(shape, grid=spec.grid)
-        return mollified_profile(shape, moll, spec.grid)
+        if shape == "file":
+            return read_snapshot(value, grid=spec.grid)
+        return mollified_profile(shape, value, moll, spec.grid)
     except ValueError as err:
         raise ConfigError(f"invalid profile: {err}") from None
 
@@ -469,8 +464,6 @@ def read_snapshot(path, grid: Grid) -> Field:
 
 
 def _fmt(v) -> str:
-    if v is None:
-        return "nan"
     if isinstance(v, bool):
         return str(v).lower()
     if isinstance(v, float):
@@ -657,7 +650,6 @@ def compute_decay_scan(spec: RunSpec):
         "min_theta_u": min_theta(1),
         "min_theta_ux": min_theta(4),
         "any_floor_hit": any(row[3] or row[6] for row in rows),
-        "reference_theta": spec.fit_theta,
     }
     tables = {
         "decay.csv": (("t", "theta_hat_u", "r2_u", "floor_hit_u", "theta_hat_ux", "r2_ux", "floor_hit_ux"), rows),
@@ -773,15 +765,10 @@ def main(argv=None) -> int:
             help="override a (dotted) config key; numbers parsed as decimal doubles",
         )
         sp.add_argument("--out", default=None, help=f"output directory (default ${OUT_ROOT_ENV}/<subcommand>)")
-        sp.add_argument("--workers", default=None, help="sweep worker pool size")
     try:
         args = parser.parse_args(argv)
-        if args.workers is not None and args.subcommand != "sweep":
-            raise ConfigError(f"--workers applies only to sweep, not {args.subcommand}")
-        # --workers is the last sweep.workers override, read as --set reads it
-        overrides = args.set + ([] if args.workers is None else [f"sweep.workers={args.workers}"])
         out_dir = args.out or os.path.join(os.environ.get(OUT_ROOT_ENV, "runs"), args.subcommand)
-        spec = parse_config(args.config, overrides, args.subcommand, out_dir)
+        spec = parse_config(args.config, args.set, args.subcommand, out_dir)
     except ConfigError as err:
         print(f"kabc: configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG

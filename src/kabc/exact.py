@@ -3,14 +3,15 @@
 Peakons gamma*exp(-|x - ct|) are exact traveling waves of the family with
 speed c = (1 - a) * gamma^k on the line; the circle carries a cosh-shaped
 analogue when 6a + b + 2c = 3k.  The Green kernel of (1 - d_xx) is
-(1/2)exp(-|x|) on the line and a cosh closed form on the circle.
+(1/2)exp(-|x|) on the line and a cosh closed form on the circle.  An
+initial profile is a shape name and one float: "peakon" (its amplitude
+gamma), "exp_tail" (its decay exponent theta) or "bump" (its half-width).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -92,24 +93,6 @@ def green_periodic(x, circumference: float):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class Peakon:
-    gamma: float
-
-
-@dataclass(frozen=True)
-class ExpTail:
-    theta: float
-
-
-@dataclass(frozen=True)
-class Bump:
-    width: float
-
-
-ProfileShape = Union[Peakon, ExpTail, Bump]
-
-
 def bump_values(x, width: float):
     """C-infinity compact bump exp(-1/(1 - (x/width)^2)) for |x| < width."""
     x = np.asarray(x, dtype=float)
@@ -120,34 +103,27 @@ def bump_values(x, width: float):
     return out
 
 
-def mollified_profile(shape: ProfileShape, moll_width: float, grid: Grid) -> Field:
-    """Centered initial profile on the grid.
+def mollified_profile(shape: str, value: float, moll_width: float, grid: Grid) -> Field:
+    """Centered initial profile on the grid: value * exp(-|x|) for "peakon",
+    exp(-value * |x|) for "exp_tail", bump_values(x, value) for "bump".
 
     Peakon and exponential-tail profiles are convolved with a unit-mass
     Gaussian of standard deviation moll_width (spectral multiplier
     exp(-xi^2 sigma^2 / 2)), which puts them in the solver's resolvable
     class; the bump is already smooth with compact support and is sampled
-    as is.
+    as is.  The caller checks value and moll_width (cli does at parse).
     """
     x = grid.nodes
     center = grid.length / 2.0
     d = np.abs(x - center)
-    if isinstance(shape, Bump):
-        if not 0.0 < shape.width:
-            raise ValueError("bump width must be positive")
-        if shape.width > grid.length / 4.0:
-            raise ValueError("bump width exceeds a quarter of the box")
-        return Field(grid, bump_values(x - center, shape.width))
-    if isinstance(shape, Peakon):
-        raw = shape.gamma * np.exp(-d)
-    elif isinstance(shape, ExpTail):
-        if not shape.theta > 0:
-            raise ValueError("exp_tail decay exponent must be positive")
-        raw = np.exp(-shape.theta * d)
+    if shape == "bump":
+        return Field(grid, bump_values(x - center, value))
+    if shape == "peakon":
+        raw = value * np.exp(-d)
+    elif shape == "exp_tail":
+        raw = np.exp(-value * d)
     else:
-        raise TypeError(f"unknown profile shape {shape!r}")
-    if not moll_width > 0:
-        raise ValueError("moll_width must be positive for peakon/exp_tail")
+        raise ValueError(f"unknown profile shape {shape!r}")
     ops = get_ops(grid)
     smooth = ops.apply(raw, np.exp(-0.5 * (moll_width * ops.xi) ** 2))
     return Field(grid, smooth)
@@ -164,7 +140,7 @@ def peakon_initial_condition(gamma: float, moll_width: float, grid: Grid) -> Fie
     """
     from .diagnostics import h1_squared
 
-    u = mollified_profile(Peakon(gamma), moll_width, grid)
+    u = mollified_profile("peakon", gamma, moll_width, grid)
     energy = h1_squared(u)
     if energy == 0.0:
         return u

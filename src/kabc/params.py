@@ -55,11 +55,6 @@ def as_int(value, name: str = "k") -> int:
     return value
 
 
-def validate(k, a, b, c) -> Params:
-    """Validate a raw quadruple and return the corresponding Params."""
-    return Params(k, a, b, c)
-
-
 _FIXED_PRESETS = {
     "ch": (1, 0.0, 2.0, 0.5),
     "dp": (1, 0.0, 3.0, 0.0),
@@ -72,9 +67,8 @@ def preset(name: str, **free) -> Params:
     """Named reductions of the family.
 
     Fixed presets: "ch", "dp", "novikov", "forq".  Parameterized families:
-    "gkbch" (keywords k, b; sets a = 0, c = (3k - b)/2), "ab" (keywords a, b;
-    sets k = 2, c = (6 - 6a - b)/2) and "bfam" (keyword b; same as
-    gkbch with k = 1).
+    "gkbch" (keywords k, b; sets a = 0, c = (3k - b)/2) and "ab" (keywords
+    a, b; sets k = 2, c = (6 - 6a - b)/2).  The b-family is gkbch at k = 1.
     """
     key = name.lower()
     if key in _FIXED_PRESETS:
@@ -92,11 +86,6 @@ def preset(name: str, **free) -> Params:
             if free:
                 raise TypeError(f"unexpected parameters for ab: {sorted(free)}")
             return Params(2, a, b, (6.0 - 6.0 * a - b) / 2.0)
-        if key == "bfam":
-            b = float(free.pop("b"))
-            if free:
-                raise TypeError(f"unexpected parameters for bfam: {sorted(free)}")
-            return preset("gkbch", k=1, b=b)
     except KeyError as missing:
         raise TypeError(f"preset {name!r} is missing parameter {missing}") from None
     raise ValueError(f"unknown preset {name!r}")

@@ -119,8 +119,8 @@ class SpectralOps:
 
     def upsample(self, hat: np.ndarray, m: int, mult: Optional[np.ndarray] = None,
                  out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None) -> np.ndarray:
-        """Trigonometric interpolation onto m points, from the half-spectrum
-        (times the multiplier mult, when given).
+        """Trigonometric interpolation onto a padded size m > n, from the
+        half-spectrum (times the multiplier mult, when given).
 
         out receives the m samples.  work is the padded half-spectrum, of
         length m//2 + 1: only its first n//2 + 1 bins are written, so the
@@ -128,8 +128,6 @@ class SpectralOps:
         when not given.
         """
         n = self.grid.n
-        if m == n:
-            return np.fft.irfft(hat if mult is None else hat * mult, n, out=out)
         if work is None:
             work = np.zeros(m // 2 + 1, dtype=complex)
         if mult is None:
@@ -142,17 +140,14 @@ class SpectralOps:
         return fine
 
     def reduce_hat(self, fine_values: np.ndarray, m: int, work: Optional[np.ndarray] = None) -> np.ndarray:
-        """Truncate fine-grid samples back to the base spectrum (rfft).
+        """Truncate samples on a padded size m > n back to the base rfft.
 
         work, of length m//2 + 1, receives the forward transform, and the
         result is then a view of its first n//2 + 1 bins; it is allocated
         when not given.
         """
         n = self.grid.n
-        fh = np.fft.rfft(fine_values, out=work)
-        if m == n:
-            return fh
-        out = fh[: n // 2 + 1]
+        out = np.fft.rfft(fine_values, out=work)[: n // 2 + 1]
         out *= n / m  # only the kept bins are scaled
         out[n // 2] = 2.0 * out[n // 2].real  # recombine the +-n/2 modes
         return out

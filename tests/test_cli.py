@@ -33,6 +33,7 @@ from kabc.cli import (
     run,
     write_snapshot,
 )
+from kabc.params import _FIXED_PRESETS, preset
 from kabc.spectral import Field, Grid
 
 
@@ -113,19 +114,6 @@ class TestParseConfig:
         assert "k must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_workers_rejected_outside_sweep(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert main(["mms", "--workers", "3", "--out", str(out)]) == EXIT_CONFIG
-        assert "--workers applies only to sweep" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_workers_flag_is_the_last_sweep_workers_override(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        axes = 'sweep.axes=[{"key": "t_end", "values": [0.1]}]'
-        assert main(["sweep", "--set", axes, "--set", "sweep.workers=2", "--workers", "0", "--out", str(out)]) == EXIT_CONFIG
-        assert "sweep.workers must be an integer >= 1, got 0" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "axis, message",
         [
@@ -203,7 +191,6 @@ class TestParseConfig:
             ("mms", ["mms.dt0=0"], "mms.dt0"),
             ("mms", ["mms.dt0=-0.5"], "mms.dt0"),
             ("mms", ["mms.t_end=-1"], "t_end"),
-            ("lagrangian", ["lagrangian.n_seeds=0"], "lagrangian.n_seeds"),
             ("lagrangian", ["lagrangian.seeds=[]"], "lagrangian.seeds"),
             ("lagrangian", ["lagrangian.seeds=[1.0, NaN]"], "lagrangian.seeds"),
             ("lagrangian", ["lagrangian.seeds=[1.0, Infinity]"], "lagrangian.seeds"),
@@ -215,8 +202,6 @@ class TestParseConfig:
             ("mms", ["mms.amplitude=0"], "mms.amplitude"),
             ("simulate", ['fit.side="up"'], "fit.side"),
             ("decay-scan", ['fit.side="up"'], "fit.side"),
-            ("decay-scan", ['fit.theta="x"'], "fit.theta"),
-            ("decay-scan", ["fit.theta=1"], "fit.theta"),
             ("peakon-verify", ["peakon_verify.moll_width=-1"], "peakon_verify.moll_width"),
             ("simulate", ['profile.gamma="x"'], "profile.gamma"),
             ("simulate", ['profile={"shape": "peakon", "moll_width": 0}'], "profile.moll_width"),
@@ -240,7 +225,6 @@ class TestParseConfig:
             ("simulate", ["output_stride=2.5"], "output_stride"),
             ("simulate", ["grid.n=128.7"], "grid.n"),
             ("mms", ["mms.levels=2.9"], "mms.levels"),
-            ("lagrangian", ["lagrangian.n_seeds=3.5"], "lagrangian.n_seeds"),
             ("simulate", ['cfl_safety="x"'], "cfl_safety"),
             ("simulate", ['output_stride="x"'], "output_stride"),
             ("simulate", ["t_end.x=1"], "t_end"),
@@ -251,6 +235,13 @@ class TestParseConfig:
             ("simulate", ["grid.n=1" + "0" * 400], "grid.n"),
             ("simulate", ["grid.n=129"], "grid.n"),
             ("simulate", [f"grid.n={2**24 + 2}"], "grid.n"),
+            # every run but a sweep reads profile, peakon_verify.cases and
+            # lagrangian.seeds, used or not
+            ("mms", ['profile={"shape": "nope"}', "grid.n=32", "mms.levels=2"], "profile shape 'nope'"),
+            ("peakon-verify", ['profile={"shape": "exp_tail", "theta": 0}'], "profile.theta"),
+            ("peakon-verify", ['profile={"shape": "peakon", "moll_width": -1}'], "profile.moll_width"),
+            ("mms", ['lagrangian.seeds="x"', "grid.n=32", "mms.levels=2"], "lagrangian.seeds"),
+            ("simulate", ['peakon_verify.cases=[{"preset": "nope"}]'], "peakon_verify.cases[0]"),
         ],
     )
     def test_stepping_and_study_keys_rejected_at_parse(self, tmp_path, capsys, subcommand, overrides, key):
@@ -276,7 +267,7 @@ class TestParseFuzz:
     # floor 1e-12 for the reals, 1 and 8 for the integers), and wrong-typed values
     EDGES = (0, 1, -1, 0.5, 1.5, -0.0, 1e-300, 1e-12, 2e-12, 7, 8, 9, 10, 2.5, "x", "left", True, False, None,
              math.nan, math.inf, -math.inf, {"x": 1}, [1.0], [5.0, 11.0])
-    INTEGER_KEYS = ("grid.n", "output_stride", "mms.levels", "lagrangian.n_seeds", "sweep.workers")
+    INTEGER_KEYS = ("grid.n", "output_stride", "mms.levels", "sweep.workers")
 
     @staticmethod
     def rejected(key, value):
@@ -620,7 +611,7 @@ class TestOtherSubcommands:
                 "grid": {"n": 256, "length": 2 * math.pi},
                 "t_end": 0.25,
                 "dt_max": 5e-3,
-                "lagrangian": {"n_seeds": 8},
+                "lagrangian": {"seeds": [2.4, 2.6, 2.8, 3.0, 3.2, 3.4, 3.6, 3.8]},
             },
         )
         # build a smooth initial file
@@ -643,10 +634,11 @@ class TestOtherSubcommands:
         from kabc import lagrangian
         from kabc.cli import _run_simulation
 
+        seeds = np.array([2.5, 2.75, 3.0, 3.25, 3.5])
         spec = parse_config(
             None,
             [f'params.preset="{preset}"', "grid.n=128", f"grid.length={2 * math.pi!r}",
-             'profile={"shape": "bump", "width": 1.0}', "t_end=0.05", "lagrangian.n_seeds=5"],
+             'profile={"shape": "bump", "width": 1.0}', "t_end=0.05", f"lagrangian.seeds={seeds.tolist()}"],
             "lagrangian",
         )
         code, tables, _ = compute_lagrangian(spec)
@@ -654,8 +646,6 @@ class TestOtherSubcommands:
         header, table = tables["particles.csv"]
         assert header == ("seed", "t", "eta", "eta_x", "m_along", "invariant_residual")
 
-        length = spec.grid.length
-        seeds = length / 2.0 + length / 8.0 * np.linspace(-1.0, 1.0, 5)
         traj = _run_simulation(spec)
         ps = lagrangian.advect(traj, seeds)
         m_along = lagrangian.momentum_along(traj, ps)
@@ -692,7 +682,7 @@ class TestOtherSubcommands:
         ("peakon-verify", ["grid.n=256", 'peakon_verify={"cases": [{"preset": "forq"}], "t_end": 0.05}']),
         ("mms", ['params.preset="forq"', "grid.n=32", f"grid.length={2 * math.pi!r}", 'mms={"levels": 2, "t_end": 0.25}']),
         ("lagrangian", ['params.preset="novikov"', "grid.n=128", f"grid.length={2 * math.pi!r}",
-                        'profile={"shape": "bump", "width": 1.0}', "t_end=0.05", "lagrangian.n_seeds=5"]),
+                        'profile={"shape": "bump", "width": 1.0}', "t_end=0.05", "lagrangian.seeds=[2.5, 3, 3.5]"]),
     ],
 )
 def test_runners_read_only_the_resolved_values(subcommand, overrides):
@@ -842,10 +832,9 @@ class TestMainEntry:
         "argv, message",
         [
             (["simulate", "--bogus"], "unrecognized arguments: --bogus"),
-            (["sweep", "--workers", "2.5"], "sweep.workers must be an integer >= 1, got 2.5"),
             ([], "the following arguments are required: subcommand"),
         ],
-        ids=["unknown-flag", "fractional-workers", "no-subcommand"],
+        ids=["unknown-flag", "no-subcommand"],
     )
     def test_usage_errors_exit_3(self, tmp_path, monkeypatch, capsys, argv, message):
         # argparse's own exit code, 2, is the blow-up code
@@ -860,7 +849,26 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as stop:
             main(["simulate", "--help"])
         assert stop.value.code == 0
-        assert "--workers" in capsys.readouterr().out
+        assert "--set" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["lagrangian", "--set", "lagrangian.n_seeds=5"], "unknown config keys: lagrangian.n_seeds"),
+            (["decay-scan", "--set", "fit.theta=0.5"], "unknown config keys: fit.theta"),
+            (["simulate", "--set", 'params={"preset": "bfam", "b": 1}'], "unknown preset 'bfam'"),
+            (["sweep", "--workers", "2"], "unrecognized arguments: --workers 2"),
+        ],
+        ids=["n_seeds", "fit-theta", "bfam", "workers-flag"],
+    )
+    def test_removed_inputs_exit_3(self, tmp_path, capsys, argv, named):
+        # each input has one spelling: lagrangian.seeds, gkbch at k = 1 and
+        # --set sweep.workers=N are the ones left
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_io_error_exit_code(self, tmp_path):
         ok = write_config(
@@ -907,3 +915,29 @@ class TestReadme:
     def test_config_table_names_every_dotted_key(self):
         table = self.config_table()
         assert [key for key in _KEYS if f"`{key}`" not in table] == []
+
+    def test_config_table_names_only_existing_keys(self):
+        # a backticked block.leaf in the table is a key, unless it names an
+        # artifact file
+        blocks = {key.split(".")[0] for key in _KEYS if "." in key}
+        named = [span for span in re.findall(r"`([a-z_]+\.[a-z_]+)`", self.config_table())
+                 if span.split(".")[0] in blocks and not span.endswith((".csv", ".json"))]
+        assert named and [key for key in named if key not in _KEYS] == []
+
+    def test_config_table_names_only_existing_presets(self):
+        listed = re.search(r"`preset` one of `([^`]+)`", self.config_table()).group(1).split(", ")
+        assert set(_FIXED_PRESETS) <= set(listed)
+        for name in listed:
+            try:
+                preset(name)
+            except TypeError:  # a parameterized preset, called without its parameters
+                pass
+
+    def test_synopsis_names_exactly_the_flags(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        synopsis = readme.split("## Command line", 1)[1].split("```", 2)[1]
+        assert re.search(r"kabc (\S+)", synopsis).group(1).split("|") == list(SUBCOMMANDS)
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        flags = set(re.findall(r"--[a-z]+", capsys.readouterr().out)) - {"--help"}
+        assert set(re.findall(r"--[a-z]+", synopsis)) == flags

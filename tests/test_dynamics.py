@@ -19,8 +19,8 @@ from kabc.dynamics import (
     rk4_step,
     simulate,
 )
-from kabc.exact import Peakon, mollified_profile
-from kabc.params import h1_conserved, preset, validate
+from kabc.exact import mollified_profile
+from kabc.params import Params, h1_conserved, preset
 from kabc.spectral import Field, Grid, derivative, green_dx_convolve, helmholtz_inverse
 from kabc import diagnostics
 
@@ -77,7 +77,7 @@ class TestRhs:
         # away from the crest the peakon satisfies u_t = -speed * u_x
         grid = Grid(1024, 40 * np.pi)
         p = preset("ch")
-        u = mollified_profile(Peakon(1.0), grid.dx, grid)
+        u = mollified_profile("peakon", 1.0, grid.dx, grid)
         resid = rhs(u, p).values + 1.0 * derivative(u, 1).values
         d = np.abs(grid.nodes - grid.length / 2)
         assert np.max(np.abs(resid[d > 3.0])) < 5e-3
@@ -87,7 +87,7 @@ class TestRhs:
         # coefficient and would need 1/u
         g = Grid(64, 2 * np.pi)
         with pytest.raises(ValueError):
-            rhs(Field(g, np.ones(64)), validate(1, 0.0, 2.0, 0.0))
+            rhs(Field(g, np.ones(64)), Params(1, 0.0, 2.0, 0.0))
 
     def test_forcing_added(self):
         g = Grid(64, 2 * np.pi)
@@ -108,7 +108,7 @@ class TestRhs:
             (preset("dp"), 4),
             (preset("novikov"), 5),
             (preset("forq"), 5),
-            (validate(3, 0.5, 1.0, 0.5), 6),
+            (Params(3, 0.5, 1.0, 0.5), 6),
         ],
     )
     def test_fft_budget(self, p, ffts, monkeypatch):
@@ -137,8 +137,8 @@ class TestRhs:
             (preset("dp"), False),
             (preset("novikov"), False),
             (preset("forq"), False),
-            (validate(3, 0.5, 1.0, 0.5), False),
-            (validate(4, -0.4, 2.0, 1.0), False),
+            (Params(3, 0.5, 1.0, 0.5), False),
+            (Params(4, -0.4, 2.0, 1.0), False),
             (preset("forq"), True),
         ],
     )
@@ -160,7 +160,7 @@ class TestRhs:
         assert not np.shares_memory(out_a, out_b)
 
     @pytest.mark.parametrize(
-        "p", [preset("ch"), preset("novikov"), preset("forq"), validate(3, 0.5, 1.0, 0.5)]
+        "p", [preset("ch"), preset("novikov"), preset("forq"), Params(3, 0.5, 1.0, 0.5)]
     )
     def test_allocation_budget(self, p):
         # once warm, a call allocates its fresh result and a few small
@@ -208,7 +208,7 @@ class TestLocalFormResidual:
         # stays below n / (2(k+1)): at that limit the top mode of the
         # degree-(k+1) products lands on Nyquist and the residual reflects
         # the input, not the solver.
-        p = validate(1, 0.0, b, (3.0 - b) / 2.0) if k == 1 else validate(k, a, b, c)
+        p = Params(1, 0.0, b, (3.0 - b) / 2.0) if k == 1 else Params(k, a, b, c)
         g = Grid(n, 2 * np.pi)
         u = band_limited(g, n // (2 * (k + 2)), seed=seed)
         res = local_form_residual(u, rhs(u, p), p)
@@ -249,11 +249,11 @@ class TestH1ConservationRule:
     def test_rule_holds_exactly_where_the_rate_vanishes(self, k, a, b, shift):
         if k == 1:  # the admissible line b + 2c = 3 meets the manifold at CH only
             b = 2.0 + shift
-            p = validate(1, 0.0, b, (3.0 - b) / 2.0)
+            p = Params(1, 0.0, b, (3.0 - b) / 2.0)
         elif k == 2:  # 9a + b + 4c = 9
-            p = validate(2, a, b, (9.0 - 9.0 * a - b) / 4.0 + shift)
+            p = Params(2, a, b, (9.0 - 9.0 * a - b) / 4.0 + shift)
         else:  # a = 0 and 2c + (2/k)(b + 2c - 3k) + 1 = 2k
-            p = validate(k, 0.0, b, (2.0 * k + 5.0 - 2.0 * b / k) / (2.0 + 4.0 / k) + shift)
+            p = Params(k, 0.0, b, (2.0 * k + 5.0 - 2.0 * b / k) / (2.0 + 4.0 / k) + shift)
         assert h1_conserved(p) == (shift == 0.0)
         assert h1_conserved(p) == (abs(self.h1_rate(p)) <= self.TOL)
 
@@ -271,7 +271,7 @@ class TestCflDt:
 
     def test_peakon_speed_scale(self):
         g = Grid(1024, 40 * np.pi)
-        u = mollified_profile(Peakon(1.0), 3 * g.dx, g)
+        u = mollified_profile("peakon", 1.0, 3 * g.dx, g)
         dt = cfl_dt(u, preset("ch"), 0.4, 10.0)
         assert dt == pytest.approx(0.4 * g.dx / np.max(np.abs(u.values)), rel=1e-6)
 
@@ -411,7 +411,7 @@ class TestSimulate:
         # a stored snapshot costs its n doubles, not also the spectrum its
         # step computed (which would make it about twice that)
         g = Grid(4096, 40 * np.pi)
-        u0 = mollified_profile(Peakon(1.0), 3 * g.dx, g)
+        u0 = mollified_profile("peakon", 1.0, 3 * g.dx, g)
         cfg = SimConfig(params=preset("ch"), grid=g, t_end=0.2)
         simulate(cfg, u0)  # fills the per-grid caches
         gc.collect()
@@ -465,8 +465,8 @@ class TestSimulate:
             # 1e-16 relative perturbation of u0 moves FORQ's final state by
             # O(1).  At k >= 3 (the c_f2_2, u_xx path) it blows up instead.
             (preset("forq"), 40),
-            (validate(3, 0.5, 1.0, 0.5), 10),
-            (validate(4, -0.4, 2.0, 1.0), 10),
+            (Params(3, 0.5, 1.0, 0.5), 10),
+            (Params(4, -0.4, 2.0, 1.0), 10),
         ],
     )
     def test_matches_physical_space_reference(self, p, max_mode, spectral_filter):
@@ -599,7 +599,7 @@ class TestScalingSymmetry:
         # every term of the right-hand side has degree k+1 in u, so
         # u -> lam u scales it by lam^(k+1); for a power of two lam every
         # product, sum and FFT butterfly scales exactly, so equality is bitwise
-        p = validate(1, 0.0, b, (3.0 - b) / 2.0) if k == 1 else validate(k, a, b, c)
+        p = Params(1, 0.0, b, (3.0 - b) / 2.0) if k == 1 else Params(k, a, b, c)
         g = Grid(n, 2 * np.pi)
         op = RhsOperator(g, p)
         uh = band_limited(g, n // (2 * (k + 2)), seed=seed).hat

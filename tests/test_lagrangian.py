@@ -12,7 +12,7 @@ from kabc.lagrangian import (
     momentum,
     momentum_along,
 )
-from kabc.params import preset, validate
+from kabc.params import Params, preset
 from kabc.spectral import Field, Grid
 
 
@@ -278,7 +278,7 @@ class TestConservationCheck:
 
     def test_pure_transport_exponent_zero(self):
         # b = 0, k = 1: the law reduces to m(eta, t) = m0 with no stretch
-        p = preset("bfam", b=0.0)
+        p = preset("gkbch", k=1, b=0.0)
         g = Grid(256, 2 * np.pi)
         u0 = Field(g, 0.2 * np.sin(g.nodes))
         cfg = SimConfig(params=p, grid=g, t_end=0.25, dt_max=2.5e-3, output_stride=1)
@@ -295,7 +295,7 @@ class TestConservationCheck:
         with pytest.raises(ValueError):
             conservation_check(traj, ps, preset("forq"))  # a != 0
         with pytest.raises(ValueError):
-            conservation_check(traj, ps, validate(2, 0.0, 3.0, 0.0))  # c off family
+            conservation_check(traj, ps, Params(2, 0.0, 3.0, 0.0))  # c off family
 
     def test_residual_shrinks_under_refinement(self):
         def residual(n, dtm):
