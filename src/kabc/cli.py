@@ -34,8 +34,8 @@ import numpy as np
 
 from . import __version__, diagnostics, dynamics, exact, lagrangian, params as params_mod
 from .diagnostics import default_tail_window
-from .dynamics import ManufacturedSolution, SimConfig, Trajectory, mms_forcing, simulate
-from .exact import PeakonSpec, mollified_profile
+from .dynamics import SimConfig, Trajectory, mms_forcing, simulate
+from .exact import mollified_profile
 from .params import Params, preset
 from .spectral import Field, Grid
 
@@ -114,6 +114,15 @@ def _grid_n(value, key):
         raise ConfigError(f"{key} must be an even integer in [8, {GRID_N_MAX}], got {value!r}")
     return n
 
+
+def _mms_levels(value, key):
+    """An integer in [1, 12]: each level halves dt, and at 4th order 12
+    levels span more than 14 decades of error, past double precision."""
+    levels = _integer()(value, key)
+    if levels > 12:
+        raise ConfigError(f"{key} must be an integer in [1, 12], got {value!r}")
+    return levels
+
 # Every config key, dotted: (default, reader).  reader(value, key) is the
 # typed value or a ConfigError naming key; every scalar key is read on every
 # run, used or not.  None marks a structured key, read by its own reader
@@ -139,7 +148,7 @@ _KEYS = {
     # a zero amplitude has a zero error, so no observed order
     "mms.amplitude": (0.1, _real("nonzero", lambda x: x != 0.0)),
     "mms.dt0": (0.0625, _POSITIVE),
-    "mms.levels": (5, _integer()),
+    "mms.levels": (5, _mms_levels),
     "mms.t_end": (1.0, _T_END),
     "lagrangian.seeds": (None, None),
     "sweep.subcommand": ("simulate", _choice(*(name for name in SUBCOMMANDS if name != "sweep"))),
@@ -148,7 +157,10 @@ _KEYS = {
 }
 
 _PARAMS_KEYS = {"preset", "k", "a", "b", "c"}
-_PROFILE_KEYS = {"shape", "gamma", "theta", "width", "moll_width", "path"}
+# shape name -> (its key, default, reader); only the peakon's amplitude may
+# be zero or negative
+_PROFILE_SHAPES = {"peakon": ("gamma", 1.0, _FINITE), "exp_tail": ("theta", 0.5, _POSITIVE), "bump": ("width", 2.0, _POSITIVE)}
+_PROFILE_KEYS = {"shape", "moll_width", "path", *(key for key, _, _ in _PROFILE_SHAPES.values())}
 
 
 def _set_dotted(cfg: dict, dotted: str, value) -> None:
@@ -223,9 +235,7 @@ class RunSpec:
     subcommand: str
     config: dict
     out_dir: str
-    params: Params
-    grid: Grid
-    sim: SimConfig  # what the runner steps with
+    sim: SimConfig  # what the runner steps with: its params and grid are the run's
     profile: tuple | None = None  # (shape, value, moll_width), or ("file", path, None)
     fit_window: tuple[float, float] | None = None
     fit_side: str | None = None
@@ -267,11 +277,6 @@ def parse_config(path=None, overrides=(), subcommand="simulate", out_dir=None) -
     return _resolve(subcommand, cfg, out_dir or "")
 
 
-# shape name -> (its key, default, reader); only the peakon's amplitude may
-# be zero or negative
-_PROFILE_SHAPES = {"peakon": ("gamma", 1.0, _FINITE), "exp_tail": ("theta", 0.5, _POSITIVE), "bump": ("width", 2.0, _POSITIVE)}
-
-
 def _profile(vals: dict, grid: Grid) -> tuple:
     """(shape, value, moll_width) of the profile block, or ("file", path,
     None); a bump is at most a quarter of the box wide."""
@@ -294,22 +299,17 @@ def _profile(vals: dict, grid: Grid) -> tuple:
 
 
 def _fit_window(vals: dict, grid: Grid) -> tuple[float, float]:
-    """fit.window, or the default tail window; it must hold 16 grid nodes
-    and stay clear of the wrap-around seam."""
+    """fit.window, or the default tail window, checked by
+    diagnostics.check_fit_window."""
     win = vals["fit.window"]
     if win is None:
-        lo, hi = default_tail_window(grid)
-    else:
-        if not isinstance(win, list) or len(win) != 2:
-            raise ConfigError(f"fit.window must be [x_lo, x_hi], got {win!r}")
-        lo, hi = (_FINITE(x, "fit.window") for x in win)
-        if not lo < hi:
-            raise ConfigError(f"fit.window must be [x_lo, x_hi] with x_lo < x_hi, got {win!r}")
-    if (hi - lo) / grid.dx < 16:
-        raise ConfigError("fit window holds fewer than 16 grid nodes")
-    if hi > grid.length / 2.0 - grid.length / 8.0:
-        raise ConfigError("fit window too close to the wrap-around seam")
-    return lo, hi
+        win = default_tail_window(grid)
+    elif not isinstance(win, list) or len(win) != 2:
+        raise ConfigError(f"fit.window must be [x_lo, x_hi], got {win!r}")
+    try:
+        return diagnostics.check_fit_window([_FINITE(x, "fit.window") for x in win], grid)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
 
 def _peakon_cases(vals: dict) -> tuple:
@@ -388,13 +388,13 @@ def _resolve(subcommand: str, cfg: dict, out_dir: str) -> RunSpec:
         vals[key] = raw if read is None else read(raw, key)
     grid = Grid(vals["grid.n"], vals["grid.length"])
     # peakon-verify and mms have their own t_end; an mms level steps at a
-    # fixed dt (dt0 here, each level replaces dt_max), keeping its end only
+    # fixed dt (each level sets dt_max), keeping its end only
     stepping = {key: vals[key] for key in ("cfl_safety", "dt_max", "output_stride", "sobolev_s", "spectral_filter")}
     t_end = {"peakon-verify": vals["peakon_verify.t_end"], "mms": vals["mms.t_end"]}.get(subcommand, vals["t_end"])
     if subcommand == "mms":
-        stepping.update(cfl_safety=1.0, dt_max=vals["mms.dt0"], output_stride=10**9)
+        stepping.update(cfl_safety=1.0, output_stride=10**9)
     spec = RunSpec(
-        subcommand=subcommand, config=cfg, out_dir=out_dir, params=p, grid=grid,
+        subcommand=subcommand, config=cfg, out_dir=out_dir,
         sim=SimConfig(params=p, grid=grid, t_end=t_end, **stepping),
         fit_side=vals["fit.side"], write_snapshots=vals["write_snapshots"],
         mms=(vals["mms.amplitude"], vals["mms.dt0"], vals["mms.levels"]),
@@ -416,8 +416,8 @@ def build_profile(spec: RunSpec) -> Field:
     shape, value, moll = spec.profile
     try:
         if shape == "file":
-            return read_snapshot(value, grid=spec.grid)
-        return mollified_profile(shape, value, moll, spec.grid)
+            return read_snapshot(value, grid=spec.sim.grid)
+        return mollified_profile(shape, value, moll, spec.sim.grid)
     except ValueError as err:
         raise ConfigError(f"invalid profile: {err}") from None
 
@@ -494,7 +494,7 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _manifest(spec: RunSpec, started, wall_s, result: dict) -> dict:
-    p = spec.params
+    p = spec.sim.params
     return {
         "schema_version": 1,
         "subcommand": spec.subcommand,
@@ -586,46 +586,50 @@ def compute_simulate(spec: RunSpec):
 
 
 def _peakon_case(spec: RunSpec, label: str, p: Params, gamma: float):
-    """One speeds.csv row and the case's growth-bound record.  Its
-    trajectory dies on return, so a peakon-verify run holds one case's
-    snapshots at a time."""
-    u0 = exact.peakon_initial_condition(gamma, spec.peakon_moll_width, spec.grid)
+    """One speeds.csv row (NaN speed if the case blew up), the case's growth
+    bound record, and its last good time if it blew up, else None.  Its
+    trajectory dies on return, so a run holds one case's snapshots at a time."""
+    u0 = exact.peakon_initial_condition(gamma, spec.peakon_moll_width, spec.sim.grid)
     traj = simulate(replace(spec.sim, params=p), u0)
-    expected = PeakonSpec(gamma, p).speed
-    measured = diagnostics.crest_track(traj)
+    expected = exact.peakon_speed(gamma, p)
+    measured = math.nan if traj.blew_up else diagnostics.crest_track(traj)
     rel = abs(measured - expected) / abs(expected) if expected else math.nan
-    return (label, gamma, expected, measured, rel), _softbound_record(traj)
+    return (label, gamma, expected, measured, rel), _softbound_record(traj), traj.last_time if traj.blew_up else None
 
 
 def compute_peakon_verify(spec: RunSpec):
-    results = [_peakon_case(spec, *case) for case in spec.peakon_cases]
-    rows = [row for row, _ in results]
-    worst = max(r[4] for r in rows)
+    rows, softbounds, blown = zip(*(_peakon_case(spec, *case) for case in spec.peakon_cases))
+    worst = float(np.max([r[4] for r in rows]))  # NaN when any case measured none
     tables = {
         "speeds.csv": (("preset", "gamma", "expected_speed", "measured_speed", "rel_err"), rows),
         "summary.csv": (("n_cases", "worst_rel_err"), [(len(rows), worst)]),
     }
-    return EXIT_OK, tables, {"worst_rel_err": worst, "softbound": [sb for _, sb in results]}
+    extras = {"worst_rel_err": worst, "softbound": list(softbounds)}
+    errors = [f"case {i}: non-finite field after t = {t:.6g}" for i, t in enumerate(blown) if t is not None]
+    if errors:
+        extras["error"] = "; ".join(errors)
+    return EXIT_BLOWUP if errors else EXIT_OK, tables, extras
 
 
 def compute_mms(spec: RunSpec):
     amp, dt0, levels = spec.mms
-    grid = spec.grid
-    star = ManufacturedSolution(
-        value=lambda x, t: amp * np.sin(x - t),
-        dt_value=lambda x, t: -amp * np.cos(x - t),
-    )
-    forcing = mms_forcing(star, spec.params, grid)
-    u0 = Field(grid, star.value(grid.nodes, 0.0))
+    grid = spec.sim.grid
+    def value(x, t):  # the manufactured solution
+        return amp * np.sin(x - t)
+    forcing = mms_forcing(value, lambda x, t: -amp * np.cos(x - t), spec.sim.params, grid)
+    u0 = Field(grid, value(grid.nodes, 0.0))
     rows = []
     for lvl in range(levels):
         dt = dt0 / 2**lvl
         traj = simulate(replace(spec.sim, dt_max=dt, forcing=forcing), u0)
+        # a blown-up level's last steps collapse, so blow-up is checked first
+        if traj.blew_up:
+            raise dynamics.BlowUpError(f"mms level {lvl} (dt {dt:g}): non-finite field after t = {traj.last_time:.6g}")
         # only a level's last step may be cut short, to land on t_end
         cfl = min((rec.dt for rec in traj.records[1:-1]), default=dt)
         if cfl < dt:
             raise ConfigError(f"mms.dt0 {dt0:g} gives level {lvl} the dt {dt:g}, but the CFL step is {cfl:.6g}")
-        exactf = star.value(grid.nodes, traj.last_time)
+        exactf = value(grid.nodes, traj.last_time)
         err = float(np.max(np.abs(traj.snapshots[-1].values - exactf)))
         rows.append((dt, err, math.log2(rows[-1][1] / err) if rows else math.nan))
     tables = {
@@ -664,15 +668,15 @@ def compute_lagrangian(spec: RunSpec):
     ps = lagrangian.advect(traj, seeds)
     m_along = lagrangian.momentum_along(traj, ps)
     try:
-        res = lagrangian.invariant_residuals(ps, m_along, spec.params)
+        res = lagrangian.invariant_residuals(ps, m_along, spec.sim.params)
         residual = float(np.max(res))
     except ValueError:  # off the a = 0, c = (3k - b)/2 subfamily
         res = np.full_like(m_along, math.nan)
         residual = None
     # one row per (time, seed), seed-fastest within each time
-    n_seeds, n_times = len(seeds), len(ps.times)
+    n_seeds, n_times = len(seeds), len(traj.times)
     particles = np.column_stack((
-        np.tile(seeds, n_times), np.repeat(ps.times, n_seeds),
+        np.tile(seeds, n_times), np.repeat(traj.times, n_seeds),
         ps.paths.ravel(), ps.stretch.ravel(), m_along.ravel(), res.ravel(),
     ))
     summary = (residual if residual is not None else math.nan, n_seeds, traj.last_time)

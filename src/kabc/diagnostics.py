@@ -113,25 +113,32 @@ class DecayFit:
     floor_hit: bool
 
 
-def decay_fit(f: Field, window, side: str) -> DecayFit:
-    """Fit |f| ~ A exp(-theta_hat * d) on d in [x_lo, x_hi] from the box
-    center, one-sided.  Samples at or below FIT_FLOOR are excluded and set
-    floor_hit.  The window must hold at least 16 nodes and stay at least
-    length/8 away from the wrap-around seam."""
+def check_fit_window(window, grid: Grid) -> tuple[float, float]:
+    """(x_lo, x_hi) of a fit window, distances from the box center.  It must
+    have x_lo < x_hi, span at least 16 grid spacings and end at least
+    length/8 before the wrap-around seam; else ValueError."""
     x_lo, x_hi = float(window[0]), float(window[1])
     if not x_lo < x_hi:
-        raise ValueError("window must satisfy x_lo < x_hi")
+        raise ValueError(f"fit.window must be [x_lo, x_hi] with x_lo < x_hi, got {list(window)!r}")
+    if (x_hi - x_lo) / grid.dx < 16:
+        raise ValueError("fit window holds fewer than 16 grid nodes")
+    if x_hi > grid.length / 2.0 - grid.length / 8.0:
+        raise ValueError("fit window too close to the wrap-around seam")
+    return x_lo, x_hi
+
+
+def decay_fit(f: Field, window, side: str) -> DecayFit:
+    """Fit |f| ~ A exp(-theta_hat * d) on d in [x_lo, x_hi] from the box
+    center, one-sided, on a window check_fit_window accepts.  Samples at or
+    below FIT_FLOOR are excluded and set floor_hit."""
+    grid = f.grid
+    x_lo, x_hi = check_fit_window(window, grid)
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    grid = f.grid
-    if x_hi > grid.length / 2.0 - grid.length / 8.0:
-        raise ValueError("window too close to the wrap-around seam")
     offset = grid.nodes - grid.length / 2.0
     if side == "left":
         offset = -offset
     sel = (offset >= x_lo) & (offset <= x_hi)
-    if int(np.sum(sel)) < 16:
-        raise ValueError("window must contain at least 16 grid nodes")
     d = offset[sel]
     v = np.abs(f.values[sel])
     keep = v > FIT_FLOOR

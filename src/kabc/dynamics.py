@@ -44,10 +44,6 @@ T_END_TOL = 1e-12
 class BlowUpError(RuntimeError):
     """A stage or step produced non-finite samples."""
 
-    def __init__(self, t: float):
-        self.t = t
-        super().__init__(f"non-finite field at t = {t:.6g}")
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -155,7 +151,7 @@ class RhsOperator:
         self.params = params
         self.forcing = forcing
         self.ops = get_ops(grid)
-        self.coeffs = cs = coefficients(params)
+        cs = coefficients(params)
         k = params.k
         self.k = k
         self.m = m = self.ops.pad_size(k + 1)
@@ -229,7 +225,7 @@ class RhsOperator:
         if self.forcing is not None:
             rhs_hat += self._forcing_hat(t)
         if not np.all(np.isfinite(rhs_hat)):
-            raise BlowUpError(t)
+            raise BlowUpError(f"non-finite right-hand side at t = {t:.6g}")
         return rhs_hat
 
 
@@ -268,21 +264,21 @@ def local_form_residual(u: Field, ut: Field, p: Params) -> Field:
     return Field(u.grid, out)
 
 
-def cfl_dt(u: Field, p: Params, safety: float, dt_max: float, uh: Optional[np.ndarray] = None) -> float:
+def cfl_dt(u: Field, p: Params, safety: float, dt_max: float, uh: np.ndarray) -> float:
     """CFL step from the advective characteristic speed u^k - a u^{k-2} u_x^2
-    (the u_x coefficient of the evolution form), floored at 1e-12.  uh, when
-    given, must be u.hat: a caller that holds the spectrum saves a transform."""
+    (the u_x coefficient of the evolution form), floored at 1e-12.  uh must be
+    u.hat: the caller holds the spectrum, so no transform is repeated."""
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety must lie in (0, 1]")
     v = u.values
     with np.errstate(over="ignore", invalid="ignore"):
         speed = v**p.k
         if p.a != 0.0:
-            ux = get_ops(u.grid).deriv(u.hat if uh is None else uh, 1)
+            ux = get_ops(u.grid).deriv(uh, 1)
             speed = speed - p.a * v ** (p.k - 2) * ux * ux
         vmax = float(np.max(np.abs(speed)))
     if not math.isfinite(vmax):
-        raise BlowUpError(math.nan)
+        raise BlowUpError("non-finite CFL speed")
     vmax = max(vmax, 1e-12)
     return min(dt_max, safety * u.grid.dx / vmax)
 
@@ -337,7 +333,7 @@ def simulate(cfg: SimConfig, u0: Field) -> Trajectory:
                 uh_new = uh_new * filt
             u_new = np.fft.irfft(uh_new, cfg.grid.n)
             if not np.all(np.isfinite(u_new)):
-                raise BlowUpError(t)
+                raise BlowUpError(f"non-finite field after t = {t:.6g}")
         except BlowUpError:
             traj.blew_up = True
             if traj.times[-1] < t:  # keep the last good state
@@ -360,20 +356,13 @@ def simulate(cfg: SimConfig, u0: Field) -> Trajectory:
     return traj
 
 
-@dataclass(frozen=True)
-class ManufacturedSolution:
-    """Analytic space-time field u(x, t) and its analytic time derivative."""
-
-    value: Callable[[np.ndarray, float], np.ndarray]
-    dt_value: Callable[[np.ndarray, float], np.ndarray]
-
-
-def mms_forcing(u_star: ManufacturedSolution, p: Params, grid: Grid) -> Callable:
-    """Forcing that makes u_star an exact solution of the semi-discrete
+def mms_forcing(value: Callable, dt_value: Callable, p: Params, grid: Grid) -> Callable:
+    """Forcing that makes the analytic field value(x, t), whose time
+    derivative is dt_value(x, t), an exact solution of the semi-discrete
     system: g(x, t) = d_t u* - N(u*), with N the unforced right-hand side
     evaluated by the same discrete operators the solver uses."""
     op = RhsOperator(grid, p)
     def forcing(x: np.ndarray, t: float) -> np.ndarray:
-        n_hat = op(np.fft.rfft(u_star.value(x, t)), t)
-        return u_star.dt_value(x, t) - np.fft.irfft(n_hat, grid.n)
+        n_hat = op(np.fft.rfft(value(x, t)), t)
+        return dt_value(x, t) - np.fft.irfft(n_hat, grid.n)
     return forcing

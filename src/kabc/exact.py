@@ -1,17 +1,19 @@
 """Closed-form reference solutions and initial profiles.
 
 Peakons gamma*exp(-|x - ct|) are exact traveling waves of the family with
-speed c = (1 - a) * gamma^k on the line; the circle carries a cosh-shaped
-analogue when 6a + b + 2c = 3k.  The Green kernel of (1 - d_xx) is
-(1/2)exp(-|x|) on the line and a cosh closed form on the circle.  An
-initial profile is a shape name and one float: "peakon" (its amplitude
-gamma), "exp_tail" (its decay exponent theta) or "bump" (its half-width).
+speed c = (1 - a) * gamma^k on the line (peakon_speed); the circle carries a
+cosh-shaped analogue when 6a + b + 2c = 3k (circle_peakon_speed, which
+raises off that plane).  A peakon is its amplitude gamma and its Params: the
+speeds take (gamma, p) and the evaluators (gamma, p, x, t).  The Green
+kernel of (1 - d_xx) is (1/2)exp(-|x|) on the line and a cosh closed form
+on the circle.  An initial profile is a shape name and one float: "peakon"
+(its amplitude gamma), "exp_tail" (its decay exponent theta) or "bump" (its
+half-width).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,56 +21,33 @@ from .params import Params, periodic_peakon_admissible
 from .spectral import Field, Grid, get_ops
 
 
-@dataclass(frozen=True)
-class PeakonSpec:
-    """Single peakon: amplitude gamma, family parameters, and the domain
-    ("line" or "circle").  Circle peakons require the admissibility
-    condition 6a + b + 2c = 3k."""
-
-    gamma: float
-    params: Params
-    domain: str = "line"
-
-    def __post_init__(self):
-        if not math.isfinite(self.gamma):
-            raise ValueError("gamma must be finite")
-        if self.domain not in ("line", "circle"):
-            raise ValueError(f"domain must be 'line' or 'circle', got {self.domain!r}")
-        if self.domain == "circle" and not periodic_peakon_admissible(self.params):
-            raise ValueError("circle peakons require 6a + b + 2c = 3k")
-
-    @property
-    def speed(self) -> float:
-        """Line wave speed (1 - a) * gamma^k."""
-        return (1.0 - self.params.a) * self.gamma**self.params.k
-
-    @property
-    def circle_speed(self) -> float:
-        """Circle wave speed [1 + (1 - a) sinh^2(pi)] cosh^{k-2}(pi) gamma^k."""
-        p = self.params
-        return (1.0 + (1.0 - p.a) * math.sinh(math.pi) ** 2) * math.cosh(
-            math.pi
-        ) ** (p.k - 2) * self.gamma**p.k
+def peakon_speed(gamma: float, p: Params) -> float:
+    """Line wave speed (1 - a) * gamma^k."""
+    return (1.0 - p.a) * gamma**p.k
 
 
-def peakon_line_eval(spec: PeakonSpec, x, t: float):
+def circle_peakon_speed(gamma: float, p: Params) -> float:
+    """Circle wave speed [1 + (1 - a) sinh^2(pi)] cosh^{k-2}(pi) gamma^k.
+    Circle peakons require the admissibility condition 6a + b + 2c = 3k."""
+    if not periodic_peakon_admissible(p):
+        raise ValueError("circle peakons require 6a + b + 2c = 3k")
+    return (1.0 + (1.0 - p.a) * math.sinh(math.pi) ** 2) * math.cosh(math.pi) ** (p.k - 2) * gamma**p.k
+
+
+def peakon_line_eval(gamma: float, p: Params, x, t: float):
     """gamma * exp(-|x - speed*t|)."""
-    if spec.domain != "line":
-        raise ValueError("spec is not a line peakon")
     x = np.asarray(x, dtype=float)
-    out = spec.gamma * np.exp(-np.abs(x - spec.speed * t))
+    out = gamma * np.exp(-np.abs(x - peakon_speed(gamma, p) * t))
     return out if out.ndim else float(out)
 
 
-def peakon_circle_eval(spec: PeakonSpec, x, t: float):
+def peakon_circle_eval(gamma: float, p: Params, x, t: float):
     """gamma * cosh([x - circle_speed*t]_p - pi), 2*pi-periodic in x,
     where [z]_p = z - 2*pi*floor(z / (2*pi))."""
-    if spec.domain != "circle":
-        raise ValueError("spec is not a circle peakon")
     x = np.asarray(x, dtype=float)
-    z = x - spec.circle_speed * t
+    z = x - circle_peakon_speed(gamma, p) * t
     z = z - 2.0 * np.pi * np.floor(z / (2.0 * np.pi))
-    out = spec.gamma * np.cosh(z - np.pi)
+    out = gamma * np.cosh(z - np.pi)
     return out if out.ndim else float(out)
 
 
@@ -125,7 +104,7 @@ def mollified_profile(shape: str, value: float, moll_width: float, grid: Grid) -
     else:
         raise ValueError(f"unknown profile shape {shape!r}")
     ops = get_ops(grid)
-    smooth = ops.apply(raw, np.exp(-0.5 * (moll_width * ops.xi) ** 2))
+    smooth = ops.apply(raw, np.exp(-0.5 * (moll_width * grid.wavenumbers) ** 2))
     return Field(grid, smooth)
 
 

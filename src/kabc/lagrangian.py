@@ -28,10 +28,9 @@ class WaveBreakingError(RuntimeError):
 
 @dataclass
 class ParticleSet:
-    """Paths eta(x0, t) and stretches eta_x(x0, t) at stored times."""
+    """Paths eta(x0, t) and stretches eta_x(x0, t), one row per stored
+    snapshot of the trajectory they were advected through."""
 
-    seeds: np.ndarray
-    times: np.ndarray
     paths: np.ndarray    # (n_times, n_seeds)
     stretch: np.ndarray  # (n_times, n_seeds)
 
@@ -108,25 +107,17 @@ def advect(traj, seeds) -> ParticleSet:
         paths.append(eta.copy())
         stretch.append(etax.copy())
 
-    return ParticleSet(
-        seeds=np.asarray(seeds, dtype=float),
-        times=times,
-        paths=np.asarray(paths),
-        stretch=np.asarray(stretch),
-    )
+    return ParticleSet(paths=np.asarray(paths), stretch=np.asarray(stretch))
 
 
 def momentum_along(traj, ps: ParticleSet) -> np.ndarray:
-    """m(eta(t), t) along every path, shape (n_times, n_seeds)."""
+    """m(eta(t), t) along every path, shape (n_times, n_seeds); ps must hold
+    one row per snapshot of traj, as advect(traj, ...) gives."""
     grid = traj.config.grid
-    times = np.asarray(traj.times, dtype=float)
-    rows = []
-    for j, t in enumerate(ps.times):
-        i = int(np.argmin(np.abs(times - t)))
-        if abs(times[i] - t) > 1e-9:
-            raise ValueError(f"particle time {t} not among trajectory snapshots")
-        rows.append(cubic_interp_periodic(momentum(traj.snapshots[i]).values, grid, ps.paths[j]))
-    return np.asarray(rows)
+    return np.asarray([
+        cubic_interp_periodic(momentum(snap).values, grid, eta)
+        for snap, eta in zip(traj.snapshots, ps.paths, strict=True)
+    ])
 
 
 def invariant_residuals(ps: ParticleSet, m_along: np.ndarray, p: Params) -> np.ndarray:

@@ -93,13 +93,12 @@ def preset(name: str, **free) -> Params:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Coefficients of the seven monomials in the evolution form, grouped by
-    where they enter: two local transport terms, three terms under the
-    smoothed-and-differentiated bracket (f1) and two under the plain smoothed
-    bracket (f2).  The trailing comment names the monomial each multiplies.
+    """Coefficients of the evolution form's monomials beyond its transport
+    term -u^k u_x, grouped by where they enter: one local term, three under
+    the smoothed-and-differentiated bracket (f1) and two under the plain
+    smoothed bracket (f2).  The trailing comment names each one's monomial.
     """
 
-    c_adv: float   # u^k u_x
     c_cub: float   # u^{k-2} u_x^3
     c_f1_1: float  # u^{k+1}
     c_f1_2: float  # u^{k-1} u_x^2
@@ -113,7 +112,6 @@ def coefficients(p: Params) -> CoefficientSet:
     and c_f2_2 exactly zero, so the u^{k-3} monomials are never formed."""
     k, a, b, c = p.k, p.a, p.b, p.c
     return CoefficientSet(
-        c_adv=1.0,
         c_cub=a,
         c_f1_1=b / (k + 1.0),
         c_f1_2=c,

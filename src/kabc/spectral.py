@@ -95,7 +95,6 @@ class SpectralOps:
         xi = grid.wavenumbers.copy()
         ik = 1j * xi
         ik[-1] = 0.0  # Nyquist zeroed for odd-order derivatives
-        self.xi = xi
         self.ik = ik
         self.d2 = -(xi**2)
         self.helmholtz = 1.0 / (1.0 + xi**2)

@@ -56,7 +56,7 @@ class TestParseConfig:
         assert spec.config["grid"]["length"] == pytest.approx(40 * math.pi)
         assert spec.config["cfl_safety"] == 0.4
         assert spec.config["dt_max"] == 1e-2
-        assert spec.params.k == 1
+        assert spec.sim.params.k == 1
 
     def test_invalid_params_surface_with_message(self, tmp_path):
         path = write_config(tmp_path, {"params": {"k": 1, "a": 0.5, "b": 2.0, "c": 1.0}})
@@ -79,7 +79,7 @@ class TestParseConfig:
     def test_numbers_parse_as_doubles(self, tmp_path):
         spec = parse_config(None, ["dt_max=1e-3", "params.preset=\"novikov\""], "simulate")
         assert spec.config["dt_max"] == 1e-3
-        assert spec.params.k == 2
+        assert spec.sim.params.k == 2
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -95,7 +95,7 @@ class TestParseConfig:
         )
         spec = parse_config(path, [], "sweep")
         assert len(spec.points) == 4
-        assert [point.params.b for _, point in spec.points] == [0.0, 1.0, 2.0, 3.0]
+        assert [point.sim.params.b for _, point in spec.points] == [0.0, 1.0, 2.0, 3.0]
         assert [name for name, _ in spec.points] == ["sub_000_b=0", "sub_001_b=1", "sub_002_b=2", "sub_003_b=3"]
 
 
@@ -242,6 +242,8 @@ class TestParseConfig:
             ("peakon-verify", ['profile={"shape": "peakon", "moll_width": -1}'], "profile.moll_width"),
             ("mms", ['lagrangian.seeds="x"', "grid.n=32", "mms.levels=2"], "lagrangian.seeds"),
             ("simulate", ['peakon_verify.cases=[{"preset": "nope"}]'], "peakon_verify.cases[0]"),
+            # each level halves dt, so mms.levels has a ceiling (12)
+            ("mms", ["mms.levels=13"], "mms.levels"),
         ],
     )
     def test_stepping_and_study_keys_rejected_at_parse(self, tmp_path, capsys, subcommand, overrides, key):
@@ -262,10 +264,27 @@ def test_grid_n_ceiling_is_inclusive():
     assert _KEYS["grid.n"][1](2**24, "grid.n") == 2**24
 
 
+def test_mms_levels_ceiling_is_inclusive():
+    # 13 is a row of the test above
+    assert _KEYS["mms.levels"][1](12, "mms.levels") == 12
+
+
+@pytest.mark.parametrize("x_hi, ok", [(26.0, True), (25.999999, False)])
+def test_fit_window_of_exactly_16_grid_spacings(x_hi, ok):
+    # dx = 1 on this grid, so [10, 26] spans exactly 16 spacings
+    overrides = ["grid.n=512", "grid.length=512", f"fit.window=[10, {x_hi}]"]
+    for subcommand in ("simulate", "decay-scan"):
+        if ok:
+            assert parse_config(None, overrides, subcommand).fit_window == (10.0, x_hi)
+        else:
+            with pytest.raises(ConfigError, match="fit window holds fewer than 16 grid nodes"):
+                parse_config(None, overrides, subcommand)
+
+
 class TestParseFuzz:
     # values on each side of every bound in the key table (0, 1 and the t_end
-    # floor 1e-12 for the reals, 1 and 8 for the integers), and wrong-typed values
-    EDGES = (0, 1, -1, 0.5, 1.5, -0.0, 1e-300, 1e-12, 2e-12, 7, 8, 9, 10, 2.5, "x", "left", True, False, None,
+    # floor 1e-12 for the reals, 1, 8 and 12 for the integers), and wrong-typed values
+    EDGES = (0, 1, -1, 0.5, 1.5, -0.0, 1e-300, 1e-12, 2e-12, 7, 8, 9, 10, 12, 13, 2.5, "x", "left", True, False, None,
              math.nan, math.inf, -math.inf, {"x": 1}, [1.0], [5.0, 11.0])
     INTEGER_KEYS = ("grid.n", "output_stride", "mms.levels", "sweep.workers")
 
@@ -569,6 +588,41 @@ class TestOtherSubcommands:
         assert "mms.dt0" in manifest_of(out)["result"]["error"]
         assert not (out / "mms.csv").exists()
 
+    def test_mms_level_blowup_exits_2(self, tmp_path, capsys):
+        # CH at amplitude 1 and dt 0.09 goes non-finite near t = 54.5; the
+        # collapsing steps before it must not read as a CFL cut (exit 3)
+        out = tmp_path / "mms"
+        argv = ["mms", "--out", str(out), "--set", 'params={"preset":"ch"}', "--set", "grid.n=64",
+                "--set", "grid.length=6.283185307179586", "--set", "mms.amplitude=1", "--set", "mms.dt0=0.09",
+                "--set", "mms.levels=1", "--set", "mms.t_end=60"]
+        assert main(argv) == EXIT_BLOWUP
+        assert capsys.readouterr().err == ""
+        result = manifest_of(out)["result"]
+        assert result["exit"] == EXIT_BLOWUP
+        t = float(re.fullmatch(r"mms level 0 \(dt 0\.09\): non-finite field after t = (\S+)", result["error"]).group(1))
+        assert 50.0 < t < 60.0
+        assert not (out / "mms.csv").exists()
+
+    def test_peakon_case_blowup_exits_2_and_keeps_its_row(self, tmp_path):
+        # the k = 3 case goes non-finite near t = 0.16 (its crest would read
+        # a speed of 2666 against 8); the other case still runs
+        out = tmp_path / "pk"
+        cases = [{"k": 3, "a": 0, "b": 0, "c": 0, "gamma": 2.0}, {"preset": "ch", "gamma": 1.0}]
+        argv = ["peakon-verify", "--out", str(out), "--set", "grid.n=256",
+                "--set", f"peakon_verify.cases={json.dumps(cases)}", "--set", "peakon_verify.t_end=0.5"]
+        assert main(argv) == EXIT_BLOWUP
+        rows = [line.split(",") for line in (out / "speeds.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["custom", "ch"]
+        assert float(rows[0][2]) == 8.0
+        assert math.isnan(float(rows[0][3])) and math.isnan(float(rows[0][4]))
+        assert math.isfinite(float(rows[1][4]))
+        summary = (out / "summary.csv").read_text().splitlines()[1].split(",")
+        assert summary[0] == "2" and math.isnan(float(summary[1]))
+        result = manifest_of(out)["result"]
+        assert result["exit"] == EXIT_BLOWUP and math.isnan(result["worst_rel_err"])
+        assert re.fullmatch(r"case 0: non-finite field after t = \S+", result["error"])
+        assert len(result["softbound"]) == 2
+
     def test_decay_scan(self, tmp_path):
         out = str(tmp_path / "decay")
         path = write_config(
@@ -650,11 +704,11 @@ class TestOtherSubcommands:
         ps = lagrangian.advect(traj, seeds)
         m_along = lagrangian.momentum_along(traj, ps)
         try:
-            res = lagrangian.invariant_residuals(ps, m_along, spec.params)
+            res = lagrangian.invariant_residuals(ps, m_along, spec.sim.params)
         except ValueError:
             res = np.full_like(m_along, math.nan)
         rows = []
-        for j, t in enumerate(ps.times):
+        for j, t in enumerate(traj.times):
             for s in range(len(seeds)):
                 rows.append((seeds[s], t, ps.paths[j][s], ps.stretch[j][s], m_along[j][s], res[j][s]))
         assert table.dtype == np.float64 and table.shape == (len(rows), 6)

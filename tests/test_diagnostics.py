@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from kabc.diagnostics import (
     WeightSpec,
+    check_fit_window,
     crest_position,
     crest_track,
     decay_fit,
@@ -19,7 +20,7 @@ from kabc.diagnostics import (
     weighted_sup,
 )
 from kabc.dynamics import SimConfig, StepRecord, Trajectory
-from kabc.exact import PeakonSpec, peakon_line_eval
+from kabc.exact import peakon_line_eval, peakon_speed
 from kabc.params import preset
 from kabc.spectral import Field, Grid
 
@@ -198,6 +199,20 @@ class TestDecayFit:
         with pytest.raises(ValueError):
             decay_fit(f, (5.0, 5.5), "right")  # too few nodes
 
+    @pytest.mark.parametrize("x_hi, ok", [(26.0, True), (25.999999, False)])
+    def test_window_of_exactly_16_grid_spacings(self, x_hi, ok):
+        # dx = 1, so [10, 26] spans exactly 16 spacings; parse and the fit
+        # apply this one rule
+        g = Grid(512, 512.0)
+        f = self.field_from_distance(g, lambda d: np.exp(-0.1 * d))
+        if ok:
+            assert check_fit_window((10, x_hi), g) == (10.0, x_hi)
+            assert decay_fit(f, (10.0, x_hi), "right").theta_hat == pytest.approx(0.1, rel=1e-6)
+        else:
+            for call in (lambda: check_fit_window((10, x_hi), g), lambda: decay_fit(f, (10.0, x_hi), "right")):
+                with pytest.raises(ValueError, match="fewer than 16 grid nodes"):
+                    call()
+
 
 class TestWeightedSup:
     def test_zero(self):
@@ -240,14 +255,13 @@ class TestCrestTrack:
     def test_exact_line_peakons_all_presets(self):
         for name, gamma in (("ch", 1.0), ("dp", 1.0), ("novikov", math.sqrt(2.0)), ("forq", 1.0)):
             p = preset(name)
-            spec = PeakonSpec(gamma, p)
             grid = Grid(1024, 40 * np.pi)
             x0 = grid.length / 2
             times = np.linspace(0.0, 5.0, 101)
-            fields = [Field(grid, peakon_line_eval(spec, grid.nodes - x0, t)) for t in times]
+            fields = [Field(grid, peakon_line_eval(gamma, p, grid.nodes - x0, t)) for t in times]
             traj = make_traj(grid, fields, times, params=p)
             speed = crest_track(traj)
-            assert speed == pytest.approx(spec.speed, rel=1e-3)
+            assert speed == pytest.approx(peakon_speed(gamma, p), rel=1e-3)
 
     def test_flat_field_rejected(self):
         g = Grid(64, 2 * np.pi)
@@ -270,12 +284,12 @@ class TestCrestTrack:
             crest_position(Field(g, two))
 
     def test_seam_crossing_unwraps(self):
-        spec = PeakonSpec(1.0, preset("ch"))
+        p = preset("ch")
         grid = Grid(512, 40 * np.pi)
         x0 = grid.length - 2.0  # crest starts near the seam and wraps
         times = np.linspace(0.0, 5.0, 81)
         fields = [
-            Field(grid, peakon_line_eval(spec, np.mod(grid.nodes - x0 - spec.speed * t + grid.length / 2, grid.length) - grid.length / 2, 0.0))
+            Field(grid, peakon_line_eval(1.0, p, np.mod(grid.nodes - x0 - peakon_speed(1.0, p) * t + grid.length / 2, grid.length) - grid.length / 2, 0.0))
             for t in times
         ]
         traj = make_traj(grid, fields, times)

@@ -7,13 +7,14 @@ from scipy.special import ndtr
 from kabc.diagnostics import decay_fit
 from kabc.dynamics import SimConfig, Trajectory
 from kabc.exact import (
-    PeakonSpec,
     bump_values,
+    circle_peakon_speed,
     green_line,
     green_periodic,
     mollified_profile,
     peakon_circle_eval,
     peakon_line_eval,
+    peakon_speed,
 )
 from kabc.params import Params, preset
 from kabc.spectral import Field, Grid, helmholtz_inverse
@@ -22,65 +23,65 @@ from kabc import diagnostics
 
 class TestPeakonLine:
     def test_ch_at_origin(self):
-        spec = PeakonSpec(1.0, preset("ch"))
-        assert peakon_line_eval(spec, 0.0, 0.0) == 1.0
+        assert peakon_line_eval(1.0, preset("ch"), 0.0, 0.0) == 1.0
 
     def test_novikov_speed(self):
-        spec = PeakonSpec(math.sqrt(2.0), preset("novikov"))
-        assert spec.speed == pytest.approx(2.0, rel=1e-14)
+        p = preset("novikov")
+        assert peakon_speed(math.sqrt(2.0), p) == pytest.approx(2.0, rel=1e-14)
         # crest value gamma at x = speed * t
-        assert peakon_line_eval(spec, 2.0 * 0.7, 0.7) == pytest.approx(math.sqrt(2.0))
+        assert peakon_line_eval(math.sqrt(2.0), p, 2.0 * 0.7, 0.7) == pytest.approx(math.sqrt(2.0))
 
     def test_forq_speed(self):
-        spec = PeakonSpec(1.0, preset("forq"))
-        assert spec.speed == pytest.approx(2.0 / 3.0, rel=1e-14)
+        assert peakon_speed(1.0, preset("forq")) == pytest.approx(2.0 / 3.0, rel=1e-14)
 
     def test_traveling_wave_property(self):
-        spec = PeakonSpec(-0.7, preset("dp"))
+        gamma, p = -0.7, preset("dp")
         xs = np.linspace(-5, 5, 41)
         for t, t0 in ((1.3, 0.0), (2.0, 0.5)):
-            lhs = peakon_line_eval(spec, xs, t)
-            rhs = peakon_line_eval(spec, xs - spec.speed * (t - t0), t0)
+            lhs = peakon_line_eval(gamma, p, xs, t)
+            rhs = peakon_line_eval(gamma, p, xs - peakon_speed(gamma, p) * (t - t0), t0)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_negative_gamma_allowed(self):
-        spec = PeakonSpec(-2.0, preset("novikov"))
-        assert spec.speed == pytest.approx(4.0)  # gamma^2
+        assert peakon_speed(-2.0, preset("novikov")) == pytest.approx(4.0)  # gamma^2
 
 
 class TestPeakonCircle:
     def test_values_at_t0(self):
-        spec = PeakonSpec(0.8, preset("ch"), domain="circle")
-        assert peakon_circle_eval(spec, math.pi, 0.0) == pytest.approx(0.8)
-        assert peakon_circle_eval(spec, 0.0, 0.0) == pytest.approx(0.8 * math.cosh(math.pi))
+        p = preset("ch")
+        assert peakon_circle_eval(0.8, p, math.pi, 0.0) == pytest.approx(0.8)
+        assert peakon_circle_eval(0.8, p, 0.0, 0.0) == pytest.approx(0.8 * math.cosh(math.pi))
 
     def test_periodicity(self):
-        spec = PeakonSpec(1.3, preset("novikov"), domain="circle")
+        p = preset("novikov")
         xs = np.linspace(0, 2 * np.pi, 17)
-        a = peakon_circle_eval(spec, xs, 0.4)
-        b = peakon_circle_eval(spec, xs + 2 * np.pi, 0.4)
+        a = peakon_circle_eval(1.3, p, xs, 0.4)
+        b = peakon_circle_eval(1.3, p, xs + 2 * np.pi, 0.4)
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_inadmissible_params_rejected(self):
-        with pytest.raises(ValueError):
-            PeakonSpec(1.0, Params(2, 0.0, 0.0, 0.0), domain="circle")
+        p = Params(2, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="6a"):
+            circle_peakon_speed(1.0, p)
+        with pytest.raises(ValueError, match="6a"):
+            peakon_circle_eval(1.0, p, 0.0, 0.0)
+        assert peakon_speed(1.0, p) == 1.0  # the line peakon needs no condition
 
     def test_ch_circle_speed_is_cosh_pi(self):
         # [1 + sinh^2 pi] cosh^{-1}(pi) = cosh(pi) for k = 1
-        spec = PeakonSpec(1.0, preset("ch"), domain="circle")
-        assert spec.circle_speed == pytest.approx(math.cosh(math.pi), rel=1e-12)
+        assert circle_peakon_speed(1.0, preset("ch")) == pytest.approx(math.cosh(math.pi), rel=1e-12)
 
     def test_circle_crest_tracks_speed(self):
         # sample the exact formula and recover the speed by crest tracking
-        spec = PeakonSpec(1.0, preset("ch"), domain="circle")
+        p = preset("ch")
         grid = Grid(256, 2 * np.pi)
-        cfg = SimConfig(params=preset("ch"), grid=grid, t_end=1.0)
+        cfg = SimConfig(params=p, grid=grid, t_end=1.0)
         traj = Trajectory(config=cfg)
         for t in np.linspace(0.0, 0.5, 101):
             traj.times.append(float(t))
-            traj.snapshots.append(Field(grid, peakon_circle_eval(spec, grid.nodes, t)))
+            traj.snapshots.append(Field(grid, peakon_circle_eval(1.0, p, grid.nodes, t)))
         speed = diagnostics.crest_track(traj)
-        assert speed == pytest.approx(spec.circle_speed, rel=1e-3)
+        assert speed == pytest.approx(circle_peakon_speed(1.0, p), rel=1e-3)
 
 
 class TestGreenKernels:

@@ -113,7 +113,7 @@ class TestAdvect:
         traj = steady_traj(g, np.full(64, kappa), np.linspace(0, 1, 21), preset("novikov"))
         seeds = np.array([1.0, 3.0])
         ps = advect(traj, seeds)
-        want = seeds[None, :] + kappa**k * ps.times[:, None]
+        want = seeds[None, :] + kappa**k * np.asarray(traj.times)[:, None]
         assert np.max(np.abs(ps.paths - want)) < 1e-12
         assert np.max(np.abs(ps.stretch - 1.0)) < 1e-12
 
@@ -125,7 +125,7 @@ class TestAdvect:
         traj = steady_traj(g, A * np.sin(g.nodes), np.linspace(0, 1, 101), preset("ch"))
         seeds = np.array([1.0, 2.0])
         ps = advect(traj, seeds)
-        want = 2.0 * np.arctan(np.tan(seeds / 2.0) * np.exp(A * ps.times[:, None]))
+        want = 2.0 * np.arctan(np.tan(seeds / 2.0) * np.exp(A * np.asarray(traj.times)[:, None]))
         assert np.max(np.abs(ps.paths - want)) < 1e-6
 
     def test_crest_seed_rides_with_wave(self):
@@ -137,7 +137,7 @@ class TestAdvect:
         cfg = SimConfig(params=p, grid=grid, t_end=2.0, output_stride=2)
         traj = simulate(cfg, u0)
         ps = advect(traj, np.array([grid.length / 2]))
-        slope = np.polyfit(ps.times, ps.paths[:, 0], 1)[0]
+        slope = np.polyfit(traj.times, ps.paths[:, 0], 1)[0]
         assert slope == pytest.approx(1.0, rel=0.03)
 
     def test_group_property(self):
@@ -236,8 +236,8 @@ class TestAdvectStencil:
 
         monkeypatch.setattr(lagrangian, "cubic_interp_periodic", counted)
         ps = advect(smooth_traj, np.array([1.0, 2.0, 3.0]))
-        assert len(ps.times) == len(smooth_traj.times) > 2
-        assert len(calls) == 4 * (len(ps.times) - 1)
+        assert len(ps.paths) == len(smooth_traj.times) > 2
+        assert len(calls) == 4 * (len(ps.paths) - 1)
 
 
 class TestConservationCheck:
@@ -275,6 +275,16 @@ class TestConservationCheck:
             want = np.abs(row * ps.stretch[j] ** 1.5 - m_along[0]) / (np.abs(m_along[0]) + 1e-12)
             assert np.array_equal(res[j], want)
         assert conservation_check(traj, ps, preset("novikov")) == np.max(res)
+
+    def test_paths_of_another_trajectory_rejected(self):
+        # momentum_along pairs path rows with snapshots one to one, so paths
+        # advected through a trajectory of another length cannot be read
+        g = Grid(64, 2 * np.pi)
+        traj = steady_traj(g, np.full(64, 0.5), np.linspace(0, 0.5, 6), preset("novikov"))
+        for times in (np.linspace(0, 0.5, 5), np.linspace(0, 0.5, 7)):
+            ps = advect(steady_traj(g, np.full(64, 0.5), times, preset("novikov")), np.array([1.0, 2.0]))
+            with pytest.raises(ValueError):
+                momentum_along(traj, ps)
 
     def test_pure_transport_exponent_zero(self):
         # b = 0, k = 1: the law reduces to m(eta, t) = m0 with no stretch

@@ -92,7 +92,6 @@ def test_coefficients_forq():
     cs = coefficients(preset("forq"))
     # 8 - 8/3 - 2 - 3 = 1/3
     assert abs(cs.c_f2_1 - 1.0 / 3.0) < 1e-15
-    assert cs.c_adv == 1.0
     assert cs.c_cub == 1.0 / 3.0
     assert cs.c_f1_1 == 2.0 / 3.0
     assert cs.c_f1_2 == 1.0
