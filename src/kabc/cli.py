@@ -28,7 +28,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -156,11 +156,24 @@ _KEYS = {
     "sweep.workers": (None, _optional(_integer())),
 }
 
+
+def _path(value, key):
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must name a snapshot file, got {value!r}")
+    return value
+
+
 _PARAMS_KEYS = {"preset", "k", "a", "b", "c"}
 # shape name -> (its key, default, reader); only the peakon's amplitude may
-# be zero or negative
-_PROFILE_SHAPES = {"peakon": ("gamma", 1.0, _FINITE), "exp_tail": ("theta", 0.5, _POSITIVE), "bump": ("width", 2.0, _POSITIVE)}
-_PROFILE_KEYS = {"shape", "moll_width", "path", *(key for key, _, _ in _PROFILE_SHAPES.values())}
+# be zero or negative, and only the mollified shapes read moll_width
+_PROFILE_SHAPES = {"peakon": ("gamma", 1.0, _FINITE), "exp_tail": ("theta", 0.5, _POSITIVE),
+                   "bump": ("width", 2.0, _POSITIVE), "file": ("path", None, _path)}
+_MOLLIFIED = ("peakon", "exp_tail")
+
+
+def _shape(prof) -> str | None:
+    """The profile block's shape name; None for a block that is no object."""
+    return str(prof.get("shape", "peakon")).lower() if isinstance(prof, dict) else None
 
 
 def _set_dotted(cfg: dict, dotted: str, value) -> None:
@@ -181,7 +194,8 @@ for _key in _KEYS:
 
 def _merged(cfg: dict) -> dict:
     """cfg over the defaults: a block (fit, mms, ...) merges key by key, any
-    other value replaces its default whole.  Unknown keys are fatal, listed."""
+    other value replaces its default whole.  Unknown keys are fatal, listed:
+    profile's known keys are the ones its shape reads."""
     out, unknown = copy.deepcopy(DEFAULT_CONFIG), []
     for key, val in copy.deepcopy(cfg).items():
         if key in _KEYS:
@@ -193,7 +207,11 @@ def _merged(cfg: dict) -> dict:
         else:
             unknown += [f"{key}.{sub}" for sub in val if sub not in out[key]]
             out[key].update(val)
-    for block, known in (("params", _PARAMS_KEYS), ("profile", _PROFILE_KEYS)):
+    blocks = {"params": _PARAMS_KEYS}
+    shape = _shape(out["profile"])  # no object or an unknown shape fails in _profile
+    if shape in _PROFILE_SHAPES:
+        blocks["profile"] = {"shape", _PROFILE_SHAPES[shape][0], *(["moll_width"] if shape in _MOLLIFIED else [])}
+    for block, known in blocks.items():
         if isinstance(out[block], dict):
             unknown += [f"{block}.{sub}" for sub in out[block] if sub not in known]
     if unknown:
@@ -236,7 +254,7 @@ class RunSpec:
     config: dict
     out_dir: str
     sim: SimConfig  # what the runner steps with: its params and grid are the run's
-    profile: tuple | None = None  # (shape, value, moll_width), or ("file", path, None)
+    profile: tuple | None = None  # (shape, value, moll_width), see _profile
     fit_window: tuple[float, float] | None = None
     fit_side: str | None = None
     write_snapshots: bool = False
@@ -278,22 +296,20 @@ def parse_config(path=None, overrides=(), subcommand="simulate", out_dir=None) -
 
 
 def _profile(vals: dict, grid: Grid) -> tuple:
-    """(shape, value, moll_width) of the profile block, or ("file", path,
-    None); a bump is at most a quarter of the box wide."""
-    prof = vals["profile"]
-    if not isinstance(prof, dict):
+    """(shape, value, moll_width) of the profile block: value is its shape's
+    key, moll_width None for an unmollified shape; a bump is at most a
+    quarter of the box wide."""
+    prof, shape = vals["profile"], _shape(vals["profile"])
+    if shape is None:
         raise ConfigError(f"profile must be an object, got {prof!r}")
-    shape = str(prof.get("shape", "peakon")).lower()
-    if shape == "file":
-        if not isinstance(prof.get("path"), str):
-            raise ConfigError(f"profile.path must name a snapshot file, got {prof.get('path')!r}")
-        return shape, prof["path"], None
     if shape not in _PROFILE_SHAPES:
         raise ConfigError(f"unknown profile shape {shape!r}")
     key, default, read = _PROFILE_SHAPES[shape]
     value = read(prof.get(key, default), f"profile.{key}")
     if shape == "bump" and value > grid.length / 4.0:
         raise ConfigError(f"profile.width exceeds a quarter of the box, got {value!r}")
+    if shape not in _MOLLIFIED:
+        return shape, value, None
     moll = _optional(_POSITIVE)(prof.get("moll_width"), "profile.moll_width")
     return shape, value, 3.0 * grid.dx if moll is None else moll
 
@@ -493,27 +509,6 @@ def _write_csv(path, header, rows) -> None:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _manifest(spec: RunSpec, started, wall_s, result: dict) -> dict:
-    p = spec.sim.params
-    return {
-        "schema_version": 1,
-        "subcommand": spec.subcommand,
-        "config": spec.config,
-        "params": {"k": p.k, "a": p.a, "b": p.b, "c": p.c},
-        "h1_conserved": params_mod.h1_conserved(p),
-        "h1_condition": params_mod.h1_condition_label(p),
-        "periodic_peakon_admissible": params_mod.periodic_peakon_admissible(p),
-        "versions": {
-            "kabc": __version__,
-            "numpy": np.__version__,
-            "python": sys.version.split()[0],
-        },
-        "started_at": started,
-        "wall_time_s": wall_s,
-        "result": result,
-    }
-
-
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
@@ -522,8 +517,27 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write_manifest(out_dir, manifest) -> None:
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+def _write_manifest(spec: RunSpec, started, wall_s, result: dict) -> None:
+    manifest = {
+        "schema_version": 1,
+        "subcommand": spec.subcommand,
+        "config": spec.config,
+        "versions": {"kabc": __version__, "numpy": np.__version__, "python": sys.version.split()[0]},
+        "started_at": started,
+        "wall_time_s": wall_s,
+        "result": result,
+    }
+    # a peakon-verify case steps with its own params (see its softbound
+    # record), and a sweep point with the ones its axes set
+    if spec.subcommand not in ("peakon-verify", "sweep"):
+        p = spec.sim.params
+        manifest.update(
+            params=asdict(p),
+            h1_conserved=params_mod.h1_conserved(p),
+            h1_condition=params_mod.h1_condition_label(p),
+            periodic_peakon_admissible=params_mod.periodic_peakon_admissible(p),
+        )
+    with open(os.path.join(spec.out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
@@ -560,16 +574,17 @@ DIAG_HEADER = ("t", "hs_norm", "h1_sq", "dt", "crest_x", "theta_hat_u", "theta_h
 PARTICLE_HEADER = ("seed", "t", "eta", "eta_x", "m_along", "invariant_residual")
 
 
-def _run_simulation(spec: RunSpec) -> Trajectory:
-    return simulate(spec.sim, build_profile(spec))
-
-
-def _exit_code(traj: Trajectory) -> int:
-    return EXIT_BLOWUP if traj.blew_up else EXIT_OK
+def _outcome(traj: Trajectory, tables: dict, extras: dict):
+    """(exit code, tables, extras) of a run that steps one trajectory; extras
+    gains blew_up and, after a blow-up, the error naming the last good time."""
+    extras["blew_up"] = traj.blew_up
+    if traj.blew_up:
+        extras["error"] = f"non-finite field after t = {traj.last_time:.6g}"
+    return EXIT_BLOWUP if traj.blew_up else EXIT_OK, tables, extras
 
 
 def compute_simulate(spec: RunSpec):
-    traj = _run_simulation(spec)
+    traj = simulate(spec.sim, build_profile(spec))
     rows = _snapshot_diag_rows(traj, spec.fit_window, spec.fit_side)
     tables = {"diagnostics.csv": (DIAG_HEADER, rows), "final.csv": _snapshot_table(traj.snapshots[-1])}
     if spec.write_snapshots:
@@ -581,20 +596,21 @@ def compute_simulate(spec: RunSpec):
         drift = math.nan
     summary = (traj.last_time, len(traj.records) - 1, traj.sup_hs, drift, traj.blew_up)
     tables["summary.csv"] = (("final_t", "steps", "sup_hs", "h1_drift", "blew_up"), [summary])
-    extras = {"softbound": _softbound_record(traj), "final_t": traj.last_time, "blew_up": traj.blew_up}
-    return _exit_code(traj), tables, extras
+    return _outcome(traj, tables, {"softbound": _softbound_record(traj), "final_t": traj.last_time})
 
 
 def _peakon_case(spec: RunSpec, label: str, p: Params, gamma: float):
     """One speeds.csv row (NaN speed if the case blew up), the case's growth
-    bound record, and its last good time if it blew up, else None.  Its
-    trajectory dies on return, so a run holds one case's snapshots at a time."""
-    u0 = exact.peakon_initial_condition(gamma, spec.peakon_moll_width, spec.sim.grid)
+    bound record with its params, and its last good time if it blew up, else
+    None.  Its trajectory dies on return, so a run holds one case's snapshots
+    at a time."""
+    u0 = mollified_profile("peakon", gamma, spec.peakon_moll_width, spec.sim.grid)
     traj = simulate(replace(spec.sim, params=p), u0)
     expected = exact.peakon_speed(gamma, p)
     measured = math.nan if traj.blew_up else diagnostics.crest_track(traj)
     rel = abs(measured - expected) / abs(expected) if expected else math.nan
-    return (label, gamma, expected, measured, rel), _softbound_record(traj), traj.last_time if traj.blew_up else None
+    softbound = dict(_softbound_record(traj), params=asdict(p))
+    return (label, gamma, expected, measured, rel), softbound, traj.last_time if traj.blew_up else None
 
 
 def compute_peakon_verify(spec: RunSpec):
@@ -640,7 +656,7 @@ def compute_mms(spec: RunSpec):
 
 
 def compute_decay_scan(spec: RunSpec):
-    traj = _run_simulation(spec)
+    traj = simulate(spec.sim, build_profile(spec))
     fits = diagnostics.snapshot_decay_fits(traj, spec.fit_window, spec.fit_side)
     rows = [
         (t, fu.theta_hat, fu.r2, fu.floor_hit, fx.theta_hat, fx.r2, fx.floor_hit)
@@ -659,11 +675,11 @@ def compute_decay_scan(spec: RunSpec):
         "decay.csv": (("t", "theta_hat_u", "r2_u", "floor_hit_u", "theta_hat_ux", "r2_ux", "floor_hit_ux"), rows),
         "summary.csv": (tuple(extra), [tuple(extra.values())]),
     }
-    return _exit_code(traj), tables, {"decay": extra, "softbound": _softbound_record(traj)}
+    return _outcome(traj, tables, {"decay": extra, "softbound": _softbound_record(traj)})
 
 
 def compute_lagrangian(spec: RunSpec):
-    traj = _run_simulation(spec)
+    traj = simulate(spec.sim, build_profile(spec))
     seeds = spec.seeds
     ps = lagrangian.advect(traj, seeds)
     m_along = lagrangian.momentum_along(traj, ps)
@@ -684,7 +700,7 @@ def compute_lagrangian(spec: RunSpec):
         "particles.csv": (PARTICLE_HEADER, particles),
         "summary.csv": (("max_invariant_residual", "n_seeds", "final_t"), [summary]),
     }
-    return _exit_code(traj), tables, {"max_invariant_residual": residual, "softbound": _softbound_record(traj)}
+    return _outcome(traj, tables, {"max_invariant_residual": residual, "softbound": _softbound_record(traj)})
 
 
 def run_sweep(spec: RunSpec):
@@ -741,8 +757,7 @@ def run(spec: RunSpec) -> int:
     except OSError as err:
         code, extras = EXIT_IO, {"error": str(err)}
         print(f"kabc: I/O error: {err}", file=sys.stderr)
-    manifest = _manifest(spec, started, time.perf_counter() - t0, {"exit": code, **extras})
-    _write_manifest(spec.out_dir, manifest)
+    _write_manifest(spec, started, time.perf_counter() - t0, {"exit": code, **extras})
     return code
 
 

@@ -121,7 +121,7 @@ def check_fit_window(window, grid: Grid) -> tuple[float, float]:
     if not x_lo < x_hi:
         raise ValueError(f"fit.window must be [x_lo, x_hi] with x_lo < x_hi, got {list(window)!r}")
     if (x_hi - x_lo) / grid.dx < 16:
-        raise ValueError("fit window holds fewer than 16 grid nodes")
+        raise ValueError("fit window spans fewer than 16 grid spacings")
     if x_hi > grid.length / 2.0 - grid.length / 8.0:
         raise ValueError("fit window too close to the wrap-around seam")
     return x_lo, x_hi

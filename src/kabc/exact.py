@@ -7,8 +7,8 @@ raises off that plane).  A peakon is its amplitude gamma and its Params: the
 speeds take (gamma, p) and the evaluators (gamma, p, x, t).  The Green
 kernel of (1 - d_xx) is (1/2)exp(-|x|) on the line and a cosh closed form
 on the circle.  An initial profile is a shape name and one float: "peakon"
-(its amplitude gamma), "exp_tail" (its decay exponent theta) or "bump" (its
-half-width).
+(its amplitude gamma, started at the exact peakon's H^1 energy), "exp_tail"
+(its decay exponent theta) or "bump" (its half-width).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from .diagnostics import h1_squared
 from .params import Params, periodic_peakon_admissible
 from .spectral import Field, Grid, get_ops
 
@@ -91,6 +92,12 @@ def mollified_profile(shape: str, value: float, moll_width: float, grid: Grid) -
     exp(-xi^2 sigma^2 / 2)), which puts them in the solver's resolvable
     class; the bump is already smooth with compact support and is sampled
     as is.  The caller checks value and moll_width (cli does at parse).
+
+    Mollification lowers the peakon's crest by O(moll_width), and the
+    emergent wave would travel off the target speed, so the mollified peakon
+    is rescaled to the exact peakon's squared H^1 norm 2*value^2 (held by the
+    conserving members while the profile re-peakonizes; left as is at zero
+    energy): the emergent amplitude is then value to first order.
     """
     x = grid.nodes
     center = grid.length / 2.0
@@ -104,23 +111,10 @@ def mollified_profile(shape: str, value: float, moll_width: float, grid: Grid) -
     else:
         raise ValueError(f"unknown profile shape {shape!r}")
     ops = get_ops(grid)
-    smooth = ops.apply(raw, np.exp(-0.5 * (moll_width * grid.wavenumbers) ** 2))
-    return Field(grid, smooth)
-
-
-def peakon_initial_condition(gamma: float, moll_width: float, grid: Grid) -> Field:
-    """Mollified peakon rescaled to the exact peakon's squared H^1 norm
-    2*gamma^2.
-
-    Plain mollification lowers the crest by O(moll_width) and the emergent
-    wave then travels measurably off the target speed; matching the H^1
-    energy (which the conserving members hold while the profile
-    re-peakonizes) keeps the emergent amplitude at gamma to first order.
-    """
-    from .diagnostics import h1_squared
-
-    u = mollified_profile("peakon", gamma, moll_width, grid)
+    u = Field(grid, ops.apply(raw, np.exp(-0.5 * (moll_width * grid.wavenumbers) ** 2)))
+    if shape == "exp_tail":
+        return u
     energy = h1_squared(u)
     if energy == 0.0:
         return u
-    return Field(grid, u.values * math.sqrt(2.0 * gamma * gamma / energy))
+    return Field(grid, u.values * math.sqrt(2.0 * value * value / energy))

@@ -19,8 +19,7 @@ PARAM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Params:
-    """Family parameters.  k >= 1; the cubic-gradient terms (a != 0) are
-    only meaningful for k >= 2, and k = 1 is admitted solely with a = 0 and
+    """Family parameters.  k >= 1; k = 1 is admitted solely with a = 0 and
     b + 2c = 3 (otherwise a nonzero term needs a negative power of u)."""
 
     k: int
@@ -38,9 +37,13 @@ class Params:
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
             object.__setattr__(self, name, v)
-        if self.a != 0.0 and k < 2:
-            raise ValueError("a != 0 requires k >= 2; only a = 0 admits k = 1")
-        _check_powers(self)
+        # At k = 1 only the two u^{k-2} u_x^3 terms (coefficients a and c_f2_1)
+        # can need a negative power of u: the u^{k-3} ones carry a factor k - 2
+        if k == 1 and (self.a != 0.0 or coefficients(self).c_f2_1 != 0.0):
+            raise ValueError(
+                f"k = 1 needs a = 0 and b + 2c = 3 (got a = {self.a:g}, b + 2c = {self.b + 2.0 * self.c:g}), "
+                "else a term u^{k-2} u_x^3 needs a negative power of u; other a, b, c need k >= 2"
+            )
 
 
 def as_int(value, name: str = "k") -> int:
@@ -119,26 +122,6 @@ def coefficients(p: Params) -> CoefficientSet:
         c_f2_1=k * (k + 2.0) - 8.0 * a - b - c * (k + 1.0),
         c_f2_2=-3.0 * a * (k - 2),
     )
-
-
-def _check_powers(p: Params) -> None:
-    """Reject parameters that give a nonzero coefficient to a monomial with a
-    negative power of u.  Beyond a != 0 (already tied to k >= 2) this only
-    catches k = 1 with b + 2c != 3."""
-    cs = coefficients(p)
-    k = p.k
-    # (coefficient, power of u) for the terms that could go negative
-    for coef, upow, name in (
-        (cs.c_cub, k - 2, "u^{k-2} u_x^3"),
-        (cs.c_f1_3, k - 3, "u^{k-3} u_x^4"),
-        (cs.c_f2_1, k - 2, "u^{k-2} u_x^3"),
-        (cs.c_f2_2, k - 3, "u^{k-3} u_x^3 u_xx"),
-    ):
-        if coef != 0.0 and upow < 0:
-            raise ValueError(
-                f"parameters give the term {name} a nonzero coefficient "
-                f"({coef:g}) but a negative power of u at k = {k}"
-            )
 
 
 def h1_conserved(p: Params) -> bool:

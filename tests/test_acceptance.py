@@ -113,7 +113,7 @@ def persistence_runs():
 
 @pytest.fixture(scope="module")
 def bump_run():
-    profile = {"shape": "bump", "width": 2.0, "moll_width": 1.0}
+    profile = {"shape": "bump", "width": 2.0}
     grid = {"n": 2048, "length": BOX}
     spec = spec_of("simulate", grid=grid, profile=profile, t_end=0.1, dt_max=5e-3, fit={"window": [5.0, 11.0]})
     t0 = time.perf_counter()

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 import tempfile
 import tracemalloc
 import weakref
@@ -117,7 +118,7 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "axis, message",
         [
-            ({"key": "grid.n", "values": [64]}, "fit window holds fewer than 16 grid nodes"),
+            ({"key": "grid.n", "values": [64]}, "fit window spans fewer than 16 grid spacings"),
             ({"key": "bogus", "values": [1]}, "unknown config keys: bogus"),
             ({"key": "t_end.x", "values": [1]}, "cannot override through non-mapping key 't_end'"),
             ({"key": "t_end", "values": 0.5}, "each sweep axis needs a string key and a non-empty values list"),
@@ -244,6 +245,13 @@ class TestParseConfig:
             ("simulate", ['peakon_verify.cases=[{"preset": "nope"}]'], "peakon_verify.cases[0]"),
             # each level halves dt, so mms.levels has a ceiling (12)
             ("mms", ["mms.levels=13"], "mms.levels"),
+            # a profile block holds only the keys its shape reads
+            ("simulate", ['profile={"shape": "bump", "width": 2, "moll_width": 1}'],
+             "unknown config keys: profile.moll_width"),
+            ("simulate", ['profile={"shape": "exp_tail", "gamma": 2}'], "unknown config keys: profile.gamma"),
+            ("simulate", ['profile={"shape": "peakon", "path": "x"}'], "unknown config keys: profile.path"),
+            ("simulate", ['profile={"shape": "file", "path": "u0.csv", "gamma": 1}'],
+             "unknown config keys: profile.gamma"),
         ],
     )
     def test_stepping_and_study_keys_rejected_at_parse(self, tmp_path, capsys, subcommand, overrides, key):
@@ -277,7 +285,7 @@ def test_fit_window_of_exactly_16_grid_spacings(x_hi, ok):
         if ok:
             assert parse_config(None, overrides, subcommand).fit_window == (10.0, x_hi)
         else:
-            with pytest.raises(ConfigError, match="fit window holds fewer than 16 grid nodes"):
+            with pytest.raises(ConfigError, match="fit window spans fewer than 16 grid spacings"):
                 parse_config(None, overrides, subcommand)
 
 
@@ -440,7 +448,6 @@ class TestRunSimulate:
         assert man["h1_condition"] == "k1"
 
     def test_blowup_exit_code_and_partial_outputs(self, tmp_path):
-        out = str(tmp_path / "blow")
         path = write_config(
             tmp_path,
             {
@@ -450,10 +457,16 @@ class TestRunSimulate:
                 "t_end": 1.0,
             },
         )
-        spec = parse_config(path, [], "simulate", out)
-        assert run(spec) == EXIT_BLOWUP
-        assert os.path.exists(os.path.join(out, "final.csv"))
-        assert manifest_of(out)["result"]["exit"] == EXIT_BLOWUP
+        # each run that steps one trajectory names the blow-up in its manifest
+        for subcommand, partial in (("simulate", "final.csv"), ("decay-scan", "decay.csv"),
+                                    ("lagrangian", "particles.csv")):
+            out = str(tmp_path / subcommand)
+            assert run(parse_config(path, [], subcommand, out)) == EXIT_BLOWUP
+            assert os.path.exists(os.path.join(out, partial))
+            result = manifest_of(out)["result"]
+            assert result["exit"] == EXIT_BLOWUP and result["blew_up"] is True
+            t = float(re.fullmatch(r"non-finite field after t = (\S+)", result["error"]).group(1))
+            assert 0.0 <= t < 1.0
 
     def test_deterministic_artifacts(self, tmp_path):
         cfgd = {
@@ -556,8 +569,28 @@ class TestOtherSubcommands:
         records = manifest_of(tmp_path / "pk")["result"]["softbound"]
         assert len(records) == len(cases)
         for sb in records:
-            assert set(sb) == {"hs0", "sup_hs", "bound_factor", "bound", "exceeded_t"}
+            assert set(sb) == {"hs0", "sup_hs", "bound_factor", "bound", "exceeded_t", "params"}
             assert sb["bound"] == pytest.approx(sb["bound_factor"] * sb["hs0"], rel=1e-12)
+
+    def test_manifest_params_only_where_the_run_steps_with_them(self, tmp_path):
+        # a Novikov-only peakon-verify steps at k = 2 while the params block
+        # keeps its default (CH, k = 1): only each case's record says so
+        cases = [{"preset": "novikov", "gamma": 1.0}]
+        overrides = ["grid.n=256", f"peakon_verify={json.dumps({'cases': cases, 't_end': 0.1})}"]
+        assert run(parse_config(None, overrides, "peakon-verify", str(tmp_path / "pk"))) == EXIT_OK
+        man = manifest_of(tmp_path / "pk")
+        assert not {"params", "h1_conserved", "h1_condition", "periodic_peakon_admissible"} & set(man)
+        assert [sb["params"] for sb in man["result"]["softbound"]] == [{"k": 2, "a": 0.0, "b": 3.0, "c": 1.5}]
+        assert run(parse_config(None, ["grid.n=128", "t_end=0.1"], "simulate", str(tmp_path / "sim"))) == EXIT_OK
+        man = manifest_of(tmp_path / "sim")
+        assert man["params"] == {"k": 1, "a": 0.0, "b": 2.0, "c": 0.5} and man["h1_condition"] == "k1"
+        # a sweep's axes set each point's params; the point's manifest has them
+        axes = [{"key": "params", "values": [{"preset": "novikov"}]}]
+        overrides = ["grid.n=128", "t_end=0.1", f"sweep.axes={json.dumps(axes)}", "sweep.workers=1"]
+        assert run(parse_config(None, overrides, "sweep", str(tmp_path / "sw"))) == EXIT_OK
+        man = manifest_of(tmp_path / "sw")
+        assert "params" not in man
+        assert manifest_of(tmp_path / "sw" / man["result"]["sub_runs"][0])["params"]["k"] == 2
 
     def test_mms_convergence_table(self, tmp_path):
         out = str(tmp_path / "mms")
@@ -686,7 +719,7 @@ class TestOtherSubcommands:
         # the array table equals, bitwise, the rows of a (time, seed) loop
         # with the seed fastest; forq is off the a = 0 subfamily (NaN residuals)
         from kabc import lagrangian
-        from kabc.cli import _run_simulation
+        from kabc.dynamics import simulate
 
         seeds = np.array([2.5, 2.75, 3.0, 3.25, 3.5])
         spec = parse_config(
@@ -700,7 +733,7 @@ class TestOtherSubcommands:
         header, table = tables["particles.csv"]
         assert header == ("seed", "t", "eta", "eta_x", "m_along", "invariant_residual")
 
-        traj = _run_simulation(spec)
+        traj = simulate(spec.sim, build_profile(spec))
         ps = lagrangian.advect(traj, seeds)
         m_along = lagrangian.momentum_along(traj, ps)
         try:
@@ -986,6 +1019,17 @@ class TestReadme:
                 preset(name)
             except TypeError:  # a parameterized preset, called without its parameters
                 pass
+
+    def test_experiment_commands_parse(self):
+        # each kabc command of the experiments block resolves as written
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Experiments from the command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("kabc ")]
+        assert len(commands) == 5
+        for command in commands:
+            _, subcommand, *rest = shlex.split(command)
+            assert rest[::2] == ["--set"] * (len(rest) // 2) and len(rest) % 2 == 0, command
+            parse_config(None, rest[1::2], subcommand)
 
     def test_synopsis_names_exactly_the_flags(self, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

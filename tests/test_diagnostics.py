@@ -210,7 +210,7 @@ class TestDecayFit:
             assert decay_fit(f, (10.0, x_hi), "right").theta_hat == pytest.approx(0.1, rel=1e-6)
         else:
             for call in (lambda: check_fit_window((10, x_hi), g), lambda: decay_fit(f, (10.0, x_hi), "right")):
-                with pytest.raises(ValueError, match="fewer than 16 grid nodes"):
+                with pytest.raises(ValueError, match="fewer than 16 grid spacings"):
                     call()
 
 

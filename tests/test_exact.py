@@ -156,6 +156,13 @@ class TestProfiles:
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 0.05
 
+    @pytest.mark.parametrize("gamma", [1.0, -0.5, 0.0])
+    def test_peakon_starts_at_the_exact_h1_energy(self, gamma):
+        # the exact peakon gamma*exp(-|x|) has squared H^1 norm 2*gamma^2
+        grid = Grid(512, 40 * np.pi)
+        f = mollified_profile("peakon", gamma, 3 * grid.dx, grid)
+        assert diagnostics.h1_squared(f) == pytest.approx(2.0 * gamma**2, rel=1e-12, abs=0.0)
+
     def test_exp_tail_fitted_exponent(self):
         grid = Grid(512, 40 * np.pi)
         f = mollified_profile("exp_tail", 0.5, 3 * grid.dx, grid)

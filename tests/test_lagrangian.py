@@ -129,11 +129,11 @@ class TestAdvect:
         assert np.max(np.abs(ps.paths - want)) < 1e-6
 
     def test_crest_seed_rides_with_wave(self):
-        from kabc.exact import peakon_initial_condition
+        from kabc.exact import mollified_profile
 
         grid = Grid(2048, 40 * np.pi)
         p = preset("ch")
-        u0 = peakon_initial_condition(1.0, grid.dx, grid)
+        u0 = mollified_profile("peakon", 1.0, grid.dx, grid)
         cfg = SimConfig(params=p, grid=grid, t_end=2.0, output_stride=2)
         traj = simulate(cfg, u0)
         ps = advect(traj, np.array([grid.length / 2]))
