@@ -46,7 +46,7 @@ EXIT_IO = 4
 
 OUT_ROOT_ENV = "KABC_OUT"
 
-SUBCOMMANDS = ("simulate", "peakon-verify", "mms", "decay-scan", "lagrangian", "sweep")
+SUBCOMMANDS = ("simulate", "peakon-verify", "mms", "lagrangian", "sweep")
 
 
 class ConfigError(ValueError):
@@ -100,6 +100,12 @@ def _optional(read):
 
 _FINITE = _real()
 _POSITIVE = _real("> 0", lambda x: x > 0.0)
+# A peakon start is rescaled by its H^1 energy, a sum of squares over the
+# grid: from |gamma| = 1e150 it overflows on 2**20 nodes and the start is
+# zero, while 1e146 starts right up to 2**22 nodes
+GAMMA_MAX = 1e140
+_GAMMA = _real(f"at most {GAMMA_MAX:g} in magnitude", lambda x: abs(x) <= GAMMA_MAX)
+_CASE_GAMMA = _real(f"> 0 and at most {GAMMA_MAX:g}", lambda x: 0.0 < x <= GAMMA_MAX)
 # a shorter run would take no step
 _T_END = _real(f"> {dynamics.T_END_TOL:g}", lambda x: x > dynamics.T_END_TOL)
 
@@ -127,7 +133,7 @@ def _mms_levels(value, key):
 # typed value or a ConfigError naming key; every scalar key is read on every
 # run, used or not.  None marks a structured key, read by its own reader
 # below: params on every run, sweep.axes by sweep only, fit.window by
-# simulate and decay-scan only, and the others by every run but a sweep.
+# simulate only, and the others by every run but a sweep.
 _KEYS = {
     "params": ({"preset": "ch"}, None),
     "grid.n": (512, _grid_n),
@@ -166,7 +172,7 @@ def _path(value, key):
 _PARAMS_KEYS = {"preset", "k", "a", "b", "c"}
 # shape name -> (its key, default, reader); only the peakon's amplitude may
 # be zero or negative, and only the mollified shapes read moll_width
-_PROFILE_SHAPES = {"peakon": ("gamma", 1.0, _FINITE), "exp_tail": ("theta", 0.5, _POSITIVE),
+_PROFILE_SHAPES = {"peakon": ("gamma", 1.0, _GAMMA), "exp_tail": ("theta", 0.5, _POSITIVE),
                    "bump": ("width", 2.0, _POSITIVE), "file": ("path", None, _path)}
 _MOLLIFIED = ("peakon", "exp_tail")
 
@@ -246,9 +252,8 @@ DEFAULT_PEAKON_CASES = (
 class RunSpec:
     """A run resolved once by parse_config: the typed values its runner
     reads.  Every run but a sweep sets profile, peakon_cases and seeds;
-    fit_window is set for simulate and decay-scan only, points for sweep
-    only.  config is the merged raw configuration, kept only for the
-    manifest."""
+    fit_window is set for simulate only, points for sweep only.  config
+    is the merged raw configuration, kept only for the manifest."""
 
     subcommand: str
     config: dict
@@ -342,7 +347,7 @@ def _peakon_cases(vals: dict) -> tuple:
             unknown = sorted(set(case) - _PARAMS_KEYS - {"gamma"})
             if unknown:
                 raise ConfigError(f"unknown keys {unknown}")
-            gamma = _POSITIVE(case.get("gamma", 1.0), "gamma")
+            gamma = _CASE_GAMMA(case.get("gamma", 1.0), "gamma")
             p = resolve_params({key: val for key, val in case.items() if key != "gamma"})
         except ConfigError as err:
             raise ConfigError(f"peakon_verify.cases[{i}] {json.dumps(case)}: {err}") from None
@@ -423,7 +428,7 @@ def _resolve(subcommand: str, cfg: dict, out_dir: str) -> RunSpec:
     spec = replace(spec, profile=_profile(vals, grid), peakon_cases=_peakon_cases(vals),
                    seeds=_lagrangian_seeds(vals, grid))
     # the default fit window needs n >= 128, finer than an mms run needs
-    if subcommand in ("simulate", "decay-scan"):
+    if subcommand == "simulate":
         spec = replace(spec, fit_window=_fit_window(vals, grid))
     return spec
 
@@ -565,12 +570,14 @@ def _snapshot_diag_rows(traj: Trajectory, window, side):
         except ValueError:
             crest = math.nan
         rows.append(
-            (t, rec.hs_norm, rec.h1_sq, rec.dt, crest, fit_u.theta_hat, fit_ux.theta_hat, fit_u.r2, fit_u.floor_hit)
+            (t, rec.hs_norm, rec.h1_sq, rec.dt, crest, fit_u.theta_hat, fit_ux.theta_hat, fit_u.r2, fit_u.floor_hit,
+             fit_ux.r2, fit_ux.floor_hit)
         )
     return rows
 
 
-DIAG_HEADER = ("t", "hs_norm", "h1_sq", "dt", "crest_x", "theta_hat_u", "theta_hat_ux", "r2", "floor_hit")
+DIAG_HEADER = ("t", "hs_norm", "h1_sq", "dt", "crest_x", "theta_hat_u", "theta_hat_ux", "r2", "floor_hit", "r2_ux",
+               "floor_hit_ux")
 PARTICLE_HEADER = ("seed", "t", "eta", "eta_x", "m_along", "invariant_residual")
 
 
@@ -594,8 +601,12 @@ def compute_simulate(spec: RunSpec):
         drift = diagnostics.h1_drift(traj)
     except ValueError:
         drift = math.nan
-    summary = (traj.last_time, len(traj.records) - 1, traj.sup_hs, drift, traj.blew_up)
-    tables["summary.csv"] = (("final_t", "steps", "sup_hs", "h1_drift", "blew_up"), [summary])
+    # the smallest finite fitted exponents, and whether any fit hit the floor
+    theta_u, theta_ux = ([row[col] for row in rows if math.isfinite(row[col])] for col in (5, 6))
+    summary = (traj.last_time, len(traj.records) - 1, traj.sup_hs, drift, traj.blew_up,
+               min(theta_u, default=math.nan), min(theta_ux, default=math.nan), any(row[8] or row[10] for row in rows))
+    header = ("final_t", "steps", "sup_hs", "h1_drift", "blew_up", "min_theta_u", "min_theta_ux", "any_floor_hit")
+    tables["summary.csv"] = (header, [summary])
     return _outcome(traj, tables, {"softbound": _softbound_record(traj), "final_t": traj.last_time})
 
 
@@ -655,29 +666,6 @@ def compute_mms(spec: RunSpec):
     return EXIT_OK, tables, {"finest_error": rows[-1][1], "orders": [r[2] for r in rows[1:]]}
 
 
-def compute_decay_scan(spec: RunSpec):
-    traj = simulate(spec.sim, build_profile(spec))
-    fits = diagnostics.snapshot_decay_fits(traj, spec.fit_window, spec.fit_side)
-    rows = [
-        (t, fu.theta_hat, fu.r2, fu.floor_hit, fx.theta_hat, fx.r2, fx.floor_hit)
-        for t, (fu, fx) in zip(traj.times, fits)
-    ]
-
-    def min_theta(col):
-        return min((row[col] for row in rows if math.isfinite(row[col])), default=math.nan)
-
-    extra = {
-        "min_theta_u": min_theta(1),
-        "min_theta_ux": min_theta(4),
-        "any_floor_hit": any(row[3] or row[6] for row in rows),
-    }
-    tables = {
-        "decay.csv": (("t", "theta_hat_u", "r2_u", "floor_hit_u", "theta_hat_ux", "r2_ux", "floor_hit_ux"), rows),
-        "summary.csv": (tuple(extra), [tuple(extra.values())]),
-    }
-    return _outcome(traj, tables, {"decay": extra, "softbound": _softbound_record(traj)})
-
-
 def compute_lagrangian(spec: RunSpec):
     traj = simulate(spec.sim, build_profile(spec))
     seeds = spec.seeds
@@ -732,7 +720,6 @@ _RUNNERS = {
     "simulate": compute_simulate,
     "peakon-verify": compute_peakon_verify,
     "mms": compute_mms,
-    "decay-scan": compute_decay_scan,
     "lagrangian": compute_lagrangian,
     "sweep": run_sweep,
 }

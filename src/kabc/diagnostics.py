@@ -3,8 +3,8 @@ decay-rate fits, weighted sup norms, and crest tracking.
 
 All functions here are read-only analyses of fields or trajectories.  The
 tail decay of a run is measured one way: snapshot_decay_fits fits u and u_x
-on every stored snapshot, and both simulate's diagnostics.csv and
-decay-scan's decay.csv are made from its fits.
+on every stored snapshot, and simulate's diagnostics.csv and the tail
+columns of its summary.csv are made from its fits.
 """
 
 from __future__ import annotations

@@ -103,11 +103,12 @@ def persistence_runs():
     out = {}
     t0 = time.perf_counter()
     for name in ("ch", "novikov"):
-        spec = spec_of("decay-scan", params={"preset": name}, grid=grid, profile=profile, t_end=1.0, output_stride=10)
-        _, tables, extras = cli.compute_decay_scan(spec)
+        spec = spec_of("simulate", params={"preset": name}, grid=grid, profile=profile, t_end=1.0, output_stride=10)
+        _, tables, extras = cli.compute_simulate(spec)
         SOFTBOUNDS.append((f"persistence-{name}", extras["softbound"]))
-        rows = tables["decay.csv"][1]
-        out[name] = (extras["decay"], min(min(r[2] for r in rows), min(r[5] for r in rows)))  # r2_u, r2_ux
+        header, (row,) = tables["summary.csv"]
+        rows = tables["diagnostics.csv"][1]
+        out[name] = (dict(zip(header, row)), min(min(r[7] for r in rows), min(r[9] for r in rows)))  # r2, r2_ux
     return out, time.perf_counter() - t0
 
 

@@ -164,8 +164,9 @@ class TestParseConfig:
             ({"preset": "ch", "gamma": 1.0, "width": 2.0}, "unknown keys ['width']"),
             ({"preset": "ch", "gamma": 0}, "gamma must be finite and > 0"),
             ({"preset": "ch", "gamma": -1}, "gamma must be finite and > 0"),
+            ({"preset": "ch", "gamma": 1e153}, "gamma must be finite and > 0 and at most 1e+140"),
         ],
-        ids=["unknown-preset", "extra-key", "gamma-zero", "gamma-negative"],
+        ids=["unknown-preset", "extra-key", "gamma-zero", "gamma-negative", "gamma-above-bound"],
     )
     @pytest.mark.parametrize("subcommand", ["peakon-verify", "sweep"])
     def test_peakon_case_rejected_at_parse(self, tmp_path, capsys, case, message, subcommand):
@@ -202,11 +203,11 @@ class TestParseConfig:
             ("mms", ['mms.amplitude="x"'], "mms.amplitude"),
             ("mms", ["mms.amplitude=0"], "mms.amplitude"),
             ("simulate", ['fit.side="up"'], "fit.side"),
-            ("decay-scan", ['fit.side="up"'], "fit.side"),
+            ("simulate", ["profile.gamma=-1e141"], "profile.gamma must be finite and at most 1e+140 in magnitude"),
             ("peakon-verify", ["peakon_verify.moll_width=-1"], "peakon_verify.moll_width"),
             ("simulate", ['profile.gamma="x"'], "profile.gamma"),
             ("simulate", ['profile={"shape": "peakon", "moll_width": 0}'], "profile.moll_width"),
-            ("decay-scan", ['profile={"shape": "exp_tail", "theta": -1}'], "profile.theta"),
+            ("simulate", ['profile={"shape": "exp_tail", "theta": -1}'], "profile.theta"),
             ("lagrangian", ['profile={"shape": "bump", "width": 100}'], "profile.width"),
             ("simulate", ['profile={"shape": "file"}'], "profile.path"),
             ("simulate", ['profile="peakon"'], "profile"),
@@ -217,8 +218,8 @@ class TestParseConfig:
             ("simulate", ['write_snapshots="no"'], "write_snapshots"),
             ("simulate", ["fit.window=5"], "fit.window"),
             ("simulate", ['fit.window=["a", 3]'], "fit.window"),
-            ("decay-scan", ["fit.window=[11, 5]"], "fit.window"),
-            ("decay-scan", ["fit.window=[5, 11, 12]"], "fit.window"),
+            ("simulate", ["fit.window=[11, 5]"], "fit.window"),
+            ("simulate", ["fit.window=[5, 11, 12]"], "fit.window"),
             ("simulate", ['params="ch"'], "params"),
             ("sweep", ['sweep.workers="x"', 'sweep.axes=[{"key": "t_end", "values": [1]}]'], "sweep.workers"),
             ("sweep", ["sweep.workers=0", 'sweep.axes=[{"key": "t_end", "values": [1]}]'], "sweep.workers"),
@@ -272,6 +273,13 @@ def test_grid_n_ceiling_is_inclusive():
     assert _KEYS["grid.n"][1](2**24, "grid.n") == 2**24
 
 
+def test_gamma_ceiling_is_inclusive():
+    # 1e153 and -1e141 are rows of the tests above
+    cases = '[{"preset": "ch", "gamma": 1e140}]'
+    spec = parse_config(None, ["profile.gamma=-1e140", f"peakon_verify.cases={cases}"], "simulate")
+    assert spec.profile[1] == -1e140 and spec.peakon_cases[0][2] == 1e140
+
+
 def test_mms_levels_ceiling_is_inclusive():
     # 13 is a row of the test above
     assert _KEYS["mms.levels"][1](12, "mms.levels") == 12
@@ -281,12 +289,11 @@ def test_mms_levels_ceiling_is_inclusive():
 def test_fit_window_of_exactly_16_grid_spacings(x_hi, ok):
     # dx = 1 on this grid, so [10, 26] spans exactly 16 spacings
     overrides = ["grid.n=512", "grid.length=512", f"fit.window=[10, {x_hi}]"]
-    for subcommand in ("simulate", "decay-scan"):
-        if ok:
-            assert parse_config(None, overrides, subcommand).fit_window == (10.0, x_hi)
-        else:
-            with pytest.raises(ConfigError, match="fit window spans fewer than 16 grid spacings"):
-                parse_config(None, overrides, subcommand)
+    if ok:
+        assert parse_config(None, overrides, "simulate").fit_window == (10.0, x_hi)
+    else:
+        with pytest.raises(ConfigError, match="fit window spans fewer than 16 grid spacings"):
+            parse_config(None, overrides, "simulate")
 
 
 class TestParseFuzz:
@@ -436,11 +443,16 @@ class TestRunSimulate:
         spec = parse_config(path, [], "simulate", out)
         assert run(spec) == EXIT_OK
         diag = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
-        assert diag[0] == "t,hs_norm,h1_sq,dt,crest_x,theta_hat_u,theta_hat_ux,r2,floor_hit"
+        assert diag[0] == "t,hs_norm,h1_sq,dt,crest_x,theta_hat_u,theta_hat_ux,r2,floor_hit,r2_ux,floor_hit_ux"
         for row in diag[1:]:
             cols = row.split(",")
             assert float(cols[1]) == 0.0  # hs norm of the zero field
-            assert cols[8] == "true"      # floor_hit on an empty tail
+            assert cols[8] == cols[10] == "true"  # floor_hit on an empty tail
+        summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        vals = dict(zip(summary[0].split(","), summary[1].split(",")))
+        # no fit is finite, so there is no smallest exponent
+        assert vals["min_theta_u"] == vals["min_theta_ux"] == "nan"
+        assert vals["any_floor_hit"] == "true"
         final = read_snapshot(tmp_path / "out" / "final.csv", grid=Grid(128, 40 * math.pi))
         assert np.all(final.values == 0.0)
         man = manifest_of(out)
@@ -458,8 +470,7 @@ class TestRunSimulate:
             },
         )
         # each run that steps one trajectory names the blow-up in its manifest
-        for subcommand, partial in (("simulate", "final.csv"), ("decay-scan", "decay.csv"),
-                                    ("lagrangian", "particles.csv")):
+        for subcommand, partial in (("simulate", "final.csv"), ("lagrangian", "particles.csv")):
             out = str(tmp_path / subcommand)
             assert run(parse_config(path, [], subcommand, out)) == EXIT_BLOWUP
             assert os.path.exists(os.path.join(out, partial))
@@ -656,8 +667,8 @@ class TestOtherSubcommands:
         assert re.fullmatch(r"case 0: non-finite field after t = \S+", result["error"])
         assert len(result["softbound"]) == 2
 
-    def test_decay_scan(self, tmp_path):
-        out = str(tmp_path / "decay")
+    def test_simulate_summary_min_theta(self, tmp_path):
+        out = str(tmp_path / "sim")
         path = write_config(
             tmp_path,
             {
@@ -668,25 +679,12 @@ class TestOtherSubcommands:
                 "output_stride": 5,
             },
         )
-        assert run(parse_config(path, [], "decay-scan", out)) == EXIT_OK
-        rows = (tmp_path / "decay" / "decay.csv").read_text().splitlines()
-        assert rows[0].startswith("t,theta_hat_u,r2_u,floor_hit_u")
-        summary = (tmp_path / "decay" / "summary.csv").read_text().splitlines()
+        assert run(parse_config(path, [], "simulate", out)) == EXIT_OK
+        summary = (tmp_path / "sim" / "summary.csv").read_text().splitlines()
         vals = dict(zip(summary[0].split(","), summary[1].split(",")))
         assert float(vals["min_theta_u"]) == pytest.approx(0.5, abs=0.05)
-
-    def test_simulate_and_decay_scan_fit_alike(self, tmp_path):
-        # both tables come from one set of per-snapshot fits: equal bitwise
-        overrides = ['profile={"shape": "exp_tail", "theta": 0.5}', "grid.n=256", "t_end=0.1", "output_stride=5"]
-        columns = {}
-        for subcommand, name, cols in (("simulate", "diagnostics.csv", (5, 6)), ("decay-scan", "decay.csv", (1, 4))):
-            out = tmp_path / subcommand
-            assert run(parse_config(None, overrides, subcommand, str(out))) == EXIT_OK
-            rows = [line.split(",") for line in (out / name).read_text().splitlines()]
-            assert [rows[0][c] for c in cols] == ["theta_hat_u", "theta_hat_ux"]
-            columns[subcommand] = [[row[c] for c in cols] for row in rows[1:]]
-        assert len(columns["simulate"]) == 3
-        assert columns["simulate"] == columns["decay-scan"]
+        assert float(vals["min_theta_ux"]) == pytest.approx(0.5, abs=0.05)
+        assert vals["any_floor_hit"] == "false"
 
     def test_lagrangian_subcommand(self, tmp_path):
         out = str(tmp_path / "lag")
@@ -765,7 +763,7 @@ class TestOtherSubcommands:
     "subcommand, overrides",
     [
         ("simulate", ["grid.n=128", "t_end=0.05", 'profile={"shape": "bump", "width": 2.0}', "write_snapshots=true"]),
-        ("decay-scan", ["grid.n=256", "t_end=0.05", 'profile={"shape": "exp_tail", "theta": 0.5}', "output_stride=5"]),
+        ("simulate", ["grid.n=256", "t_end=0.05", 'profile={"shape": "exp_tail", "theta": 0.5}', "output_stride=5"]),
         ("peakon-verify", ["grid.n=256", 'peakon_verify={"cases": [{"preset": "forq"}], "t_end": 0.05}']),
         ("mms", ['params.preset="forq"', "grid.n=32", f"grid.length={2 * math.pi!r}", 'mms={"levels": 2, "t_end": 0.25}']),
         ("lagrangian", ['params.preset="novikov"', "grid.n=128", f"grid.length={2 * math.pi!r}",
@@ -942,15 +940,17 @@ class TestMainEntry:
         "argv, named",
         [
             (["lagrangian", "--set", "lagrangian.n_seeds=5"], "unknown config keys: lagrangian.n_seeds"),
-            (["decay-scan", "--set", "fit.theta=0.5"], "unknown config keys: fit.theta"),
+            (["simulate", "--set", "fit.theta=0.5"], "unknown config keys: fit.theta"),
             (["simulate", "--set", 'params={"preset": "bfam", "b": 1}'], "unknown preset 'bfam'"),
             (["sweep", "--workers", "2"], "unrecognized arguments: --workers 2"),
+            (["decay-scan"], "invalid choice: 'decay-scan'"),
         ],
-        ids=["n_seeds", "fit-theta", "bfam", "workers-flag"],
+        ids=["n_seeds", "fit-theta", "bfam", "workers-flag", "removed-subcommand"],
     )
     def test_removed_inputs_exit_3(self, tmp_path, capsys, argv, named):
         # each input has one spelling: lagrangian.seeds, gkbch at k = 1 and
-        # --set sweep.workers=N are the ones left
+        # --set sweep.workers=N are the ones left, and simulate is the one
+        # runner that fits tails
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -1039,3 +1039,10 @@ class TestReadme:
             main(["simulate", "--help"])
         flags = set(re.findall(r"--[a-z]+", capsys.readouterr().out)) - {"--help"}
         assert set(re.findall(r"--[a-z]+", synopsis)) == flags
+
+    def test_artifact_bullets_name_exactly_the_subcommands(self):
+        # with the synopsis check above, a runner added or deleted cannot be
+        # missing from, or linger in, the docs
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("Artifacts per subcommand", 1)[1].split("\nIdentical configurations", 1)[0]
+        assert re.findall(r"^- `([a-z-]+)`:", section, re.M) == list(SUBCOMMANDS)
