@@ -140,17 +140,13 @@ _KEYS = {
     "grid.length": (40.0 * math.pi, _POSITIVE),
     "profile": ({"shape": "peakon", "gamma": 1.0}, None),
     "t_end": (1.0, _T_END),
-    "cfl_safety": (0.4, _real("in (0, 1]", lambda x: 0.0 < x <= 1.0)),
     "dt_max": (1e-2, _POSITIVE),
     "output_stride": (1, _integer()),
-    "sobolev_s": (3.0, _real(">= 0", lambda x: x >= 0.0)),
     "spectral_filter": (False, _flag),
     "write_snapshots": (False, _flag),
     "fit.window": (None, None),
-    "fit.side": ("right", _choice("left", "right")),
     "peakon_verify.cases": (None, None),
     "peakon_verify.t_end": (5.0, _T_END),
-    "peakon_verify.moll_width": (None, _optional(_POSITIVE)),
     # a zero amplitude has a zero error, so no observed order
     "mms.amplitude": (0.1, _real("nonzero", lambda x: x != 0.0)),
     "mms.dt0": (0.0625, _POSITIVE),
@@ -171,10 +167,9 @@ def _path(value, key):
 
 _PARAMS_KEYS = {"preset", "k", "a", "b", "c"}
 # shape name -> (its key, default, reader); only the peakon's amplitude may
-# be zero or negative, and only the mollified shapes read moll_width
+# be zero or negative
 _PROFILE_SHAPES = {"peakon": ("gamma", 1.0, _GAMMA), "exp_tail": ("theta", 0.5, _POSITIVE),
                    "bump": ("width", 2.0, _POSITIVE), "file": ("path", None, _path)}
-_MOLLIFIED = ("peakon", "exp_tail")
 
 
 def _shape(prof) -> str | None:
@@ -216,7 +211,7 @@ def _merged(cfg: dict) -> dict:
     blocks = {"params": _PARAMS_KEYS}
     shape = _shape(out["profile"])  # no object or an unknown shape fails in _profile
     if shape in _PROFILE_SHAPES:
-        blocks["profile"] = {"shape", _PROFILE_SHAPES[shape][0], *(["moll_width"] if shape in _MOLLIFIED else [])}
+        blocks["profile"] = {"shape", _PROFILE_SHAPES[shape][0]}
     for block, known in blocks.items():
         if isinstance(out[block], dict):
             unknown += [f"{block}.{sub}" for sub in out[block] if sub not in known]
@@ -252,20 +247,19 @@ DEFAULT_PEAKON_CASES = (
 class RunSpec:
     """A run resolved once by parse_config: the typed values its runner
     reads.  Every run but a sweep sets profile, peakon_cases and seeds;
-    fit_window is set for simulate only, points for sweep only.  config
-    is the merged raw configuration, kept only for the manifest."""
+    fit_window (the right-tail window of every decay fit) is set for
+    simulate only, points for sweep only.  config is the merged raw
+    configuration, kept only for the manifest."""
 
     subcommand: str
     config: dict
     out_dir: str
     sim: SimConfig  # what the runner steps with: its params and grid are the run's
-    profile: tuple | None = None  # (shape, value, moll_width), see _profile
+    profile: tuple | None = None  # (shape, value), see _profile
     fit_window: tuple[float, float] | None = None
-    fit_side: str | None = None
     write_snapshots: bool = False
     mms: tuple[float, float, int] | None = None  # (amplitude, dt0, levels)
     peakon_cases: tuple = ()  # (label, params, gamma) per case
-    peakon_moll_width: float | None = None
     seeds: np.ndarray | None = None
     points: tuple = ()  # sweep: (name, RunSpec) per point, in axis order
     workers: int = 1  # sweep process pool size
@@ -301,9 +295,8 @@ def parse_config(path=None, overrides=(), subcommand="simulate", out_dir=None) -
 
 
 def _profile(vals: dict, grid: Grid) -> tuple:
-    """(shape, value, moll_width) of the profile block: value is its shape's
-    key, moll_width None for an unmollified shape; a bump is at most a
-    quarter of the box wide."""
+    """(shape, value) of the profile block, value being its shape's key; a
+    bump is at most a quarter of the box wide."""
     prof, shape = vals["profile"], _shape(vals["profile"])
     if shape is None:
         raise ConfigError(f"profile must be an object, got {prof!r}")
@@ -313,10 +306,7 @@ def _profile(vals: dict, grid: Grid) -> tuple:
     value = read(prof.get(key, default), f"profile.{key}")
     if shape == "bump" and value > grid.length / 4.0:
         raise ConfigError(f"profile.width exceeds a quarter of the box, got {value!r}")
-    if shape not in _MOLLIFIED:
-        return shape, value, None
-    moll = _optional(_POSITIVE)(prof.get("moll_width"), "profile.moll_width")
-    return shape, value, 3.0 * grid.dx if moll is None else moll
+    return shape, value
 
 
 def _fit_window(vals: dict, grid: Grid) -> tuple[float, float]:
@@ -324,13 +314,15 @@ def _fit_window(vals: dict, grid: Grid) -> tuple[float, float]:
     diagnostics.check_fit_window."""
     win = vals["fit.window"]
     if win is None:
-        win = default_tail_window(grid)
+        win, name = default_tail_window(grid), "fit.window (default [L/8, L/4])"
     elif not isinstance(win, list) or len(win) != 2:
         raise ConfigError(f"fit.window must be [x_lo, x_hi], got {win!r}")
+    else:
+        win, name = [_FINITE(x, "fit.window") for x in win], "fit.window"
     try:
-        return diagnostics.check_fit_window([_FINITE(x, "fit.window") for x in win], grid)
+        return diagnostics.check_fit_window(win, grid)
     except ValueError as err:
-        raise ConfigError(str(err)) from None
+        raise ConfigError(f"{name}: {err}") from None
 
 
 def _peakon_cases(vals: dict) -> tuple:
@@ -409,18 +401,16 @@ def _resolve(subcommand: str, cfg: dict, out_dir: str) -> RunSpec:
         vals[key] = raw if read is None else read(raw, key)
     grid = Grid(vals["grid.n"], vals["grid.length"])
     # peakon-verify and mms have their own t_end; an mms level steps at a
-    # fixed dt (each level sets dt_max), keeping its end only
-    stepping = {key: vals[key] for key in ("cfl_safety", "dt_max", "output_stride", "sobolev_s", "spectral_filter")}
+    # fixed dt (each level sets dt_max, under CFL safety 1), keeping its end only
+    stepping = {key: vals[key] for key in ("dt_max", "output_stride", "spectral_filter")}
     t_end = {"peakon-verify": vals["peakon_verify.t_end"], "mms": vals["mms.t_end"]}.get(subcommand, vals["t_end"])
     if subcommand == "mms":
         stepping.update(cfl_safety=1.0, output_stride=10**9)
     spec = RunSpec(
         subcommand=subcommand, config=cfg, out_dir=out_dir,
         sim=SimConfig(params=p, grid=grid, t_end=t_end, **stepping),
-        fit_side=vals["fit.side"], write_snapshots=vals["write_snapshots"],
+        write_snapshots=vals["write_snapshots"],
         mms=(vals["mms.amplitude"], vals["mms.dt0"], vals["mms.levels"]),
-        # both are null or positive, so `or` picks the default for null only
-        peakon_moll_width=vals["peakon_verify.moll_width"] or grid.dx,
         workers=vals["sweep.workers"] or os.cpu_count() or 1,
     )
     if subcommand == "sweep":
@@ -434,11 +424,13 @@ def _resolve(subcommand: str, cfg: dict, out_dir: str) -> RunSpec:
 
 
 def build_profile(spec: RunSpec) -> Field:
-    shape, value, moll = spec.profile
+    """The run's start: a peakon or exp_tail profile is mollified at 3 dx."""
+    shape, value = spec.profile
+    grid = spec.sim.grid
     try:
         if shape == "file":
-            return read_snapshot(value, grid=spec.sim.grid)
-        return mollified_profile(shape, value, moll, spec.sim.grid)
+            return read_snapshot(value, grid=grid)
+        return mollified_profile(shape, value, 3.0 * grid.dx, grid)
     except ValueError as err:
         raise ConfigError(f"invalid profile: {err}") from None
 
@@ -539,7 +531,6 @@ def _write_manifest(spec: RunSpec, started, wall_s, result: dict) -> None:
         manifest.update(
             params=asdict(p),
             h1_conserved=params_mod.h1_conserved(p),
-            h1_condition=params_mod.h1_condition_label(p),
             periodic_peakon_admissible=params_mod.periodic_peakon_admissible(p),
         )
     with open(os.path.join(spec.out_dir, "manifest.json"), "w") as fh:
@@ -548,21 +539,21 @@ def _write_manifest(spec: RunSpec, started, wall_s, result: dict) -> None:
 
 
 def _softbound_record(traj: Trajectory) -> dict:
+    """The heuristic growth bound 2^{1+1/k} hs0 on the H^s norm (a lifespan
+    warning, not an error) and the first step time past it; none when hs0 is
+    zero."""
     hs0 = traj.records[0].hs_norm
-    return {
-        "hs0": hs0,
-        "sup_hs": traj.sup_hs,
-        "bound_factor": traj.softbound_factor(),
-        "bound": traj.softbound_factor() * hs0,
-        "exceeded_t": traj.softbound_exceeded_t,
-    }
+    factor = 2.0 ** (1.0 + 1.0 / traj.config.params.k)
+    bound = factor * hs0
+    exceeded = next((r.t for r in traj.records[1:] if r.hs_norm > bound), None) if hs0 > 0.0 else None
+    return {"hs0": hs0, "sup_hs": traj.sup_hs, "bound_factor": factor, "bound": bound, "exceeded_t": exceeded}
 
 
-def _snapshot_diag_rows(traj: Trajectory, window, side):
+def _snapshot_diag_rows(traj: Trajectory, window):
     rows = []
     # simulate stores a StepRecord for every time it stores a snapshot
     rec_by_t = {r.t: r for r in traj.records}
-    fits = diagnostics.snapshot_decay_fits(traj, window, side)
+    fits = diagnostics.snapshot_decay_fits(traj, window)
     for t, snap, (fit_u, fit_ux) in zip(traj.times, traj.snapshots, fits):
         rec = rec_by_t[t]
         try:
@@ -592,7 +583,7 @@ def _outcome(traj: Trajectory, tables: dict, extras: dict):
 
 def compute_simulate(spec: RunSpec):
     traj = simulate(spec.sim, build_profile(spec))
-    rows = _snapshot_diag_rows(traj, spec.fit_window, spec.fit_side)
+    rows = _snapshot_diag_rows(traj, spec.fit_window)
     tables = {"diagnostics.csv": (DIAG_HEADER, rows), "final.csv": _snapshot_table(traj.snapshots[-1])}
     if spec.write_snapshots:
         for i, snap in enumerate(traj.snapshots):
@@ -615,7 +606,7 @@ def _peakon_case(spec: RunSpec, label: str, p: Params, gamma: float):
     bound record with its params, and its last good time if it blew up, else
     None.  Its trajectory dies on return, so a run holds one case's snapshots
     at a time."""
-    u0 = mollified_profile("peakon", gamma, spec.peakon_moll_width, spec.sim.grid)
+    u0 = mollified_profile("peakon", gamma, spec.sim.grid.dx, spec.sim.grid)  # at dx, finer than a profile's 3 dx
     traj = simulate(replace(spec.sim, params=p), u0)
     expected = exact.peakon_speed(gamma, p)
     measured = math.nan if traj.blew_up else diagnostics.crest_track(traj)
@@ -738,7 +729,7 @@ def run(spec: RunSpec) -> int:
             _write_csv(os.path.join(spec.out_dir, name), header, rows)
     except (dynamics.BlowUpError, lagrangian.WaveBreakingError) as err:
         code, extras = EXIT_BLOWUP, {"error": str(err)}
-    except ConfigError as err:
+    except (ConfigError, dynamics.StepLimitError) as err:
         code, extras = EXIT_CONFIG, {"error": str(err)}
         print(f"kabc: configuration error: {err}", file=sys.stderr)
     except OSError as err:

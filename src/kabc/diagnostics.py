@@ -119,7 +119,7 @@ def check_fit_window(window, grid: Grid) -> tuple[float, float]:
     length/8 before the wrap-around seam; else ValueError."""
     x_lo, x_hi = float(window[0]), float(window[1])
     if not x_lo < x_hi:
-        raise ValueError(f"fit.window must be [x_lo, x_hi] with x_lo < x_hi, got {list(window)!r}")
+        raise ValueError(f"fit window must have x_lo < x_hi, got {list(window)!r}")
     if (x_hi - x_lo) / grid.dx < 16:
         raise ValueError("fit window spans fewer than 16 grid spacings")
     if x_hi > grid.length / 2.0 - grid.length / 8.0:
@@ -127,17 +127,13 @@ def check_fit_window(window, grid: Grid) -> tuple[float, float]:
     return x_lo, x_hi
 
 
-def decay_fit(f: Field, window, side: str) -> DecayFit:
-    """Fit |f| ~ A exp(-theta_hat * d) on d in [x_lo, x_hi] from the box
-    center, one-sided, on a window check_fit_window accepts.  Samples at or
-    below FIT_FLOOR are excluded and set floor_hit."""
+def decay_fit(f: Field, window) -> DecayFit:
+    """Fit |f| ~ A exp(-theta_hat * d) on the right of the box center, at
+    distances d in [x_lo, x_hi] from it, on a window check_fit_window
+    accepts.  Samples at or below FIT_FLOOR are excluded and set floor_hit."""
     grid = f.grid
     x_lo, x_hi = check_fit_window(window, grid)
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     offset = grid.nodes - grid.length / 2.0
-    if side == "left":
-        offset = -offset
     sel = (offset >= x_lo) & (offset <= x_hi)
     d = offset[sel]
     v = np.abs(f.values[sel])
@@ -159,10 +155,10 @@ def default_tail_window(grid) -> tuple[float, float]:
     return (grid.length / 8.0, grid.length / 4.0)
 
 
-def snapshot_decay_fits(traj, window, side: str) -> list[tuple[DecayFit, DecayFit]]:
-    """(decay_fit of u, decay_fit of u_x) on window and side, for every
-    stored snapshot of traj."""
-    return [(decay_fit(snap, window, side), decay_fit(derivative(snap, 1), window, side)) for snap in traj.snapshots]
+def snapshot_decay_fits(traj, window) -> list[tuple[DecayFit, DecayFit]]:
+    """(decay_fit of u, decay_fit of u_x) on window, for every stored
+    snapshot of traj."""
+    return [(decay_fit(snap, window), decay_fit(derivative(snap, 1), window)) for snap in traj.snapshots]
 
 
 def crest_position(f: Field) -> float:

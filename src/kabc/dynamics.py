@@ -40,18 +40,33 @@ from .spectral import Field, Grid, dealiased_product, derivative, get_ops
 # it would take no step
 T_END_TOL = 1e-12
 
+# Order s of the H^s norm simulate records each step (StepRecord.hs_norm)
+SOBOLEV_S = 3.0
+
+# simulate refuses a run whose first CFL step puts it above this many steps.
+# The longest runs here take a few thousand.  At 10**7 even an n = 8 run steps
+# for about an hour (0.34 ms a step on one core of a 2-vCPU x86 host), and its
+# per-step records alone take about 1.8 GB (184 bytes each).
+MAX_STEPS = 10**7
+
 
 class BlowUpError(RuntimeError):
     """A stage or step produced non-finite samples."""
+
+
+class StepLimitError(RuntimeError):
+    """A run would take more than MAX_STEPS steps."""
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """One run: parameters, grid, horizon and stepping controls.
 
-    forcing, when present, is a callable (x_nodes, t) -> samples added to
-    the right-hand side.  It must be a pure function of (x, t): RhsOperator
-    may reuse the value it got at a time t for a later call at the same t.
+    cfl_safety scales the CFL step: runs keep the default 0.4, and a
+    fixed-dt study (an mms level) steps at 1.  forcing, when present, is a
+    callable (x_nodes, t) -> samples added to the right-hand side.  It must
+    be a pure function of (x, t): RhsOperator may reuse the value it got at
+    a time t for a later call at the same t.
     spectral_filter enables a mild exponential filter on the top sixth of
     modes (off by default; useful for peakon runs).
     """
@@ -63,7 +78,6 @@ class SimConfig:
     dt_max: float = 1e-2
     output_stride: int = 1
     forcing: Optional[Callable] = None
-    sobolev_s: float = 3.0
     spectral_filter: bool = False
 
     def __post_init__(self):
@@ -75,8 +89,6 @@ class SimConfig:
             raise ValueError("dt_max must be positive")
         if self.output_stride < 1:
             raise ValueError("output_stride must be >= 1")
-        if not (math.isfinite(self.sobolev_s) and self.sobolev_s >= 0.0):
-            raise ValueError(f"sobolev_s must be finite and >= 0, got {self.sobolev_s!r}")
 
 
 @dataclass(frozen=True)
@@ -94,9 +106,6 @@ class Trajectory:
     Snapshots are sample-only Fields (n doubles each); the spectrum the run
     stepped on is not kept.  blew_up marks a run aborted on non-finite
     values; the last stored time is then the last good one.
-    softbound_exceeded_t records when the H^s norm first exceeded
-    2^{1+1/k} times its initial value (a heuristic lifespan warning, not an
-    error).
     """
 
     config: SimConfig
@@ -104,7 +113,6 @@ class Trajectory:
     snapshots: list[Field] = field(default_factory=list)
     records: list[StepRecord] = field(default_factory=list)
     blew_up: bool = False
-    softbound_exceeded_t: Optional[float] = None
 
     @property
     def last_time(self) -> float:
@@ -113,10 +121,6 @@ class Trajectory:
     @property
     def sup_hs(self) -> float:
         return max(r.hs_norm for r in self.records)
-
-    def softbound_factor(self) -> float:
-        """Heuristic growth bound 2^{1+1/k} on the H^s norm."""
-        return 2.0 ** (1.0 + 1.0 / self.config.params.k)
 
 
 class RhsOperator:
@@ -305,9 +309,11 @@ def simulate(cfg: SimConfig, u0: Field) -> Trajectory:
     """Advance u0 to cfg.t_end with CFL-adaptive RK4 steps.
 
     Stores every output_stride-th snapshot plus the final state, and a
-    per-step scalar record (H^s norm, squared H^1 norm, step size).  On
-    blow-up the run aborts cleanly: the returned trajectory is flagged and
-    holds only finite snapshots up to the last good time.
+    per-step scalar record (H^SOBOLEV_S norm, squared H^1 norm, step size).
+    On blow-up the run aborts cleanly: the returned trajectory is flagged and
+    holds only finite snapshots up to the last good time.  A run that the
+    first CFL step puts above MAX_STEPS steps (t_end / dt) raises
+    StepLimitError before it steps.
     """
     if u0.grid != cfg.grid:
         raise ValueError("u0 must live on cfg.grid")
@@ -317,8 +323,7 @@ def simulate(cfg: SimConfig, u0: Field) -> Trajectory:
     t = 0.0
     cur, uh = u0, u0.hat
     traj = Trajectory(config=cfg)
-    hs0, h1_sq = diagnostics.hs_and_h1_squared(uh, cfg.grid, cfg.sobolev_s)
-    bound = traj.softbound_factor() * hs0
+    hs0, h1_sq = diagnostics.hs_and_h1_squared(uh, cfg.grid, SOBOLEV_S)
     traj.records.append(StepRecord(0.0, 0.0, hs0, h1_sq))
     traj.times.append(0.0)
     traj.snapshots.append(u0)
@@ -327,6 +332,10 @@ def simulate(cfg: SimConfig, u0: Field) -> Trajectory:
     while t < cfg.t_end - T_END_TOL:
         try:
             dt = cfl_dt(cur, cfg.params, cfg.cfl_safety, cfg.dt_max, uh)
+            if not step and cfg.t_end > MAX_STEPS * dt:
+                steps = cfg.t_end / dt if dt else math.inf  # dt underflows on a tiny box
+                raise StepLimitError(f"t_end {cfg.t_end:g} at the first CFL step {dt:.3g} needs about "
+                                     f"{steps:.3g} steps, above the cap of {MAX_STEPS:g}")
             dt = min(dt, cfg.t_end - t)
             uh_new = rk4_step(op, uh, t, dt)
             if filt is not None:
@@ -346,10 +355,8 @@ def simulate(cfg: SimConfig, u0: Field) -> Trajectory:
         # two differ at round-off, and the samples are what the run reports
         cur = Field(cfg.grid, u_new)
         uh = cur.hat
-        hs, h1_sq = diagnostics.hs_and_h1_squared(uh, cfg.grid, cfg.sobolev_s)
+        hs, h1_sq = diagnostics.hs_and_h1_squared(uh, cfg.grid, SOBOLEV_S)
         traj.records.append(StepRecord(t, dt, hs, h1_sq))
-        if traj.softbound_exceeded_t is None and hs0 > 0.0 and hs > bound:
-            traj.softbound_exceeded_t = t
         if step % cfg.output_stride == 0 or t >= cfg.t_end - T_END_TOL:
             traj.times.append(t)
             traj.snapshots.append(cur)

@@ -139,16 +139,6 @@ def h1_conserved(p: Params) -> bool:
     return abs(2.0 * c + (2.0 / k) * (b + 2.0 * c - 3.0 * k) + 1.0 - 2.0 * k) <= PARAM_TOL
 
 
-def h1_condition_label(p: Params) -> str:
-    """Which conservation condition h1_conserved applied: "k1", "k2" or
-    "k3plus"."""
-    if p.k == 2:
-        return "k2"
-    if p.k == 1:
-        return "k1"
-    return "k3plus"
-
-
 def periodic_peakon_admissible(p: Params) -> bool:
     """Whether the circle peakon formula applies: 6a + b + 2c = 3k."""
     return abs(6.0 * p.a + p.b + 2.0 * p.c - 3.0 * p.k) <= PARAM_TOL

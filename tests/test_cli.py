@@ -4,6 +4,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import weakref
@@ -24,6 +26,7 @@ from kabc.cli import (
     SUBCOMMANDS,
     RunSpec,
     _KEYS,
+    _PROFILE_SHAPES,
     _RUNNERS,
     _write_csv,
     build_profile,
@@ -55,7 +58,7 @@ class TestParseConfig:
         spec = parse_config(path, [], "simulate", str(tmp_path / "out"))
         assert spec.config["grid"]["n"] == 512
         assert spec.config["grid"]["length"] == pytest.approx(40 * math.pi)
-        assert spec.config["cfl_safety"] == 0.4
+        assert spec.config["output_stride"] == 1
         assert spec.config["dt_max"] == 1e-2
         assert spec.sim.params.k == 1
 
@@ -118,7 +121,8 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "axis, message",
         [
-            ({"key": "grid.n", "values": [64]}, "fit window spans fewer than 16 grid spacings"),
+            ({"key": "grid.n", "values": [64]},
+             "fit.window (default [L/8, L/4]): fit window spans fewer than 16 grid spacings"),
             ({"key": "bogus", "values": [1]}, "unknown config keys: bogus"),
             ({"key": "t_end.x", "values": [1]}, "cannot override through non-mapping key 't_end'"),
             ({"key": "t_end", "values": 0.5}, "each sweep axis needs a string key and a non-empty values list"),
@@ -184,7 +188,8 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "subcommand, overrides, key",
         [
-            ("simulate", ["cfl_safety=2"], "cfl_safety"),
+            # grid.n = 64 is too coarse for the default fit window
+            ("simulate", ["grid.n=64"], "fit.window (default [L/8, L/4]): fit window spans fewer than 16"),
             ("simulate", ["t_end=-1"], "t_end"),
             ("simulate", ["dt_max=0"], "dt_max"),
             ("simulate", ["output_stride=0"], "output_stride"),
@@ -196,23 +201,24 @@ class TestParseConfig:
             ("lagrangian", ["lagrangian.seeds=[]"], "lagrangian.seeds"),
             ("lagrangian", ["lagrangian.seeds=[1.0, NaN]"], "lagrangian.seeds"),
             ("lagrangian", ["lagrangian.seeds=[1.0, Infinity]"], "lagrangian.seeds"),
-            ("sweep", ['sweep.axes=[{"key": "cfl_safety", "values": [0.4, 2]}]'], "cfl_safety"),
+            # a sweep axis may not set a deleted key, even to its one value
+            ("sweep", ['sweep.axes=[{"key": "cfl_safety", "values": [0.4]}]'], "cfl_safety"),
             ("sweep", ['sweep.subcommand="sweep"', 'sweep.axes=[{"key": "t_end", "values": [1]}]'], "sweep.subcommand"),
-            ("simulate", ["sobolev_s=-1"], "sobolev_s"),
-            ("simulate", ["sobolev_s=Infinity"], "sobolev_s"),
+            ("simulate", ["grid.length=0"], "grid.length"),
+            ("simulate", ["dt_max=Infinity"], "dt_max"),
             ("mms", ['mms.amplitude="x"'], "mms.amplitude"),
             ("mms", ["mms.amplitude=0"], "mms.amplitude"),
-            ("simulate", ['fit.side="up"'], "fit.side"),
+            ("simulate", ["fit.window=[5, 60]"], "fit.window: fit window too close to the wrap-around seam"),
             ("simulate", ["profile.gamma=-1e141"], "profile.gamma must be finite and at most 1e+140 in magnitude"),
-            ("peakon-verify", ["peakon_verify.moll_width=-1"], "peakon_verify.moll_width"),
+            ("peakon-verify", ["peakon_verify.cases=[]"], "peakon_verify.cases"),
             ("simulate", ['profile.gamma="x"'], "profile.gamma"),
-            ("simulate", ['profile={"shape": "peakon", "moll_width": 0}'], "profile.moll_width"),
+            ("simulate", ['profile={"shape": "bump", "width": 0}'], "profile.width"),
             ("simulate", ['profile={"shape": "exp_tail", "theta": -1}'], "profile.theta"),
             ("lagrangian", ['profile={"shape": "bump", "width": 100}'], "profile.width"),
             ("simulate", ['profile={"shape": "file"}'], "profile.path"),
             ("simulate", ['profile="peakon"'], "profile"),
-            ("sweep", ['sweep.axes=[{"key": "fit.side", "values": ["left", "up"]}]'], "fit.side"),
-            ("sweep", ['sweep.axes=[{"key": "sobolev_s", "values": [1, -1]}]'], "sobolev_s"),
+            ("sweep", ['sweep.axes=[{"key": "fit.side", "values": ["right"]}]'], "fit.side"),
+            ("sweep", ['sweep.axes=[{"key": "sobolev_s", "values": [3]}]'], "sobolev_s"),
             ("simulate", ['spectral_filter="no"'], "spectral_filter"),
             ("mms", ["spectral_filter=1"], "spectral_filter"),
             ("simulate", ['write_snapshots="no"'], "write_snapshots"),
@@ -227,7 +233,7 @@ class TestParseConfig:
             ("simulate", ["output_stride=2.5"], "output_stride"),
             ("simulate", ["grid.n=128.7"], "grid.n"),
             ("mms", ["mms.levels=2.9"], "mms.levels"),
-            ("simulate", ['cfl_safety="x"'], "cfl_safety"),
+            ("simulate", ['dt_max="x"'], "dt_max"),
             ("simulate", ['output_stride="x"'], "output_stride"),
             ("simulate", ["t_end.x=1"], "t_end"),
             ("lagrangian", ["t_end=1e-13", "grid.n=64"], "t_end"),
@@ -241,7 +247,7 @@ class TestParseConfig:
             # lagrangian.seeds, used or not
             ("mms", ['profile={"shape": "nope"}', "grid.n=32", "mms.levels=2"], "profile shape 'nope'"),
             ("peakon-verify", ['profile={"shape": "exp_tail", "theta": 0}'], "profile.theta"),
-            ("peakon-verify", ['profile={"shape": "peakon", "moll_width": -1}'], "profile.moll_width"),
+            ("peakon-verify", ['profile={"shape": "bump", "width": -1}'], "profile.width"),
             ("mms", ['lagrangian.seeds="x"', "grid.n=32", "mms.levels=2"], "lagrangian.seeds"),
             ("simulate", ['peakon_verify.cases=[{"preset": "nope"}]'], "peakon_verify.cases[0]"),
             # each level halves dt, so mms.levels has a ceiling (12)
@@ -457,19 +463,22 @@ class TestRunSimulate:
         assert np.all(final.values == 0.0)
         man = manifest_of(out)
         assert man["result"]["exit"] == EXIT_OK
-        assert man["h1_condition"] == "k1"
+        assert man["h1_conserved"] is True
 
     def test_blowup_exit_code_and_partial_outputs(self, tmp_path):
         path = write_config(
             tmp_path,
             {
-                "params": {"preset": "novikov"},
-                "profile": {"shape": "peakon", "gamma": 1e120},
+                "params": {"k": 3, "a": 0.0, "b": 0.0, "c": 0.0},
+                "profile": {"shape": "peakon", "gamma": 8.0},
                 "grid": {"n": 128, "length": 40 * math.pi},
                 "t_end": 1.0,
+                "output_stride": 1000,
             },
         )
-        # each run that steps one trajectory names the blow-up in its manifest
+        # this k = 3 peakon goes non-finite near t = 0.033, after about 2,400
+        # steps; each run that steps one trajectory names the blow-up in its
+        # manifest
         for subcommand, partial in (("simulate", "final.csv"), ("lagrangian", "particles.csv")):
             out = str(tmp_path / subcommand)
             assert run(parse_config(path, [], subcommand, out)) == EXIT_BLOWUP
@@ -590,11 +599,11 @@ class TestOtherSubcommands:
         overrides = ["grid.n=256", f"peakon_verify={json.dumps({'cases': cases, 't_end': 0.1})}"]
         assert run(parse_config(None, overrides, "peakon-verify", str(tmp_path / "pk"))) == EXIT_OK
         man = manifest_of(tmp_path / "pk")
-        assert not {"params", "h1_conserved", "h1_condition", "periodic_peakon_admissible"} & set(man)
+        assert not {"params", "h1_conserved", "periodic_peakon_admissible"} & set(man)
         assert [sb["params"] for sb in man["result"]["softbound"]] == [{"k": 2, "a": 0.0, "b": 3.0, "c": 1.5}]
         assert run(parse_config(None, ["grid.n=128", "t_end=0.1"], "simulate", str(tmp_path / "sim"))) == EXIT_OK
         man = manifest_of(tmp_path / "sim")
-        assert man["params"] == {"k": 1, "a": 0.0, "b": 2.0, "c": 0.5} and man["h1_condition"] == "k1"
+        assert man["params"] == {"k": 1, "a": 0.0, "b": 2.0, "c": 0.5} and "h1_condition" not in man
         # a sweep's axes set each point's params; the point's manifest has them
         axes = [{"key": "params", "values": [{"preset": "novikov"}]}]
         overrides = ["grid.n=128", "t_end=0.1", f"sweep.axes={json.dumps(axes)}", "sweep.workers=1"]
@@ -944,18 +953,64 @@ class TestMainEntry:
             (["simulate", "--set", 'params={"preset": "bfam", "b": 1}'], "unknown preset 'bfam'"),
             (["sweep", "--workers", "2"], "unrecognized arguments: --workers 2"),
             (["decay-scan"], "invalid choice: 'decay-scan'"),
+            (["simulate", "--set", "cfl_safety=0.4"], "unknown config keys: cfl_safety"),
+            (["simulate", "--set", "sobolev_s=3"], "unknown config keys: sobolev_s"),
+            (["simulate", "--set", 'fit.side="right"'], "unknown config keys: fit.side"),
+            (["peakon-verify", "--set", "peakon_verify.moll_width=0.1"],
+             "unknown config keys: peakon_verify.moll_width"),
+            (["simulate", "--set", 'profile={"shape": "peakon", "gamma": 1, "moll_width": 0.1}'],
+             "unknown config keys: profile.moll_width"),
         ],
-        ids=["n_seeds", "fit-theta", "bfam", "workers-flag", "removed-subcommand"],
+        ids=["n_seeds", "fit-theta", "bfam", "workers-flag", "removed-subcommand", "cfl_safety", "sobolev_s",
+             "fit-side", "peakon_verify-moll_width", "profile-moll_width"],
     )
     def test_removed_inputs_exit_3(self, tmp_path, capsys, argv, named):
         # each input has one spelling: lagrangian.seeds, gkbch at k = 1 and
         # --set sweep.workers=N are the ones left, and simulate is the one
-        # runner that fits tails
+        # runner that fits tails.  A setting no run varies is a constant, not
+        # a key, so even its one accepted value is unknown
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_run_past_the_step_cap_exits_3_at_once(self, tmp_path):
+        # |gamma| at its bound makes the CFL step about dx / |gamma|^k: the
+        # run would never end, so it stops before its first step
+        out = tmp_path / "out"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        argv = [sys.executable, "-m", "kabc.cli", "simulate", "--set", "grid.n=256", "--set", "profile.gamma=-1e140",
+                "--set", "t_end=0.01", "--out", str(out)]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("kabc: configuration error: t_end 0.01 at the first CFL step ")
+        assert "Traceback" not in proc.stderr
+        assert re.search(r"needs about \S+e\+\d+ steps, above the cap of 1e\+07$", manifest_of(out)["result"]["error"])
+        assert sorted(os.listdir(out)) == ["manifest.json"]
+
+    @pytest.mark.parametrize(
+        "subcommand, overrides",
+        [
+            ("simulate", ["grid.n=128", "t_end=1e6"]),  # 1e8 steps at dt_max
+            # the capped case ends the run; the case after it never starts
+            ("peakon-verify",
+             ["grid.n=256", 'peakon_verify.cases=[{"preset": "ch", "gamma": 1e140}, {"preset": "ch"}]']),
+        ],
+        ids=["long-t_end", "peakon-case"],
+    )
+    def test_step_cap_exits_3_with_a_manifest(self, tmp_path, capsys, subcommand, overrides):
+        out = tmp_path / "out"
+        argv = [subcommand, "--out", str(out)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "above the cap of 1e+07" in err and "Traceback" not in err
+        result = manifest_of(out)["result"]
+        assert result["exit"] == EXIT_CONFIG and "above the cap of 1e+07" in result["error"]
+        assert sorted(os.listdir(out)) == ["manifest.json"]
 
     def test_io_error_exit_code(self, tmp_path):
         ok = write_config(
@@ -1010,6 +1065,15 @@ class TestReadme:
         named = [span for span in re.findall(r"`([a-z_]+\.[a-z_]+)`", self.config_table())
                  if span.split(".")[0] in blocks and not span.endswith((".csv", ".json"))]
         assert named and [key for key in named if key not in _KEYS] == []
+
+    def test_profile_row_names_exactly_the_shape_keys(self):
+        # the check above sees no key inside a block: the profile row names
+        # each shape with the one key it reads, and no other profile key
+        prefix = "| `profile` |"
+        row = next(r for r in self.config_table().splitlines() if r.startswith(prefix))[len(prefix):]
+        shapes = {shape: key for shape, (key, _, _) in _PROFILE_SHAPES.items()}
+        assert dict(re.findall(r"`([a-z_]+)` \(`([a-z_]+)`", row)) == shapes
+        assert set(re.findall(r"`([a-z_]+)`", row)) <= {"shape", *shapes, *shapes.values()}
 
     def test_config_table_names_only_existing_presets(self):
         listed = re.search(r"`preset` one of `([^`]+)`", self.config_table()).group(1).split(", ")

@@ -135,7 +135,7 @@ class TestDecayFit:
     def test_pure_exponential(self):
         g = self.grid()
         f = self.field_from_distance(g, lambda d: np.exp(-0.5 * d))
-        fit = decay_fit(f, (5.0, 15.0), "right")
+        fit = decay_fit(f, (5.0, 15.0))
         assert fit.theta_hat == pytest.approx(0.5, abs=0.01)
         assert fit.r2 > 0.9999
         assert not fit.floor_hit
@@ -143,7 +143,7 @@ class TestDecayFit:
     def test_peakon_exponent(self):
         g = self.grid()
         f = self.field_from_distance(g, lambda d: 0.7 * np.exp(-d))
-        fit = decay_fit(f, (5.0, 15.0), "right")
+        fit = decay_fit(f, (5.0, 15.0))
         assert fit.theta_hat == pytest.approx(1.0, abs=0.01)
 
     @settings(deadline=None, max_examples=25)
@@ -154,7 +154,7 @@ class TestDecayFit:
         g = Grid(512, 40.0)
         d = np.abs(g.nodes - g.length / 2)
         f = Field(g, amp * np.exp(-theta * d))
-        fit = decay_fit(f, (2.0, 10.0), "right")
+        fit = decay_fit(f, (2.0, 10.0))
         if not fit.floor_hit:
             assert abs(fit.theta_hat - theta) < 1e-6
 
@@ -163,14 +163,14 @@ class TestDecayFit:
         f = self.field_from_distance(g, lambda d: np.exp(-(d**2)))
         # window [5, 10]: nearly all samples fall below the floor, so the
         # fit is flagged through floor_hit (analytic log-slope 2*d ~ >= 10)
-        fit = decay_fit(f, (5.0, 10.0), "right")
+        fit = decay_fit(f, (5.0, 10.0))
         assert fit.theta_hat >= 5.0 or not math.isfinite(fit.theta_hat)
         assert fit.floor_hit or fit.r2 < 0.995
         # window [2, 5] keeps everything above the floor: the parabola in
         # log-space shows up as a bad linear fit with steep local slope 2*d
         g2 = Grid(1024, 40 * np.pi)
         f = Field(g2, np.exp(-np.abs(g2.nodes - g2.length / 2) ** 2))
-        fit2 = decay_fit(f, (2.0, 5.0), "right")
+        fit2 = decay_fit(f, (2.0, 5.0))
         assert not fit2.floor_hit
         assert fit2.theta_hat >= 5.0
         assert fit2.r2 < 0.995
@@ -178,26 +178,19 @@ class TestDecayFit:
     def test_all_below_floor(self):
         g = self.grid()
         f = self.field_from_distance(g, lambda d: np.zeros_like(d))
-        fit = decay_fit(f, (5.0, 15.0), "right")
+        fit = decay_fit(f, (5.0, 15.0))
         assert fit.floor_hit
         assert math.isnan(fit.theta_hat)
-
-    def test_left_side(self):
-        g = self.grid()
-        x = g.nodes - g.length / 2
-        f = Field(g, np.exp(0.3 * np.minimum(x, 0.0)) * (x <= 0))
-        fit = decay_fit(f, (3.0, 12.0), "left")
-        assert fit.theta_hat == pytest.approx(0.3, abs=0.01)
 
     def test_window_validation(self):
         g = self.grid()
         f = self.field_from_distance(g, lambda d: np.exp(-d))
         with pytest.raises(ValueError):
-            decay_fit(f, (10.0, 5.0), "right")
+            decay_fit(f, (10.0, 5.0))
         with pytest.raises(ValueError):
-            decay_fit(f, (5.0, g.length / 2), "right")  # too close to seam
+            decay_fit(f, (5.0, g.length / 2))  # too close to seam
         with pytest.raises(ValueError):
-            decay_fit(f, (5.0, 5.5), "right")  # too few nodes
+            decay_fit(f, (5.0, 5.5))  # too few nodes
 
     @pytest.mark.parametrize("x_hi, ok", [(26.0, True), (25.999999, False)])
     def test_window_of_exactly_16_grid_spacings(self, x_hi, ok):
@@ -207,9 +200,9 @@ class TestDecayFit:
         f = self.field_from_distance(g, lambda d: np.exp(-0.1 * d))
         if ok:
             assert check_fit_window((10, x_hi), g) == (10.0, x_hi)
-            assert decay_fit(f, (10.0, x_hi), "right").theta_hat == pytest.approx(0.1, rel=1e-6)
+            assert decay_fit(f, (10.0, x_hi)).theta_hat == pytest.approx(0.1, rel=1e-6)
         else:
-            for call in (lambda: check_fit_window((10, x_hi), g), lambda: decay_fit(f, (10.0, x_hi), "right")):
+            for call in (lambda: check_fit_window((10, x_hi), g), lambda: decay_fit(f, (10.0, x_hi))):
                 with pytest.raises(ValueError, match="fewer than 16 grid spacings"):
                     call()
 
@@ -301,7 +294,7 @@ class TestSnapshotDecayFits:
         g = Grid(512, 40 * np.pi)
         z = Field(g, np.zeros(512))
         traj = make_traj(g, [z, z, z], [0.0, 0.5, 1.0])
-        fits = snapshot_decay_fits(traj, default_tail_window(g), "right")
+        fits = snapshot_decay_fits(traj, default_tail_window(g))
         assert len(fits) == 3
         assert all(fu.floor_hit and fx.floor_hit for fu, fx in fits)
         assert all(math.isnan(fu.theta_hat) for fu, _ in fits)
@@ -311,7 +304,7 @@ class TestSnapshotDecayFits:
         d = np.abs(g.nodes - g.length / 2)
         f = Field(g, np.exp(-0.5 * d))
         traj = make_traj(g, [f, f], [0.0, 1.0])
-        fits = snapshot_decay_fits(traj, default_tail_window(g), "right")
+        fits = snapshot_decay_fits(traj, default_tail_window(g))
         assert len(fits) == 2
         for fu, fx in fits:
             assert fu.theta_hat == pytest.approx(0.5, abs=0.01)

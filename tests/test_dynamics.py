@@ -6,10 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kabc.cli import _softbound_record
 from kabc.dynamics import (
+    MAX_STEPS,
+    SOBOLEV_S,
     BlowUpError,
     RhsOperator,
     SimConfig,
+    StepLimitError,
+    StepRecord,
+    Trajectory,
     _filter_multiplier,
     cfl_dt,
     local_form_residual,
@@ -438,12 +444,12 @@ class TestSimulate:
         # transform of the samples it stores, bit for bit
         g = Grid(128, 2 * np.pi)
         u0 = band_limited(g, 10, seed=4)
-        cfg = SimConfig(params=preset(name), grid=g, t_end=0.3, sobolev_s=2.5, spectral_filter=spectral_filter)
+        cfg = SimConfig(params=preset(name), grid=g, t_end=0.3, spectral_filter=spectral_filter)
         traj = simulate(cfg, u0)
         assert len(traj.records) == len(traj.snapshots) > 10
         for rec, t, snap in zip(traj.records, traj.times, traj.snapshots):
             assert rec.t == t
-            assert rec.hs_norm == diagnostics.sobolev_norm(snap, 2.5)
+            assert rec.hs_norm == diagnostics.sobolev_norm(snap, SOBOLEV_S)
             assert rec.h1_sq == diagnostics.h1_squared(snap)
 
     def test_trajectory_holds_samples_only(self):
@@ -469,9 +475,30 @@ class TestSimulate:
         u0 = band_limited(g, 6, seed=9, amp=0.05)
         cfg = SimConfig(params=preset("novikov"), grid=g, t_end=0.5)
         traj = simulate(cfg, u0)
-        hs0 = traj.records[0].hs_norm
-        assert traj.sup_hs <= traj.softbound_factor() * hs0
-        assert traj.softbound_exceeded_t is None
+        sb = _softbound_record(traj)
+        assert sb["hs0"] == traj.records[0].hs_norm and sb["bound_factor"] == 2.0**1.5
+        assert sb["bound"] == sb["bound_factor"] * sb["hs0"]
+        assert traj.sup_hs <= sb["bound"]
+        assert sb["exceeded_t"] is None
+
+    @pytest.mark.parametrize("hs, exceeded_t", [((1.0, 3.0, 4.0, 4.5, 5.0), 0.3), ((1.0, 4.0, 4.0), None),
+                                                 ((0.0, 1.0, 2.0), None)])
+    def test_softbound_exceeded_at_the_first_step_past_the_bound(self, hs, exceeded_t):
+        # at k = 1 the bound is 4 hs0, exceeded strictly; zero data has none
+        g = Grid(16, 2 * np.pi)
+        traj = Trajectory(SimConfig(params=preset("ch"), grid=g, t_end=1.0))
+        traj.records = [StepRecord(i / 10, 0.1 if i else 0.0, h, 1.0) for i, h in enumerate(hs)]
+        sb = _softbound_record(traj)
+        assert sb["bound"] == 4.0 * hs[0] and sb["exceeded_t"] == exceeded_t
+
+    def test_step_cap_raises_before_the_first_step(self):
+        # t_end / dt_max = 1e8 steps, ten times the cap
+        g = Grid(16, 2 * np.pi)
+        u0 = band_limited(g, 3, seed=1, amp=0.1)
+        cfg = SimConfig(params=preset("ch"), grid=g, t_end=1e6)
+        assert cfg.t_end / cfg.dt_max > MAX_STEPS
+        with pytest.raises(StepLimitError, match=r"needs about 1e\+08 steps, above the cap of 1e\+07"):
+            simulate(cfg, u0)
 
     def test_output_stride(self):
         g = Grid(64, 2 * np.pi)

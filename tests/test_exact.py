@@ -166,7 +166,7 @@ class TestProfiles:
     def test_exp_tail_fitted_exponent(self):
         grid = Grid(512, 40 * np.pi)
         f = mollified_profile("exp_tail", 0.5, 3 * grid.dx, grid)
-        fit = decay_fit(f, (5.0, 15.0), "right")
+        fit = decay_fit(f, (5.0, 15.0))
         assert fit.theta_hat == pytest.approx(0.5, abs=0.01)
         assert not fit.floor_hit
 

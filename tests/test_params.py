@@ -7,7 +7,6 @@ from kabc.params import (
     Params,
     coefficients,
     h1_conserved,
-    h1_condition_label,
     periodic_peakon_admissible,
     preset,
 )
@@ -131,9 +130,6 @@ def test_h1_conserved_k1_extrapolation():
     # the k >= 3 identity evaluated at k = 1 reads 2b + 6c = 7
     assert h1_conserved(preset("ch"))
     assert not h1_conserved(preset("dp"))
-    assert h1_condition_label(preset("ch")) == "k1"
-    assert h1_condition_label(preset("forq")) == "k2"
-    assert h1_condition_label(preset("gkbch", k=3, b=4.0)) == "k3plus"
 
 
 def test_periodic_peakon_admissible():
