@@ -6,7 +6,8 @@ config once into a ``RunSpec`` (a sweep's points too, each as a single run),
 so a bad value exits before any output exists.  Each experiment is one pure
 ``compute_<subcommand>(spec)`` that reads only those values and returns its
 exit code, its CSV tables as ``{filename: (header, rows)}`` and the manifest
-extras; ``run`` writes the tables plus one JSON manifest into the output
+extras, built in one pass: simulate hands it each stored state as it is
+made.  ``run`` writes the tables plus one JSON manifest into the output
 directory (``sweep`` writes its own aggregate).  The numeric tables are 2-D
 float arrays, written in blocks of rows with ``%.17g``: the same bytes as
 the value-by-value ``_fmt`` path of the small mixed-type tables.  Numeric
@@ -37,7 +38,7 @@ from .diagnostics import default_tail_window
 from .dynamics import SimConfig, Trajectory, mms_forcing, simulate
 from .exact import mollified_profile
 from .params import Params, preset
-from .spectral import Field, Grid
+from .spectral import Field, Grid, derivative
 
 EXIT_OK = 0
 EXIT_BLOWUP = 2
@@ -348,14 +349,15 @@ def _peakon_cases(vals: dict) -> tuple:
 
 
 def _lagrangian_seeds(vals: dict, grid: Grid) -> np.ndarray:
-    """lagrangian.seeds, or 16 points spread over the middle quarter of the
-    box."""
+    """lagrangian.seeds, each in [0, grid.length), or 16 points spread over
+    the middle quarter of the box."""
     seeds = vals["lagrangian.seeds"]
     if seeds is None:
         return grid.length / 2.0 + grid.length / 8.0 * np.linspace(-1.0, 1.0, 16)
     if not isinstance(seeds, list) or not seeds:
-        raise ConfigError(f"lagrangian.seeds must be a non-empty list of finite numbers, got {seeds!r}")
-    return np.array([_FINITE(s, "lagrangian.seeds") for s in seeds])
+        raise ConfigError(f"lagrangian.seeds must be a non-empty list of numbers in the box, got {seeds!r}")
+    in_box = _real(f"in [0, {grid.length!r})", lambda x: 0.0 <= x < grid.length)
+    return np.array([in_box(s, "lagrangian.seeds") for s in seeds])
 
 
 def _sweep_points(cfg: dict, vals: dict, out_dir: str) -> tuple:
@@ -549,24 +551,6 @@ def _softbound_record(traj: Trajectory) -> dict:
     return {"hs0": hs0, "sup_hs": traj.sup_hs, "bound_factor": factor, "bound": bound, "exceeded_t": exceeded}
 
 
-def _snapshot_diag_rows(traj: Trajectory, window):
-    rows = []
-    # simulate stores a StepRecord for every time it stores a snapshot
-    rec_by_t = {r.t: r for r in traj.records}
-    fits = diagnostics.snapshot_decay_fits(traj, window)
-    for t, snap, (fit_u, fit_ux) in zip(traj.times, traj.snapshots, fits):
-        rec = rec_by_t[t]
-        try:
-            crest = diagnostics.crest_position(snap)
-        except ValueError:
-            crest = math.nan
-        rows.append(
-            (t, rec.hs_norm, rec.h1_sq, rec.dt, crest, fit_u.theta_hat, fit_ux.theta_hat, fit_u.r2, fit_u.floor_hit,
-             fit_ux.r2, fit_ux.floor_hit)
-        )
-    return rows
-
-
 DIAG_HEADER = ("t", "hs_norm", "h1_sq", "dt", "crest_x", "theta_hat_u", "theta_hat_ux", "r2", "floor_hit", "r2_ux",
                "floor_hit_ux")
 PARTICLE_HEADER = ("seed", "t", "eta", "eta_x", "m_along", "invariant_residual")
@@ -582,12 +566,21 @@ def _outcome(traj: Trajectory, tables: dict, extras: dict):
 
 
 def compute_simulate(spec: RunSpec):
-    traj = simulate(spec.sim, build_profile(spec))
-    rows = _snapshot_diag_rows(traj, spec.fit_window)
-    tables = {"diagnostics.csv": (DIAG_HEADER, rows), "final.csv": _snapshot_table(traj.snapshots[-1])}
-    if spec.write_snapshots:
-        for i, snap in enumerate(traj.snapshots):
-            tables[f"snap_{i:06d}.csv"] = _snapshot_table(snap)
+    rows, snaps = [], {}  # a diagnostics.csv row and, with write_snapshots, a table per stored state
+
+    def take(rec, u):
+        fit_u, fit_ux = (diagnostics.decay_fit(f, spec.fit_window) for f in (u, derivative(u, 1)))
+        try:
+            crest = diagnostics.crest_position(u)
+        except ValueError:
+            crest = math.nan
+        if spec.write_snapshots:
+            snaps[f"snap_{len(rows):06d}.csv"] = _snapshot_table(u)
+        rows.append((rec.t, rec.hs_norm, rec.h1_sq, rec.dt, crest, fit_u.theta_hat, fit_ux.theta_hat, fit_u.r2,
+                     fit_u.floor_hit, fit_ux.r2, fit_ux.floor_hit))
+
+    traj = simulate(spec.sim, build_profile(spec), take)
+    tables = {"diagnostics.csv": (DIAG_HEADER, rows), "final.csv": _snapshot_table(traj.final), **snaps}
     try:
         drift = diagnostics.h1_drift(traj)
     except ValueError:
@@ -604,12 +597,18 @@ def compute_simulate(spec: RunSpec):
 def _peakon_case(spec: RunSpec, label: str, p: Params, gamma: float):
     """One speeds.csv row (NaN speed if the case blew up), the case's growth
     bound record with its params, and its last good time if it blew up, else
-    None.  Its trajectory dies on return, so a run holds one case's snapshots
-    at a time."""
+    None.  Its trajectory dies on return, so a run holds one case's
+    trajectory at a time, and of its states only the crest positions."""
     u0 = mollified_profile("peakon", gamma, spec.sim.grid.dx, spec.sim.grid)  # at dx, finer than a profile's 3 dx
-    traj = simulate(replace(spec.sim, params=p), u0)
+    times, crests = [], []
+
+    def take(rec, u):
+        times.append(rec.t)
+        crests.append(diagnostics.crest_position(u))
+
+    traj = simulate(replace(spec.sim, params=p), u0, take)
     expected = exact.peakon_speed(gamma, p)
-    measured = math.nan if traj.blew_up else diagnostics.crest_track(traj)
+    measured = math.nan if traj.blew_up else diagnostics.crest_track(times, crests, spec.sim.grid.length)
     rel = abs(measured - expected) / abs(expected) if expected else math.nan
     softbound = dict(_softbound_record(traj), params=asdict(p))
     return (label, gamma, expected, measured, rel), softbound, traj.last_time if traj.blew_up else None
@@ -648,7 +647,7 @@ def compute_mms(spec: RunSpec):
         if cfl < dt:
             raise ConfigError(f"mms.dt0 {dt0:g} gives level {lvl} the dt {dt:g}, but the CFL step is {cfl:.6g}")
         exactf = value(grid.nodes, traj.last_time)
-        err = float(np.max(np.abs(traj.snapshots[-1].values - exactf)))
+        err = float(np.max(np.abs(traj.final.values - exactf)))
         rows.append((dt, err, math.log2(rows[-1][1] / err) if rows else math.nan))
     tables = {
         "mms.csv": (("dt", "final_max_error", "observed_order"), rows),
@@ -658,21 +657,32 @@ def compute_mms(spec: RunSpec):
 
 
 def compute_lagrangian(spec: RunSpec):
-    traj = simulate(spec.sim, build_profile(spec))
-    seeds = spec.seeds
-    ps = lagrangian.advect(traj, seeds)
-    m_along = lagrangian.momentum_along(traj, ps)
+    seeds, p = spec.seeds, spec.sim.params
+    rows, ps = [], None  # (t, eta, eta_x, m_along) per stored state the particles reached; the particles there
+
+    def take(rec, u):
+        nonlocal ps
+        if rows and ps is None:  # a step came out non-finite, which ends the particles' pass
+            return
+        ps = lagrangian.advect(ps, rec.t, u, p.k) if rows else lagrangian.release(seeds, rec.t, u)
+        if ps is not None:
+            rows.append((ps.t, ps.eta, ps.etax, lagrangian.momentum_along(u, ps.eta)))
+
+    traj = simulate(spec.sim, build_profile(spec), take)
+    times, paths, stretch, m_along = (np.asarray(col) for col in zip(*rows))
+    if ps is None and not traj.blew_up:  # the field stayed finite, the particle paths did not
+        raise dynamics.BlowUpError(f"non-finite particle step after t = {times[-1]:.6g}")
     try:
-        res = lagrangian.invariant_residuals(ps, m_along, spec.sim.params)
+        res = lagrangian.invariant_residuals(stretch, m_along, p)
         residual = float(np.max(res))
     except ValueError:  # off the a = 0, c = (3k - b)/2 subfamily
         res = np.full_like(m_along, math.nan)
         residual = None
     # one row per (time, seed), seed-fastest within each time
-    n_seeds, n_times = len(seeds), len(traj.times)
+    n_seeds, n_times = len(seeds), len(times)
     particles = np.column_stack((
-        np.tile(seeds, n_times), np.repeat(traj.times, n_seeds),
-        ps.paths.ravel(), ps.stretch.ravel(), m_along.ravel(), res.ravel(),
+        np.tile(seeds, n_times), np.repeat(times, n_seeds),
+        paths.ravel(), stretch.ravel(), m_along.ravel(), res.ravel(),
     ))
     summary = (residual if residual is not None else math.nan, n_seeds, traj.last_time)
     tables = {

@@ -1,10 +1,11 @@
 """Measurement instruments: Sobolev norms, conservation drift, exponential
 decay-rate fits, weighted sup norms, and crest tracking.
 
-All functions here are read-only analyses of fields or trajectories.  The
-tail decay of a run is measured one way: snapshot_decay_fits fits u and u_x
-on every stored snapshot, and simulate's diagnostics.csv and the tail
-columns of its summary.csv are made from its fits.
+All functions here are read-only analyses of one field, of a trajectory's
+scalar records, or of scalars collected from the states of a run.  The tail
+decay of a run is measured one way: decay_fit of u and of u_x on each stored
+state, from which simulate's diagnostics.csv and the tail columns of its
+summary.csv are made.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import Field, Grid, derivative
+from .spectral import Field, Grid
 
 # Log fits discard samples at or below this magnitude: below the transform
 # round-off, log|f| is noise.
@@ -155,12 +156,6 @@ def default_tail_window(grid) -> tuple[float, float]:
     return (grid.length / 8.0, grid.length / 4.0)
 
 
-def snapshot_decay_fits(traj, window) -> list[tuple[DecayFit, DecayFit]]:
-    """(decay_fit of u, decay_fit of u_x) on window, for every stored
-    snapshot of traj."""
-    return [(decay_fit(snap, window), decay_fit(derivative(snap, 1), window)) for snap in traj.snapshots]
-
-
 def crest_position(f: Field) -> float:
     """Crest location by quadratic interpolation through the three nodes
     around the maximum."""
@@ -178,17 +173,11 @@ def crest_position(f: Field) -> float:
     return grid.nodes[j] + delta * grid.dx
 
 
-def crest_positions(traj) -> np.ndarray:
-    """Crest location per snapshot, unwrapped across the periodic seam."""
-    pos = [crest_position(snap) for snap in traj.snapshots]
-    return np.unwrap(np.asarray(pos), period=traj.snapshots[0].grid.length)
-
-
-def crest_track(traj) -> float:
-    """Wave speed: least-squares slope of the unwrapped crest position
-    against time."""
-    if len(traj.times) < 2:
-        raise ValueError("need at least two snapshots to estimate a speed")
-    pos = crest_positions(traj)
-    t = np.asarray(traj.times, dtype=float)
-    return float(np.polyfit(t, pos, 1)[0])
+def crest_track(times, positions, length: float) -> float:
+    """Wave speed: least-squares slope against time of the crest positions
+    of a run's states (crest_position of each), unwrapped across the seam of
+    a periodic box of this length."""
+    if len(times) < 2:
+        raise ValueError("need at least two states to estimate a speed")
+    pos = np.unwrap(np.asarray(positions), period=length)
+    return float(np.polyfit(np.asarray(times, dtype=float), pos, 1)[0])

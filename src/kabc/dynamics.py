@@ -13,14 +13,15 @@ The RK4 state is the rfft half-spectrum of u, not its samples: each
 right-hand side evaluation goes from spectrum to spectrum, and a step makes
 one inverse transform to store the new samples and one forward transform of
 them to step on next.  simulate's loop is the only long-lived owner of a
-spectrum; the snapshots it stores are samples only.  One evaluation costs one
-inverse FFT on the padded grid per upsampled factor (u, u_x, and u_xx when
-c_f2_2 != 0) and one forward FFT there per bracket (local, f1, and f2 when
-it has a nonzero coefficient): 4 at k = 1 (CH, DP), 5 at k = 2 (Novikov,
-FORQ) and 6 at k >= 3 with a != 0.  When forcing is set, it is evaluated,
-and its samples forward-transformed, once per distinct stage time: RK4's two
-mid stages share t + dt/2, and a step's last stage time t + dt is the next
-step's first, so a forced step adds 2 forcing evaluations, not 4.
+spectrum; it hands each stored state, samples only, to its caller and keeps
+only the last.  One evaluation costs one inverse FFT on the padded grid per
+upsampled factor (u, u_x, and u_xx when c_f2_2 != 0) and one forward FFT
+there per bracket (local, f1, and f2 when it has a nonzero coefficient): 4 at
+k = 1 (CH, DP), 5 at k = 2 (Novikov, FORQ) and 6 at k >= 3 with a != 0.  When
+forcing is set, it is evaluated, and its samples forward-transformed, once
+per distinct stage time: RK4's two mid stages share t + dt/2, and a step's
+last stage time t + dt is the next step's first, so a forced step adds 2
+forcing evaluations, not 4.
 """
 
 from __future__ import annotations
@@ -101,22 +102,21 @@ class StepRecord:
 
 @dataclass
 class Trajectory:
-    """Stored snapshots plus per-step scalar records.
+    """Per-step scalar records plus the last state.
 
-    Snapshots are sample-only Fields (n doubles each); the spectrum the run
-    stepped on is not kept.  blew_up marks a run aborted on non-finite
-    values; the last stored time is then the last good one.
+    final is a sample-only Field (n doubles); the spectrum the run stepped on
+    is not kept.  blew_up marks a run aborted on non-finite values; final and
+    the last record are then the last good state's.
     """
 
     config: SimConfig
-    times: list[float] = field(default_factory=list)
-    snapshots: list[Field] = field(default_factory=list)
+    final: Field
     records: list[StepRecord] = field(default_factory=list)
     blew_up: bool = False
 
     @property
     def last_time(self) -> float:
-        return self.times[-1]
+        return self.records[-1].t
 
     @property
     def sup_hs(self) -> float:
@@ -305,61 +305,60 @@ def _filter_multiplier(grid: Grid) -> np.ndarray:
     return np.exp(-36.0 * eta**8)
 
 
-def simulate(cfg: SimConfig, u0: Field) -> Trajectory:
+def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> Trajectory:
     """Advance u0 to cfg.t_end with CFL-adaptive RK4 steps.
 
-    Stores every output_stride-th snapshot plus the final state, and a
-    per-step scalar record (H^SOBOLEV_S norm, squared H^1 norm, step size).
-    On blow-up the run aborts cleanly: the returned trajectory is flagged and
-    holds only finite snapshots up to the last good time.  A run that the
-    first CFL step puts above MAX_STEPS steps (t_end / dt) raises
-    StepLimitError before it steps.
+    Keeps a per-step scalar record (H^SOBOLEV_S norm, squared H^1 norm, step
+    size) and the last state.  on_state(rec, u), when given, gets each stored
+    state as it is made (u0, every output_stride-th step and the end) with
+    its record (rec.t is its time).  On blow-up the run aborts cleanly: the
+    returned trajectory is flagged, and the last good state is stored if it
+    was not already.  A run that the first CFL step puts above MAX_STEPS
+    steps (t_end / dt) raises StepLimitError before it steps.
     """
     if u0.grid != cfg.grid:
         raise ValueError("u0 must live on cfg.grid")
     op = RhsOperator(cfg.grid, cfg.params, cfg.forcing)
     filt = _filter_multiplier(cfg.grid) if cfg.spectral_filter else None
 
+    store = on_state or (lambda rec, u: None)
     t = 0.0
-    cur, uh = u0, u0.hat
-    traj = Trajectory(config=cfg)
+    uh = u0.hat
     hs0, h1_sq = diagnostics.hs_and_h1_squared(uh, cfg.grid, SOBOLEV_S)
-    traj.records.append(StepRecord(0.0, 0.0, hs0, h1_sq))
-    traj.times.append(0.0)
-    traj.snapshots.append(u0)
+    traj = Trajectory(config=cfg, final=u0, records=[StepRecord(0.0, 0.0, hs0, h1_sq)])
+    store(traj.records[0], u0)
 
     step = 0
     while t < cfg.t_end - T_END_TOL:
         try:
-            dt = cfl_dt(cur, cfg.params, cfg.cfl_safety, cfg.dt_max, uh)
+            dt = cfl_dt(traj.final, cfg.params, cfg.cfl_safety, cfg.dt_max, uh)
             if not step and cfg.t_end > MAX_STEPS * dt:
                 steps = cfg.t_end / dt if dt else math.inf  # dt underflows on a tiny box
                 raise StepLimitError(f"t_end {cfg.t_end:g} at the first CFL step {dt:.3g} needs about "
                                      f"{steps:.3g} steps, above the cap of {MAX_STEPS:g}")
             dt = min(dt, cfg.t_end - t)
-            uh_new = rk4_step(op, uh, t, dt)
-            if filt is not None:
-                uh_new = uh_new * filt
-            u_new = np.fft.irfft(uh_new, cfg.grid.n)
+            with np.errstate(over="ignore", invalid="ignore"):  # as in RhsOperator: inf is the blow-up signal
+                uh_new = rk4_step(op, uh, t, dt)
+                if filt is not None:
+                    uh_new = uh_new * filt
+                u_new = np.fft.irfft(uh_new, cfg.grid.n)
             if not np.all(np.isfinite(u_new)):
                 raise BlowUpError(f"non-finite field after t = {t:.6g}")
         except BlowUpError:
             traj.blew_up = True
-            if traj.times[-1] < t:  # keep the last good state
-                traj.times.append(t)
-                traj.snapshots.append(cur)
+            if step % cfg.output_stride:  # store the last good state
+                store(traj.records[-1], traj.final)
             break
         t += dt
         step += 1
         # step on the transform of the stored samples, not on uh_new: the
         # two differ at round-off, and the samples are what the run reports
-        cur = Field(cfg.grid, u_new)
-        uh = cur.hat
+        traj.final = Field(cfg.grid, u_new)
+        uh = traj.final.hat
         hs, h1_sq = diagnostics.hs_and_h1_squared(uh, cfg.grid, SOBOLEV_S)
         traj.records.append(StepRecord(t, dt, hs, h1_sq))
         if step % cfg.output_stride == 0 or t >= cfg.t_end - T_END_TOL:
-            traj.times.append(t)
-            traj.snapshots.append(cur)
+            store(traj.records[-1], traj.final)
     return traj
 
 

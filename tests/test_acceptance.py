@@ -308,8 +308,8 @@ def test_criterion_9_scaling_symmetry():
     ta = simulate(cfg_a, u0)
     tb = simulate(cfg_b, Field(grid, lam * u0.values))
     SOFTBOUNDS.extend([("scaling-base", _softbound_record(ta)), ("scaling-rescaled", _softbound_record(tb))])
-    va = lam * ta.snapshots[-1].values
-    vb = tb.snapshots[-1].values
+    va = lam * ta.final.values
+    vb = tb.final.values
     rel = float(np.max(np.abs(va - vb)) / np.max(np.abs(vb)))
     elapsed = time.perf_counter() - t0
     ok = rel <= 1e-6 and elapsed < 60.0

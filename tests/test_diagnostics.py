@@ -15,24 +15,25 @@ from kabc.diagnostics import (
     h1_drift,
     h1_squared,
     hs_and_h1_squared,
-    snapshot_decay_fits,
     sobolev_norm,
     weighted_sup,
 )
 from kabc.dynamics import SimConfig, StepRecord, Trajectory
 from kabc.exact import peakon_line_eval, peakon_speed
 from kabc.params import preset
-from kabc.spectral import Field, Grid
+from kabc.spectral import Field, Grid, derivative
 
 
 def make_traj(grid, fields, times, params=None):
+    """The trajectory of a run that stored these fields at these times."""
     cfg = SimConfig(params=params or preset("ch"), grid=grid, t_end=max(times[-1], 1e-9))
-    traj = Trajectory(config=cfg)
-    for t, f in zip(times, fields):
-        traj.times.append(float(t))
-        traj.snapshots.append(f)
-        traj.records.append(StepRecord(float(t), 0.0, sobolev_norm(f, 3.0), sobolev_norm(f, 1.0) ** 2))
-    return traj
+    records = [StepRecord(float(t), 0.0, sobolev_norm(f, 3.0), sobolev_norm(f, 1.0) ** 2) for t, f in zip(times, fields)]
+    return Trajectory(config=cfg, final=fields[-1], records=records)
+
+
+def track(fields, times):
+    """crest_track of the crest positions of the fields, stored at times."""
+    return crest_track(times, [crest_position(f) for f in fields], fields[0].grid.length)
 
 
 class TestSobolevNorm:
@@ -252,16 +253,16 @@ class TestCrestTrack:
             x0 = grid.length / 2
             times = np.linspace(0.0, 5.0, 101)
             fields = [Field(grid, peakon_line_eval(gamma, p, grid.nodes - x0, t)) for t in times]
-            traj = make_traj(grid, fields, times, params=p)
-            speed = crest_track(traj)
+            speed = track(fields, times)
             assert speed == pytest.approx(peakon_speed(gamma, p), rel=1e-3)
 
     def test_flat_field_rejected(self):
         g = Grid(64, 2 * np.pi)
         f = Field(g, np.ones(64))
-        traj = make_traj(g, [f, f], [0.0, 1.0])
-        with pytest.raises(ValueError):
-            crest_track(traj)
+        with pytest.raises(ValueError, match="flat"):
+            crest_position(f)
+        with pytest.raises(ValueError, match="two states"):
+            crest_track([0.0], [1.0], g.length)
 
     def test_single_field_crest(self):
         # the quadratic through the three nodes around the maximum places an
@@ -285,30 +286,27 @@ class TestCrestTrack:
             Field(grid, peakon_line_eval(1.0, p, np.mod(grid.nodes - x0 - peakon_speed(1.0, p) * t + grid.length / 2, grid.length) - grid.length / 2, 0.0))
             for t in times
         ]
-        traj = make_traj(grid, fields, times)
-        assert crest_track(traj) == pytest.approx(1.0, rel=2e-3)
+        assert track(fields, times) == pytest.approx(1.0, rel=2e-3)
 
 
 class TestSnapshotDecayFits:
+    # simulate's diagnostics.csv fits u and u_x of each stored state
+    def fits(self, f):
+        window = default_tail_window(f.grid)
+        return decay_fit(f, window), decay_fit(derivative(f, 1), window)
+
     def test_zero_trajectory_all_floor(self):
         g = Grid(512, 40 * np.pi)
-        z = Field(g, np.zeros(512))
-        traj = make_traj(g, [z, z, z], [0.0, 0.5, 1.0])
-        fits = snapshot_decay_fits(traj, default_tail_window(g))
-        assert len(fits) == 3
-        assert all(fu.floor_hit and fx.floor_hit for fu, fx in fits)
-        assert all(math.isnan(fu.theta_hat) for fu, _ in fits)
+        fu, fx = self.fits(Field(g, np.zeros(512)))
+        assert fu.floor_hit and fx.floor_hit
+        assert math.isnan(fu.theta_hat) and math.isnan(fx.theta_hat)
 
     def test_static_exponential(self):
         g = Grid(512, 40 * np.pi)
         d = np.abs(g.nodes - g.length / 2)
-        f = Field(g, np.exp(-0.5 * d))
-        traj = make_traj(g, [f, f], [0.0, 1.0])
-        fits = snapshot_decay_fits(traj, default_tail_window(g))
-        assert len(fits) == 2
-        for fu, fx in fits:
-            assert fu.theta_hat == pytest.approx(0.5, abs=0.01)
-            assert not (fu.floor_hit or fx.floor_hit)
+        fu, fx = self.fits(Field(g, np.exp(-0.5 * d)))
+        assert fu.theta_hat == pytest.approx(0.5, abs=0.01)
+        assert not (fu.floor_hit or fx.floor_hit)
 
     def test_default_window(self):
         g = Grid(512, 40 * np.pi)

@@ -38,6 +38,13 @@ def band_limited(grid, max_mode, seed, amp=0.25):
     return Field(grid, v * (amp / np.max(np.abs(v))))
 
 
+def stored_states(cfg, u0):
+    """simulate's trajectory and the (record, state) pairs it stored."""
+    states = []
+    traj = simulate(cfg, u0, lambda rec, u: states.append((rec, u)))
+    return traj, states
+
+
 def sine_wave(x, t):
     """The manufactured solution 0.1 sin(x - t)."""
     return 0.1 * np.sin(x - t)
@@ -390,10 +397,11 @@ class TestSimulate:
     def test_zero_initial_data(self):
         g = Grid(64, 2 * np.pi)
         cfg = SimConfig(params=preset("ch"), grid=g, t_end=0.5)
-        traj = simulate(cfg, Field(g, np.zeros(64)))
+        traj, states = stored_states(cfg, Field(g, np.zeros(64)))
         assert not traj.blew_up
         assert traj.last_time == pytest.approx(0.5, abs=1e-12)
-        for snap in traj.snapshots:
+        assert states[-1][1] is traj.final
+        for _, snap in states:
             assert np.all(snap.values == 0.0)
 
     def test_deterministic(self):
@@ -402,7 +410,7 @@ class TestSimulate:
         cfg = SimConfig(params=preset("forq"), grid=g, t_end=0.3)
         a = simulate(cfg, u0)
         b = simulate(cfg, u0)
-        assert np.array_equal(a.snapshots[-1].values, b.snapshots[-1].values)
+        assert np.array_equal(a.final.values, b.final.values)
         assert [r.t for r in a.records] == [r.t for r in b.records]
         assert [r.hs_norm for r in a.records] == [r.hs_norm for r in b.records]
 
@@ -431,11 +439,32 @@ class TestSimulate:
         g = Grid(64, 2 * np.pi)
         u0 = Field(g, np.full(64, 1e200))
         cfg = SimConfig(params=preset("novikov"), grid=g, t_end=1.0)
-        traj = simulate(cfg, u0)
+        traj, states = stored_states(cfg, u0)
         assert traj.blew_up
         assert traj.last_time < 1.0
-        for snap in traj.snapshots:
+        for _, snap in states:
             assert np.all(np.isfinite(snap.values))
+
+    @pytest.mark.parametrize("output_stride", [1, 3, 10**6])
+    def test_blowup_stores_the_last_good_state_once(self, output_stride):
+        # a forcing that turns non-finite after t = 0.1 ends a zero start
+        # in its eleventh step; the last good state is stored whether or
+        # not the stride stored it already
+        g = Grid(16, 2 * np.pi)
+
+        def forcing(x, t):
+            return np.full_like(x, np.inf if t > 0.1 else 0.0)
+
+        cfg = SimConfig(params=preset("ch"), grid=g, t_end=1.0, dt_max=0.01, output_stride=output_stride,
+                        forcing=forcing)
+        u0 = Field(g, np.zeros(16))
+        traj, states = stored_states(cfg, u0)
+        assert traj.blew_up
+        times = [rec.t for rec, _ in states]
+        assert times == sorted(set(times)) and times[-1] == traj.last_time == pytest.approx(0.1)
+        assert states[-1] == (traj.records[-1], traj.final)
+        assert len(traj.records) == 11
+        assert len(states) == {1: 11, 3: 5, 10**6: 2}[output_stride]
 
     @pytest.mark.parametrize("spectral_filter", [False, True])
     @pytest.mark.parametrize("name", ["ch", "forq"])
@@ -445,30 +474,38 @@ class TestSimulate:
         g = Grid(128, 2 * np.pi)
         u0 = band_limited(g, 10, seed=4)
         cfg = SimConfig(params=preset(name), grid=g, t_end=0.3, spectral_filter=spectral_filter)
-        traj = simulate(cfg, u0)
-        assert len(traj.records) == len(traj.snapshots) > 10
-        for rec, t, snap in zip(traj.records, traj.times, traj.snapshots):
-            assert rec.t == t
+        traj, states = stored_states(cfg, u0)
+        assert len(traj.records) == len(states) > 10
+        for rec, (stored_rec, snap) in zip(traj.records, states, strict=True):
+            assert stored_rec is rec
             assert rec.hs_norm == diagnostics.sobolev_norm(snap, SOBOLEV_S)
             assert rec.h1_sq == diagnostics.h1_squared(snap)
 
-    def test_trajectory_holds_samples_only(self):
-        # a stored snapshot costs its n doubles, not also the spectrum its
-        # step computed (which would make it about twice that)
+    def test_run_memory_is_independent_of_its_stored_states(self):
+        # with no on_state a run keeps no stored state but its last: 1,000
+        # stored states peak within a margin of 100, where keeping them
+        # would cost 900 states of n doubles (29.5 MB) more.  The margin,
+        # fixed before running, covers the 900 extra step records (184
+        # bytes each plus a list slot) and four states.
         g = Grid(4096, 40 * np.pi)
         u0 = mollified_profile("peakon", 1.0, 3 * g.dx, g)
-        cfg = SimConfig(params=preset("ch"), grid=g, t_end=0.2)
-        simulate(cfg, u0)  # fills the per-grid caches
-        gc.collect()
-        tracemalloc.start()
-        try:
-            traj = simulate(cfg, u0)
+
+        def peak(states):
+            cfg = SimConfig(params=preset("ch"), grid=g, t_end=(states - 1) * 1e-4, dt_max=1e-4)
             gc.collect()
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert len(traj.snapshots) > 10
-        assert held <= 1.25 * len(traj.snapshots) * g.n * 8 + 64 * 1024
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                traj = simulate(cfg, u0)
+                grown = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert abs(len(traj.records) - states) <= 1
+            return grown
+
+        simulate(SimConfig(params=preset("ch"), grid=g, t_end=1e-4, dt_max=1e-4), u0)  # fills the per-grid caches
+        margin = 900 * (184 + 8) + 4 * g.n * 8
+        assert peak(1000) <= peak(100) + margin
 
     def test_softbound_recorded_for_small_data(self):
         g = Grid(128, 2 * np.pi)
@@ -486,7 +523,7 @@ class TestSimulate:
     def test_softbound_exceeded_at_the_first_step_past_the_bound(self, hs, exceeded_t):
         # at k = 1 the bound is 4 hs0, exceeded strictly; zero data has none
         g = Grid(16, 2 * np.pi)
-        traj = Trajectory(SimConfig(params=preset("ch"), grid=g, t_end=1.0))
+        traj = Trajectory(SimConfig(params=preset("ch"), grid=g, t_end=1.0), Field(g, np.zeros(16)))
         traj.records = [StepRecord(i / 10, 0.1 if i else 0.0, h, 1.0) for i, h in enumerate(hs)]
         sb = _softbound_record(traj)
         assert sb["bound"] == 4.0 * hs[0] and sb["exceeded_t"] == exceeded_t
@@ -504,9 +541,9 @@ class TestSimulate:
         g = Grid(64, 2 * np.pi)
         u0 = band_limited(g, 6, seed=2, amp=0.1)
         cfg = SimConfig(params=preset("ch"), grid=g, t_end=0.2, dt_max=1e-2, output_stride=5)
-        traj = simulate(cfg, u0)
+        traj, states = stored_states(cfg, u0)
         assert len(traj.records) - 1 == 20
-        assert len(traj.snapshots) == 1 + 4  # initial + every 5th
+        assert [rec.t for rec, _ in states] == [traj.records[i].t for i in (0, 5, 10, 15, 20)]  # initial + every 5th
 
     def test_grid_mismatch(self):
         cfg = SimConfig(params=preset("ch"), grid=Grid(64, 2 * np.pi), t_end=0.1)
@@ -542,7 +579,7 @@ class TestSimulate:
         traj = simulate(cfg, u0)
         assert not traj.blew_up
         want = physical_space_reference(cfg, u0, traj)
-        got = traj.snapshots[-1].values
+        got = traj.final.values
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_matches_physical_space_reference_under_forcing(self):
@@ -552,7 +589,7 @@ class TestSimulate:
         u0 = Field(g, sine_wave(g.nodes, 0.0))
         traj = simulate(cfg, u0)
         want = physical_space_reference(cfg, u0, traj)
-        got = traj.snapshots[-1].values
+        got = traj.final.values
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_forcing_evaluated_once_per_distinct_stage_time(self):
@@ -580,17 +617,17 @@ class TestSimulate:
         forcing = mms_forcing(sine_wave, sine_wave_dt, p, g)
         cfg = SimConfig(params=p, grid=g, t_end=0.25, cfl_safety=1.0, dt_max=1.0 / 64, forcing=forcing)
         u0 = Field(g, sine_wave(g.nodes, 0.0))
-        traj = simulate(cfg, u0)
+        traj, states = stored_states(cfg, u0)
 
         def fresh(uh, t):
             return RhsOperator(g, p, forcing)(uh, t)
 
         u, t = u0, 0.0
-        for rec, snap in zip(traj.records[1:], traj.snapshots[1:]):
+        for rec, (_, snap) in zip(traj.records[1:], states[1:]):
             u = Field(g, np.fft.irfft(rk4_step(fresh, u.hat, t, rec.dt), g.n))
             t += rec.dt
             assert u.values.tobytes() == snap.values.tobytes()
-        assert len(traj.snapshots) == len(traj.records) == 17
+        assert len(states) == len(traj.records) == 17
 
     def test_forcing_spectra_bounded_and_read_only(self):
         g = Grid(64, 2 * np.pi)
@@ -624,10 +661,10 @@ class TestSimulate:
         u0 = band_limited(g, 8, seed=3, amp=0.2)
         base = SimConfig(params=preset("novikov"), grid=g, t_end=0.2, dt_max=5e-3)
         filt = SimConfig(params=preset("novikov"), grid=g, t_end=0.2, dt_max=5e-3, spectral_filter=True)
-        a = simulate(base, u0).snapshots[-1].values
-        b = simulate(filt, u0).snapshots[-1].values
+        a = simulate(base, u0).final.values
+        b = simulate(filt, u0).final.values
         assert np.max(np.abs(a - b)) < 1e-8
-        c = simulate(filt, u0).snapshots[-1].values
+        c = simulate(filt, u0).final.values
         assert np.array_equal(b, c)
 
 
@@ -643,8 +680,8 @@ class TestScalingSymmetry:
         cfg_b = SimConfig(params=p, grid=g, t_end=T / lam**k, cfl_safety=1.0, dt_max=2e-3 / lam**k, output_stride=10**9)
         ta = simulate(cfg_a, u0)
         tb = simulate(cfg_b, Field(g, lam * u0.values))
-        va = lam * ta.snapshots[-1].values
-        vb = tb.snapshots[-1].values
+        va = lam * ta.final.values
+        vb = tb.final.values
         assert np.max(np.abs(va - vb)) <= 1e-6 * np.max(np.abs(vb))
 
     @settings(max_examples=40, deadline=None)
@@ -684,7 +721,7 @@ class TestMms:
         forcing = mms_forcing(sine_wave, sine_wave_dt, p, g)
         cfg = SimConfig(params=p, grid=g, t_end=1.0, cfl_safety=1.0, dt_max=1.0 / 256, forcing=forcing)
         traj = simulate(cfg, Field(g, sine_wave(g.nodes, 0.0)))
-        err = np.max(np.abs(traj.snapshots[-1].values - sine_wave(g.nodes, traj.last_time)))
+        err = np.max(np.abs(traj.final.values - sine_wave(g.nodes, traj.last_time)))
         assert err < 1e-8
 
     def test_fourth_order_in_time(self):
@@ -695,5 +732,5 @@ class TestMms:
         for dt in (1.0 / 32, 1.0 / 64):
             cfg = SimConfig(params=p, grid=g, t_end=1.0, cfl_safety=1.0, dt_max=dt, forcing=forcing)
             traj = simulate(cfg, Field(g, sine_wave(g.nodes, 0.0)))
-            errs.append(np.max(np.abs(traj.snapshots[-1].values - sine_wave(g.nodes, traj.last_time))))
+            errs.append(np.max(np.abs(traj.final.values - sine_wave(g.nodes, traj.last_time))))
         assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.3)

@@ -5,7 +5,6 @@ import pytest
 from scipy.special import ndtr
 
 from kabc.diagnostics import decay_fit
-from kabc.dynamics import SimConfig, Trajectory
 from kabc.exact import (
     bump_values,
     circle_peakon_speed,
@@ -75,12 +74,9 @@ class TestPeakonCircle:
         # sample the exact formula and recover the speed by crest tracking
         p = preset("ch")
         grid = Grid(256, 2 * np.pi)
-        cfg = SimConfig(params=p, grid=grid, t_end=1.0)
-        traj = Trajectory(config=cfg)
-        for t in np.linspace(0.0, 0.5, 101):
-            traj.times.append(float(t))
-            traj.snapshots.append(Field(grid, peakon_circle_eval(1.0, p, grid.nodes, t)))
-        speed = diagnostics.crest_track(traj)
+        times = np.linspace(0.0, 0.5, 101)
+        crests = [diagnostics.crest_position(Field(grid, peakon_circle_eval(1.0, p, grid.nodes, t))) for t in times]
+        speed = diagnostics.crest_track(times, crests, grid.length)
         assert speed == pytest.approx(circle_peakon_speed(1.0, p), rel=1e-3)
 
 

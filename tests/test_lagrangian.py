@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kabc.dynamics import SimConfig, StepRecord, Trajectory, simulate
+from kabc.dynamics import SimConfig, simulate
 from kabc.exact import green_periodic
 from kabc.lagrangian import (
     WaveBreakingError,
@@ -11,21 +11,45 @@ from kabc.lagrangian import (
     invariant_residuals,
     momentum,
     momentum_along,
+    release,
 )
 from kabc.params import Params, preset
 from kabc.spectral import Field, Grid
 
 
-def steady_traj(grid, values, times, params):
-    """Trajectory whose field is frozen in time (for advection tests)."""
-    cfg = SimConfig(params=params, grid=grid, t_end=max(times[-1], 1e-9))
-    traj = Trajectory(config=cfg)
+def steady_states(grid, values, times):
+    """(t, u) of the stored states of a field frozen in time (for advection
+    tests)."""
     f = Field(grid, values)
-    for t in times:
-        traj.times.append(float(t))
-        traj.snapshots.append(f)
-        traj.records.append(StepRecord(float(t), 0.0, 0.0, 0.0))
-    return traj
+    return [(float(t), f) for t in times]
+
+
+def run_states(cfg, u0):
+    """(t, u) of each state simulate stores."""
+    states = []
+    simulate(cfg, u0, lambda rec, u: states.append((rec.t, u)))
+    return states
+
+
+def advect_all(states, seeds, k):
+    """Paths and stretches, (n_states, n_seeds) each, of the seeds released
+    in the first state and advected through the others in turn."""
+    ps = release(seeds, *states[0])
+    paths, stretch = [ps.eta], [ps.etax]
+    for t, u in states[1:]:
+        ps = advect(ps, t, u, k)
+        paths.append(ps.eta)
+        stretch.append(ps.etax)
+    return np.asarray(paths), np.asarray(stretch)
+
+
+def momentum_rows(states, paths):
+    """momentum_along each state at its row of paths."""
+    return np.asarray([momentum_along(u, eta) for (_, u), eta in zip(states, paths, strict=True)])
+
+
+def times_of(states):
+    return np.asarray([t for t, _ in states])
 
 
 class TestMomentum:
@@ -100,33 +124,33 @@ class TestCubicInterp:
 class TestAdvect:
     def test_zero_field_identity(self):
         g = Grid(64, 2 * np.pi)
-        traj = steady_traj(g, np.zeros(64), np.linspace(0, 1, 11), preset("ch"))
+        states = steady_states(g, np.zeros(64), np.linspace(0, 1, 11))
         seeds = np.array([0.5, 2.0, 4.4])
-        ps = advect(traj, seeds)
-        assert np.max(np.abs(ps.paths - seeds)) == 0.0
-        assert np.max(np.abs(ps.stretch - 1.0)) == 0.0
+        paths, stretch = advect_all(states, seeds, 1)
+        assert np.max(np.abs(paths - seeds)) == 0.0
+        assert np.max(np.abs(stretch - 1.0)) == 0.0
 
     def test_constant_transport(self):
         # u = kappa frozen: eta = x0 + kappa^k t, eta_x = 1
         kappa, k = 0.7, 2
         g = Grid(64, 2 * np.pi)
-        traj = steady_traj(g, np.full(64, kappa), np.linspace(0, 1, 21), preset("novikov"))
+        states = steady_states(g, np.full(64, kappa), np.linspace(0, 1, 21))
         seeds = np.array([1.0, 3.0])
-        ps = advect(traj, seeds)
-        want = seeds[None, :] + kappa**k * np.asarray(traj.times)[:, None]
-        assert np.max(np.abs(ps.paths - want)) < 1e-12
-        assert np.max(np.abs(ps.stretch - 1.0)) < 1e-12
+        paths, stretch = advect_all(states, seeds, k)
+        want = seeds[None, :] + kappa**k * times_of(states)[:, None]
+        assert np.max(np.abs(paths - want)) < 1e-12
+        assert np.max(np.abs(stretch - 1.0)) < 1e-12
 
     def test_steady_sine_matches_ode_oracle(self):
         # frozen u = A sin(x), k = 1: d(eta)/dt = A sin(eta) separates to
         # tan(eta/2) = tan(eta0/2) e^{A t}
         A = 0.5
         g = Grid(256, 2 * np.pi)
-        traj = steady_traj(g, A * np.sin(g.nodes), np.linspace(0, 1, 101), preset("ch"))
+        states = steady_states(g, A * np.sin(g.nodes), np.linspace(0, 1, 101))
         seeds = np.array([1.0, 2.0])
-        ps = advect(traj, seeds)
-        want = 2.0 * np.arctan(np.tan(seeds / 2.0) * np.exp(A * np.asarray(traj.times)[:, None]))
-        assert np.max(np.abs(ps.paths - want)) < 1e-6
+        paths, _ = advect_all(states, seeds, 1)
+        want = 2.0 * np.arctan(np.tan(seeds / 2.0) * np.exp(A * times_of(states)[:, None]))
+        assert np.max(np.abs(paths - want)) < 1e-6
 
     def test_crest_seed_rides_with_wave(self):
         from kabc.exact import mollified_profile
@@ -135,9 +159,9 @@ class TestAdvect:
         p = preset("ch")
         u0 = mollified_profile("peakon", 1.0, grid.dx, grid)
         cfg = SimConfig(params=p, grid=grid, t_end=2.0, output_stride=2)
-        traj = simulate(cfg, u0)
-        ps = advect(traj, np.array([grid.length / 2]))
-        slope = np.polyfit(traj.times, ps.paths[:, 0], 1)[0]
+        states = run_states(cfg, u0)
+        paths, _ = advect_all(states, np.array([grid.length / 2]), p.k)
+        slope = np.polyfit(times_of(states), paths[:, 0], 1)[0]
         assert slope == pytest.approx(1.0, rel=0.03)
 
     def test_group_property(self):
@@ -145,49 +169,53 @@ class TestAdvect:
         p = preset("novikov")
         u0 = Field(g, 0.3 * np.sin(g.nodes) + 0.1 * np.cos(2 * g.nodes))
         cfg = SimConfig(params=p, grid=g, t_end=0.5, dt_max=2.5e-3, output_stride=1)
-        traj = simulate(cfg, u0)
+        states = run_states(cfg, u0)
         seeds = np.linspace(0.5, 5.5, 7)
-        mid = len(traj.times) // 2
-
-        def leg(part):
-            return Trajectory(config=cfg, times=traj.times[part], snapshots=traj.snapshots[part])
-
-        direct = advect(traj, seeds)
-        leg1 = advect(leg(slice(None, mid + 1)), seeds)
-        leg2 = advect(leg(slice(mid, None)), leg1.paths[-1])
-        assert np.max(np.abs(leg2.paths[-1] - direct.paths[-1])) < 1e-6
+        mid = len(states) // 2
+        direct, _ = advect_all(states, seeds, p.k)
+        leg1, _ = advect_all(states[: mid + 1], seeds, p.k)
+        leg2, _ = advect_all(states[mid:], leg1[-1], p.k)
+        assert np.max(np.abs(leg2[-1] - direct[-1])) < 1e-6
 
     def test_stretch_matches_seed_differences(self):
         g = Grid(256, 2 * np.pi)
         p = preset("novikov")
         u0 = Field(g, 0.3 * np.sin(g.nodes))
         cfg = SimConfig(params=p, grid=g, t_end=0.5, dt_max=2.5e-3, output_stride=1)
-        traj = simulate(cfg, u0)
         h = 1e-3
         x0 = 2.0
-        ps = advect(traj, np.array([x0 - h, x0, x0 + h]))
-        fd = (ps.paths[-1, 2] - ps.paths[-1, 0]) / (2 * h)
-        assert abs(fd - ps.stretch[-1, 1]) < 1e-4
+        paths, stretch = advect_all(run_states(cfg, u0), np.array([x0 - h, x0, x0 + h]), p.k)
+        fd = (paths[-1, 2] - paths[-1, 0]) / (2 * h)
+        assert abs(fd - stretch[-1, 1]) < 1e-4
 
     def test_wave_breaking_aborts(self):
         # frozen compressive field: eta_x ~ exp(-A t) collapses through the
         # positivity floor and the advection must refuse to continue
         A = 30.0
         g = Grid(256, 2 * np.pi)
-        traj = steady_traj(g, -A * np.sin(g.nodes - np.pi), np.linspace(0, 2.0, 201), preset("ch"))
+        states = steady_states(g, -A * np.sin(g.nodes - np.pi), np.linspace(0, 2.0, 201))
         with pytest.raises(WaveBreakingError):
-            advect(traj, np.array([np.pi]))
+            advect_all(states, np.array([np.pi]), 1)
+
+    @pytest.mark.parametrize("value", [1e120, 1e100])
+    def test_non_finite_step_is_not_taken(self, value):
+        # at k = 3, u = 1e120 overflows u^k, and u = 1e100 moves a particle
+        # 5e298 in one step, too far to have a grid index: either step is
+        # refused, with no warning, and no position is cast to an index
+        g = Grid(64, 2 * np.pi)
+        ps = release(np.array([1.0, 2.0]), 0.0, Field(g, np.zeros(64)))
+        assert advect(ps, 0.1, Field(g, np.full(64, value)), 3) is None
 
 
-def advect_per_field(traj, seeds):
+def advect_per_field(states, seeds, k):
     """advect's RK4 with one interpolation call per field and stage: the
     reference the stacked stencil must reproduce bitwise."""
     from kabc.spectral import derivative
 
-    grid, k = traj.config.grid, traj.config.params.k
-    times = np.asarray(traj.times, dtype=float)
-    u = [s.values for s in traj.snapshots]
-    ux = [derivative(s, 1).values for s in traj.snapshots]
+    grid = states[0][1].grid
+    times = times_of(states)
+    u = [s.values for _, s in states]
+    ux = [derivative(s, 1).values for _, s in states]
     eta, etax = np.array(seeds, dtype=float), np.ones(len(seeds))
     paths, stretch = [eta.copy()], [etax.copy()]
     for i in range(len(times) - 1):
@@ -212,17 +240,20 @@ def advect_per_field(traj, seeds):
 class TestAdvectStencil:
     @pytest.fixture(scope="class", params=["ch", "novikov"])
     def smooth_traj(self, request):
+        """The stored states of a smooth run, and its k."""
         g = Grid(128, 2 * np.pi)
         u0 = Field(g, 0.3 * np.sin(g.nodes) + 0.1 * np.cos(2 * g.nodes) + 0.05)
-        cfg = SimConfig(params=preset(request.param), grid=g, t_end=0.1, dt_max=5e-3, output_stride=1)
-        return simulate(cfg, u0)
+        p = preset(request.param)
+        cfg = SimConfig(params=p, grid=g, t_end=0.1, dt_max=5e-3, output_stride=1)
+        return run_states(cfg, u0), p.k
 
     def test_bitwise_equal_to_per_field_loop(self, smooth_traj):
+        states, k = smooth_traj
         seeds = np.linspace(0.2, 6.0, 11)
-        ps = advect(smooth_traj, seeds)
-        paths, stretch = advect_per_field(smooth_traj, seeds)
-        assert np.array_equal(ps.paths, paths)
-        assert np.array_equal(ps.stretch, stretch)
+        paths, stretch = advect_all(states, seeds, k)
+        want_paths, want_stretch = advect_per_field(states, seeds, k)
+        assert np.array_equal(paths, want_paths)
+        assert np.array_equal(stretch, want_stretch)
 
     def test_one_interpolation_call_per_stage(self, smooth_traj, monkeypatch):
         from kabc import lagrangian
@@ -235,9 +266,10 @@ class TestAdvectStencil:
             return interp(*args)
 
         monkeypatch.setattr(lagrangian, "cubic_interp_periodic", counted)
-        ps = advect(smooth_traj, np.array([1.0, 2.0, 3.0]))
-        assert len(ps.paths) == len(smooth_traj.times) > 2
-        assert len(calls) == 4 * (len(ps.paths) - 1)
+        states, k = smooth_traj
+        paths, _ = advect_all(states, np.array([1.0, 2.0, 3.0]), k)
+        assert len(paths) == len(states) > 2
+        assert len(calls) == 4 * (len(paths) - 1)
 
 
 class TestConservationCheck:
@@ -245,46 +277,49 @@ class TestConservationCheck:
         g = Grid(n, 2 * np.pi)
         u0 = Field(g, 0.3 * np.sin(g.nodes) + 0.1 * np.cos(2 * g.nodes) + 0.05)
         cfg = SimConfig(params=preset("novikov"), grid=g, t_end=0.5, dt_max=dtm, output_stride=1)
-        return simulate(cfg, u0)
+        return run_states(cfg, u0)
+
+    def check(self, states, seeds, p):
+        """conservation_check of the seeds advected through the states."""
+        paths, stretch = advect_all(states, seeds, p.k)
+        return conservation_check(stretch, momentum_rows(states, paths), p)
 
     def test_zero_solution(self):
         g = Grid(64, 2 * np.pi)
-        traj = steady_traj(g, np.zeros(64), np.linspace(0, 0.5, 6), preset("novikov"))
-        ps = advect(traj, np.array([1.0, 2.0]))
-        assert conservation_check(traj, ps, preset("novikov")) == 0.0
+        states = steady_states(g, np.zeros(64), np.linspace(0, 0.5, 6))
+        assert self.check(states, np.array([1.0, 2.0]), preset("novikov")) == 0.0
 
     def test_novikov_smooth_run(self):
-        traj = self.novikov_run(256, 5e-3)
         seeds = np.linspace(0, 2 * np.pi, 16, endpoint=False) + 0.1
-        ps = advect(traj, seeds)
-        assert conservation_check(traj, ps, preset("novikov")) < 1e-4
+        assert self.check(self.novikov_run(256, 5e-3), seeds, preset("novikov")) < 1e-4
 
     def test_residual_arrays(self):
         # one row per stored time, one column per seed; the check is their max
-        traj = self.novikov_run(128, 1e-2)
+        states = self.novikov_run(128, 1e-2)
         seeds = np.linspace(1.0, 5.0, 5)
-        ps = advect(traj, seeds)
-        m_along = momentum_along(traj, ps)
-        res = invariant_residuals(ps, m_along, preset("novikov"))
-        assert m_along.shape == res.shape == (len(traj.times), len(seeds))
+        paths, stretch = advect_all(states, seeds, 2)
+        m_along = momentum_rows(states, paths)
+        res = invariant_residuals(stretch, m_along, preset("novikov"))
+        assert m_along.shape == res.shape == (len(states), len(seeds))
         # the vectorised arrays equal the row-by-row computation exactly
-        g = traj.config.grid
-        for j, snap in enumerate(traj.snapshots):
-            row = cubic_interp_periodic(momentum(snap).values, g, ps.paths[j])
+        for j, (_, snap) in enumerate(states):
+            row = cubic_interp_periodic(momentum(snap).values, snap.grid, paths[j])
             assert np.array_equal(m_along[j], row)
-            want = np.abs(row * ps.stretch[j] ** 1.5 - m_along[0]) / (np.abs(m_along[0]) + 1e-12)
+            want = np.abs(row * stretch[j] ** 1.5 - m_along[0]) / (np.abs(m_along[0]) + 1e-12)
             assert np.array_equal(res[j], want)
-        assert conservation_check(traj, ps, preset("novikov")) == np.max(res)
+        assert conservation_check(stretch, m_along, preset("novikov")) == np.max(res)
 
     def test_paths_of_another_trajectory_rejected(self):
-        # momentum_along pairs path rows with snapshots one to one, so paths
-        # advected through a trajectory of another length cannot be read
+        # invariant_residuals pairs stretch rows with momentum rows one to
+        # one, so stretches from a run of another length cannot be read
         g = Grid(64, 2 * np.pi)
-        traj = steady_traj(g, np.full(64, 0.5), np.linspace(0, 0.5, 6), preset("novikov"))
+        states = steady_states(g, np.full(64, 0.5), np.linspace(0, 0.5, 6))
+        paths, _ = advect_all(states, np.array([1.0, 2.0]), 2)
+        m_along = momentum_rows(states, paths)
         for times in (np.linspace(0, 0.5, 5), np.linspace(0, 0.5, 7)):
-            ps = advect(steady_traj(g, np.full(64, 0.5), times, preset("novikov")), np.array([1.0, 2.0]))
+            _, stretch = advect_all(steady_states(g, np.full(64, 0.5), times), np.array([1.0, 2.0]), 2)
             with pytest.raises(ValueError):
-                momentum_along(traj, ps)
+                invariant_residuals(stretch, m_along, preset("novikov"))
 
     def test_pure_transport_exponent_zero(self):
         # b = 0, k = 1: the law reduces to m(eta, t) = m0 with no stretch
@@ -292,27 +327,22 @@ class TestConservationCheck:
         g = Grid(256, 2 * np.pi)
         u0 = Field(g, 0.2 * np.sin(g.nodes))
         cfg = SimConfig(params=p, grid=g, t_end=0.25, dt_max=2.5e-3, output_stride=1)
-        traj = simulate(cfg, u0)
         seeds = np.linspace(1.0, 5.0, 8)
-        ps = advect(traj, seeds)
         assert p.b / p.k == 0.0
-        assert conservation_check(traj, ps, p) < 1e-4
+        assert self.check(run_states(cfg, u0), seeds, p) < 1e-4
 
     def test_rejects_off_family_params(self):
         g = Grid(64, 2 * np.pi)
-        traj = steady_traj(g, np.zeros(64), [0.0, 0.1], preset("forq"))
-        ps = advect(traj, np.array([1.0]))
+        states = steady_states(g, np.zeros(64), [0.0, 0.1])
         with pytest.raises(ValueError):
-            conservation_check(traj, ps, preset("forq"))  # a != 0
+            self.check(states, np.array([1.0]), preset("forq"))  # a != 0
         with pytest.raises(ValueError):
-            conservation_check(traj, ps, Params(2, 0.0, 3.0, 0.0))  # c off family
+            self.check(states, np.array([1.0]), Params(2, 0.0, 3.0, 0.0))  # c off family
 
     def test_residual_shrinks_under_refinement(self):
         def residual(n, dtm):
-            traj = self.novikov_run(n, dtm)
             seeds = np.linspace(0, 2 * np.pi, 16, endpoint=False) + 0.1
-            ps = advect(traj, seeds)
-            return conservation_check(traj, ps, preset("novikov"))
+            return self.check(self.novikov_run(n, dtm), seeds, preset("novikov"))
 
         coarse = residual(256, 5e-3)
         fine = residual(512, 2.5e-3)
