@@ -13,8 +13,11 @@ float arrays, written in blocks of rows with ``%.17g``: the same bytes as
 the value-by-value ``_fmt`` path of the small mixed-type tables.  Numeric
 artifacts are reproducible bit-for-bit, manifests differ in timestamps.
 
-Exit codes: 0 success, 2 blow-up (partial outputs kept), 3 configuration
-error (command-line usage included), 4 I/O failure.
+Exit codes: 0 success, 2 a run that stopped early (its field went
+non-finite, or its step no longer advanced t; partial outputs kept), 3
+configuration error (command-line usage included), 4 I/O failure, 5
+internal error (any other exception in a started run: one stderr line, the
+traceback in the manifest).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import os
 import re
 import sys
 import time
+import traceback
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -44,6 +48,7 @@ EXIT_OK = 0
 EXIT_BLOWUP = 2
 EXIT_CONFIG = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 OUT_ROOT_ENV = "KABC_OUT"
 
@@ -106,7 +111,10 @@ _POSITIVE = _real("> 0", lambda x: x > 0.0)
 # zero, while 1e146 starts right up to 2**22 nodes
 GAMMA_MAX = 1e140
 _GAMMA = _real(f"at most {GAMMA_MAX:g} in magnitude", lambda x: abs(x) <= GAMMA_MAX)
-_CASE_GAMMA = _real(f"> 0 and at most {GAMMA_MAX:g}", lambda x: 0.0 < x <= GAMMA_MAX)
+# A case's crest is tracked; diagnostics.crest_position calls a field flat
+# when its range is at most 1e-13 max(1, |max|), so a case stays a decade above
+CASE_GAMMA_MIN = 1e-12
+_CASE_GAMMA = _real(f"in [{CASE_GAMMA_MIN:g}, {GAMMA_MAX:g}]", lambda x: CASE_GAMMA_MIN <= x <= GAMMA_MAX)
 # a shorter run would take no step
 _T_END = _real(f"> {dynamics.T_END_TOL:g}", lambda x: x > dynamics.T_END_TOL)
 
@@ -143,7 +151,6 @@ _KEYS = {
     "t_end": (1.0, _T_END),
     "dt_max": (1e-2, _POSITIVE),
     "output_stride": (1, _integer()),
-    "spectral_filter": (False, _flag),
     "write_snapshots": (False, _flag),
     "fit.window": (None, None),
     "peakon_verify.cases": (None, None),
@@ -402,15 +409,11 @@ def _resolve(subcommand: str, cfg: dict, out_dir: str) -> RunSpec:
         raw = cfg[block][leaf] if dot else cfg[key]
         vals[key] = raw if read is None else read(raw, key)
     grid = Grid(vals["grid.n"], vals["grid.length"])
-    # peakon-verify and mms have their own t_end; an mms level steps at a
-    # fixed dt (each level sets dt_max, under CFL safety 1), keeping its end only
-    stepping = {key: vals[key] for key in ("dt_max", "output_stride", "spectral_filter")}
+    # peakon-verify and mms have their own t_end
     t_end = {"peakon-verify": vals["peakon_verify.t_end"], "mms": vals["mms.t_end"]}.get(subcommand, vals["t_end"])
-    if subcommand == "mms":
-        stepping.update(cfl_safety=1.0, output_stride=10**9)
     spec = RunSpec(
         subcommand=subcommand, config=cfg, out_dir=out_dir,
-        sim=SimConfig(params=p, grid=grid, t_end=t_end, **stepping),
+        sim=SimConfig(params=p, grid=grid, t_end=t_end, dt_max=vals["dt_max"], output_stride=vals["output_stride"]),
         write_snapshots=vals["write_snapshots"],
         mms=(vals["mms.amplitude"], vals["mms.dt0"], vals["mms.levels"]),
         workers=vals["sweep.workers"] or os.cpu_count() or 1,
@@ -558,11 +561,12 @@ PARTICLE_HEADER = ("seed", "t", "eta", "eta_x", "m_along", "invariant_residual")
 
 def _outcome(traj: Trajectory, tables: dict, extras: dict):
     """(exit code, tables, extras) of a run that steps one trajectory; extras
-    gains blew_up and, after a blow-up, the error naming the last good time."""
-    extras["blew_up"] = traj.blew_up
-    if traj.blew_up:
-        extras["error"] = f"non-finite field after t = {traj.last_time:.6g}"
-    return EXIT_BLOWUP if traj.blew_up else EXIT_OK, tables, extras
+    gains blew_up (the run stopped early) and then the error, its stop
+    reason."""
+    extras["blew_up"] = traj.stop_reason is not None
+    if traj.stop_reason is not None:
+        extras["error"] = traj.stop_reason
+    return EXIT_BLOWUP if traj.stop_reason is not None else EXIT_OK, tables, extras
 
 
 def compute_simulate(spec: RunSpec):
@@ -587,7 +591,7 @@ def compute_simulate(spec: RunSpec):
         drift = math.nan
     # the smallest finite fitted exponents, and whether any fit hit the floor
     theta_u, theta_ux = ([row[col] for row in rows if math.isfinite(row[col])] for col in (5, 6))
-    summary = (traj.last_time, len(traj.records) - 1, traj.sup_hs, drift, traj.blew_up,
+    summary = (traj.last_time, len(traj.records) - 1, traj.sup_hs, drift, traj.stop_reason is not None,
                min(theta_u, default=math.nan), min(theta_ux, default=math.nan), any(row[8] or row[10] for row in rows))
     header = ("final_t", "steps", "sup_hs", "h1_drift", "blew_up", "min_theta_u", "min_theta_ux", "any_floor_hit")
     tables["summary.csv"] = (header, [summary])
@@ -595,9 +599,9 @@ def compute_simulate(spec: RunSpec):
 
 
 def _peakon_case(spec: RunSpec, label: str, p: Params, gamma: float):
-    """One speeds.csv row (NaN speed if the case blew up), the case's growth
-    bound record with its params, and its last good time if it blew up, else
-    None.  Its trajectory dies on return, so a run holds one case's
+    """One speeds.csv row (NaN speed if the case stopped early), the case's
+    growth bound record with its params, and its stop reason (None if it
+    reached t_end).  Its trajectory dies on return, so a run holds one case's
     trajectory at a time, and of its states only the crest positions."""
     u0 = mollified_profile("peakon", gamma, spec.sim.grid.dx, spec.sim.grid)  # at dx, finer than a profile's 3 dx
     times, crests = [], []
@@ -608,21 +612,21 @@ def _peakon_case(spec: RunSpec, label: str, p: Params, gamma: float):
 
     traj = simulate(replace(spec.sim, params=p), u0, take)
     expected = exact.peakon_speed(gamma, p)
-    measured = math.nan if traj.blew_up else diagnostics.crest_track(times, crests, spec.sim.grid.length)
+    measured = math.nan if traj.stop_reason else diagnostics.crest_track(times, crests, spec.sim.grid.length)
     rel = abs(measured - expected) / abs(expected) if expected else math.nan
     softbound = dict(_softbound_record(traj), params=asdict(p))
-    return (label, gamma, expected, measured, rel), softbound, traj.last_time if traj.blew_up else None
+    return (label, gamma, expected, measured, rel), softbound, traj.stop_reason
 
 
 def compute_peakon_verify(spec: RunSpec):
-    rows, softbounds, blown = zip(*(_peakon_case(spec, *case) for case in spec.peakon_cases))
+    rows, softbounds, reasons = zip(*(_peakon_case(spec, *case) for case in spec.peakon_cases))
     worst = float(np.max([r[4] for r in rows]))  # NaN when any case measured none
     tables = {
         "speeds.csv": (("preset", "gamma", "expected_speed", "measured_speed", "rel_err"), rows),
         "summary.csv": (("n_cases", "worst_rel_err"), [(len(rows), worst)]),
     }
     extras = {"worst_rel_err": worst, "softbound": list(softbounds)}
-    errors = [f"case {i}: non-finite field after t = {t:.6g}" for i, t in enumerate(blown) if t is not None]
+    errors = [f"case {i}: {reason}" for i, reason in enumerate(reasons) if reason]
     if errors:
         extras["error"] = "; ".join(errors)
     return EXIT_BLOWUP if errors else EXIT_OK, tables, extras
@@ -638,10 +642,12 @@ def compute_mms(spec: RunSpec):
     rows = []
     for lvl in range(levels):
         dt = dt0 / 2**lvl
-        traj = simulate(replace(spec.sim, dt_max=dt, forcing=forcing), u0)
-        # a blown-up level's last steps collapse, so blow-up is checked first
-        if traj.blew_up:
-            raise dynamics.BlowUpError(f"mms level {lvl} (dt {dt:g}): non-finite field after t = {traj.last_time:.6g}")
+        # the one run that steps at a fixed dt: CFL safety 1 lets the level's
+        # dt through wherever the CFL step allows it
+        traj = simulate(replace(spec.sim, cfl_safety=1.0, dt_max=dt, forcing=forcing), u0)
+        # a level that stopped early has collapsing last steps, so that is checked first
+        if traj.stop_reason:
+            raise dynamics.BlowUpError(f"mms level {lvl} (dt {dt:g}): {traj.stop_reason}")
         # only a level's last step may be cut short, to land on t_end
         cfl = min((rec.dt for rec in traj.records[1:-1]), default=dt)
         if cfl < dt:
@@ -670,7 +676,7 @@ def compute_lagrangian(spec: RunSpec):
 
     traj = simulate(spec.sim, build_profile(spec), take)
     times, paths, stretch, m_along = (np.asarray(col) for col in zip(*rows))
-    if ps is None and not traj.blew_up:  # the field stayed finite, the particle paths did not
+    if ps is None and not traj.stop_reason:  # the field stayed finite, the particle paths did not
         raise dynamics.BlowUpError(f"non-finite particle step after t = {times[-1]:.6g}")
     try:
         res = lagrangian.invariant_residuals(stretch, m_along, p)
@@ -729,7 +735,8 @@ _RUNNERS = {
 def run(spec: RunSpec) -> int:
     """Execute a resolved RunSpec, writing artifacts under spec.out_dir.  A
     run that fails once started (blow-up, a profile file that is missing or
-    does not fit the grid) still writes its manifest, with the error."""
+    does not fit the grid, any other exception) still writes its manifest,
+    with the error."""
     os.makedirs(spec.out_dir, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.perf_counter()
@@ -745,6 +752,9 @@ def run(spec: RunSpec) -> int:
     except OSError as err:
         code, extras = EXIT_IO, {"error": str(err)}
         print(f"kabc: I/O error: {err}", file=sys.stderr)
+    except Exception as err:  # a fault of kabc: reported in one line, its traceback kept in the manifest
+        code, extras = EXIT_INTERNAL, {"error": f"{type(err).__name__}: {err}", "traceback": traceback.format_exc()}
+        print(f"kabc: internal error: {extras['error']}", file=sys.stderr)
     _write_manifest(spec, started, time.perf_counter() - t0, {"exit": code, **extras})
     return code
 

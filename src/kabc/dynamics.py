@@ -68,8 +68,6 @@ class SimConfig:
     callable (x_nodes, t) -> samples added to the right-hand side.  It must
     be a pure function of (x, t): RhsOperator may reuse the value it got at
     a time t for a later call at the same t.
-    spectral_filter enables a mild exponential filter on the top sixth of
-    modes (off by default; useful for peakon runs).
     """
 
     params: Params
@@ -79,7 +77,6 @@ class SimConfig:
     dt_max: float = 1e-2
     output_stride: int = 1
     forcing: Optional[Callable] = None
-    spectral_filter: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.t_end) and self.t_end > T_END_TOL):
@@ -105,14 +102,16 @@ class Trajectory:
     """Per-step scalar records plus the last state.
 
     final is a sample-only Field (n doubles); the spectrum the run stepped on
-    is not kept.  blew_up marks a run aborted on non-finite values; final and
-    the last record are then the last good state's.
+    is not kept.  stop_reason says why a run ended before t_end (its field
+    went non-finite, or its step no longer advanced t), and is None for a
+    run that reached it; final and the last record are then the last good
+    state's.
     """
 
     config: SimConfig
     final: Field
     records: list[StepRecord] = field(default_factory=list)
-    blew_up: bool = False
+    stop_reason: Optional[str] = None
 
     @property
     def last_time(self) -> float:
@@ -272,8 +271,6 @@ def cfl_dt(u: Field, p: Params, safety: float, dt_max: float, uh: np.ndarray) ->
     """CFL step from the advective characteristic speed u^k - a u^{k-2} u_x^2
     (the u_x coefficient of the evolution form), floored at 1e-12.  uh must be
     u.hat: the caller holds the spectrum, so no transform is repeated."""
-    if not 0.0 < safety <= 1.0:
-        raise ValueError("safety must lie in (0, 1]")
     v = u.values
     with np.errstate(over="ignore", invalid="ignore"):
         speed = v**p.k
@@ -296,30 +293,21 @@ def rk4_step(f: Callable, y: np.ndarray, t: float, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _filter_multiplier(grid: Grid) -> np.ndarray:
-    """Mild exponential filter on the top sixth of modes."""
-    nmodes = grid.n // 2
-    m0 = int((5.0 / 6.0) * nmodes)
-    idx = np.arange(nmodes + 1)
-    eta = np.clip((idx - m0) / max(nmodes - m0, 1), 0.0, None)
-    return np.exp(-36.0 * eta**8)
-
-
 def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> Trajectory:
     """Advance u0 to cfg.t_end with CFL-adaptive RK4 steps.
 
     Keeps a per-step scalar record (H^SOBOLEV_S norm, squared H^1 norm, step
     size) and the last state.  on_state(rec, u), when given, gets each stored
     state as it is made (u0, every output_stride-th step and the end) with
-    its record (rec.t is its time).  On blow-up the run aborts cleanly: the
-    returned trajectory is flagged, and the last good state is stored if it
-    was not already.  A run that the first CFL step puts above MAX_STEPS
-    steps (t_end / dt) raises StepLimitError before it steps.
+    its record (rec.t is its time).  A run ends early, with its
+    stop_reason, when a step goes non-finite or is too small to advance t;
+    the last good state is then stored if it was not already.  A run that
+    the first CFL step puts above MAX_STEPS steps (t_end / dt) raises
+    StepLimitError before it steps.
     """
     if u0.grid != cfg.grid:
         raise ValueError("u0 must live on cfg.grid")
     op = RhsOperator(cfg.grid, cfg.params, cfg.forcing)
-    filt = _filter_multiplier(cfg.grid) if cfg.spectral_filter else None
 
     store = on_state or (lambda rec, u: None)
     t = 0.0
@@ -337,17 +325,16 @@ def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> 
                 raise StepLimitError(f"t_end {cfg.t_end:g} at the first CFL step {dt:.3g} needs about "
                                      f"{steps:.3g} steps, above the cap of {MAX_STEPS:g}")
             dt = min(dt, cfg.t_end - t)
+            if t + dt == t:  # dt is below the spacing of doubles at t
+                traj.stop_reason = f"time step {dt:.3g} no longer advances t = {t:.6g}"
+                break
             with np.errstate(over="ignore", invalid="ignore"):  # as in RhsOperator: inf is the blow-up signal
                 uh_new = rk4_step(op, uh, t, dt)
-                if filt is not None:
-                    uh_new = uh_new * filt
                 u_new = np.fft.irfft(uh_new, cfg.grid.n)
             if not np.all(np.isfinite(u_new)):
-                raise BlowUpError(f"non-finite field after t = {t:.6g}")
+                raise BlowUpError
         except BlowUpError:
-            traj.blew_up = True
-            if step % cfg.output_stride:  # store the last good state
-                store(traj.records[-1], traj.final)
+            traj.stop_reason = f"non-finite field after t = {t:.6g}"
             break
         t += dt
         step += 1
@@ -359,6 +346,8 @@ def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> 
         traj.records.append(StepRecord(t, dt, hs, h1_sq))
         if step % cfg.output_stride == 0 or t >= cfg.t_end - T_END_TOL:
             store(traj.records[-1], traj.final)
+    if traj.stop_reason is not None and step % cfg.output_stride:  # store the last good state
+        store(traj.records[-1], traj.final)
     return traj
 
 

@@ -1,4 +1,6 @@
 import concurrent.futures
+import contextlib
+import io
 import json
 import math
 import os
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kabc.cli import (
     CSV_BLOCK_ROWS,
@@ -22,6 +24,7 @@ from kabc.cli import (
     ConfigError,
     EXIT_BLOWUP,
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
     SUBCOMMANDS,
@@ -167,11 +170,13 @@ class TestParseConfig:
         [
             ({"preset": "nope"}, "unknown preset 'nope'"),
             ({"preset": "ch", "gamma": 1.0, "width": 2.0}, "unknown keys ['width']"),
-            ({"preset": "ch", "gamma": 0}, "gamma must be finite and > 0"),
-            ({"preset": "ch", "gamma": -1}, "gamma must be finite and > 0"),
-            ({"preset": "ch", "gamma": 1e153}, "gamma must be finite and > 0 and at most 1e+140"),
+            ({"preset": "ch", "gamma": 0}, "gamma must be finite and in [1e-12, 1e+140], got 0"),
+            ({"preset": "ch", "gamma": -1}, "gamma must be finite and in [1e-12, 1e+140], got -1"),
+            ({"preset": "ch", "gamma": 1e153}, "gamma must be finite and in [1e-12, 1e+140], got 1e+153"),
+            # below 1e-12 the case's crest would read as a flat field
+            ({"preset": "ch", "gamma": 1e-13}, "gamma must be finite and in [1e-12, 1e+140], got 1e-13"),
         ],
-        ids=["unknown-preset", "extra-key", "gamma-zero", "gamma-negative", "gamma-above-bound"],
+        ids=["unknown-preset", "extra-key", "gamma-zero", "gamma-negative", "gamma-above-bound", "gamma-below-bound"],
     )
     @pytest.mark.parametrize("subcommand", ["peakon-verify", "sweep"])
     def test_peakon_case_rejected_at_parse(self, tmp_path, capsys, case, message, subcommand):
@@ -287,6 +292,16 @@ def test_gamma_ceiling_is_inclusive():
     cases = '[{"preset": "ch", "gamma": 1e140}]'
     spec = parse_config(None, ["profile.gamma=-1e140", f"peakon_verify.cases={cases}"], "simulate")
     assert spec.profile[1] == -1e140 and spec.peakon_cases[0][2] == 1e140
+
+
+def test_smallest_peakon_case_runs(tmp_path):
+    # 1e-13 is a row of the tests above; at 1e-12 the crest still reads
+    out = tmp_path / "pk"
+    argv = ["peakon-verify", "--out", str(out), "--set", "grid.n=64", "--set", "peakon_verify.t_end=0.05",
+            "--set", 'peakon_verify.cases=[{"preset": "ch", "gamma": 1e-12}]']
+    assert main(argv) == EXIT_OK
+    assert manifest_of(out)["result"]["exit"] == EXIT_OK
+    assert math.isfinite(float((out / "speeds.csv").read_text().splitlines()[1].split(",")[3]))
 
 
 def test_mms_levels_ceiling_is_inclusive():
@@ -479,23 +494,28 @@ class TestRunSimulate:
                 "output_stride": 1000,
             },
         )
-        # this k = 3 peakon goes non-finite near t = 0.033, after about 2,400
-        # steps; each run that steps one trajectory names the blow-up in its
-        # manifest, with no numpy warning.  Its partial output holds finite
-        # states only (the invariant_residual column is NaN by design: these
-        # parameters are off the a = 0, c = (3k - b)/2 subfamily)
-        for subcommand, partial, finite in (("simulate", "final.csv", ["x", "u"]),
-                                            ("lagrangian", "particles.csv", ["seed", "t", "eta", "eta_x", "m_along"])):
+        # this k = 3 peakon steepens until its step (about 2.4e-18) no longer
+        # advances t = 0.0325, after 159 steps; each run that steps one
+        # trajectory names that stop in its manifest, with no numpy warning.
+        # Its partial output holds finite states only (the invariant_residual
+        # column is NaN by design: these parameters are off the a = 0,
+        # c = (3k - b)/2 subfamily).  The particles step through every state,
+        # as advect requires: across 159 steps at once their stretch would
+        # turn negative, which ends the run as wave breaking
+        for subcommand, overrides, partial, finite in (
+            ("simulate", [], "final.csv", ["x", "u"]),
+            ("lagrangian", ["output_stride=1"], "particles.csv", ["seed", "t", "eta", "eta_x", "m_along"]),
+        ):
             out = str(tmp_path / subcommand)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                assert run(parse_config(path, [], subcommand, out)) == EXIT_BLOWUP
+                assert run(parse_config(path, overrides, subcommand, out)) == EXIT_BLOWUP
             header, *rows = (line.split(",") for line in open(os.path.join(out, partial)).read().splitlines())
             table = np.array(rows, dtype=float)
             assert len(table) and np.all(np.isfinite(table[:, [header.index(name) for name in finite]]))
             result = manifest_of(out)["result"]
             assert result["exit"] == EXIT_BLOWUP and result["blew_up"] is True
-            t = float(re.fullmatch(r"non-finite field after t = (\S+)", result["error"]).group(1))
+            t = float(re.fullmatch(r"time step \S+ no longer advances t = (\S+)", result["error"]).group(1))
             assert 0.0 <= t < 1.0
 
     def test_deterministic_artifacts(self, tmp_path):
@@ -652,8 +672,9 @@ class TestOtherSubcommands:
         assert not (out / "mms.csv").exists()
 
     def test_mms_level_blowup_exits_2(self, tmp_path, capsys):
-        # CH at amplitude 1 and dt 0.09 goes non-finite near t = 54.5; the
-        # collapsing steps before it must not read as a CFL cut (exit 3)
+        # CH at amplitude 1 and dt 0.09 steepens until its step no longer
+        # advances t near 54.5; the collapsing steps before that must not read
+        # as a CFL cut (exit 3)
         out = tmp_path / "mms"
         argv = ["mms", "--out", str(out), "--set", 'params={"preset":"ch"}', "--set", "grid.n=64",
                 "--set", "grid.length=6.283185307179586", "--set", "mms.amplitude=1", "--set", "mms.dt0=0.09",
@@ -662,13 +683,15 @@ class TestOtherSubcommands:
         assert capsys.readouterr().err == ""
         result = manifest_of(out)["result"]
         assert result["exit"] == EXIT_BLOWUP
-        t = float(re.fullmatch(r"mms level 0 \(dt 0\.09\): non-finite field after t = (\S+)", result["error"]).group(1))
+        t = float(re.fullmatch(r"mms level 0 \(dt 0\.09\): time step \S+ no longer advances t = (\S+)",
+                               result["error"]).group(1))
         assert 50.0 < t < 60.0
         assert not (out / "mms.csv").exists()
 
     def test_peakon_case_blowup_exits_2_and_keeps_its_row(self, tmp_path):
-        # the k = 3 case goes non-finite near t = 0.16 (its crest would read
-        # a speed of 2666 against 8); the other case still runs
+        # the k = 3 case stops near t = 0.16, where its step no longer
+        # advances t (its crest would read a speed of 2666 against 8); the
+        # other case still runs
         out = tmp_path / "pk"
         cases = [{"k": 3, "a": 0, "b": 0, "c": 0, "gamma": 2.0}, {"preset": "ch", "gamma": 1.0}]
         argv = ["peakon-verify", "--out", str(out), "--set", "grid.n=256",
@@ -683,7 +706,7 @@ class TestOtherSubcommands:
         assert summary[0] == "2" and math.isnan(float(summary[1]))
         result = manifest_of(out)["result"]
         assert result["exit"] == EXIT_BLOWUP and math.isnan(result["worst_rel_err"])
-        assert re.fullmatch(r"case 0: non-finite field after t = \S+", result["error"])
+        assert re.fullmatch(r"case 0: time step \S+ no longer advances t = \S+", result["error"])
         assert len(result["softbound"]) == 2
 
     def test_simulate_summary_min_theta(self, tmp_path):
@@ -968,6 +991,7 @@ class TestMainEntry:
             (["sweep", "--workers", "2"], "unrecognized arguments: --workers 2"),
             (["decay-scan"], "invalid choice: 'decay-scan'"),
             (["simulate", "--set", "cfl_safety=0.4"], "unknown config keys: cfl_safety"),
+            (["simulate", "--set", "spectral_filter=true"], "unknown config keys: spectral_filter"),
             (["simulate", "--set", "sobolev_s=3"], "unknown config keys: sobolev_s"),
             (["simulate", "--set", 'fit.side="right"'], "unknown config keys: fit.side"),
             (["peakon-verify", "--set", "peakon_verify.moll_width=0.1"],
@@ -975,7 +999,8 @@ class TestMainEntry:
             (["simulate", "--set", 'profile={"shape": "peakon", "gamma": 1, "moll_width": 0.1}'],
              "unknown config keys: profile.moll_width"),
         ],
-        ids=["n_seeds", "fit-theta", "bfam", "workers-flag", "removed-subcommand", "cfl_safety", "sobolev_s",
+        ids=["n_seeds", "fit-theta", "bfam", "workers-flag", "removed-subcommand", "cfl_safety", "spectral_filter",
+             "sobolev_s",
              "fit-side", "peakon_verify-moll_width", "profile-moll_width"],
     )
     def test_removed_inputs_exit_3(self, tmp_path, capsys, argv, named):
@@ -1026,6 +1051,37 @@ class TestMainEntry:
         assert result["exit"] == EXIT_CONFIG and "above the cap of 1e+07" in result["error"]
         assert sorted(os.listdir(out)) == ["manifest.json"]
 
+    def test_any_other_exception_exits_5_with_a_manifest(self, tmp_path, monkeypatch, capsys):
+        def broken(spec):
+            raise RuntimeError("runner broke")
+
+        monkeypatch.setitem(_RUNNERS, "simulate", broken)
+        out = tmp_path / "out"
+        assert main(["simulate", "--out", str(out)]) == EXIT_INTERNAL
+        assert capsys.readouterr().err == "kabc: internal error: RuntimeError: runner broke\n"
+        result = manifest_of(out)["result"]
+        assert result["exit"] == EXIT_INTERNAL and result["error"] == "RuntimeError: runner broke"
+        assert result["traceback"].splitlines()[-1] == "RuntimeError: runner broke"
+        assert sorted(os.listdir(out)) == ["manifest.json"]
+
+    def test_sweep_point_with_an_internal_error_exits_5(self, tmp_path, monkeypatch, capsys):
+        simulate_runner = _RUNNERS["simulate"]
+
+        def broken_at_the_second_point(spec):
+            if spec.sim.t_end > 0.015:
+                raise RuntimeError("runner broke")
+            return simulate_runner(spec)
+
+        monkeypatch.setitem(_RUNNERS, "simulate", broken_at_the_second_point)
+        sweep = {"axes": [{"key": "t_end", "values": [0.01, 0.02]}], "workers": 1}
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--set", "grid.n=128", "--set", f"sweep={json.dumps(sweep)}", "--out", str(out)]
+        assert main(argv) == EXIT_INTERNAL
+        result = manifest_of(out)["result"]
+        assert result["sub_run_exits"] == [EXIT_OK, EXIT_INTERNAL]
+        assert manifest_of(out / result["sub_runs"][1])["result"]["error"] == "RuntimeError: runner broke"
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_io_error_exit_code(self, tmp_path):
         ok = write_config(
             tmp_path,
@@ -1053,6 +1109,63 @@ class TestMainEntry:
         out = str(tmp_path / "explicit")
         assert main(["simulate", "--config", ok, "--out", out]) == EXIT_OK
         assert os.path.exists(os.path.join(out, "manifest.json"))
+
+
+BOX = DEFAULT_CONFIG["grid"]["length"]
+
+
+class TestRunFuzz:
+    """Whole runs of configs near the validity edges: every run exits with a
+    documented code, prints no traceback, and leaves a manifest wherever it
+    made its output directory."""
+
+    # |gamma| near 0, near the case floor 1e-12 and near the bound 1e140
+    GAMMAS = (0.0, 5e-324, 1e-300, 1e-12, -1e-12, 1e140, -1e140, math.nextafter(1e140, math.inf))
+    CASE_GAMMAS = (1e-12, math.nextafter(1e-12, 0.0), 1e-13, 1.0, 1e140, math.nextafter(1e140, math.inf))
+    WIDTHS = (BOX / 4, math.nextafter(BOX / 4, 0.0), math.nextafter(BOX / 4, math.inf))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        subcommand=st.sampled_from(["simulate", "peakon-verify", "mms", "lagrangian"]),
+        n=st.sampled_from([8, 10, 16, 64]),
+        profile=st.one_of(st.builds(lambda g: {"shape": "peakon", "gamma": g}, st.sampled_from(GAMMAS)),
+                          st.builds(lambda w: {"shape": "bump", "width": w}, st.sampled_from(WIDTHS))),
+        case_gamma=st.sampled_from(CASE_GAMMAS),
+        dt_max=st.sampled_from([5e-324, 1e-3, 1e-2, 1e300]),
+        t_end=st.sampled_from([math.nextafter(1e-12, math.inf), 1e-6, 0.05]),
+        output_stride=st.sampled_from([1, 10**9, 2**70]),
+        levels=st.sampled_from([1, 12]),
+    )
+    @example(subcommand="peakon-verify", n=256, profile={"shape": "peakon", "gamma": 1.0}, case_gamma=1e-13,
+             dt_max=1e-2, t_end=0.05, output_stride=1, levels=1)
+    def test_run_exits_with_a_documented_code(self, subcommand, n, profile, case_gamma, dt_max, t_end,
+                                              output_stride, levels):
+        # each run sets the keys it reads, so that one rejected value does
+        # not stop every run; the t_end drawn is the run's own
+        t_end_key = {"peakon-verify": "peakon_verify.t_end", "mms": "mms.t_end"}.get(subcommand, "t_end")
+        overrides = {"grid.n": n, "dt_max": dt_max, t_end_key: t_end, "output_stride": output_stride}
+        if subcommand in ("simulate", "lagrangian"):
+            overrides["profile"] = profile
+        if subcommand == "simulate":
+            # the default fit window spans too few grid spacings below
+            # n = 128; at n = 64 this one spans 17.6 and ends at the seam's bound
+            overrides["fit.window"] = [0.1 * BOX, 0.375 * BOX]
+        if subcommand == "peakon-verify":
+            overrides["peakon_verify.cases"] = [{"preset": "ch", "gamma": case_gamma}]
+        if subcommand == "mms":
+            overrides["mms.levels"] = levels
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out")
+            argv = [subcommand, "--out", out]
+            for key, value in overrides.items():
+                argv += ["--set", f"{key}={json.dumps(value)}"]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (EXIT_OK, EXIT_BLOWUP, EXIT_CONFIG, EXIT_IO, EXIT_INTERNAL)
+            assert "Traceback" not in err.getvalue()
+            if os.path.exists(out):
+                assert manifest_of(out)["result"]["exit"] == code
 
 
 class TestReadme:
