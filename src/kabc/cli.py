@@ -7,14 +7,15 @@ so a bad value exits before any output exists.  Each experiment is one pure
 ``compute_<subcommand>(spec)`` that reads only those values and returns its
 exit code, its CSV tables as ``{filename: (header, rows)}`` and the manifest
 extras, built in one pass: simulate hands it each stored state as it is
-made.  ``run`` writes the tables plus one JSON manifest into the output
-directory (``sweep`` writes its own aggregate).  The numeric tables are 2-D
-float arrays, written in blocks of rows with ``%.17g``: the same bytes as
-the value-by-value ``_fmt`` path of the small mixed-type tables.  Numeric
+made.  A run that stops early returns what it reached, and ``_outcome``
+turns its one stop reason into the exit code, blew_up and error.  ``run``
+writes the tables plus one JSON manifest into the output directory
+(``sweep`` writes its own aggregate).  The numeric tables are 2-D float
+arrays, written in blocks of rows with ``%.17g``: the same bytes as the
+value-by-value ``_fmt`` path of the small mixed-type tables.  Numeric
 artifacts are reproducible bit-for-bit, manifests differ in timestamps.
 
-Exit codes: 0 success, 2 a run that stopped early (its field went
-non-finite, or its step no longer advanced t; partial outputs kept), 3
+Exit codes: 0 success, 2 a run that stopped early (partial outputs kept), 3
 configuration error (command-line usage included), 4 I/O failure, 5
 internal error (any other exception in a started run: one stderr line, the
 traceback in the manifest).
@@ -559,14 +560,14 @@ DIAG_HEADER = ("t", "hs_norm", "h1_sq", "dt", "crest_x", "theta_hat_u", "theta_h
 PARTICLE_HEADER = ("seed", "t", "eta", "eta_x", "m_along", "invariant_residual")
 
 
-def _outcome(traj: Trajectory, tables: dict, extras: dict):
-    """(exit code, tables, extras) of a run that steps one trajectory; extras
-    gains blew_up (the run stopped early) and then the error, its stop
-    reason."""
-    extras["blew_up"] = traj.stop_reason is not None
-    if traj.stop_reason is not None:
-        extras["error"] = traj.stop_reason
-    return EXIT_BLOWUP if traj.stop_reason is not None else EXIT_OK, tables, extras
+def _outcome(reason, tables: dict, extras: dict):
+    """(exit code, tables, extras) of a run, from its stop reason (None for
+    a run that reached its end); extras gains blew_up and then the error,
+    that reason.  The tables hold what the run reached."""
+    extras["blew_up"] = reason is not None
+    if reason is not None:
+        extras["error"] = reason
+    return EXIT_BLOWUP if reason is not None else EXIT_OK, tables, extras
 
 
 def compute_simulate(spec: RunSpec):
@@ -595,7 +596,7 @@ def compute_simulate(spec: RunSpec):
                min(theta_u, default=math.nan), min(theta_ux, default=math.nan), any(row[8] or row[10] for row in rows))
     header = ("final_t", "steps", "sup_hs", "h1_drift", "blew_up", "min_theta_u", "min_theta_ux", "any_floor_hit")
     tables["summary.csv"] = (header, [summary])
-    return _outcome(traj, tables, {"softbound": _softbound_record(traj), "final_t": traj.last_time})
+    return _outcome(traj.stop_reason, tables, {"softbound": _softbound_record(traj), "final_t": traj.last_time})
 
 
 def _peakon_case(spec: RunSpec, label: str, p: Params, gamma: float):
@@ -625,11 +626,8 @@ def compute_peakon_verify(spec: RunSpec):
         "speeds.csv": (("preset", "gamma", "expected_speed", "measured_speed", "rel_err"), rows),
         "summary.csv": (("n_cases", "worst_rel_err"), [(len(rows), worst)]),
     }
-    extras = {"worst_rel_err": worst, "softbound": list(softbounds)}
-    errors = [f"case {i}: {reason}" for i, reason in enumerate(reasons) if reason]
-    if errors:
-        extras["error"] = "; ".join(errors)
-    return EXIT_BLOWUP if errors else EXIT_OK, tables, extras
+    reason = "; ".join(f"case {i}: {reason}" for i, reason in enumerate(reasons) if reason) or None
+    return _outcome(reason, tables, {"worst_rel_err": worst, "softbound": list(softbounds)})
 
 
 def compute_mms(spec: RunSpec):
@@ -639,7 +637,7 @@ def compute_mms(spec: RunSpec):
         return amp * np.sin(x - t)
     forcing = mms_forcing(value, lambda x, t: -amp * np.cos(x - t), spec.sim.params, grid)
     u0 = Field(grid, value(grid.nodes, 0.0))
-    rows = []
+    rows, reason = [], None
     for lvl in range(levels):
         dt = dt0 / 2**lvl
         # the one run that steps at a fixed dt: CFL safety 1 lets the level's
@@ -647,7 +645,8 @@ def compute_mms(spec: RunSpec):
         traj = simulate(replace(spec.sim, cfl_safety=1.0, dt_max=dt, forcing=forcing), u0)
         # a level that stopped early has collapsing last steps, so that is checked first
         if traj.stop_reason:
-            raise dynamics.BlowUpError(f"mms level {lvl} (dt {dt:g}): {traj.stop_reason}")
+            reason = f"mms level {lvl} (dt {dt:g}): {traj.stop_reason}"
+            break
         # only a level's last step may be cut short, to land on t_end
         cfl = min((rec.dt for rec in traj.records[1:-1]), default=dt)
         if cfl < dt:
@@ -657,9 +656,9 @@ def compute_mms(spec: RunSpec):
         rows.append((dt, err, math.log2(rows[-1][1] / err) if rows else math.nan))
     tables = {
         "mms.csv": (("dt", "final_max_error", "observed_order"), rows),
-        "summary.csv": (("finest_dt", "finest_error", "last_order"), [rows[-1]]),
+        "summary.csv": (("finest_dt", "finest_error", "last_order"), rows[-1:]),
     }
-    return EXIT_OK, tables, {"finest_error": rows[-1][1], "orders": [r[2] for r in rows[1:]]}
+    return _outcome(reason, tables, {"finest_error": rows[-1][1] if rows else None, "orders": [r[2] for r in rows[1:]]})
 
 
 def compute_lagrangian(spec: RunSpec):
@@ -668,16 +667,13 @@ def compute_lagrangian(spec: RunSpec):
 
     def take(rec, u):
         nonlocal ps
-        if rows and ps is None:  # a step came out non-finite, which ends the particles' pass
-            return
-        ps = lagrangian.advect(ps, rec.t, u, p.k) if rows else lagrangian.release(seeds, rec.t, u)
-        if ps is not None:
-            rows.append((ps.t, ps.eta, ps.etax, lagrangian.momentum_along(u, ps.eta)))
+        if ps is None or ps.stop_reason is None:  # a stopped pass takes no more states
+            ps = lagrangian.advect(ps, rec.t, u, p.k) if ps else lagrangian.release(seeds, rec.t, u)
+            if ps.stop_reason is None:
+                rows.append((ps.t, ps.eta, ps.etax, lagrangian.momentum_along(u, ps.eta)))
 
     traj = simulate(spec.sim, build_profile(spec), take)
     times, paths, stretch, m_along = (np.asarray(col) for col in zip(*rows))
-    if ps is None and not traj.stop_reason:  # the field stayed finite, the particle paths did not
-        raise dynamics.BlowUpError(f"non-finite particle step after t = {times[-1]:.6g}")
     try:
         res = lagrangian.invariant_residuals(stretch, m_along, p)
         residual = float(np.max(res))
@@ -695,7 +691,9 @@ def compute_lagrangian(spec: RunSpec):
         "particles.csv": (PARTICLE_HEADER, particles),
         "summary.csv": (("max_invariant_residual", "n_seeds", "final_t"), [summary]),
     }
-    return _outcome(traj, tables, {"max_invariant_residual": residual, "softbound": _softbound_record(traj)})
+    # the particles visit only states the field reached, so their stop is the earlier one
+    extras = {"max_invariant_residual": residual, "softbound": _softbound_record(traj)}
+    return _outcome(ps.stop_reason or traj.stop_reason, tables, extras)
 
 
 def run_sweep(spec: RunSpec):
@@ -734,9 +732,9 @@ _RUNNERS = {
 
 def run(spec: RunSpec) -> int:
     """Execute a resolved RunSpec, writing artifacts under spec.out_dir.  A
-    run that fails once started (blow-up, a profile file that is missing or
-    does not fit the grid, any other exception) still writes its manifest,
-    with the error."""
+    run that stops early writes the tables its runner returns; one that
+    fails once started (a profile file that is missing or does not fit the
+    grid, any other exception) still writes its manifest, with the error."""
     os.makedirs(spec.out_dir, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.perf_counter()
@@ -744,8 +742,6 @@ def run(spec: RunSpec) -> int:
         code, tables, extras = _RUNNERS[spec.subcommand](spec)
         for name, (header, rows) in tables.items():
             _write_csv(os.path.join(spec.out_dir, name), header, rows)
-    except (dynamics.BlowUpError, lagrangian.WaveBreakingError) as err:
-        code, extras = EXIT_BLOWUP, {"error": str(err)}
     except (ConfigError, dynamics.StepLimitError) as err:
         code, extras = EXIT_CONFIG, {"error": str(err)}
         print(f"kabc: configuration error: {err}", file=sys.stderr)

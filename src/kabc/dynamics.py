@@ -44,7 +44,8 @@ T_END_TOL = 1e-12
 # Order s of the H^s norm simulate records each step (StepRecord.hs_norm)
 SOBOLEV_S = 3.0
 
-# simulate refuses a run whose first CFL step puts it above this many steps.
+# simulate refuses a run whose first CFL step puts it above this many steps,
+# and ends one that reaches it.
 # The longest runs here take a few thousand.  At 10**7 even an n = 8 run steps
 # for about an hour (0.34 ms a step on one core of a 2-vCPU x86 host), and its
 # per-step records alone take about 1.8 GB (184 bytes each).
@@ -103,9 +104,9 @@ class Trajectory:
 
     final is a sample-only Field (n doubles); the spectrum the run stepped on
     is not kept.  stop_reason says why a run ended before t_end (its field
-    went non-finite, or its step no longer advanced t), and is None for a
-    run that reached it; final and the last record are then the last good
-    state's.
+    went non-finite, its step no longer advanced t, or it reached MAX_STEPS
+    steps), and is None for a run that reached it; final and the last record
+    are then the last good state's.
     """
 
     config: SimConfig
@@ -300,10 +301,10 @@ def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> 
     size) and the last state.  on_state(rec, u), when given, gets each stored
     state as it is made (u0, every output_stride-th step and the end) with
     its record (rec.t is its time).  A run ends early, with its
-    stop_reason, when a step goes non-finite or is too small to advance t;
-    the last good state is then stored if it was not already.  A run that
-    the first CFL step puts above MAX_STEPS steps (t_end / dt) raises
-    StepLimitError before it steps.
+    stop_reason, when a step goes non-finite or is too small to advance t,
+    or after MAX_STEPS steps; the last good state is then stored if it was
+    not already.  A run that the first CFL step puts above MAX_STEPS steps
+    (t_end / dt) raises StepLimitError before it steps.
     """
     if u0.grid != cfg.grid:
         raise ValueError("u0 must live on cfg.grid")
@@ -318,12 +319,16 @@ def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> 
 
     step = 0
     while t < cfg.t_end - T_END_TOL:
+        if step >= MAX_STEPS:  # its steps shrank after the first one
+            traj.stop_reason = f"reached the cap of {MAX_STEPS:g} steps at t = {t:.6g}"
+            break
         try:
             dt = cfl_dt(traj.final, cfg.params, cfg.cfl_safety, cfg.dt_max, uh)
             if not step and cfg.t_end > MAX_STEPS * dt:
                 steps = cfg.t_end / dt if dt else math.inf  # dt underflows on a tiny box
-                raise StepLimitError(f"t_end {cfg.t_end:g} at the first CFL step {dt:.3g} needs about "
-                                     f"{steps:.3g} steps, above the cap of {MAX_STEPS:g}")
+                about = f"about {steps:.3g}" if math.isfinite(steps) else f"more than {np.finfo(float).max:.3g}"
+                raise StepLimitError(f"t_end {cfg.t_end:g} at the first CFL step {dt:.3g} needs {about} "
+                                     f"steps, above the cap of {MAX_STEPS:g}")
             dt = min(dt, cfg.t_end - t)
             if t + dt == t:  # dt is below the spacing of doubles at t
                 traj.stop_reason = f"time step {dt:.3g} no longer advances t = {t:.6g}"

@@ -5,38 +5,38 @@ Particles follow d(eta)/dt = u^k(eta, t) with eta(0) = x0; the stretch
 eta_x obeys its own linear equation d(eta_x)/dt = k u^{k-1} u_x(eta, t) eta_x
 and is integrated jointly rather than differenced between neighbors, one
 stored state at a time: release places the particles in a run's first state
-and advect steps them to each next one as the run makes it.  For
+and advect steps them to each next one as the run makes it, until a step
+breaks the wave or goes non-finite (Particles.stop_reason).  For
 a = 0 and c = (3k - b)/2 the momentum m = u - u_xx satisfies
 m(eta(t), t) * eta_x(t)^{b/k} = m(x0, 0) along every path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
 from .params import Params
 from .spectral import Field, derivative
 
-# eta_x at or below this aborts advection: the flow map is no longer a
+# eta_x at or below this ends advection: the flow map is no longer a
 # diffeomorphism to working precision (wave-breaking indicator).
 STRETCH_FLOOR = 1e-10
-
-
-class WaveBreakingError(RuntimeError):
-    """eta_x lost positivity along some path."""
 
 
 @dataclass(frozen=True)
 class Particles:
     """Paths eta(x0, t) and stretches eta_x(x0, t) of the seeds x0 at the
-    time t of a stored state, with its u and u_x, which the next step reads."""
+    time t of a stored state, with its u and u_x, which the next step reads;
+    stop_reason, when set, says why the step after t was not taken."""
 
     t: float
     eta: np.ndarray   # (n_seeds,)
     etax: np.ndarray  # (n_seeds,)
     samples: np.ndarray  # (2, n): u and u_x at t
+    stop_reason: Optional[str] = None
 
 
 def _samples(u: Field) -> np.ndarray:
@@ -76,7 +76,7 @@ def cubic_interp_periodic(values: np.ndarray, grid, q: np.ndarray) -> np.ndarray
     return wm * values[..., jm] + w0 * values[..., j0] + w1 * values[..., j1] + w2 * values[..., j2]
 
 
-def advect(ps: Particles, t: float, u: Field, k: int) -> Particles | None:
+def advect(ps: Particles, t: float, u: Field, k: int) -> Particles:
     """Step the particles ps to the next stored state u, at time t.
 
     u between grid nodes is cubic-interpolated; between the two states it is
@@ -84,8 +84,10 @@ def advect(ps: Particles, t: float, u: Field, k: int) -> Particles | None:
     The interval's end samples of u and u_x are stacked once, so each RK
     stage computes one stencil (indices and weights) for all four.  Requires
     the states to be stored densely (output_stride such that their spacing
-    is ~2x the solver step).  None when the step overflows or comes out
-    non-finite (near a blow-up): no such position is cast to a grid index.
+    is ~2x the solver step).  A step that overflows or comes out non-finite
+    (near a blow-up), or that takes some eta_x to STRETCH_FLOOR (wave
+    breaking), is not taken: ps comes back with its stop_reason, and no
+    non-finite position is cast to a grid index.
     """
     new = _samples(u)
     ends = np.concatenate((ps.samples, new))
@@ -109,9 +111,9 @@ def advect(ps: Particles, t: float, u: Field, k: int) -> Particles | None:
             eta = eta + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
             etax = etax + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
     except FloatingPointError:
-        return None
+        return replace(ps, stop_reason=f"non-finite particle step after t = {ps.t:.6g}")
     if np.any(etax <= STRETCH_FLOOR):
-        raise WaveBreakingError(f"eta_x lost positivity at t = {t:.6g} (min {float(np.min(etax)):.3e})")
+        return replace(ps, stop_reason=f"eta_x lost positivity at t = {t:.6g} (min {float(np.min(etax)):.3e})")
     return Particles(t, eta, etax, new)
 
 

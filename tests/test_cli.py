@@ -518,6 +518,28 @@ class TestRunSimulate:
             t = float(re.fullmatch(r"time step \S+ no longer advances t = (\S+)", result["error"]).group(1))
             assert 0.0 <= t < 1.0
 
+    def test_step_cap_ends_a_run_whose_step_shrinks(self, tmp_path, monkeypatch):
+        # the k = 3 peakon's first step puts it at 9 steps to t_end = 0.0325,
+        # but its steps shrink and it would take about 40: at a cap of 20 it
+        # stops at step 20, past the first-step check, and keeps what it reached
+        from kabc import dynamics
+
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 20)
+        out = tmp_path / "sim"
+        argv = ["simulate", "--out", str(out), "--set", 'params={"k":3,"a":0,"b":0,"c":0}',
+                "--set", 'profile={"shape":"peakon","gamma":8.0}', "--set", "grid.n=128", "--set", "t_end=0.0325",
+                "--set", "output_stride=1000"]
+        assert main(argv) == EXIT_BLOWUP
+        result = manifest_of(out)["result"]
+        assert result["blew_up"] is True
+        t = float(re.fullmatch(r"reached the cap of 20 steps at t = (\S+)", result["error"]).group(1))
+        assert 0.03 < t < 0.0325
+        summary = dict(zip(*(line.split(",") for line in (out / "summary.csv").read_text().splitlines())))
+        assert summary["steps"] == "20" and summary["blew_up"] == "true"
+        assert float(summary["final_t"]) == pytest.approx(t, rel=1e-5)
+        final = np.array([line.split(",") for line in (out / "final.csv").read_text().splitlines()[1:]], dtype=float)
+        assert np.all(np.isfinite(final))
+
     def test_deterministic_artifacts(self, tmp_path):
         cfgd = {
             "params": {"preset": "novikov"},
@@ -682,11 +704,55 @@ class TestOtherSubcommands:
         assert main(argv) == EXIT_BLOWUP
         assert capsys.readouterr().err == ""
         result = manifest_of(out)["result"]
-        assert result["exit"] == EXIT_BLOWUP
+        assert result["exit"] == EXIT_BLOWUP and result["blew_up"] is True
         t = float(re.fullmatch(r"mms level 0 \(dt 0\.09\): time step \S+ no longer advances t = (\S+)",
                                result["error"]).group(1))
         assert 50.0 < t < 60.0
-        assert not (out / "mms.csv").exists()
+        # the stopped level 0 leaves no level to report: both tables are header-only
+        assert (out / "mms.csv").read_text() == "dt,final_max_error,observed_order\n"
+        assert (out / "summary.csv").read_text() == "finest_dt,finest_error,last_order\n"
+        assert result["finest_error"] is None and result["orders"] == []
+
+    def test_mms_stop_keeps_the_levels_before_it(self, tmp_path, monkeypatch):
+        # a level that stops ends the study; the levels before it are written
+        from kabc import cli
+
+        real = cli.simulate
+
+        def stop_level_2(cfg, u0, on_state=None):
+            traj = real(cfg, u0, on_state)
+            if cfg.dt_max == 0.25 / 4:
+                traj.stop_reason = "stopped for the test"
+            return traj
+
+        monkeypatch.setattr(cli, "simulate", stop_level_2)
+        out = tmp_path / "mms"
+        argv = ["mms", "--out", str(out), "--set", "mms.dt0=0.25", "--set", "mms.levels=4"]
+        assert main(argv) == EXIT_BLOWUP
+        rows = [line.split(",") for line in (out / "mms.csv").read_text().splitlines()[1:]]
+        assert [float(row[0]) for row in rows] == [0.25, 0.125]
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert len(summary) == 2 and summary[1].split(",") == rows[-1]
+        result = manifest_of(out)["result"]
+        assert result["blew_up"] is True and result["error"] == "mms level 2 (dt 0.0625): stopped for the test"
+        assert result["finest_error"] == float(rows[-1][1]) and result["orders"] == [float(rows[-1][2])]
+
+    def test_lagrangian_wave_breaking_keeps_its_particles(self, tmp_path):
+        # across 10 steps of this k = 3 peakon a stretch turns negative: the
+        # particles stop at the state before, their rows are written, and the
+        # field's own stall later is not the reason given
+        out = tmp_path / "lag"
+        argv = ["lagrangian", "--out", str(out), "--set", 'params={"k":3,"a":0,"b":0,"c":0}',
+                "--set", 'profile={"shape":"peakon","gamma":8.0}', "--set", "grid.n=128", "--set", "output_stride=10"]
+        assert main(argv) == EXIT_BLOWUP
+        header, *rows = (line.split(",") for line in (out / "particles.csv").read_text().splitlines())
+        table = np.array(rows, dtype=float)
+        assert len(table) and np.all(table[:, 1] <= 0.0323667)
+        assert np.all(np.isfinite(table[:, [header.index("eta"), header.index("eta_x")]]))
+        assert (out / "summary.csv").exists()
+        result = manifest_of(out)["result"]
+        assert result["blew_up"] is True
+        assert result["error"] == "eta_x lost positivity at t = 0.0323667 (min -8.749e-02)"
 
     def test_peakon_case_blowup_exits_2_and_keeps_its_row(self, tmp_path):
         # the k = 3 case stops near t = 0.16, where its step no longer
@@ -1016,18 +1082,26 @@ class TestMainEntry:
 
     def test_run_past_the_step_cap_exits_3_at_once(self, tmp_path):
         # |gamma| at its bound makes the CFL step about dx / |gamma|^k: the
-        # run would never end, so it stops before its first step
-        out = tmp_path / "out"
+        # run would never end, so it stops before its first step.  A dt_max
+        # of 5e-324 does too, and its estimate t_end / dt overflows, which
+        # the message states as a finite bound
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        argv = [sys.executable, "-m", "kabc.cli", "simulate", "--set", "grid.n=256", "--set", "profile.gamma=-1e140",
-                "--set", "t_end=0.01", "--out", str(out)]
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
-        assert proc.returncode == EXIT_CONFIG
-        assert proc.stderr.startswith("kabc: configuration error: t_end 0.01 at the first CFL step ")
-        assert "Traceback" not in proc.stderr
-        assert re.search(r"needs about \S+e\+\d+ steps, above the cap of 1e\+07$", manifest_of(out)["result"]["error"])
-        assert sorted(os.listdir(out)) == ["manifest.json"]
+        for i, (sets, t_end, needs) in enumerate((
+            (["grid.n=256", "profile.gamma=-1e140", "t_end=0.01"], "0.01", r"about \S+e\+\d+"),
+            (["grid.n=128", "dt_max=5e-324"], "1", r"more than 1\.8e\+308"),
+        )):
+            out = tmp_path / f"out{i}"
+            argv = [sys.executable, "-m", "kabc.cli", "simulate", "--out", str(out)]
+            for item in sets:
+                argv += ["--set", item]
+            proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+            assert proc.returncode == EXIT_CONFIG
+            assert proc.stderr.startswith(f"kabc: configuration error: t_end {t_end} at the first CFL step ")
+            assert "Traceback" not in proc.stderr and "inf" not in proc.stderr
+            error = manifest_of(out)["result"]["error"]
+            assert re.search(rf"needs {needs} steps, above the cap of 1e\+07$", error)
+            assert sorted(os.listdir(out)) == ["manifest.json"]
 
     @pytest.mark.parametrize(
         "subcommand, overrides",
@@ -1166,6 +1240,9 @@ class TestRunFuzz:
             assert "Traceback" not in err.getvalue()
             if os.path.exists(out):
                 assert manifest_of(out)["result"]["exit"] == code
+            if code == EXIT_BLOWUP:  # a stopped run writes what it reached
+                assert manifest_of(out)["result"]["blew_up"] is True
+                assert os.path.exists(os.path.join(out, "summary.csv"))
 
 
 class TestReadme:

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from kabc.dynamics import SimConfig, simulate
 from kabc.exact import green_periodic
 from kabc.lagrangian import (
-    WaveBreakingError,
+    STRETCH_FLOOR,
     advect,
     conservation_check,
     cubic_interp_periodic,
@@ -38,6 +40,7 @@ def advect_all(states, seeds, k):
     paths, stretch = [ps.eta], [ps.etax]
     for t, u in states[1:]:
         ps = advect(ps, t, u, k)
+        assert ps.stop_reason is None, ps.stop_reason
         paths.append(ps.eta)
         stretch.append(ps.etax)
     return np.asarray(paths), np.asarray(stretch)
@@ -190,21 +193,33 @@ class TestAdvect:
 
     def test_wave_breaking_aborts(self):
         # frozen compressive field: eta_x ~ exp(-A t) collapses through the
-        # positivity floor and the advection must refuse to continue
+        # positivity floor near t = ln(1e10) / A = 0.77; the step that reaches
+        # it is not taken, and the last good particles come back with the reason
         A = 30.0
         g = Grid(256, 2 * np.pi)
         states = steady_states(g, -A * np.sin(g.nodes - np.pi), np.linspace(0, 2.0, 201))
-        with pytest.raises(WaveBreakingError):
-            advect_all(states, np.array([np.pi]), 1)
+        ps = release(np.array([np.pi]), *states[0])
+        for t, u in states[1:]:
+            stepped = advect(ps, t, u, 1)
+            if stepped.stop_reason:
+                break
+            ps = stepped
+        reason = re.fullmatch(r"eta_x lost positivity at t = (\S+) \(min (\S+)\)", stepped.stop_reason)
+        assert float(reason.group(1)) == pytest.approx(0.77, abs=0.02) and float(reason.group(2)) <= STRETCH_FLOOR
+        assert stepped.t == ps.t == pytest.approx(float(reason.group(1)) - 0.01)
+        assert stepped.eta is ps.eta and np.all(stepped.etax > STRETCH_FLOOR)
 
     @pytest.mark.parametrize("value", [1e120, 1e100])
     def test_non_finite_step_is_not_taken(self, value):
         # at k = 3, u = 1e120 overflows u^k, and u = 1e100 moves a particle
         # 5e298 in one step, too far to have a grid index: either step is
-        # refused, with no warning, and no position is cast to an index
+        # refused, with no warning, and no position is cast to an index: the
+        # particles stay where they were, with the reason
         g = Grid(64, 2 * np.pi)
         ps = release(np.array([1.0, 2.0]), 0.0, Field(g, np.zeros(64)))
-        assert advect(ps, 0.1, Field(g, np.full(64, value)), 3) is None
+        stopped = advect(ps, 0.1, Field(g, np.full(64, value)), 3)
+        assert stopped.stop_reason == "non-finite particle step after t = 0"
+        assert stopped.t == 0.0 and stopped.eta is ps.eta and stopped.etax is ps.etax
 
 
 def advect_per_field(states, seeds, k):
