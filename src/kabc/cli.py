@@ -3,17 +3,21 @@
 The only module with side effects.  ``parse_config`` reads every key through
 its entry in one table (``_KEYS``: default and typed reader) and resolves a
 config once into a ``RunSpec`` (a sweep's points too, each as a single run),
-so a bad value exits before any output exists.  Each experiment is one pure
+so a bad value exits before any output exists.  Each experiment is one
 ``compute_<subcommand>(spec)`` that reads only those values and returns its
-exit code, its CSV tables as ``{filename: (header, rows)}`` and the manifest
-extras, built in one pass: simulate hands it each stored state as it is
-made.  A run that stops early returns what it reached, and ``_outcome``
-turns its one stop reason into the exit code, blew_up and error.  ``run``
-writes the tables plus one JSON manifest into the output directory
-(``sweep`` writes its own aggregate).  The numeric tables are 2-D float
-arrays, written in blocks of rows with ``%.17g``: the same bytes as the
-value-by-value ``_fmt`` path of the small mixed-type tables.  Numeric
-artifacts are reproducible bit-for-bit, manifests differ in timestamps.
+exit code, its small CSV tables as ``{filename: (header, rows)}`` and the
+manifest extras, built in one pass: simulate hands it each stored state as
+it is made.  The tables that grow with the run (``particles.csv``, the
+snapshots) are written while it runs instead: the runner sends their rows to
+a writer process (``_CsvWriter``), so formatting them takes the second core
+and no run holds them.  A run that stops early returns what it reached, and
+``_outcome`` turns its one stop reason into the exit code, blew_up and
+error.  ``run`` writes the returned tables plus one JSON manifest into the
+output directory (``sweep`` writes its own aggregate).  The numeric tables
+are 2-D float arrays, written in blocks of rows with ``%.17g``: the same
+bytes as the value-by-value ``_fmt`` path of the small mixed-type tables.
+Numeric artifacts are reproducible bit-for-bit, manifests differ in
+timestamps.
 
 Exit codes: 0 success, 2 a run that stopped early (partial outputs kept), 3
 configuration error (command-line usage included), 4 I/O failure, 5
@@ -24,7 +28,6 @@ traceback in the manifest).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import copy
 import datetime
 import json
@@ -495,21 +498,122 @@ def _fmt(v) -> str:
 CSV_BLOCK_ROWS = 4096
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write a header line and the rows.  A 2-D float array is formatted
-    CSV_BLOCK_ROWS rows per %-call with "%.17g", which gives the bytes
-    _fmt gives each float; any other iterable of rows goes value by value
-    through _fmt."""
-    with open(path, "w") as fh:
+def _write_rows(fh, header, rows) -> None:
+    """Write a header line (none when header is None) and the rows.  A 2-D
+    float array is formatted CSV_BLOCK_ROWS rows per %-call with "%.17g",
+    which gives the bytes _fmt gives each float; any other iterable of rows
+    goes value by value through _fmt."""
+    if header is not None:
         fh.write(",".join(header) + "\n")
-        if isinstance(rows, np.ndarray):
-            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            for start in range(0, len(rows), CSV_BLOCK_ROWS):
-                block = rows[start : start + CSV_BLOCK_ROWS]
-                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+    if isinstance(rows, np.ndarray):
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[start : start + CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+    else:
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w") as fh:
+        _write_rows(fh, header, rows)
+
+
+def _write_parts(conn, run_end) -> None:
+    """The writer process: writes the (path, header, rows) messages of conn
+    with _write_rows, a message with a header starting the file path, until
+    a None (done) or EOF (the run went away).  A failure is sent back as its
+    text, and the process exits 1."""
+    run_end.close()
+    fh = None
+    try:
+        for path, header, rows in iter(conn.recv, None):
+            if header is not None:
+                if fh is not None:
+                    fh.close()
+                fh = open(path, "w")
+            _write_rows(fh, header, rows)
+        if fh is not None:
+            fh.close()
+    except EOFError:  # the run went away, and removes the parts
+        pass
+    except Exception as err:  # an I/O error, say a full disk
+        conn.send(str(err))
+        sys.exit(1)
+
+
+class _CsvWriter:
+    """CSV files that a forked writer process formats and writes while the
+    run steps, so the run's own process only makes the rows.
+
+    send(name, header, rows) hands it a 2-D float array of rows for the file
+    name in out_dir, in order; the first rows sent for a name start that
+    file (one file at a time).  The process starts at the first send and
+    writes each file as <name>.part.  Leaving the with-block ends it and
+    renames each file to name, or, when the block raised, stops it and
+    removes them.  A writer that failed raises OSError, with its error.
+    """
+
+    def __init__(self, out_dir: str):
+        self.out_dir, self.parts, self.proc, self.conn = out_dir, {}, None, None
+
+    def __enter__(self):
+        return self
+
+    def send(self, name: str, header, rows: np.ndarray) -> None:
+        if self.proc is None:
+            import multiprocessing  # here, so that runs that write no stream do not import it
+
+            # fork, not spawn: a spawned child would import numpy again
+            # (about 0.2 s), and the writer only unpickles and writes files,
+            # so it takes no lock that another thread of the run may hold
+            ctx = multiprocessing.get_context("fork")
+            self.conn, writer_end = ctx.Pipe()
+            # a daemon, so a run that dies without joining it does not leave it behind
+            self.proc = ctx.Process(target=_write_parts, args=(writer_end, self.conn), daemon=True)
+            self.proc.start()
+            writer_end.close()
+        if name in self.parts:
+            header = None  # the file has it
         else:
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            self.parts[name] = os.path.join(self.out_dir, name + ".part")
+        self._send((self.parts[name], header, rows))
+
+    def _send(self, message) -> None:
+        try:
+            self.conn.send(message)
+        except OSError:  # the writer has stopped
+            raise OSError(self._failure()) from None
+
+    def _failure(self) -> str:
+        """Why the writer stopped: its error text, or its exit code."""
+        self.proc.join()
+        try:
+            return f"CSV writer: {self.conn.recv()}"
+        except (EOFError, OSError):
+            return f"CSV writer exited with code {self.proc.exitcode}"
+
+    def __exit__(self, exc_type, exc, tb):
+        if self.proc is None:
+            return
+        try:
+            if exc_type is None:
+                self._send(None)
+                self.proc.join()
+                if self.proc.exitcode:
+                    raise OSError(self._failure())
+            else:
+                self.proc.terminate()
+        finally:
+            self.proc.join()
+            self.conn.close()
+            whole = exc_type is None and self.proc.exitcode == 0
+            for name, part in self.parts.items():
+                if whole:
+                    os.replace(part, os.path.join(self.out_dir, name))
+                elif os.path.exists(part):
+                    os.remove(part)
 
 
 def _json_default(obj):
@@ -571,7 +675,7 @@ def _outcome(reason, tables: dict, extras: dict):
 
 
 def compute_simulate(spec: RunSpec):
-    rows, snaps = [], {}  # a diagnostics.csv row and, with write_snapshots, a table per stored state
+    rows = []  # a diagnostics.csv row per stored state
 
     def take(rec, u):
         fit_u, fit_ux = (diagnostics.decay_fit(f, spec.fit_window) for f in (u, derivative(u, 1)))
@@ -580,12 +684,13 @@ def compute_simulate(spec: RunSpec):
         except ValueError:
             crest = math.nan
         if spec.write_snapshots:
-            snaps[f"snap_{len(rows):06d}.csv"] = _snapshot_table(u)
+            writer.send(f"snap_{len(rows):06d}.csv", *_snapshot_table(u))
         rows.append((rec.t, rec.hs_norm, rec.h1_sq, rec.dt, crest, fit_u.theta_hat, fit_ux.theta_hat, fit_u.r2,
                      fit_u.floor_hit, fit_ux.r2, fit_ux.floor_hit))
 
-    traj = simulate(spec.sim, build_profile(spec), take)
-    tables = {"diagnostics.csv": (DIAG_HEADER, rows), "final.csv": _snapshot_table(traj.final), **snaps}
+    with _CsvWriter(spec.out_dir) as writer:
+        traj = simulate(spec.sim, build_profile(spec), take)
+    tables = {"diagnostics.csv": (DIAG_HEADER, rows), "final.csv": _snapshot_table(traj.final)}
     try:
         drift = diagnostics.h1_drift(traj)
     except ValueError:
@@ -663,36 +768,37 @@ def compute_mms(spec: RunSpec):
 
 def compute_lagrangian(spec: RunSpec):
     seeds, p = spec.seeds, spec.sim.params
-    rows, ps = [], None  # (t, eta, eta_x, m_along) per stored state the particles reached; the particles there
+    n_seeds = len(seeds)
+    conserved = lagrangian.has_invariant(p)  # else the residuals are NaN
+    ps, m0, worst = None, None, -math.inf  # the particles, the first momentum_along, the largest residual so far
+    block = []  # the particles.csv rows not sent yet, an (n_seeds, 6) array per state
+
+    def send():
+        writer.send("particles.csv", PARTICLE_HEADER, np.concatenate(block))
+        block.clear()
 
     def take(rec, u):
-        nonlocal ps
-        if ps is None or ps.stop_reason is None:  # a stopped pass takes no more states
-            ps = lagrangian.advect(ps, rec.t, u, p.k) if ps else lagrangian.release(seeds, rec.t, u)
-            if ps.stop_reason is None:
-                rows.append((ps.t, ps.eta, ps.etax, lagrangian.momentum_along(u, ps.eta)))
+        nonlocal ps, m0, worst
+        ps = lagrangian.advect(ps, rec.t, u, p.k) if ps else lagrangian.release(seeds, rec.t, u)
+        if ps.stop_reason is not None:
+            return ps.stop_reason  # the field stops stepping with the particles
+        m_along = lagrangian.momentum_along(u, ps.eta)
+        m0 = m_along if m0 is None else m0
+        res = lagrangian.invariant_residuals(ps.etax, m_along, p, m0) if conserved else np.full(n_seeds, math.nan)
+        worst = np.maximum(worst, np.max(res))  # NaN once any residual is, as np.max over them all
+        # one row per seed, seed-fastest within each time
+        block.append(np.column_stack((seeds, np.full(n_seeds, ps.t), ps.eta, ps.etax, m_along, res)))
+        if len(block) * n_seeds >= CSV_BLOCK_ROWS:
+            send()
 
-    traj = simulate(spec.sim, build_profile(spec), take)
-    times, paths, stretch, m_along = (np.asarray(col) for col in zip(*rows))
-    try:
-        res = lagrangian.invariant_residuals(stretch, m_along, p)
-        residual = float(np.max(res))
-    except ValueError:  # off the a = 0, c = (3k - b)/2 subfamily
-        res = np.full_like(m_along, math.nan)
-        residual = None
-    # one row per (time, seed), seed-fastest within each time
-    n_seeds, n_times = len(seeds), len(times)
-    particles = np.column_stack((
-        np.tile(seeds, n_times), np.repeat(times, n_seeds),
-        paths.ravel(), stretch.ravel(), m_along.ravel(), res.ravel(),
-    ))
-    summary = (residual if residual is not None else math.nan, n_seeds, traj.last_time)
-    tables = {
-        "particles.csv": (PARTICLE_HEADER, particles),
-        "summary.csv": (("max_invariant_residual", "n_seeds", "final_t"), [summary]),
-    }
+    with _CsvWriter(spec.out_dir) as writer:
+        traj = simulate(spec.sim, build_profile(spec), take)
+        if block:
+            send()
+    summary = (float(worst), n_seeds, ps.t)  # final_t: the last particle rows' time
+    tables = {"summary.csv": (("max_invariant_residual", "n_seeds", "final_t"), [summary])}
     # the particles visit only states the field reached, so their stop is the earlier one
-    extras = {"max_invariant_residual": residual, "softbound": _softbound_record(traj)}
+    extras = {"max_invariant_residual": summary[0] if conserved else None, "softbound": _softbound_record(traj)}
     return _outcome(ps.stop_reason or traj.stop_reason, tables, extras)
 
 
@@ -700,6 +806,8 @@ def run_sweep(spec: RunSpec):
     names, points = zip(*spec.points)
     workers = min(spec.workers, len(points))
     if workers > 1:
+        import concurrent.futures  # here, so that a single run does not import it
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             codes = list(pool.map(run, points))
     else:

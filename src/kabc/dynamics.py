@@ -13,15 +13,15 @@ The RK4 state is the rfft half-spectrum of u, not its samples: each
 right-hand side evaluation goes from spectrum to spectrum, and a step makes
 one inverse transform to store the new samples and one forward transform of
 them to step on next.  simulate's loop is the only long-lived owner of a
-spectrum; it hands each stored state, samples only, to its caller and keeps
-only the last.  One evaluation costs one inverse FFT on the padded grid per
-upsampled factor (u, u_x, and u_xx when c_f2_2 != 0) and one forward FFT
-there per bracket (local, f1, and f2 when it has a nonzero coefficient): 4 at
-k = 1 (CH, DP), 5 at k = 2 (Novikov, FORQ) and 6 at k >= 3 with a != 0.  When
-forcing is set, it is evaluated, and its samples forward-transformed, once
-per distinct stage time: RK4's two mid stages share t + dt/2, and a step's
-last stage time t + dt is the next step's first, so a forced step adds 2
-forcing evaluations, not 4.
+spectrum; it hands each stored state, samples only, to its caller, which may
+end the run there, and keeps only the last.  One evaluation costs one
+inverse FFT on the padded grid per upsampled factor (u, u_x, and u_xx when
+c_f2_2 != 0) and one forward FFT there per bracket (local, f1, and f2 when
+it has a nonzero coefficient): 4 at k = 1 (CH, DP), 5 at k = 2 (Novikov,
+FORQ) and 6 at k >= 3 with a != 0.  When forcing is set, it is evaluated,
+and its samples forward-transformed, once per distinct stage time: RK4's two
+mid stages share t + dt/2, and a step's last stage time t + dt is the next
+step's first, so a forced step adds 2 forcing evaluations, not 4.
 """
 
 from __future__ import annotations
@@ -104,9 +104,9 @@ class Trajectory:
 
     final is a sample-only Field (n doubles); the spectrum the run stepped on
     is not kept.  stop_reason says why a run ended before t_end (its field
-    went non-finite, its step no longer advanced t, or it reached MAX_STEPS
-    steps), and is None for a run that reached it; final and the last record
-    are then the last good state's.
+    went non-finite, its step no longer advanced t, it reached MAX_STEPS
+    steps, or its on_state returned a reason), and is None for a run that
+    reached it; final and the last record are then the last good state's.
     """
 
     config: SimConfig
@@ -300,11 +300,13 @@ def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> 
     Keeps a per-step scalar record (H^SOBOLEV_S norm, squared H^1 norm, step
     size) and the last state.  on_state(rec, u), when given, gets each stored
     state as it is made (u0, every output_stride-th step and the end) with
-    its record (rec.t is its time).  A run ends early, with its
-    stop_reason, when a step goes non-finite or is too small to advance t,
-    or after MAX_STEPS steps; the last good state is then stored if it was
-    not already.  A run that the first CFL step puts above MAX_STEPS steps
-    (t_end / dt) raises StepLimitError before it steps.
+    its record (rec.t is its time); a reason it returns (not None) ends the
+    run at that state, with that stop_reason.  A run also ends early, with
+    its stop_reason, when a step goes non-finite or is too small to advance
+    t, or after MAX_STEPS steps; the last good state is then stored if it
+    was not already (what on_state returns there is not read).  A run that
+    the first CFL step puts above MAX_STEPS steps (t_end / dt) raises
+    StepLimitError before it steps.
     """
     if u0.grid != cfg.grid:
         raise ValueError("u0 must live on cfg.grid")
@@ -315,10 +317,10 @@ def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> 
     uh = u0.hat
     hs0, h1_sq = diagnostics.hs_and_h1_squared(uh, cfg.grid, SOBOLEV_S)
     traj = Trajectory(config=cfg, final=u0, records=[StepRecord(0.0, 0.0, hs0, h1_sq)])
-    store(traj.records[0], u0)
+    traj.stop_reason = store(traj.records[0], u0)
 
-    step = 0
-    while t < cfg.t_end - T_END_TOL:
+    step = stored = 0  # the step of the last stored state
+    while traj.stop_reason is None and t < cfg.t_end - T_END_TOL:
         if step >= MAX_STEPS:  # its steps shrank after the first one
             traj.stop_reason = f"reached the cap of {MAX_STEPS:g} steps at t = {t:.6g}"
             break
@@ -350,8 +352,9 @@ def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> 
         hs, h1_sq = diagnostics.hs_and_h1_squared(uh, cfg.grid, SOBOLEV_S)
         traj.records.append(StepRecord(t, dt, hs, h1_sq))
         if step % cfg.output_stride == 0 or t >= cfg.t_end - T_END_TOL:
-            store(traj.records[-1], traj.final)
-    if traj.stop_reason is not None and step % cfg.output_stride:  # store the last good state
+            stored = step
+            traj.stop_reason = store(traj.records[-1], traj.final)
+    if stored != step:  # store the last good state
         store(traj.records[-1], traj.final)
     return traj
 

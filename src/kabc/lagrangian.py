@@ -122,18 +122,26 @@ def momentum_along(u: Field, eta: np.ndarray) -> np.ndarray:
     return cubic_interp_periodic(momentum(u).values, u.grid, eta)
 
 
-def invariant_residuals(stretch: np.ndarray, m_along: np.ndarray, p: Params) -> np.ndarray:
-    """Relative defect of m(eta(t), t) * eta_x^{b/k} against its value at
-    the first stored time, from the stretches eta_x and the momentum_along
-    of each stored state, stacked with shape (n_times, n_seeds).
+def has_invariant(p: Params) -> bool:
+    """Whether m(eta, t) * eta_x^{b/k} is conserved along the paths: the
+    a = 0, c = (3k - b)/2 subfamily."""
+    return p.a == 0.0 and abs(p.c - (3.0 * p.k - p.b) / 2.0) <= 1e-12
 
-    Only meaningful for the a = 0, c = (3k - b)/2 subfamily; other
-    parameters are rejected (the balance law fails there).
+
+def invariant_residuals(stretch: np.ndarray, m_along: np.ndarray, p: Params,
+                        m0: Optional[np.ndarray] = None) -> np.ndarray:
+    """Relative defect of m(eta(t), t) * eta_x^{b/k} against m0, its value
+    at the first stored time (m_along[0] by default), from the stretches
+    eta_x and the momentum_along of each stored state, stacked with shape
+    (n_times, n_seeds), or of one state, with shape (n_seeds,).
+
+    Only meaningful where has_invariant(p); other parameters are rejected
+    (the balance law fails there).
     """
-    if p.a != 0.0 or abs(p.c - (3.0 * p.k - p.b) / 2.0) > 1e-12:
+    if not has_invariant(p):
         raise ValueError("conservation law requires a = 0 and c = (3k - b)/2")
     inv = m_along * stretch ** (p.b / p.k)
-    m0 = m_along[0]
+    m0 = m_along[0] if m0 is None else m0
     return np.abs(inv - m0) / (np.abs(m0) + 1e-12)
 
 

@@ -10,6 +10,7 @@ record of every run the other criteria made.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ def lagrangian_runs(tmp_path_factory):
             profile=profile_file(tmp_path_factory, Field(grid, 0.3 * np.sin(x) + 0.1 * np.cos(2 * x) + 0.05)),
             t_end=0.5, dt_max=dtm, lagrangian={"seeds": seeds.tolist()},
         )
-        _, _, extras = cli.compute_lagrangian(spec)
+        _, _, extras = cli.compute_lagrangian(replace(spec, out_dir=str(tmp_path_factory.mktemp("lagrangian"))))
         SOFTBOUNDS.append((f"lagrangian-n{n}", extras["softbound"]))
         return extras["max_invariant_residual"]
 

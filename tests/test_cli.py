@@ -575,11 +575,21 @@ class TestRunSimulate:
                 "write_snapshots": True,
             },
         )
-        run(parse_config(path, [], "simulate", out))
+        spec = parse_config(path, [], "simulate", out)
+        run(spec)
         snaps = sorted(p for p in os.listdir(out) if p.startswith("snap_"))
         assert len(snaps) >= 3
         first = read_snapshot(os.path.join(out, snaps[0]), grid=Grid(128, 40 * math.pi))
         assert first.grid.n == 128
+        # one file per stored state, in order, each the bytes write_snapshot gives it
+        from kabc.dynamics import simulate
+
+        states = []
+        simulate(spec.sim, build_profile(spec), lambda rec, u: states.append(u))
+        assert snaps == [f"snap_{i:06d}.csv" for i in range(len(states))]
+        for name, u in zip(snaps, states):
+            write_snapshot(u, tmp_path / "expected.csv")
+            assert (Path(out) / name).read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_softbound_recorded_in_manifest(self, tmp_path):
         out = str(tmp_path / "sb")
@@ -597,6 +607,12 @@ class TestRunSimulate:
         sb = man["result"]["softbound"]
         assert sb["bound"] == pytest.approx(sb["bound_factor"] * sb["hs0"], rel=1e-12)
         assert sb["sup_hs"] <= sb["bound"]
+
+
+# a k = 3 peakon whose particle stretches turn negative near t = 0.0324,
+# before its field's step stalls at t = 0.0325
+WAVE_BREAKING = ["--set", 'params={"k":3,"a":0,"b":0,"c":0}', "--set", 'profile={"shape":"peakon","gamma":8.0}',
+                 "--set", "grid.n=128", "--set", "output_stride=10"]
 
 
 class TestOtherSubcommands:
@@ -740,19 +756,20 @@ class TestOtherSubcommands:
     def test_lagrangian_wave_breaking_keeps_its_particles(self, tmp_path):
         # across 10 steps of this k = 3 peakon a stretch turns negative: the
         # particles stop at the state before, their rows are written, and the
-        # field's own stall later is not the reason given
+        # field stops stepping there too (it would stall at t = 0.0325035)
         out = tmp_path / "lag"
-        argv = ["lagrangian", "--out", str(out), "--set", 'params={"k":3,"a":0,"b":0,"c":0}',
-                "--set", 'profile={"shape":"peakon","gamma":8.0}', "--set", "grid.n=128", "--set", "output_stride=10"]
-        assert main(argv) == EXIT_BLOWUP
+        assert main(["lagrangian", "--out", str(out), *WAVE_BREAKING]) == EXIT_BLOWUP
         header, *rows = (line.split(",") for line in (out / "particles.csv").read_text().splitlines())
         table = np.array(rows, dtype=float)
         assert len(table) and np.all(table[:, 1] <= 0.0323667)
         assert np.all(np.isfinite(table[:, [header.index("eta"), header.index("eta_x")]]))
-        assert (out / "summary.csv").exists()
+        summary = dict(zip(*(line.split(",") for line in (out / "summary.csv").read_text().splitlines())))
+        assert float(summary["final_t"]) == table[-1, 1] == pytest.approx(0.0302742, abs=1e-7)
         result = manifest_of(out)["result"]
         assert result["blew_up"] is True
         assert result["error"] == "eta_x lost positivity at t = 0.0323667 (min -8.749e-02)"
+        # the field's last state is the one the particles broke at
+        assert result["softbound"]["sup_hs"] < 100.0
 
     def test_peakon_case_blowup_exits_2_and_keeps_its_row(self, tmp_path):
         # the k = 3 case stops near t = 0.16, where its step no longer
@@ -821,9 +838,10 @@ class TestOtherSubcommands:
         assert float(vals["max_invariant_residual"]) < 1e-3
 
     @pytest.mark.parametrize("preset", ["novikov", "forq"])
-    def test_particles_rows_seed_fastest(self, preset):
-        # the array table equals, bitwise, the rows of a (time, seed) loop
-        # with the seed fastest; forq is off the a = 0 subfamily (NaN residuals)
+    def test_particles_rows_seed_fastest(self, tmp_path, preset):
+        # the written table equals, bitwise, the rows of a (time, seed) loop
+        # with the seed fastest (each %.17g token parses back to its double);
+        # forq is off the a = 0 subfamily (NaN residuals)
         from kabc import lagrangian
         from kabc.dynamics import simulate
 
@@ -833,11 +851,13 @@ class TestOtherSubcommands:
             [f'params.preset="{preset}"', "grid.n=128", f"grid.length={2 * math.pi!r}",
              'profile={"shape": "bump", "width": 1.0}', "t_end=0.05", f"lagrangian.seeds={seeds.tolist()}"],
             "lagrangian",
+            str(tmp_path),
         )
         code, tables, _ = compute_lagrangian(spec)
-        assert code == EXIT_OK
-        header, table = tables["particles.csv"]
-        assert header == ("seed", "t", "eta", "eta_x", "m_along", "invariant_residual")
+        assert code == EXIT_OK and "particles.csv" not in tables
+        header, *lines = (tmp_path / "particles.csv").read_text().splitlines()
+        assert header == "seed,t,eta,eta_x,m_along,invariant_residual"
+        table = np.array([[float(tok) for tok in line.split(",")] for line in lines])
 
         states = []
         simulate(spec.sim, build_profile(spec), lambda rec, u: states.append((rec.t, u)))
@@ -871,6 +891,85 @@ class TestOtherSubcommands:
             build_profile(spec)
 
 
+# 2,100 seeds fill a block of CSV_BLOCK_ROWS (4,096) rows every two states,
+# so particles.csv goes to its writer in blocks while the run steps
+MANY_SEEDS = ["--set", f"lagrangian.seeds={np.linspace(0.0, 40 * math.pi, 2100, endpoint=False).tolist()}"]
+
+
+class TestStreamedTables:
+    """particles.csv and the snapshots go to a writer process as the run
+    steps; it must be gone after every run, and only whole files kept."""
+
+    @staticmethod
+    def raise_at_call(monkeypatch, module, name, call):
+        real, calls = getattr(module, name), []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == call:
+                raise RuntimeError("raised for the test")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, failing)
+
+    @pytest.mark.parametrize("case", ["ok", "wave-breaking", "writer-fails", "advect-raises", "snapshot-run-raises"])
+    def test_writer_lifecycle(self, tmp_path, monkeypatch, capsys, case):
+        import multiprocessing
+
+        from kabc import cli, diagnostics, lagrangian
+
+        out = tmp_path / "out"
+        argv = ["lagrangian", "--out", str(out), *MANY_SEEDS, "--set", "grid.n=128", "--set", "t_end=0.05"]
+        tables = {"particles.csv", "summary.csv", "manifest.json"}
+        if case == "wave-breaking":
+            argv = ["lagrangian", "--out", str(out), *MANY_SEEDS, *WAVE_BREAKING]
+        elif case == "writer-fails":  # the writer inherits the failing formatter when it forks
+            def failing(fh, header, rows):
+                raise OSError("disk full for the test")
+
+            monkeypatch.setattr(cli, "_write_rows", failing)
+        elif case == "advect-raises":  # at the third state, after the first block was sent
+            self.raise_at_call(monkeypatch, lagrangian, "advect", 2)
+        elif case == "snapshot-run-raises":  # at the third state, after two snapshots were sent
+            argv = ["simulate", "--out", str(out), "--set", "grid.n=128", "--set", "t_end=0.05",
+                    "--set", "write_snapshots=true"]
+            self.raise_at_call(monkeypatch, diagnostics, "crest_position", 3)
+        code, files = {
+            "ok": (EXIT_OK, tables),
+            "wave-breaking": (EXIT_BLOWUP, tables),
+            "writer-fails": (EXIT_IO, {"manifest.json"}),
+            "advect-raises": (EXIT_INTERNAL, {"manifest.json"}),
+            "snapshot-run-raises": (EXIT_INTERNAL, {"manifest.json"}),
+        }[case]
+        assert main(argv) == code
+        assert multiprocessing.active_children() == []
+        assert set(os.listdir(out)) == files
+        err = capsys.readouterr().err
+        if case == "writer-fails":
+            assert err == "kabc: I/O error: CSV writer: disk full for the test\n"
+            assert manifest_of(out)["result"]["error"] == "CSV writer: disk full for the test"
+        if case == "ok":
+            rows = (out / "particles.csv").read_text().splitlines()[1:]
+            assert len(rows) == 6 * 2100  # u0 and 5 steps of dt_max
+        if code == EXIT_INTERNAL:
+            assert err == "kabc: internal error: RuntimeError: raised for the test\n"
+
+    def test_parallel_lagrangian_sweep_matches_single_runs(self, tmp_path):
+        import multiprocessing
+
+        overrides = [*MANY_SEEDS[1::2], "grid.n=128", "t_end=0.05"]
+        axes = [{"key": "params.preset", "values": ["novikov", "forq"]}]
+        sweep = {"subcommand": "lagrangian", "axes": axes, "workers": 2}
+        spec = parse_config(None, [*overrides, f"sweep={json.dumps(sweep)}"], "sweep", str(tmp_path / "sweep"))
+        assert run(spec) == EXIT_OK
+        assert multiprocessing.active_children() == []
+        for (name, point), preset in zip(spec.points, axes[0]["values"]):
+            single = tmp_path / preset
+            assert run(parse_config(None, [*overrides, f'params.preset="{preset}"'], "lagrangian", str(single))) == 0
+            for table in ("particles.csv", "summary.csv"):
+                assert (Path(point.out_dir) / table).read_bytes() == (single / table).read_bytes()
+
+
 @pytest.mark.parametrize(
     "subcommand, overrides",
     [
@@ -882,16 +981,18 @@ class TestOtherSubcommands:
                         'profile={"shape": "bump", "width": 1.0}', "t_end=0.05", "lagrangian.seeds=[2.5, 3, 3.5]"]),
     ],
 )
-def test_runners_read_only_the_resolved_values(subcommand, overrides):
+def test_runners_read_only_the_resolved_values(tmp_path, subcommand, overrides):
     # the raw config is the manifest's record: emptying it after parse_config
-    # must not change what the runner computes
+    # must not change what the runner computes, returned or written as it ran
     def tables_of(spec):
+        os.makedirs(spec.out_dir)
         _, tables, _ = _RUNNERS[subcommand](spec)
-        return {name: (header, rows.tobytes() if isinstance(rows, np.ndarray) else repr(rows))
-                for name, (header, rows) in tables.items()}
+        written = {name: (Path(spec.out_dir) / name).read_bytes() for name in os.listdir(spec.out_dir)}
+        return written, {name: (header, rows.tobytes() if isinstance(rows, np.ndarray) else repr(rows))
+                         for name, (header, rows) in tables.items()}
 
-    expected = tables_of(parse_config(None, overrides, subcommand))
-    spec = parse_config(None, overrides, subcommand)
+    expected = tables_of(parse_config(None, overrides, subcommand, str(tmp_path / "a")))
+    spec = parse_config(None, overrides, subcommand, str(tmp_path / "b"))
     spec.config.clear()
     assert tables_of(spec) == expected
 

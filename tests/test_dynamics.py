@@ -462,6 +462,25 @@ class TestSimulate:
         assert len(traj.records) == 11
         assert len(states) == {1: 11, 3: 5, 10**6: 2}[output_stride]
 
+    @pytest.mark.parametrize("stop_at", [0, 2, 4, None])
+    def test_a_consumer_ends_the_run(self, stop_at):
+        # a reason on_state returns ends the run at that stored state, which
+        # is not stored again; the run stores the states of steps 0, 3, 6, 9
+        # and its last step, 10
+        g = Grid(16, 2 * np.pi)
+        cfg = SimConfig(params=preset("ch"), grid=g, t_end=0.1, dt_max=0.01, output_stride=3)
+        stored = []
+
+        def take(rec, u):
+            stored.append(rec)
+            return "stopped for the test" if len(stored) - 1 == stop_at else None
+
+        traj = simulate(cfg, Field(g, np.zeros(16)), take)
+        assert traj.stop_reason == (None if stop_at is None else "stopped for the test")
+        assert stored[-1] is traj.records[-1]
+        assert len(stored) == (5 if stop_at is None else stop_at + 1)
+        assert len(traj.records) - 1 == [0, 3, 6, 9, 10][len(stored) - 1]
+
     def test_step_that_no_longer_advances_t_ends_the_run(self):
         # this k = 3 peakon steepens until, from its 160th step, dt (about
         # 2.4e-18) is below the spacing of doubles at t = 0.0325; stepping
