@@ -476,7 +476,7 @@ def read_snapshot(path, grid: Grid) -> Field:
     if len(rows) != grid.n:
         raise ValueError(f"grid mismatch: file has {len(rows)} rows, grid needs {grid.n}")
     xs = np.array([r[0] for r in rows])
-    if np.max(np.abs(xs - grid.nodes)) > 1e-12 * grid.length:
+    if not np.all(np.abs(xs - grid.nodes) <= 1e-12 * grid.length):  # NaN fails too
         raise ValueError("grid mismatch: node positions differ")
     return Field(grid, np.array([r[1] for r in rows]))
 

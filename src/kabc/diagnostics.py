@@ -1,5 +1,5 @@
 """Measurement instruments: Sobolev norms, conservation drift, exponential
-decay-rate fits, weighted sup norms, and crest tracking.
+decay-rate fits and crest tracking.
 
 All functions here are read-only analyses of one field, of a trajectory's
 scalar records, or of scalars collected from the states of a run.  The tail
@@ -74,30 +74,6 @@ def h1_drift(traj) -> float:
         raise ValueError("initial H^1 norm is zero; drift undefined")
     es = np.array([r.h1_sq for r in traj.records])
     return float(np.max(np.abs(es - e0)) / e0)
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """Exponential weight e^{theta |x|} capped at radius N.  theta must lie
-    strictly inside (0, 1): the continuum estimates behind the cap degenerate
-    at theta = 1."""
-
-    theta: float
-    cap_radius: float
-
-    def __post_init__(self):
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie strictly in (0, 1)")
-        if not self.cap_radius > 0.0:
-            raise ValueError("cap_radius must be positive")
-
-
-def weighted_sup(f: Field, w: WeightSpec) -> float:
-    """max over nodes of |f(x)| * e^{theta * min(|x|, N)}, |x| measured from
-    the box center."""
-    d = np.abs(f.grid.nodes - f.grid.length / 2.0)
-    phi = np.exp(w.theta * np.minimum(d, w.cap_radius))
-    return float(np.max(np.abs(f.values) * phi))
 
 
 @dataclass(frozen=True)

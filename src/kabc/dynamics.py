@@ -34,7 +34,7 @@ import numpy as np
 
 from . import diagnostics
 from .params import Params, coefficients
-from .spectral import Field, Grid, dealiased_product, derivative, get_ops
+from .spectral import Field, Grid, get_ops
 
 
 # simulate ends a run once t is within this of t_end, so a t_end at or below
@@ -231,41 +231,6 @@ class RhsOperator:
         if not np.all(np.isfinite(rhs_hat)):
             raise BlowUpError(f"non-finite right-hand side at t = {t:.6g}")
         return rhs_hat
-
-
-def rhs(u: Field, p: Params, t: float = 0.0, forcing: Optional[Callable] = None) -> Field:
-    """Time derivative of u in the smoothed evolution form."""
-    op = RhsOperator(u.grid, p, forcing)
-    return Field(u.grid, np.fft.irfft(op(u.hat, t), u.grid.n))
-
-
-def local_form_residual(u: Field, ut: Field, p: Params) -> Field:
-    """Left side of the equivalent third-order local formulation
-
-        ut - ut_xx + (b+1) u^k u_x + (2c-3k) u^{k-1} u_x u_xx - u^k u_xxx
-        + (3k-9a-b-2c) u^{k-2} u_x^3 + 6a u^{k-2} u_x u_xx^2
-        + 3a u^{k-2} u_x^2 u_xxx
-
-    evaluated with ut in place of the time derivative.  Vanishes to
-    round-off when ut = rhs(u), which cross-validates the two formulations.
-    """
-    if u.grid != ut.grid:
-        raise ValueError("u and ut must share one grid")
-    k, a, b, c = p.k, p.a, p.b, p.c
-    ux = derivative(u, 1)
-    uxx = derivative(u, 2)
-    uxxx = derivative(uxx, 1)
-    out = ut.values - derivative(ut, 2).values
-    out = out + (b + 1.0) * dealiased_product([u] * k + [ux]).values
-    out = out + (2.0 * c - 3.0 * k) * dealiased_product([u] * (k - 1) + [ux, uxx]).values
-    out = out - dealiased_product([u] * k + [uxxx]).values
-    c_cub = 3.0 * k - 9.0 * a - b - 2.0 * c
-    if c_cub != 0.0:
-        out = out + c_cub * dealiased_product([u] * (k - 2) + [ux] * 3).values
-    if a != 0.0:
-        out = out + 6.0 * a * dealiased_product([u] * (k - 2) + [ux, uxx, uxx]).values
-        out = out + 3.0 * a * dealiased_product([u] * (k - 2) + [ux, ux, uxxx]).values
-    return Field(u.grid, out)
 
 
 def cfl_dt(u: Field, p: Params, safety: float, dt_max: float, uh: np.ndarray) -> float:

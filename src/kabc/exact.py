@@ -1,14 +1,11 @@
-"""Closed-form reference solutions and initial profiles.
+"""Peakon speed and initial profiles.
 
 Peakons gamma*exp(-|x - ct|) are exact traveling waves of the family with
-speed c = (1 - a) * gamma^k on the line (peakon_speed); the circle carries a
-cosh-shaped analogue when 6a + b + 2c = 3k (circle_peakon_speed, which
-raises off that plane).  A peakon is its amplitude gamma and its Params: the
-speeds take (gamma, p) and the evaluators (gamma, p, x, t).  The Green
-kernel of (1 - d_xx) is (1/2)exp(-|x|) on the line and a cosh closed form
-on the circle.  An initial profile is a shape name and one float: "peakon"
-(its amplitude gamma, started at the exact peakon's H^1 energy), "exp_tail"
-(its decay exponent theta) or "bump" (its half-width).
+speed c = (1 - a) * gamma^k on the line (peakon_speed, which takes
+(gamma, p)); peakon-verify measures each run's speed against it.  An
+initial profile is a shape name and one float: "peakon" (its amplitude
+gamma, started at the exact peakon's H^1 energy), "exp_tail" (its decay
+exponent theta) or "bump" (its half-width).
 """
 
 from __future__ import annotations
@@ -18,59 +15,13 @@ import math
 import numpy as np
 
 from .diagnostics import h1_squared
-from .params import Params, periodic_peakon_admissible
+from .params import Params
 from .spectral import Field, Grid, get_ops
 
 
 def peakon_speed(gamma: float, p: Params) -> float:
     """Line wave speed (1 - a) * gamma^k."""
     return (1.0 - p.a) * gamma**p.k
-
-
-def circle_peakon_speed(gamma: float, p: Params) -> float:
-    """Circle wave speed [1 + (1 - a) sinh^2(pi)] cosh^{k-2}(pi) gamma^k.
-    Circle peakons require the admissibility condition 6a + b + 2c = 3k."""
-    if not periodic_peakon_admissible(p):
-        raise ValueError("circle peakons require 6a + b + 2c = 3k")
-    return (1.0 + (1.0 - p.a) * math.sinh(math.pi) ** 2) * math.cosh(math.pi) ** (p.k - 2) * gamma**p.k
-
-
-def peakon_line_eval(gamma: float, p: Params, x, t: float):
-    """gamma * exp(-|x - speed*t|)."""
-    x = np.asarray(x, dtype=float)
-    out = gamma * np.exp(-np.abs(x - peakon_speed(gamma, p) * t))
-    return out if out.ndim else float(out)
-
-
-def peakon_circle_eval(gamma: float, p: Params, x, t: float):
-    """gamma * cosh([x - circle_speed*t]_p - pi), 2*pi-periodic in x,
-    where [z]_p = z - 2*pi*floor(z / (2*pi))."""
-    x = np.asarray(x, dtype=float)
-    z = x - circle_peakon_speed(gamma, p) * t
-    z = z - 2.0 * np.pi * np.floor(z / (2.0 * np.pi))
-    out = gamma * np.cosh(z - np.pi)
-    return out if out.ndim else float(out)
-
-
-def green_line(x):
-    """Line Green kernel (1/2) exp(-|x|) of (1 - d_xx)."""
-    x = np.asarray(x, dtype=float)
-    out = 0.5 * np.exp(-np.abs(x))
-    return out if out.ndim else float(out)
-
-
-def green_periodic(x, circumference: float):
-    """Periodic Green kernel cosh(d - C/2) / (2 sinh(C/2)), d = |x| mod C.
-
-    Equals the image sum sum_j (1/2) exp(-|x + j*C|) and satisfies
-    (1 - d_xx) G = delta on the circle of circumference C.
-    """
-    if not circumference > 0:
-        raise ValueError("circumference must be positive")
-    c = float(circumference)
-    d = np.mod(np.abs(np.asarray(x, dtype=float)), c)
-    out = np.cosh(d - c / 2.0) / (2.0 * math.sinh(c / 2.0))
-    return out if out.ndim else float(out)
 
 
 def bump_values(x, width: float):

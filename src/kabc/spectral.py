@@ -83,11 +83,11 @@ class SpectralOps:
     """Precomputed multipliers and padding sizes for one grid.
 
     Works on raw arrays: deriv and upsample take an rfft half-spectrum,
-    apply and product take samples.  The Field-level functions below are
-    thin wrappers.  Instances are cached per grid and shared, so they hold
-    no scratch memory: upsample and reduce_hat allocate their results
-    unless the caller passes its own buffers (out=, work=), which is how
-    RhsOperator assembles a right-hand side without allocating.
+    apply and product take samples; derivative below is their one Field
+    form.  Instances are cached per grid and shared, so they hold no scratch
+    memory: upsample and reduce_hat allocate their results unless the
+    caller passes its own buffers (out=, work=), which is how RhsOperator
+    assembles a right-hand side without allocating.
     """
 
     def __init__(self, grid: Grid):
@@ -168,42 +168,6 @@ def get_ops(grid: Grid) -> SpectralOps:
     return SpectralOps(grid)
 
 
-def transform_roundtrip(f: Field) -> Field:
-    """inverse(forward(f)); identical to f up to round-off."""
-    return Field(f.grid, np.fft.irfft(f.hat, f.grid.n))
-
-
 def derivative(f: Field, order: int = 1) -> Field:
     """Spectral derivative of order 1 or 2 (Nyquist zeroed for order 1)."""
     return Field(f.grid, get_ops(f.grid).deriv(f.hat, order))
-
-
-def helmholtz_inverse(f: Field) -> Field:
-    """(1 - d_xx)^{-1} f: multiplier 1/(1 + xi^2), equal to convolution
-    with the periodic Green kernel of the Helmholtz operator."""
-    ops = get_ops(f.grid)
-    return Field(f.grid, np.fft.irfft(f.hat * ops.helmholtz, f.grid.n))
-
-
-def green_dx_convolve(f: Field) -> Field:
-    """d_x (1 - d_xx)^{-1} f: multiplier i*xi/(1 + xi^2)."""
-    ops = get_ops(f.grid)
-    return Field(f.grid, np.fft.irfft(f.hat * ops.green_dx, f.grid.n))
-
-
-def dealiased_product(factors: Sequence[Field]) -> Field:
-    """Pointwise product of the factors, alias-free for band-limited inputs."""
-    if len(factors) < 1:
-        raise ValueError("need at least one factor")
-    grid = factors[0].grid
-    for f in factors[1:]:
-        if f.grid != grid:
-            raise ValueError("all factors must share one grid")
-    return Field(grid, get_ops(grid).product([f.values for f in factors]))
-
-
-def inner(f: Field, g: Field) -> float:
-    """Discrete L^2 inner product sum(f * g) * dx."""
-    if f.grid != g.grid:
-        raise ValueError("fields must share one grid")
-    return float(np.sum(f.values * g.values) * f.grid.dx)

@@ -436,6 +436,18 @@ class TestSnapshotIO:
         with pytest.raises(ValueError, match="grid mismatch"):
             read_snapshot(path, grid=Grid(128, 2 * np.pi))
 
+    def test_nan_node_positions(self, tmp_path, capsys):
+        # |nan - x| > tol is False, so NaN positions must fail as a mismatch
+        path = tmp_path / "snap.csv"
+        path.write_text("x,u\n" + "nan,0\n" * 128)
+        with pytest.raises(ValueError, match="grid mismatch: node positions differ"):
+            read_snapshot(path, grid=Grid(128, 2 * np.pi))
+        out = tmp_path / "out"
+        argv = ["simulate", "--set", f'profile={{"shape": "file", "path": "{path}"}}', "--set", "grid.n=128",
+                "--set", f"grid.length={2 * np.pi}", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert "grid mismatch: node positions differ" in capsys.readouterr().err
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kabc.diagnostics import (
-    WeightSpec,
     check_fit_window,
     crest_position,
     crest_track,
@@ -16,12 +15,12 @@ from kabc.diagnostics import (
     h1_squared,
     hs_and_h1_squared,
     sobolev_norm,
-    weighted_sup,
 )
 from kabc.dynamics import SimConfig, StepRecord, Trajectory
-from kabc.exact import peakon_line_eval, peakon_speed
+from kabc.exact import peakon_speed
 from kabc.params import preset
 from kabc.spectral import Field, Grid, derivative
+from oracles import WeightSpec, peakon_line_eval, weighted_sup
 
 
 def make_traj(grid, fields, times, params=None):

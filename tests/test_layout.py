@@ -1,0 +1,48 @@
+"""src/kabc holds only what a kabc run calls.
+
+Every public module-level function and class in src/kabc is used by code in
+src/kabc (a name or attribute in its syntax tree; a docstring does not
+count), or is named by the benchmark under bench/: as a "<module>.<name>"
+span key, or through a ``from kabc... import``.  Closed forms and
+cross-checks that only the tests call live in tests/oracles.py.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "kabc"
+BENCH = ROOT / "bench"
+
+
+def syntax_trees(directory):
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(directory.glob("*.py"))}
+
+
+def test_every_public_definition_in_src_is_called():
+    src = syntax_trees(SRC)
+    defined = {
+        (module, node.name)
+        for module, tree in src.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    used = set()
+    for tree in src.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    named = set()
+    for tree in syntax_trees(BENCH).values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.update(re.findall(r"\b([a-z]+)\.([A-Za-z]\w*)", node.value))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("kabc."):
+                named.update((node.module.split(".")[1], alias.name) for alias in node.names)
+    unreferenced = sorted(
+        f"{module}.{name}" for module, name in defined if name not in used and (module, name) not in named
+    )
+    assert unreferenced == [], f"public in src/kabc but called by nothing in src/kabc or bench/: {unreferenced}"

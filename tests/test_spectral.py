@@ -2,17 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kabc.spectral import (
-    Field,
-    Grid,
-    dealiased_product,
-    derivative,
-    get_ops,
-    green_dx_convolve,
-    helmholtz_inverse,
-    inner,
-    transform_roundtrip,
-)
+from kabc.spectral import Field, Grid, derivative, get_ops
 
 
 def band_limited(grid, max_mode, seed):
@@ -70,13 +60,13 @@ class TestRoundtrip:
     def test_sine(self):
         g = Grid(64, 2 * np.pi)
         f = Field(g, np.sin(g.nodes))
-        out = transform_roundtrip(f)
-        assert np.max(np.abs(out.values - f.values)) < 1e-12
+        out = np.fft.irfft(f.hat, g.n)
+        assert np.max(np.abs(out - f.values)) < 1e-12
 
     def test_constant(self):
         g = Grid(64, 2 * np.pi)
         f = Field(g, np.full(64, 3.0))
-        assert np.max(np.abs(transform_roundtrip(f).values - 3.0)) < 1e-12
+        assert np.max(np.abs(np.fft.irfft(f.hat, g.n) - 3.0)) < 1e-12
 
     def test_against_direct_dft(self):
         # independent O(n^2) oracle at n = 16
@@ -85,8 +75,8 @@ class TestRoundtrip:
         fw = dft_direct(f.values.astype(complex), -1)
         back = dft_direct(fw, +1) / g.n
         assert np.max(np.abs(back.real - f.values)) < 1e-12
-        out = transform_roundtrip(f)
-        assert np.max(np.abs(out.values - back.real)) < 1e-12
+        out = np.fft.irfft(f.hat, g.n)
+        assert np.max(np.abs(out - back.real)) < 1e-12
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 10_000))
@@ -94,7 +84,7 @@ class TestRoundtrip:
         g = Grid(64, 2 * np.pi)
         f = band_limited(g, 16, seed)
         scale = max(1.0, np.max(np.abs(f.values)))
-        assert np.max(np.abs(transform_roundtrip(f).values - f.values)) < 1e-12 * scale
+        assert np.max(np.abs(np.fft.irfft(f.hat, g.n) - f.values)) < 1e-12 * scale
 
 
 class TestDerivative:
@@ -134,13 +124,13 @@ class TestDerivative:
 class TestHelmholtzInverse:
     def test_constant_fixed_point(self):
         g = Grid(64, 2 * np.pi)
-        f = Field(g, np.ones(64))
-        assert np.max(np.abs(helmholtz_inverse(f).values - 1.0)) < 1e-13
+        ops = get_ops(g)
+        assert np.max(np.abs(ops.apply(np.ones(64), ops.helmholtz) - 1.0)) < 1e-13
 
     def test_sine_halved(self):
         g = Grid(64, 2 * np.pi)
-        f = Field(g, np.sin(g.nodes))
-        assert np.max(np.abs(helmholtz_inverse(f).values - 0.5 * np.sin(g.nodes))) < 1e-13
+        ops = get_ops(g)
+        assert np.max(np.abs(ops.apply(np.sin(g.nodes), ops.helmholtz) - 0.5 * np.sin(g.nodes))) < 1e-13
 
     def test_matches_kernel_quadrature(self):
         # corrected trapezoid oracle for (1/2) int exp(-|x-y|) f(y) dy with a
@@ -149,8 +139,8 @@ class TestHelmholtzInverse:
         xc = g.length / 2
         sig = 1.0
         fvals = np.exp(-((g.nodes - xc) ** 2) / (2 * sig**2)) / (sig * np.sqrt(2 * np.pi))
-        f = Field(g, fvals)
-        got = helmholtz_inverse(f).values
+        ops = get_ops(g)
+        got = ops.apply(fvals, ops.helmholtz)
 
         refine = 16
         h = g.dx / refine
@@ -166,10 +156,11 @@ class TestHelmholtzInverse:
             assert abs(got[idx] - val) < 1e-8
 
     def test_inverse_of_helmholtz_operator(self):
-        # (1 - d_xx) o helmholtz_inverse = identity on band-limited fields
+        # (1 - d_xx) o (1 - d_xx)^{-1} = identity on band-limited fields
         g = Grid(96, 2 * np.pi)
         f = band_limited(g, g.n // 3, seed=3)
-        w = helmholtz_inverse(f)
+        ops = get_ops(g)
+        w = Field(g, ops.apply(f.values, ops.helmholtz))
         back = w.values - derivative(w, 2).values
         assert np.max(np.abs(back - f.values)) < 1e-10 * max(1.0, np.max(np.abs(f.values)))
 
@@ -179,8 +170,9 @@ class TestHelmholtzInverse:
         g = Grid(64, 2 * np.pi)
         f = band_limited(g, 20, seed)
         h = band_limited(g, 20, seed + 1)
-        lhs = inner(helmholtz_inverse(f), h)
-        rhs = inner(f, helmholtz_inverse(h))
+        ops = get_ops(g)
+        lhs = np.sum(ops.apply(f.values, ops.helmholtz) * h.values) * g.dx
+        rhs = np.sum(f.values * ops.apply(h.values, ops.helmholtz)) * g.dx
         scale = max(1.0, abs(lhs))
         assert abs(lhs - rhs) < 1e-12 * scale
 
@@ -188,20 +180,21 @@ class TestHelmholtzInverse:
 class TestGreenDxConvolve:
     def test_constant_to_zero(self):
         g = Grid(64, 2 * np.pi)
-        f = Field(g, np.full(64, 5.0))
-        assert np.max(np.abs(green_dx_convolve(f).values)) < 1e-13
+        ops = get_ops(g)
+        assert np.max(np.abs(ops.apply(np.full(64, 5.0), ops.green_dx))) < 1e-13
 
     def test_sine(self):
         g = Grid(64, 2 * np.pi)
-        f = Field(g, np.sin(g.nodes))
-        assert np.max(np.abs(green_dx_convolve(f).values - 0.5 * np.cos(g.nodes))) < 1e-13
+        ops = get_ops(g)
+        assert np.max(np.abs(ops.apply(np.sin(g.nodes), ops.green_dx) - 0.5 * np.cos(g.nodes))) < 1e-13
 
     def test_second_derivative_identity(self):
         # d_x(d_x G * f) = G * f - f
         g = Grid(128, 2 * np.pi)
         f = band_limited(g, 30, seed=11)
-        lhs = derivative(green_dx_convolve(f), 1).values
-        rhs = helmholtz_inverse(f).values - f.values
+        ops = get_ops(g)
+        lhs = derivative(Field(g, ops.apply(f.values, ops.green_dx)), 1).values
+        rhs = ops.apply(f.values, ops.helmholtz) - f.values
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(f.values)))
 
 
@@ -231,21 +224,21 @@ class TestDealiasedProduct:
     def test_sin_squared(self):
         g = Grid(64, 2 * np.pi)
         f = Field(g, np.sin(g.nodes))
-        got = dealiased_product([f, f]).values
+        got = get_ops(g).product([f.values, f.values])
         want = (1.0 - np.cos(2 * g.nodes)) / 2.0
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_single_factor_identity(self):
         g = Grid(32, 2 * np.pi)
         f = band_limited(g, 15, seed=2)
-        assert np.max(np.abs(dealiased_product([f]).values - f.values)) < 1e-14
+        assert np.max(np.abs(get_ops(g).product([f.values]) - f.values)) < 1e-14
 
     @settings(deadline=None, max_examples=15)
     @given(seed=st.integers(0, 10_000), p=st.integers(2, 3))
     def test_matches_convolution_oracle(self, seed, p):
         g = Grid(32, 2 * np.pi)
         factors = [band_limited(g, 5, seed + i) for i in range(p)]
-        got = np.fft.fft(dealiased_product(factors).values)
+        got = np.fft.fft(get_ops(g).product([f.values for f in factors]))
         want = convolve_modes([spectrum_full(f.values) for f in factors], g.n)
         scale = max(1.0, np.max(np.abs(want)))
         assert np.max(np.abs(got - want)) < 1e-12 * scale
@@ -254,15 +247,9 @@ class TestDealiasedProduct:
         # mode-3 content cubed reaches mode 9; exact on the padded grid
         g = Grid(32, 2 * np.pi)
         f = Field(g, np.cos(3 * g.nodes))
-        got = dealiased_product([f, f, f]).values
+        got = get_ops(g).product([f.values] * 3)
         want = np.cos(3 * g.nodes) ** 3
         assert np.max(np.abs(got - want)) < 1e-13
-
-    def test_grid_mismatch(self):
-        f = Field(Grid(32, 2 * np.pi), np.zeros(32))
-        h = Field(Grid(64, 2 * np.pi), np.zeros(64))
-        with pytest.raises(ValueError):
-            dealiased_product([f, h])
 
 
 class TestParseval:
