@@ -19,8 +19,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kabc.cli import (
+    ARTIFACT_NAME,
     CSV_BLOCK_ROWS,
-    DEFAULT_CONFIG,
     ConfigError,
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -29,8 +29,6 @@ from kabc.cli import (
     EXIT_OK,
     SUBCOMMANDS,
     RunSpec,
-    _KEYS,
-    _PROFILE_SHAPES,
     _RUNNERS,
     _write_csv,
     build_profile,
@@ -41,6 +39,7 @@ from kabc.cli import (
     run,
     write_snapshot,
 )
+from kabc.config import DEFAULT_CONFIG, _KEYS, _PROFILE_SHAPES
 from kabc.params import _FIXED_PRESETS, preset
 from kabc.spectral import Field, Grid
 
@@ -131,8 +130,9 @@ class TestParseConfig:
             ({"key": "t_end.x", "values": [1]}, "cannot override through non-mapping key 't_end'"),
             ({"key": "t_end", "values": 0.5}, "each sweep axis needs a string key and a non-empty values list"),
             ({"key": 5, "values": [1]}, "each sweep axis needs a string key and a non-empty values list"),
+            ({"key": "", "values": [1]}, "config key '' has an empty part"),
         ],
-        ids=["fit-window", "unknown-key", "non-mapping", "values-not-list", "key-not-string"],
+        ids=["fit-window", "unknown-key", "non-mapping", "values-not-list", "key-not-string", "empty-key"],
     )
     def test_sweep_point_fails_as_the_single_run(self, tmp_path, capsys, axis, message):
         # a valid axis point fails with the message of the single run that
@@ -267,6 +267,9 @@ class TestParseConfig:
              "unknown config keys: profile.gamma"),
             # a seed must lie in the box [0, grid.length)
             ("lagrangian", ["lagrangian.seeds=[1e300]"], "lagrangian.seeds"),
+            # mms.levels has a floor too, and a dotted key names each of its parts
+            ("mms", ["mms.levels=0"], "mms.levels must be an integer in [1, 12], got 0"),
+            ("simulate", ["grid.n.=5"], "config key 'grid.n.' has an empty part"),
         ],
     )
     def test_stepping_and_study_keys_rejected_at_parse(self, tmp_path, capsys, subcommand, overrides, key):
@@ -1118,6 +1121,72 @@ class TestSweep:
         assert "Traceback" not in err
 
 
+class TestOutputDirectory:
+    """A run clears the artifacts an earlier run left in its output
+    directory (the default --out is reused by every run of a subcommand),
+    and removes no other file and no directory."""
+
+    SIM = ["simulate", "--set", "grid.n=256", "--set", "write_snapshots=true"]
+
+    def test_rerun_leaves_only_its_own_artifacts(self, tmp_path):
+        out = tmp_path / "D"
+        snaps = lambda: sorted(path.name for path in out.glob("snap_*"))
+        assert main(self.SIM + ["--set", "t_end=0.05", "--out", str(out)]) == EXIT_OK
+        assert snaps() == [f"snap_{i:06d}.csv" for i in range(6)]
+        assert main(self.SIM + ["--set", "t_end=0.02", "--out", str(out)]) == EXIT_OK
+        assert snaps() == [f"snap_{i:06d}.csv" for i in range(3)]
+        missing = json.dumps({"shape": "file", "path": str(tmp_path / "missing.csv")})
+        assert main(self.SIM + ["--set", f"profile={missing}", "--out", str(out)]) == EXIT_IO
+        assert os.listdir(out) == ["manifest.json"]
+
+    def test_foreign_files_and_directories_stay(self, tmp_path):
+        out = tmp_path / "D"
+        foreign = ["notes.txt", "u0.csv", "snap_1.csv", "final.csv.bak", "sub_000_t_end=1/summary.csv"]
+        for name in foreign + ["summary.csv.part", "snap_000009.csv"]:
+            (out / name).parent.mkdir(parents=True, exist_ok=True)
+            (out / name).write_text("x\n")
+        assert main(self.SIM + ["--set", "t_end=0.02", "--out", str(out)]) == EXIT_OK
+        for name in foreign:
+            assert (out / name).read_text() == "x\n", name
+        assert not (out / "summary.csv.part").exists() and not (out / "snap_000009.csv").exists()
+
+    def test_profile_file_in_the_output_directory_is_kept(self, tmp_path):
+        out = tmp_path / "D"
+        argv = ["simulate", "--set", "grid.n=256", "--set", "t_end=0.02", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        first = (out / "final.csv").read_bytes()
+        profile = json.dumps({"shape": "file", "path": str(out / "final.csv")})
+        assert main(argv + ["--set", f"profile={profile}"]) == EXIT_OK
+        assert manifest_of(out)["result"]["exit"] == EXIT_OK
+        assert (out / "final.csv").read_bytes() != first  # the run went on from it
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "grid.n=128", "t_end=0.02", "write_snapshots=true"],
+            ["peakon-verify", "grid.n=256", 'peakon_verify={"cases": [{"preset": "ch"}], "t_end": 0.05}'],
+            ["mms", "grid.n=32", f"grid.length={2 * math.pi!r}", 'mms={"levels": 2, "t_end": 0.25}'],
+            ["lagrangian", "grid.n=128", "t_end=0.02", "lagrangian.seeds=[60, 62]"],
+            ["sweep", "grid.n=128", 'sweep={"axes": [{"key": "t_end", "values": [0.01, 0.02]}], "workers": 1}'],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_file_a_run_writes_is_an_artifact(self, tmp_path, argv):
+        # so the pattern that run clears cannot drift from the runners
+        out = tmp_path / "D"
+        subcommand, *overrides = argv
+        assert main([subcommand, "--out", str(out)] + [arg for item in overrides for arg in ("--set", item)]) == EXIT_OK
+        written = [path for path in out.rglob("*") if path.is_file()]
+        assert len(written) >= 3 and [path for path in written if not ARTIFACT_NAME.fullmatch(path.name)] == []
+
+    def test_sweep_without_a_summary_writes_an_empty_aggregate(self, tmp_path):
+        out = tmp_path / "D"
+        sweep = {"axes": [{"key": "profile.path", "values": [str(tmp_path / "missing.csv")]}], "workers": 1}
+        argv = ["sweep", "--set", 'profile={"shape": "file"}', "--set", f"sweep={json.dumps(sweep)}"]
+        assert main(argv + ["--out", str(out)]) == EXIT_IO
+        assert (out / "aggregate.csv").read_bytes() == b""
+
+
 class TestMainEntry:
     def test_exit_codes(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KABC_OUT", str(tmp_path / "root"))
@@ -1177,10 +1246,12 @@ class TestMainEntry:
              "unknown config keys: peakon_verify.moll_width"),
             (["simulate", "--set", 'profile={"shape": "peakon", "gamma": 1, "moll_width": 0.1}'],
              "unknown config keys: profile.moll_width"),
+            (["simulate", "--set", "=5"], "config key '' has an empty part"),
+            (["simulate", "--set", "grid..n=5"], "config key 'grid..n' has an empty part"),
         ],
         ids=["n_seeds", "fit-theta", "bfam", "workers-flag", "removed-subcommand", "cfl_safety", "spectral_filter",
              "sobolev_s",
-             "fit-side", "peakon_verify-moll_width", "profile-moll_width"],
+             "fit-side", "peakon_verify-moll_width", "profile-moll_width", "empty-key", "empty-part"],
     )
     def test_removed_inputs_exit_3(self, tmp_path, capsys, argv, named):
         # each input has one spelling: lagrangian.seeds, gkbch at k = 1 and

@@ -4,7 +4,8 @@ Every public module-level function and class in src/kabc is used by code in
 src/kabc (a name or attribute in its syntax tree; a docstring does not
 count), or is named by the benchmark under bench/: as a "<module>.<name>"
 span key, or through a ``from kabc... import``.  Closed forms and
-cross-checks that only the tests call live in tests/oracles.py.
+cross-checks that only the tests call live in tests/oracles.py.  And
+kabc.config, which resolves a config, touches no file.
 """
 
 import ast
@@ -46,3 +47,18 @@ def test_every_public_definition_in_src_is_called():
         f"{module}.{name}" for module, name in defined if name not in used and (module, name) not in named
     )
     assert unreferenced == [], f"public in src/kabc but called by nothing in src/kabc or bench/: {unreferenced}"
+
+
+def test_config_touches_no_file_and_imports_nothing_from_cli():
+    # kabc.config resolves a config into a RunSpec; reading the config file
+    # and writing every artifact are kabc.cli's
+    tree = ast.parse((SRC / "config.py").read_text())
+    imported = [
+        alias.name if isinstance(node, ast.Import) else f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert [name for name in imported if "cli" in name.split(".")] == []
+    calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert calls & {"open", "os.remove", "os.replace", "os.makedirs"} == set()
