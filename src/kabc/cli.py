@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__, config, diagnostics, dynamics, exact, lagrangian, params as params_mod
 from .config import SUBCOMMANDS, ConfigError, RunSpec
-from .dynamics import Trajectory, mms_forcing, simulate
+from .dynamics import mms_forcing, simulate
 from .exact import mollified_profile
 from .params import Params
 from .spectral import Field, Grid, derivative
@@ -302,17 +302,6 @@ def _write_manifest(spec: RunSpec, started, wall_s, result: dict) -> None:
         fh.write("\n")
 
 
-def _softbound_record(traj: Trajectory) -> dict:
-    """The heuristic growth bound 2^{1+1/k} hs0 on the H^s norm (a lifespan
-    warning, not an error) and the first step time past it; none when hs0 is
-    zero."""
-    hs0 = traj.records[0].hs_norm
-    factor = 2.0 ** (1.0 + 1.0 / traj.config.params.k)
-    bound = factor * hs0
-    exceeded = next((r.t for r in traj.records[1:] if r.hs_norm > bound), None) if hs0 > 0.0 else None
-    return {"hs0": hs0, "sup_hs": traj.sup_hs, "bound_factor": factor, "bound": bound, "exceeded_t": exceeded}
-
-
 DIAG_HEADER = ("t", "hs_norm", "h1_sq", "dt", "crest_x", "theta_hat_u", "theta_hat_ux", "r2", "floor_hit", "r2_ux",
                "floor_hit_ux")
 PARTICLE_HEADER = ("seed", "t", "eta", "eta_x", "m_along", "invariant_residual")
@@ -345,17 +334,13 @@ def compute_simulate(spec: RunSpec):
     with _CsvWriter(spec.out_dir) as writer:
         traj = simulate(spec.sim, build_profile(spec), take)
     tables = {"diagnostics.csv": (DIAG_HEADER, rows), "final.csv": _snapshot_table(traj.final)}
-    try:
-        drift = diagnostics.h1_drift(traj)
-    except ValueError:
-        drift = math.nan
     # the smallest finite fitted exponents, and whether any fit hit the floor
     theta_u, theta_ux = ([row[col] for row in rows if math.isfinite(row[col])] for col in (5, 6))
-    summary = (traj.last_time, len(traj.records) - 1, traj.sup_hs, drift, traj.stop_reason is not None,
+    summary = (traj.last_time, traj.steps, traj.sup_hs, traj.h1_drift, traj.stop_reason is not None,
                min(theta_u, default=math.nan), min(theta_ux, default=math.nan), any(row[8] or row[10] for row in rows))
     header = ("final_t", "steps", "sup_hs", "h1_drift", "blew_up", "min_theta_u", "min_theta_ux", "any_floor_hit")
     tables["summary.csv"] = (header, [summary])
-    return _outcome(traj.stop_reason, tables, {"softbound": _softbound_record(traj), "final_t": traj.last_time})
+    return _outcome(traj.stop_reason, tables, {"softbound": traj.softbound(), "final_t": traj.last_time})
 
 
 def _peakon_case(spec: RunSpec, label: str, p: Params, gamma: float):
@@ -374,8 +359,7 @@ def _peakon_case(spec: RunSpec, label: str, p: Params, gamma: float):
     expected = exact.peakon_speed(gamma, p)
     measured = math.nan if traj.stop_reason else diagnostics.crest_track(times, crests, spec.sim.grid.length)
     rel = abs(measured - expected) / abs(expected) if expected else math.nan
-    softbound = dict(_softbound_record(traj), params=asdict(p))
-    return (label, gamma, expected, measured, rel), softbound, traj.stop_reason
+    return (label, gamma, expected, measured, rel), dict(traj.softbound(), params=asdict(p)), traj.stop_reason
 
 
 def compute_peakon_verify(spec: RunSpec):
@@ -407,9 +391,8 @@ def compute_mms(spec: RunSpec):
             reason = f"mms level {lvl} (dt {dt:g}): {traj.stop_reason}"
             break
         # only a level's last step may be cut short, to land on t_end
-        cfl = min((rec.dt for rec in traj.records[1:-1]), default=dt)
-        if cfl < dt:
-            raise ConfigError(f"mms.dt0 {dt0:g} gives level {lvl} the dt {dt:g}, but the CFL step is {cfl:.6g}")
+        if traj.min_dt < dt:
+            raise ConfigError(f"mms.dt0 {dt0:g} gives level {lvl} the dt {dt:g}, but the CFL step is {traj.min_dt:.6g}")
         exactf = value(grid.nodes, traj.last_time)
         err = float(np.max(np.abs(traj.final.values - exactf)))
         rows.append((dt, err, math.log2(rows[-1][1] / err) if rows else math.nan))
@@ -452,7 +435,7 @@ def compute_lagrangian(spec: RunSpec):
     summary = (float(worst), n_seeds, ps.t)  # final_t: the last particle rows' time
     tables = {"summary.csv": (("max_invariant_residual", "n_seeds", "final_t"), [summary])}
     # the particles visit only states the field reached, so their stop is the earlier one
-    extras = {"max_invariant_residual": summary[0] if conserved else None, "softbound": _softbound_record(traj)}
+    extras = {"max_invariant_residual": summary[0] if conserved else None, "softbound": traj.softbound()}
     return _outcome(ps.stop_reason or traj.stop_reason, tables, extras)
 
 

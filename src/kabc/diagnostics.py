@@ -1,11 +1,10 @@
-"""Measurement instruments: Sobolev norms, conservation drift, exponential
-decay-rate fits and crest tracking.
+"""Measurement instruments: Sobolev norms, exponential decay-rate fits and
+crest tracking.
 
-All functions here are read-only analyses of one field, of a trajectory's
-scalar records, or of scalars collected from the states of a run.  The tail
-decay of a run is measured one way: decay_fit of u and of u_x on each stored
-state, from which simulate's diagnostics.csv and the tail columns of its
-summary.csv are made.
+All functions here are read-only analyses of one field or of scalars
+collected from the states of a run.  The tail decay of a run is measured
+one way: decay_fit of u and of u_x on each stored state, from which
+simulate's diagnostics.csv and the tail columns of its summary.csv are made.
 """
 
 from __future__ import annotations
@@ -64,18 +63,6 @@ def hs_and_h1_squared(hat: np.ndarray, grid: Grid, s: float) -> tuple[float, flo
         return math.sqrt(_sobolev_total(power, grid, s)), math.sqrt(_sobolev_total(power, grid, 1.0)) ** 2
 
 
-def h1_drift(traj) -> float:
-    """max_t |E(t) - E(0)| / E(0) over the per-step records, with E the
-    squared H^1 norm.  Raises if E(0) = 0."""
-    if not traj.records:
-        raise ValueError("empty trajectory")
-    e0 = traj.records[0].h1_sq
-    if e0 == 0.0:
-        raise ValueError("initial H^1 norm is zero; drift undefined")
-    es = np.array([r.h1_sq for r in traj.records])
-    return float(np.max(np.abs(es - e0)) / e0)
-
-
 @dataclass(frozen=True)
 class DecayFit:
     """Least-squares fit of log|f| against distance from the box center.
@@ -92,11 +79,13 @@ class DecayFit:
 
 def check_fit_window(window, grid: Grid) -> tuple[float, float]:
     """(x_lo, x_hi) of a fit window, distances from the box center.  It must
-    have x_lo < x_hi, span at least 16 grid spacings and end at least
+    have 0 <= x_lo < x_hi, span at least 16 grid spacings and end at least
     length/8 before the wrap-around seam; else ValueError."""
     x_lo, x_hi = float(window[0]), float(window[1])
     if not x_lo < x_hi:
         raise ValueError(f"fit window must have x_lo < x_hi, got {list(window)!r}")
+    if x_lo < 0.0:
+        raise ValueError(f"fit window must lie right of the box center (0 <= x_lo), got {list(window)!r}")
     if (x_hi - x_lo) / grid.dx < 16:
         raise ValueError("fit window spans fewer than 16 grid spacings")
     if x_hi > grid.length / 2.0 - grid.length / 8.0:

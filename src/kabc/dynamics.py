@@ -27,7 +27,7 @@ step's first, so a forced step adds 2 forcing evaluations, not 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,14 +41,14 @@ from .spectral import Field, Grid, get_ops
 # it would take no step
 T_END_TOL = 1e-12
 
-# Order s of the H^s norm simulate records each step (StepRecord.hs_norm)
+# Order s of the H^s norm simulate measures each step (StepRecord.hs_norm)
 SOBOLEV_S = 3.0
 
 # simulate refuses a run whose first CFL step puts it above this many steps,
 # and ends one that reaches it.
 # The longest runs here take a few thousand.  At 10**7 even an n = 8 run steps
-# for about an hour (0.34 ms a step on one core of a 2-vCPU x86 host), and its
-# per-step records alone take about 1.8 GB (184 bytes each).
+# for about an hour (0.34 ms a step on one core of a 2-vCPU x86 host); its
+# memory does not grow with its steps.
 MAX_STEPS = 10**7
 
 
@@ -98,29 +98,55 @@ class StepRecord:
     h1_sq: float
 
 
-@dataclass
 class Trajectory:
-    """Per-step scalar records plus the last state.
+    """Running reductions of a run's step records, and its last state.
 
-    final is a sample-only Field (n doubles); the spectrum the run stepped on
-    is not kept.  stop_reason says why a run ended before t_end (its field
-    went non-finite, its step no longer advanced t, it reached MAX_STEPS
-    steps, or its on_state returned a reason), and is None for a run that
-    reached it; final and the last record are then the last good state's.
+    first is u0's record, last the last good state's (the one on_state got
+    at a stop).  add folds in each step's record by plain float max, min and
+    abs, so no step is kept and each reduction is the one over every record:
+    steps, sup_hs, max_h1_dev (largest |E(t) - E(0)|, E the squared H^1
+    norm), min_dt (smallest step but the last, which alone may be cut short
+    to land on t_end) and exceeded_t (first step time with an H^s norm above
+    bound = 2^{1+1/k} hs0; None when hs0 is zero).  final is a sample-only
+    Field (n doubles).  stop_reason says why a run ended before t_end (its
+    field went non-finite, its step no longer advanced t, it reached
+    MAX_STEPS steps, or its on_state returned a reason), and is None for a
+    run that reached it; final and last are then the last good state's.
     """
 
-    config: SimConfig
-    final: Field
-    records: list[StepRecord] = field(default_factory=list)
-    stop_reason: Optional[str] = None
+    def __init__(self, config: SimConfig, final: Field, first: StepRecord):
+        self.config, self.final, self.stop_reason = config, final, None
+        self.first = self.last = first
+        self.steps, self.sup_hs, self.max_h1_dev, self.min_dt = 0, first.hs_norm, 0.0, math.inf
+        self.bound_factor = 2.0 ** (1.0 + 1.0 / config.params.k)
+        self.bound = self.bound_factor * first.hs_norm
+        self.exceeded_t: Optional[float] = None
+
+    def add(self, rec: StepRecord) -> None:
+        if self.steps:
+            self.min_dt = min(self.min_dt, self.last.dt)
+        self.steps += 1
+        self.last = rec
+        self.sup_hs = max(self.sup_hs, rec.hs_norm)
+        self.max_h1_dev = max(self.max_h1_dev, abs(rec.h1_sq - self.first.h1_sq))
+        if rec.hs_norm > self.bound and self.exceeded_t is None and self.first.hs_norm > 0.0:
+            self.exceeded_t = rec.t
 
     @property
     def last_time(self) -> float:
-        return self.records[-1].t
+        return self.last.t
 
     @property
-    def sup_hs(self) -> float:
-        return max(r.hs_norm for r in self.records)
+    def h1_drift(self) -> float:
+        """max_t |E(t) - E(0)| / E(0); NaN when E(0) = 0."""
+        e0 = self.first.h1_sq
+        return self.max_h1_dev / e0 if e0 else math.nan
+
+    def softbound(self) -> dict:
+        """The growth bound on the H^s norm (a lifespan warning, not an
+        error) and the first step time past it."""
+        return {"hs0": self.first.hs_norm, "sup_hs": self.sup_hs, "bound_factor": self.bound_factor,
+                "bound": self.bound, "exceeded_t": self.exceeded_t}
 
 
 class RhsOperator:
@@ -262,16 +288,16 @@ def rk4_step(f: Callable, y: np.ndarray, t: float, dt: float) -> np.ndarray:
 def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> Trajectory:
     """Advance u0 to cfg.t_end with CFL-adaptive RK4 steps.
 
-    Keeps a per-step scalar record (H^SOBOLEV_S norm, squared H^1 norm, step
-    size) and the last state.  on_state(rec, u), when given, gets each stored
-    state as it is made (u0, every output_stride-th step and the end) with
-    its record (rec.t is its time); a reason it returns (not None) ends the
-    run at that state, with that stop_reason.  A run also ends early, with
-    its stop_reason, when a step goes non-finite or is too small to advance
-    t, or after MAX_STEPS steps; the last good state is then stored if it
-    was not already (what on_state returns there is not read).  A run that
-    the first CFL step puts above MAX_STEPS steps (t_end / dt) raises
-    StepLimitError before it steps.
+    Folds each step's record (H^SOBOLEV_S norm, squared H^1 norm, step
+    size) into the Trajectory's reductions and keeps the last state.
+    on_state(rec, u), when given, gets each stored state as it is made (u0,
+    every output_stride-th step and the end) with its record (rec.t is its
+    time); a reason it returns (not None) ends the run at that state, with
+    that stop_reason.  A run also ends early, with its stop_reason, when a
+    step goes non-finite or is too small to advance t, or after MAX_STEPS
+    steps; the last good state is then stored if it was not already (what
+    on_state returns there is not read).  A run that the first CFL step puts
+    above MAX_STEPS steps (t_end / dt) raises StepLimitError before it steps.
     """
     if u0.grid != cfg.grid:
         raise ValueError("u0 must live on cfg.grid")
@@ -281,17 +307,17 @@ def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> 
     t = 0.0
     uh = u0.hat
     hs0, h1_sq = diagnostics.hs_and_h1_squared(uh, cfg.grid, SOBOLEV_S)
-    traj = Trajectory(config=cfg, final=u0, records=[StepRecord(0.0, 0.0, hs0, h1_sq)])
-    traj.stop_reason = store(traj.records[0], u0)
+    traj = Trajectory(cfg, u0, StepRecord(0.0, 0.0, hs0, h1_sq))
+    traj.stop_reason = store(traj.first, u0)
 
-    step = stored = 0  # the step of the last stored state
+    stored = 0  # the step of the last stored state
     while traj.stop_reason is None and t < cfg.t_end - T_END_TOL:
-        if step >= MAX_STEPS:  # its steps shrank after the first one
+        if traj.steps >= MAX_STEPS:  # its steps shrank after the first one
             traj.stop_reason = f"reached the cap of {MAX_STEPS:g} steps at t = {t:.6g}"
             break
         try:
             dt = cfl_dt(traj.final, cfg.params, cfg.cfl_safety, cfg.dt_max, uh)
-            if not step and cfg.t_end > MAX_STEPS * dt:
+            if not traj.steps and cfg.t_end > MAX_STEPS * dt:
                 steps = cfg.t_end / dt if dt else math.inf  # dt underflows on a tiny box
                 about = f"about {steps:.3g}" if math.isfinite(steps) else f"more than {np.finfo(float).max:.3g}"
                 raise StepLimitError(f"t_end {cfg.t_end:g} at the first CFL step {dt:.3g} needs {about} "
@@ -309,18 +335,17 @@ def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> 
             traj.stop_reason = f"non-finite field after t = {t:.6g}"
             break
         t += dt
-        step += 1
         # step on the transform of the stored samples, not on uh_new: the
         # two differ at round-off, and the samples are what the run reports
         traj.final = Field(cfg.grid, u_new)
         uh = traj.final.hat
         hs, h1_sq = diagnostics.hs_and_h1_squared(uh, cfg.grid, SOBOLEV_S)
-        traj.records.append(StepRecord(t, dt, hs, h1_sq))
-        if step % cfg.output_stride == 0 or t >= cfg.t_end - T_END_TOL:
-            stored = step
-            traj.stop_reason = store(traj.records[-1], traj.final)
-    if stored != step:  # store the last good state
-        store(traj.records[-1], traj.final)
+        traj.add(StepRecord(t, dt, hs, h1_sq))
+        if traj.steps % cfg.output_stride == 0 or t >= cfg.t_end - T_END_TOL:
+            stored = traj.steps
+            traj.stop_reason = store(traj.last, traj.final)
+    if stored != traj.steps:  # store the last good state
+        store(traj.last, traj.final)
     return traj
 
 

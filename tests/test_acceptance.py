@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from kabc import cli
-from kabc.cli import _softbound_record, parse_config, run, write_snapshot
+from kabc.cli import parse_config, run, write_snapshot
 from kabc.dynamics import SimConfig, simulate
 from kabc.exact import bump_values
 from kabc.params import preset
@@ -304,7 +304,7 @@ def test_criterion_9_scaling_symmetry():
     cfg_b = SimConfig(params=p, grid=grid, t_end=t_end / lam**k, cfl_safety=1.0, dt_max=2e-3 / lam**k, output_stride=10**9)
     ta = simulate(cfg_a, u0)
     tb = simulate(cfg_b, Field(grid, lam * u0.values))
-    SOFTBOUNDS.extend([("scaling-base", _softbound_record(ta)), ("scaling-rescaled", _softbound_record(tb))])
+    SOFTBOUNDS.extend([("scaling-base", ta.softbound()), ("scaling-rescaled", tb.softbound())])
     va = lam * ta.final.values
     vb = tb.final.values
     rel = float(np.max(np.abs(va - vb)) / np.max(np.abs(vb)))

@@ -270,6 +270,9 @@ class TestParseConfig:
             # mms.levels has a floor too, and a dotted key names each of its parts
             ("mms", ["mms.levels=0"], "mms.levels must be an integer in [1, 12], got 0"),
             ("simulate", ["grid.n.=5"], "config key 'grid.n.' has an empty part"),
+            # a fit window on the left tail, or through the crest
+            ("simulate", ["fit.window=[-60, -40]"], "fit.window: fit window must lie right of the box center"),
+            ("simulate", ["fit.window=[-10, 10]"], "fit.window: fit window must lie right of the box center"),
         ],
     )
     def test_stepping_and_study_keys_rejected_at_parse(self, tmp_path, capsys, subcommand, overrides, key):
@@ -723,6 +726,15 @@ class TestOtherSubcommands:
         assert "CFL step" in err and "Traceback" not in err
         assert "mms.dt0" in manifest_of(out)["result"]["error"]
         assert not (out / "mms.csv").exists()
+
+    def test_mms_last_step_cut_to_land_on_t_end_is_not_a_cfl_cut(self, tmp_path):
+        # t_end 1.03 is no multiple of any level dt (0.0625, 0.03125,
+        # 0.015625), so each level's last step is cut short; only that step
+        # may be
+        out = tmp_path / "mms"
+        assert main(["mms", "--out", str(out), "--set", "mms.t_end=1.03", "--set", "mms.levels=3"]) == EXIT_OK
+        rows = (out / "mms.csv").read_text().splitlines()
+        assert [float(row.split(",")[0]) for row in rows[1:]] == [0.0625, 0.03125, 0.015625]
 
     def test_mms_level_blowup_exits_2(self, tmp_path, capsys):
         # CH at amplitude 1 and dt 0.09 steepens until its step no longer

@@ -11,23 +11,14 @@ from kabc.diagnostics import (
     crest_track,
     decay_fit,
     default_tail_window,
-    h1_drift,
     h1_squared,
     hs_and_h1_squared,
     sobolev_norm,
 )
-from kabc.dynamics import SimConfig, StepRecord, Trajectory
 from kabc.exact import peakon_speed
 from kabc.params import preset
 from kabc.spectral import Field, Grid, derivative
 from oracles import WeightSpec, peakon_line_eval, weighted_sup
-
-
-def make_traj(grid, fields, times, params=None):
-    """The trajectory of a run that stored these fields at these times."""
-    cfg = SimConfig(params=params or preset("ch"), grid=grid, t_end=max(times[-1], 1e-9))
-    records = [StepRecord(float(t), 0.0, sobolev_norm(f, 3.0), sobolev_norm(f, 1.0) ** 2) for t, f in zip(times, fields)]
-    return Trajectory(config=cfg, final=fields[-1], records=records)
 
 
 def track(fields, times):
@@ -109,21 +100,6 @@ class TestOnePassNorms:
             hs_and_h1_squared(np.zeros(9, dtype=complex), g, -1.0)
 
 
-class TestH1Drift:
-    def test_zero_trajectory_errors(self):
-        g = Grid(64, 2 * np.pi)
-        z = Field(g, np.zeros(64))
-        traj = make_traj(g, [z, z], [0.0, 1.0])
-        with pytest.raises(ValueError):
-            h1_drift(traj)
-
-    def test_constant_energy(self):
-        g = Grid(64, 2 * np.pi)
-        f = Field(g, np.sin(g.nodes))
-        traj = make_traj(g, [f, f, f], [0.0, 0.5, 1.0])
-        assert h1_drift(traj) == 0.0
-
-
 class TestDecayFit:
     def grid(self):
         return Grid(512, 40 * np.pi)
@@ -191,6 +167,9 @@ class TestDecayFit:
             decay_fit(f, (5.0, g.length / 2))  # too close to seam
         with pytest.raises(ValueError):
             decay_fit(f, (5.0, 5.5))  # too few nodes
+        for window in ((-60.0, -40.0), (-10.0, 10.0)):  # the left tail; through the crest
+            with pytest.raises(ValueError, match="right of the box center"):
+                decay_fit(f, window)
 
     @pytest.mark.parametrize("x_hi, ok", [(26.0, True), (25.999999, False)])
     def test_window_of_exactly_16_grid_spacings(self, x_hi, ok):

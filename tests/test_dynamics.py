@@ -2,12 +2,12 @@ import gc
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kabc.cli import _softbound_record
 from kabc.dynamics import (
     MAX_STEPS,
     SOBOLEV_S,
@@ -42,6 +42,35 @@ def stored_states(cfg, u0):
     states = []
     traj = simulate(cfg, u0, lambda rec, u: states.append((rec, u)))
     return traj, states
+
+
+def traced_peak(cfg, u0, steps):
+    """How far simulate's traced memory peaks above where it starts, on a
+    run of about this many steps."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = simulate(cfg, u0)
+        grown = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert abs(traj.steps - steps) <= 1
+    return grown
+
+
+def fold(hs, h1_sq=None, dts=None):
+    """A k = 1 Trajectory that folded in a record per H^s norm in hs, at
+    times 0, 0.1, ..., with these squared H^1 norms (1 by default) and step
+    sizes (0.1 by default); the first is u0's, which has no step."""
+    g = Grid(16, 2 * np.pi)
+    h1_sq = h1_sq or [1.0] * len(hs)
+    dts = [0.0, *(dts or [0.1] * (len(hs) - 1))]
+    recs = [StepRecord(i / 10, dt, h, e) for i, (h, e, dt) in enumerate(zip(hs, h1_sq, dts, strict=True))]
+    traj = Trajectory(SimConfig(params=preset("ch"), grid=g, t_end=1.0), Field(g, np.zeros(16)), recs[0])
+    for rec in recs[1:]:
+        traj.add(rec)
+    return traj
 
 
 def sine_wave(x, t):
@@ -338,15 +367,15 @@ class TestCflDt:
         assert dt_forq < dt_nov
 
 
-def physical_space_reference(cfg, u0, traj):
-    """Replays traj's step sizes with RK4 on samples: every stage through
-    rhs()."""
+def physical_space_reference(cfg, u0, states):
+    """Replays the step sizes of a run's states, stored at output_stride 1,
+    with RK4 on samples: every stage through rhs()."""
 
     def f(v, t):
         return rhs(Field(cfg.grid, v), cfg.params, t, cfg.forcing).values
 
     v, t = u0.values, 0.0
-    for rec in traj.records[1:]:
+    for rec, _ in states[1:]:
         v = rk4_step(f, v, t, rec.dt)
         t += rec.dt
     return v
@@ -390,6 +419,25 @@ class TestRk4:
             rk4_step(RhsOperator(g, preset("novikov")), np.fft.rfft(np.full(64, 1e200)), 0.0, 0.1)
 
 
+class TestTrajectory:
+    def test_zero_energy_drift_is_nan(self):
+        assert math.isnan(fold((0.0, 0.0), h1_sq=(0.0, 0.0)).h1_drift)
+
+    def test_constant_energy(self):
+        assert fold((1.0, 1.0, 1.0), h1_sq=(2.0, 2.0, 2.0)).h1_drift == 0.0
+
+    def test_drift_is_the_largest_departure_from_the_first_energy(self):
+        traj = fold((1.0,) * 4, h1_sq=(2.0, 2.5, 1.0, 2.25))
+        assert traj.max_h1_dev == 1.0 and traj.h1_drift == 0.5
+
+    @pytest.mark.parametrize("dts, min_dt", [((0.1, 0.05, 0.1, 0.01), 0.05), ((0.2, 0.01), 0.2), ((0.01,), math.inf)])
+    def test_min_dt_leaves_out_the_last_step(self, dts, min_dt):
+        # only a run's last step may be cut short to land on t_end; u0's
+        # record has no step
+        traj = fold((1.0,) * (len(dts) + 1), dts=dts)
+        assert traj.min_dt == min_dt and traj.last.dt == dts[-1] and traj.steps == len(dts)
+
+
 class TestSimulate:
     def test_zero_initial_data(self):
         g = Grid(64, 2 * np.pi)
@@ -405,11 +453,10 @@ class TestSimulate:
         g = Grid(128, 2 * np.pi)
         u0 = band_limited(g, 10, seed=5)
         cfg = SimConfig(params=preset("forq"), grid=g, t_end=0.3)
-        a = simulate(cfg, u0)
-        b = simulate(cfg, u0)
+        a, a_states = stored_states(cfg, u0)
+        b, b_states = stored_states(cfg, u0)
         assert np.array_equal(a.final.values, b.final.values)
-        assert [r.t for r in a.records] == [r.t for r in b.records]
-        assert [r.hs_norm for r in a.records] == [r.hs_norm for r in b.records]
+        assert [rec for rec, _ in a_states] == [rec for rec, _ in b_states]
 
     def test_forq_step_transforms_forward_once_beyond_its_rhs_calls(self, monkeypatch):
         # cfl_dt takes u_x (a != 0) from the spectrum simulate steps on, so a
@@ -427,8 +474,7 @@ class TestSimulate:
         RhsOperator(g, p)(rfft(u0.values), 0.0)
         per_rhs = len(calls)
         calls.clear()
-        traj = simulate(SimConfig(params=p, grid=g, t_end=0.05, dt_max=0.01), u0)
-        steps = len(traj.records) - 1
+        steps = simulate(SimConfig(params=p, grid=g, t_end=0.05, dt_max=0.01), u0).steps
         assert steps == 5
         assert len(calls) == 1 + steps * (4 * per_rhs + 1)  # u0's transform first
 
@@ -459,8 +505,8 @@ class TestSimulate:
         assert traj.stop_reason == f"non-finite field after t = {traj.last_time:.6g}"
         times = [rec.t for rec, _ in states]
         assert times == sorted(set(times)) and times[-1] == traj.last_time == pytest.approx(0.1)
-        assert states[-1] == (traj.records[-1], traj.final)
-        assert len(traj.records) == 11
+        assert states[-1] == (traj.last, traj.final)
+        assert traj.steps == 10
         assert len(states) == {1: 11, 3: 5, 10**6: 2}[output_stride]
 
     @pytest.mark.parametrize("stop_at", [0, 2, 4, None])
@@ -478,25 +524,29 @@ class TestSimulate:
 
         traj = simulate(cfg, Field(g, np.zeros(16)), take)
         assert traj.stop_reason == (None if stop_at is None else "stopped for the test")
-        assert stored[-1] is traj.records[-1]
+        assert stored[-1] is traj.last
         assert len(stored) == (5 if stop_at is None else stop_at + 1)
-        assert len(traj.records) - 1 == [0, 3, 6, 9, 10][len(stored) - 1]
+        assert traj.steps == [0, 3, 6, 9, 10][len(stored) - 1]
 
     def test_step_that_no_longer_advances_t_ends_the_run(self):
         # this k = 3 peakon steepens until, from its 160th step, dt (about
         # 2.4e-18) is below the spacing of doubles at t = 0.0325; stepping
-        # on would repeat that t for over 2,000 steps before going non-finite
+        # on would repeat that t for over 2,000 steps before going non-finite.
+        # At output_stride 1 every step's state is stored; at 1000 only u0's
+        # and, at the stop, the last good one
         g = Grid(128, 40 * np.pi)
         u0 = mollified_profile("peakon", 8.0, 3 * g.dx, g)
-        cfg = SimConfig(params=Params(3, 0.0, 0.0, 0.0), grid=g, t_end=1.0, output_stride=1000)
+        cfg = SimConfig(params=Params(3, 0.0, 0.0, 0.0), grid=g, t_end=1.0, output_stride=1)
         traj, states = stored_states(cfg, u0)
-        assert len(traj.records) - 1 <= 160
-        times = [rec.t for rec in traj.records]
+        assert traj.steps <= 160 and len(states) == traj.steps + 1
+        times = [rec.t for rec, _ in states]
         assert all(later > earlier for earlier, later in zip(times, times[1:]))
         dt = float(re.fullmatch(r"time step (\S+) no longer advances t = (\S+)", traj.stop_reason).group(1))
         assert traj.last_time + dt == traj.last_time
-        assert states[-1] == (traj.records[-1], traj.final)
-        assert np.all(np.isfinite(traj.final.values))
+        sparse, sparse_states = stored_states(replace(cfg, output_stride=1000), u0)
+        assert sparse.stop_reason == traj.stop_reason and len(sparse_states) == 2
+        assert sparse_states[-1] == (sparse.last, sparse.final) and sparse.last == traj.last
+        assert np.all(np.isfinite(sparse.final.values))
 
     @pytest.mark.parametrize("name", ["ch", "forq"])
     def test_records_are_the_stored_snapshots_norms(self, name):
@@ -506,9 +556,9 @@ class TestSimulate:
         u0 = band_limited(g, 10, seed=4)
         cfg = SimConfig(params=preset(name), grid=g, t_end=0.3)
         traj, states = stored_states(cfg, u0)
-        assert len(traj.records) == len(states) > 10
-        for rec, (stored_rec, snap) in zip(traj.records, states, strict=True):
-            assert stored_rec is rec
+        assert len(states) == traj.steps + 1 > 10
+        assert states[0][0] is traj.first and states[-1][0] is traj.last
+        for rec, snap in states:
             assert rec.hs_norm == diagnostics.sobolev_norm(snap, SOBOLEV_S)
             assert rec.h1_sq == diagnostics.h1_squared(snap)
 
@@ -516,35 +566,39 @@ class TestSimulate:
         # with no on_state a run keeps no stored state but its last: 1,000
         # stored states peak within a margin of 100, where keeping them
         # would cost 900 states of n doubles (29.5 MB) more.  The margin,
-        # fixed before running, covers the 900 extra step records (184
-        # bytes each plus a list slot) and four states.
+        # fixed before running, is four states.
         g = Grid(4096, 40 * np.pi)
         u0 = mollified_profile("peakon", 1.0, 3 * g.dx, g)
 
         def peak(states):
-            cfg = SimConfig(params=preset("ch"), grid=g, t_end=(states - 1) * 1e-4, dt_max=1e-4)
-            gc.collect()
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                traj = simulate(cfg, u0)
-                grown = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
-            assert abs(len(traj.records) - states) <= 1
-            return grown
+            return traced_peak(SimConfig(params=preset("ch"), grid=g, t_end=(states - 1) * 1e-4, dt_max=1e-4), u0,
+                               states - 1)
 
         simulate(SimConfig(params=preset("ch"), grid=g, t_end=1e-4, dt_max=1e-4), u0)  # fills the per-grid caches
-        margin = 900 * (184 + 8) + 4 * g.n * 8
-        assert peak(1000) <= peak(100) + margin
+        assert peak(1000) <= peak(100) + 4 * g.n * 8
+
+    def test_run_memory_is_independent_of_its_steps(self):
+        # tenfold the steps at the same two stored states (u0 and the last)
+        # peak within a margin of 100, fixed before running: 24 bytes per
+        # extra step, less than keeping a float per step (24 bytes and a
+        # list slot) and far below a step record (184 bytes and a slot)
+        g = Grid(16, 2 * np.pi)
+        u0 = band_limited(g, 3, seed=1, amp=0.1)
+
+        def peak(steps):
+            cfg = SimConfig(params=preset("ch"), grid=g, t_end=steps * 1e-3, dt_max=1e-3, output_stride=10**6)
+            return traced_peak(cfg, u0, steps)
+
+        peak(1)  # fills the per-grid caches
+        assert peak(1000) <= peak(100) + 900 * 24
 
     def test_softbound_recorded_for_small_data(self):
         g = Grid(128, 2 * np.pi)
         u0 = band_limited(g, 6, seed=9, amp=0.05)
         cfg = SimConfig(params=preset("novikov"), grid=g, t_end=0.5)
         traj = simulate(cfg, u0)
-        sb = _softbound_record(traj)
-        assert sb["hs0"] == traj.records[0].hs_norm and sb["bound_factor"] == 2.0**1.5
+        sb = traj.softbound()
+        assert sb["hs0"] == traj.first.hs_norm and sb["bound_factor"] == 2.0**1.5
         assert sb["bound"] == sb["bound_factor"] * sb["hs0"]
         assert traj.sup_hs <= sb["bound"]
         assert sb["exceeded_t"] is None
@@ -553,11 +607,10 @@ class TestSimulate:
                                                  ((0.0, 1.0, 2.0), None)])
     def test_softbound_exceeded_at_the_first_step_past_the_bound(self, hs, exceeded_t):
         # at k = 1 the bound is 4 hs0, exceeded strictly; zero data has none
-        g = Grid(16, 2 * np.pi)
-        traj = Trajectory(SimConfig(params=preset("ch"), grid=g, t_end=1.0), Field(g, np.zeros(16)))
-        traj.records = [StepRecord(i / 10, 0.1 if i else 0.0, h, 1.0) for i, h in enumerate(hs)]
-        sb = _softbound_record(traj)
+        traj = fold(hs)
+        sb = traj.softbound()
         assert sb["bound"] == 4.0 * hs[0] and sb["exceeded_t"] == exceeded_t
+        assert sb["sup_hs"] == max(hs) and traj.steps == len(hs) - 1
 
     def test_step_cap_raises_before_the_first_step(self):
         # t_end / dt_max = 1e8 steps, ten times the cap
@@ -573,8 +626,9 @@ class TestSimulate:
         u0 = band_limited(g, 6, seed=2, amp=0.1)
         cfg = SimConfig(params=preset("ch"), grid=g, t_end=0.2, dt_max=1e-2, output_stride=5)
         traj, states = stored_states(cfg, u0)
-        assert len(traj.records) - 1 == 20
-        assert [rec.t for rec, _ in states] == [traj.records[i].t for i in (0, 5, 10, 15, 20)]  # initial + every 5th
+        assert traj.steps == 20
+        _, every = stored_states(replace(cfg, output_stride=1), u0)
+        assert [rec for rec, _ in states] == [every[i][0] for i in (0, 5, 10, 15, 20)]  # initial + every 5th
 
     def test_grid_mismatch(self):
         cfg = SimConfig(params=preset("ch"), grid=Grid(64, 2 * np.pi), t_end=0.1)
@@ -586,7 +640,7 @@ class TestSimulate:
         u0 = Field(g, 0.3 * np.sin(g.nodes) + 0.1 * np.cos(2 * g.nodes))
         cfg = SimConfig(params=preset("novikov"), grid=g, t_end=0.25, dt_max=5e-3)
         traj = simulate(cfg, u0)
-        assert diagnostics.h1_drift(traj) < 1e-7
+        assert traj.h1_drift < 1e-7
 
     @pytest.mark.parametrize(
         "p, max_mode",
@@ -606,9 +660,9 @@ class TestSimulate:
         g = Grid(256, 2 * np.pi)
         cfg = SimConfig(params=p, grid=g, t_end=0.05, dt_max=2.5e-3)
         u0 = band_limited(g, max_mode, seed=1)
-        traj = simulate(cfg, u0)
+        traj, states = stored_states(cfg, u0)
         assert traj.stop_reason is None
-        want = physical_space_reference(cfg, u0, traj)
+        want = physical_space_reference(cfg, u0, states)
         got = traj.final.values
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -617,8 +671,8 @@ class TestSimulate:
         g = Grid(256, 2 * np.pi)
         cfg = SimConfig(params=p, grid=g, t_end=0.25, dt_max=1.0 / 64, forcing=mms_forcing(sine_wave, sine_wave_dt, p, g))
         u0 = Field(g, sine_wave(g.nodes, 0.0))
-        traj = simulate(cfg, u0)
-        want = physical_space_reference(cfg, u0, traj)
+        traj, states = stored_states(cfg, u0)
+        want = physical_space_reference(cfg, u0, states)
         got = traj.final.values
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -633,8 +687,7 @@ class TestSimulate:
             return np.cos(x) * (1.0 + t)
 
         cfg = SimConfig(params=preset("novikov"), grid=g, t_end=0.25, cfl_safety=1.0, dt_max=1.0 / 32, forcing=forcing)
-        traj = simulate(cfg, band_limited(g, 4, seed=0, amp=0.1))
-        steps = len(traj.records) - 1
+        steps = simulate(cfg, band_limited(g, 4, seed=0, amp=0.1)).steps
         assert steps == 8
         assert len(times) == 2 * steps + 1
         assert len(set(times)) == len(times)
@@ -653,11 +706,11 @@ class TestSimulate:
             return RhsOperator(g, p, forcing)(uh, t)
 
         u, t = u0, 0.0
-        for rec, (_, snap) in zip(traj.records[1:], states[1:]):
+        for rec, snap in states[1:]:
             u = Field(g, np.fft.irfft(rk4_step(fresh, u.hat, t, rec.dt), g.n))
             t += rec.dt
             assert u.values.tobytes() == snap.values.tobytes()
-        assert len(states) == len(traj.records) == 17
+        assert len(states) == traj.steps + 1 == 17
 
     def test_forcing_spectra_bounded_and_read_only(self):
         g = Grid(64, 2 * np.pi)

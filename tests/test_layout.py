@@ -1,11 +1,13 @@
 """src/kabc holds only what a kabc run calls.
 
-Every public module-level function and class in src/kabc is used by code in
-src/kabc (a name or attribute in its syntax tree; a docstring does not
-count), or is named by the benchmark under bench/: as a "<module>.<name>"
-span key, or through a ``from kabc... import``.  Closed forms and
-cross-checks that only the tests call live in tests/oracles.py.  And
-kabc.config, which resolves a config, touches no file.
+Every public module-level function and class in src/kabc, and every public
+method of a public class there, is used by code in src/kabc (a name or
+attribute in its syntax tree; a docstring does not count), or is named by
+the benchmark under bench/: as a "<module>.<name>" span key, through a
+``from kabc... import``, or as a method its tracer wraps (CLASS_METHODS).
+Closed forms and cross-checks that only the tests call live in
+tests/oracles.py.  And kabc.config, which resolves a config, touches no
+file.
 """
 
 import ast
@@ -23,11 +25,19 @@ def syntax_trees(directory):
 
 def test_every_public_definition_in_src_is_called():
     src = syntax_trees(SRC)
-    defined = {
-        (module, node.name)
+    public = [
+        (module, node)
         for module, tree in src.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    defined = {(module, node.name) for module, node in public}
+    defined |= {
+        (module, f"{node.name}.{method.name}")
+        for module, node in public
+        if isinstance(node, ast.ClassDef)
+        for method in node.body
+        if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
     }
     used = set()
     for tree in src.values():
@@ -43,8 +53,13 @@ def test_every_public_definition_in_src_is_called():
                 named.update(re.findall(r"\b([a-z]+)\.([A-Za-z]\w*)", node.value))
             elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("kabc."):
                 named.update((node.module.split(".")[1], alias.name) for alias in node.names)
+            elif isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["CLASS_METHODS"]:
+                for module, classes in ast.literal_eval(node.value).items():
+                    named.update((module, f"{cls}.{method}") for cls, methods in classes.items() for method in methods)
     unreferenced = sorted(
-        f"{module}.{name}" for module, name in defined if name not in used and (module, name) not in named
+        f"{module}.{name}"
+        for module, name in defined
+        if name.rsplit(".", 1)[-1] not in used and (module, name) not in named
     )
     assert unreferenced == [], f"public in src/kabc but called by nothing in src/kabc or bench/: {unreferenced}"
 
