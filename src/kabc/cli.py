@@ -378,8 +378,8 @@ def compute_mms(spec: RunSpec):
     grid = spec.sim.grid
     def value(x, t):  # the manufactured solution
         return amp * np.sin(x - t)
-    forcing = mms_forcing(value, lambda x, t: -amp * np.cos(x - t), spec.sim.params, grid)
     u0 = Field(grid, value(grid.nodes, 0.0))
+    forcing = mms_forcing(u0, 1.0, spec.sim.params)
     rows, reason = [], None
     for lvl in range(levels):
         dt = dt0 / 2**lvl

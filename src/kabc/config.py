@@ -304,6 +304,22 @@ def _lagrangian_seeds(vals: dict, grid: Grid) -> np.ndarray:
     return np.array([in_box(s, "lagrangian.seeds") for s in seeds])
 
 
+def _check_mms_box(grid: Grid, p: Params) -> None:
+    """An mms study's wave A sin(x - t) is periodic on the box only when
+    grid.length is 2 pi j for an integer j >= 1 (to 1e-12 relative), and its
+    forcing, a phase shift of one right-hand side (dynamics.mms_forcing), is
+    exact only while the degree-(k+1) harmonics of sin x, up to mode
+    (k+1) j, stay below n/2."""
+    turns = grid.length / (2.0 * math.pi)
+    j = round(turns)
+    if j < 1 or abs(turns - j) > 1e-12 * turns:
+        raise ConfigError(f"grid.length must be 2*pi times an integer >= 1 for mms, so that A sin(x - t) is "
+                          f"periodic on the box, got {grid.length!r}")
+    if 2 * (p.k + 1) * j >= grid.n:
+        raise ConfigError(f"grid.n must exceed 2 (k+1) j = {2 * (p.k + 1) * j} for mms on a box of {j} "
+                          f"periods, so that the harmonics of sin x stay below n/2, got {grid.n}")
+
+
 def _sweep_points(cfg: dict, vals: dict, out_dir: str) -> tuple:
     """(name, RunSpec) of every point of the product of the sweep axes, each
     resolved by resolve as the single run of sweep.subcommand whose config
@@ -362,6 +378,8 @@ def resolve(subcommand: str, cfg: dict, out_dir: str) -> RunSpec:
     # the default fit window needs n >= 128, finer than an mms run needs
     if subcommand == "simulate":
         spec = replace(spec, fit_window=_fit_window(vals, grid))
+    if subcommand == "mms":
+        _check_mms_box(grid, p)
     return spec
 
 

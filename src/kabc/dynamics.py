@@ -18,10 +18,8 @@ end the run there, and keeps only the last.  One evaluation costs one
 inverse FFT on the padded grid per upsampled factor (u, u_x, and u_xx when
 c_f2_2 != 0) and one forward FFT there per bracket (local, f1, and f2 when
 it has a nonzero coefficient): 4 at k = 1 (CH, DP), 5 at k = 2 (Novikov,
-FORQ) and 6 at k >= 3 with a != 0.  When forcing is set, it is evaluated,
-and its samples forward-transformed, once per distinct stage time: RK4's two
-mid stages share t + dt/2, and a step's last stage time t + dt is the next
-step's first, so a forced step adds 2 forcing evaluations, not 4.
+FORQ) and 6 at k >= 3 with a != 0.  A forcing is a half-spectrum too, added
+to every evaluation without a transform.
 """
 
 from __future__ import annotations
@@ -66,9 +64,8 @@ class SimConfig:
 
     cfl_safety scales the CFL step: runs keep the default 0.4, and a
     fixed-dt study (an mms level) steps at 1.  forcing, when present, is a
-    callable (x_nodes, t) -> samples added to the right-hand side.  It must
-    be a pure function of (x, t): RhsOperator may reuse the value it got at
-    a time t for a later call at the same t.
+    callable t -> rfft half-spectrum (length n//2 + 1) added to the
+    right-hand side.
     """
 
     params: Params
@@ -168,12 +165,8 @@ class RhsOperator:
     one bracket accumulator and one term scratch.  So an operator is not
     reentrant: one call at a time.  Each call still returns a fresh array,
     never a view of the workspace, so results of earlier calls stay valid
-    (rk4_step holds four of them at once).
-
-    With forcing, the operator also keeps the forcing's half-spectrum for the
-    last two distinct times it was called at, read-only, oldest first.  A
-    call at a held t (exact float equality) reuses it; a call at any other t
-    evaluates the forcing and evicts the oldest.
+    (rk4_step holds four of them at once).  forcing(t), when given, is added
+    to every call's half-spectrum.
     """
 
     def __init__(self, grid: Grid, params: Params, forcing: Optional[Callable] = None):
@@ -189,7 +182,6 @@ class RhsOperator:
         self._fine_hat = np.empty(m // 2 + 1, dtype=complex)
         self._u, self._ux, self._ux2, self._ux3, self._acc, self._term = np.empty((6, m))
         self._uxx = np.empty(m) if cs.c_f2_2 != 0.0 else None
-        self._forcing_hats: list[tuple[float, np.ndarray]] = []
         # u^1 is the u row itself; u^0 = 1 is never stored (see _bracket)
         self._upow = {1: self._u, **{j: np.empty(m) for j in range(2, k + 2)}}
 
@@ -225,15 +217,6 @@ class RhsOperator:
                 acc += out
         return acc
 
-    def _forcing_hat(self, t: float) -> np.ndarray:
-        for held_t, hat in self._forcing_hats:
-            if held_t == t:
-                return hat
-        hat = np.fft.rfft(self.forcing(self.grid.nodes, t))
-        hat.flags.writeable = False
-        self._forcing_hats = self._forcing_hats[-1:] + [(t, hat)]
-        return hat
-
     def _eval(self, uh: np.ndarray, t: float) -> np.ndarray:
         ops, m, up, pad, fine_hat = self.ops, self.m, self._upow, self._pad_hat, self._fine_hat
         u = ops.upsample(uh, m, out=self._u, work=pad)
@@ -253,7 +236,7 @@ class RhsOperator:
             rhs_hat -= np.multiply(ops.helmholtz, f2_hat, out=f2_hat)
 
         if self.forcing is not None:
-            rhs_hat += self._forcing_hat(t)
+            rhs_hat += self.forcing(t)
         if not np.all(np.isfinite(rhs_hat)):
             raise BlowUpError(f"non-finite right-hand side at t = {t:.6g}")
         return rhs_hat
@@ -349,13 +332,26 @@ def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> 
     return traj
 
 
-def mms_forcing(value: Callable, dt_value: Callable, p: Params, grid: Grid) -> Callable:
-    """Forcing that makes the analytic field value(x, t), whose time
-    derivative is dt_value(x, t), an exact solution of the semi-discrete
-    system: g(x, t) = d_t u* - N(u*), with N the unforced right-hand side
-    evaluated by the same discrete operators the solver uses."""
-    op = RhsOperator(grid, p)
-    def forcing(x: np.ndarray, t: float) -> np.ndarray:
-        n_hat = op(np.fft.rfft(value(x, t)), t)
-        return dt_value(x, t) - np.fft.irfft(n_hat, grid.n)
+def mms_forcing(u0: Field, c: float, p: Params) -> Callable:
+    """Forcing that makes the wave u0 travelling at speed c, u*(x, t) =
+    u0(x - c t), an exact solution of the semi-discrete system: g = d_t u* -
+    N(u*), with N the unforced right-hand side of the solver's own discrete
+    operators.
+
+    N commutes with translation on the grid (the padded products are exact
+    and truncation is bin by bin), so N(u*(t)) is N(u0) shifted by c t.  N
+    is evaluated once, at t = 0, and forcing(t) is the half-spectrum
+    g0 exp(-i xi c t), with g0 = -c ik u0_hat - N(u0_hat), its Nyquist bin
+    made real as rfft makes it.  The shift is exact while the degree-(k+1)
+    products of u0 have nothing at or above mode n/2, whose bin, made real,
+    does not shift: for A sin x on a box of j periods, while (k+1) j < n/2,
+    which config checks for an mms run.
+    """
+    uh, xi = u0.hat, u0.grid.wavenumbers
+    g0 = -c * get_ops(u0.grid).ik * uh - RhsOperator(u0.grid, p)(uh, 0.0)
+
+    def forcing(t: float) -> np.ndarray:
+        g = g0 * np.exp(-1j * c * t * xi)
+        g[-1] = g[-1].real
+        return g
     return forcing

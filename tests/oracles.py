@@ -5,7 +5,8 @@ traveling waves on the line; the circle carries a cosh-shaped analogue when
 6a + b + 2c = 3k.  The Green kernel of (1 - d_xx) is (1/2)exp(-|x|) on the
 line and a cosh closed form on the circle.  rhs evaluates the smoothed
 evolution form on samples, and local_form_residual checks it against the
-equivalent third-order local formulation.  weighted_sup is the capped
+equivalent third-order local formulation.  mms_forcing_reference builds the
+mms forcing on samples, afresh at each time.  weighted_sup is the capped
 exponentially weighted sup norm of the paper's persistence estimates.
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 from kabc.dynamics import RhsOperator
 from kabc.exact import peakon_speed
 from kabc.params import Params, periodic_peakon_admissible
-from kabc.spectral import Field, derivative, get_ops
+from kabc.spectral import Field, Grid, derivative, get_ops
 
 
 def circle_peakon_speed(gamma: float, p: Params) -> float:
@@ -73,6 +74,19 @@ def rhs(u: Field, p: Params, t: float = 0.0, forcing: Optional[Callable] = None)
     """Time derivative of u in the smoothed evolution form."""
     op = RhsOperator(u.grid, p, forcing)
     return Field(u.grid, np.fft.irfft(op(u.hat, t), u.grid.n))
+
+
+def mms_forcing_reference(value: Callable, dt_value: Callable, p: Params, grid: Grid) -> Callable:
+    """The mms forcing built afresh at each time, on samples: g(x, t) =
+    dt_value(x, t) - N(value(x, t)), N the unforced right-hand side.
+    dynamics.mms_forcing, one evaluation of N phase-shifted, must match its
+    rfft."""
+    op = RhsOperator(grid, p)
+
+    def forcing(x, t):
+        n_hat = op(np.fft.rfft(value(x, t)), t)
+        return dt_value(x, t) - np.fft.irfft(n_hat, grid.n)
+    return forcing
 
 
 def local_form_residual(u: Field, ut: Field, p: Params) -> Field:

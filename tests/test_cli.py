@@ -273,6 +273,10 @@ class TestParseConfig:
             # a fit window on the left tail, or through the crest
             ("simulate", ["fit.window=[-60, -40]"], "fit.window: fit window must lie right of the box center"),
             ("simulate", ["fit.window=[-10, 10]"], "fit.window: fit window must lie right of the box center"),
+            # A sin(x - t) is periodic only on a box of whole periods, and
+            # its harmonics up to mode (k+1) j must stay below n/2
+            ("mms", ["grid.length=10", "grid.n=64"], "grid.length must be 2*pi times an integer >= 1"),
+            ("mms", ["grid.n=64"], "grid.n must exceed 2 (k+1) j = 80"),
         ],
     )
     def test_stepping_and_study_keys_rejected_at_parse(self, tmp_path, capsys, subcommand, overrides, key):
@@ -313,6 +317,26 @@ def test_smallest_peakon_case_runs(tmp_path):
 def test_mms_levels_ceiling_is_inclusive():
     # 13 is a row of the test above
     assert _KEYS["mms.levels"][1](12, "mms.levels") == 12
+
+
+@pytest.mark.parametrize(
+    "length, n, key",
+    [
+        # FORQ (k = 2) on two periods: modes up to 6 must stay below n/2
+        (4 * math.pi, 14, None),
+        (4 * math.pi, 12, "grid.n"),
+        (4 * math.pi * (1 + 5e-13), 14, None),
+        (4 * math.pi * (1 + 2e-12), 14, "grid.length"),
+        (math.pi, 64, "grid.length"),
+    ],
+)
+def test_mms_box_bounds(length, n, key):
+    overrides = ['params.preset="forq"', f"grid.length={length!r}", f"grid.n={n}"]
+    if key is None:
+        assert parse_config(None, overrides, "mms").sim.grid.n == n
+    else:
+        with pytest.raises(ConfigError, match=f"^{key} must"):
+            parse_config(None, overrides, "mms")
 
 
 @pytest.mark.parametrize("x_hi, ok", [(26.0, True), (25.999999, False)])
@@ -1423,7 +1447,8 @@ class TestRunFuzz:
         if subcommand == "peakon-verify":
             overrides["peakon_verify.cases"] = [{"preset": "ch", "gamma": case_gamma}]
         if subcommand == "mms":
-            overrides["mms.levels"] = levels
+            # one period, so that every n drawn passes the mms box rule
+            overrides.update({"mms.levels": levels, "grid.length": 2 * math.pi})
         with tempfile.TemporaryDirectory() as tmp:
             out = os.path.join(tmp, "out")
             argv = [subcommand, "--out", out]

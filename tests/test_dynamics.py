@@ -26,7 +26,7 @@ from kabc.exact import mollified_profile
 from kabc.params import Params, h1_conserved, preset
 from kabc.spectral import Field, Grid, derivative, get_ops
 from kabc import diagnostics
-from oracles import local_form_residual, rhs
+from oracles import local_form_residual, mms_forcing_reference, rhs
 
 
 def band_limited(grid, max_mode, seed, amp=0.25):
@@ -78,9 +78,9 @@ def sine_wave(x, t):
     return 0.1 * np.sin(x - t)
 
 
-def sine_wave_dt(x, t):
-    """Its time derivative."""
-    return -0.1 * np.cos(x - t)
+def sine_forcing(p, g):
+    """mms_forcing of sine_wave, a wave of speed 1."""
+    return mms_forcing(Field(g, sine_wave(g.nodes, 0.0)), 1.0, p)
 
 
 class TestRhs:
@@ -143,7 +143,8 @@ class TestRhs:
 
     def test_forcing_added(self):
         g = Grid(64, 2 * np.pi)
-        forcing = lambda x, t: np.cos(x) * (1.0 + t)
+        cos_hat = np.fft.rfft(np.cos(g.nodes))
+        forcing = lambda t: cos_hat * (1.0 + t)
         out = rhs(Field(g, np.zeros(64)), preset("ch"), t=2.0, forcing=forcing)
         assert np.max(np.abs(out.values - 3.0 * np.cos(g.nodes))) < 1e-13
 
@@ -198,9 +199,7 @@ class TestRhs:
         # the workspace is rewritten by every call: a second call must match
         # a fresh operator's, and must not write into the first result
         g = Grid(128, 2 * np.pi)
-        forcing = None
-        if forced:
-            forcing = mms_forcing(sine_wave, sine_wave_dt, p, g)
+        forcing = sine_forcing(p, g) if forced else None
         op = RhsOperator(g, p, forcing)
         a, b = band_limited(g, 10, seed=1).hat, band_limited(g, 10, seed=2).hat
         out_a = op(a, 0.3)
@@ -495,8 +494,8 @@ class TestSimulate:
         # not the stride stored it already
         g = Grid(16, 2 * np.pi)
 
-        def forcing(x, t):
-            return np.full_like(x, np.inf if t > 0.1 else 0.0)
+        def forcing(t):
+            return np.full(g.n // 2 + 1, np.inf if t > 0.1 else 0.0, dtype=complex)
 
         cfg = SimConfig(params=preset("ch"), grid=g, t_end=1.0, dt_max=0.01, output_stride=output_stride,
                         forcing=forcing)
@@ -669,35 +668,20 @@ class TestSimulate:
     def test_matches_physical_space_reference_under_forcing(self):
         p = preset("forq")
         g = Grid(256, 2 * np.pi)
-        cfg = SimConfig(params=p, grid=g, t_end=0.25, dt_max=1.0 / 64, forcing=mms_forcing(sine_wave, sine_wave_dt, p, g))
+        cfg = SimConfig(params=p, grid=g, t_end=0.25, dt_max=1.0 / 64, forcing=sine_forcing(p, g))
         u0 = Field(g, sine_wave(g.nodes, 0.0))
         traj, states = stored_states(cfg, u0)
         want = physical_space_reference(cfg, u0, states)
         got = traj.final.values
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_forcing_evaluated_once_per_distinct_stage_time(self):
-        # RK4's two mid stages share t + dt/2 and a step's t + dt is the next
-        # step's t, so N steps need 2N + 1 distinct forcing times
-        g = Grid(64, 2 * np.pi)
-        times = []
-
-        def forcing(x, t):
-            times.append(t)
-            return np.cos(x) * (1.0 + t)
-
-        cfg = SimConfig(params=preset("novikov"), grid=g, t_end=0.25, cfl_safety=1.0, dt_max=1.0 / 32, forcing=forcing)
-        steps = simulate(cfg, band_limited(g, 4, seed=0, amp=0.1)).steps
-        assert steps == 8
-        assert len(times) == 2 * steps + 1
-        assert len(set(times)) == len(times)
-
     @pytest.mark.parametrize("p", [preset("novikov"), preset("forq")])
     def test_forced_trajectory_matches_uncached_forcing(self, p):
-        # the reference builds a fresh operator per stage, so it evaluates
-        # the forcing at every stage; it repeats simulate's state round trip
+        # the reference builds a fresh operator per stage and repeats
+        # simulate's state round trip, so a forced run keeps no state
+        # between calls that would change its trajectory
         g = Grid(128, 2 * np.pi)
-        forcing = mms_forcing(sine_wave, sine_wave_dt, p, g)
+        forcing = sine_forcing(p, g)
         cfg = SimConfig(params=p, grid=g, t_end=0.25, cfl_safety=1.0, dt_max=1.0 / 64, forcing=forcing)
         u0 = Field(g, sine_wave(g.nodes, 0.0))
         traj, states = stored_states(cfg, u0)
@@ -711,31 +695,6 @@ class TestSimulate:
             t += rec.dt
             assert u.values.tobytes() == snap.values.tobytes()
         assert len(states) == traj.steps + 1 == 17
-
-    def test_forcing_spectra_bounded_and_read_only(self):
-        g = Grid(64, 2 * np.pi)
-        op = RhsOperator(g, preset("ch"), lambda x, t: np.cos(x) * (1.0 + t))
-        uh = band_limited(g, 4, seed=0).hat
-        for t in (0.0, 0.1, 0.1, 0.2, 0.3, 0.2, 0.4, 0.5):
-            op(uh, t)
-            assert 1 <= len(op._forcing_hats) <= 2
-            for _, hat in op._forcing_hats:
-                assert not hat.flags.writeable
-                with pytest.raises(ValueError):
-                    hat[0] = 0.0
-        unforced = RhsOperator(g, preset("ch"))
-        unforced(uh, 0.1)
-        assert unforced._forcing_hats == []
-
-    def test_new_times_between_repeated_ones(self):
-        # every call, hit or miss, equals a fresh operator's result at its t
-        g = Grid(128, 2 * np.pi)
-        p = preset("forq")
-        forcing = mms_forcing(sine_wave, sine_wave_dt, p, g)
-        op = RhsOperator(g, p, forcing)
-        uh = band_limited(g, 10, seed=3).hat
-        for t in (0.0, 0.5, 0.0, 0.25, 0.5, 0.25, 0.75, 0.0, 0.0, 1.0, 0.75, 1.0):
-            assert op(uh, t).tobytes() == RhsOperator(g, p, forcing)(uh, t).tobytes()
 
 
 class TestScalingSymmetry:
@@ -779,16 +738,42 @@ class TestScalingSymmetry:
 class TestMms:
     def test_zero_solution_zero_forcing(self):
         g = Grid(64, 2 * np.pi)
-        def zero(x, t):
-            return np.zeros_like(x)
+        forcing = mms_forcing(Field(g, np.zeros(64)), 1.0, preset("novikov"))
+        assert np.all(forcing(0.7) == 0.0)
 
-        forcing = mms_forcing(zero, zero, preset("novikov"), g)
-        assert np.max(np.abs(forcing(g.nodes, 0.7))) < 1e-9
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(min_value=1, max_value=5),
+        a=st.floats(min_value=-2.0, max_value=2.0),
+        b=st.floats(min_value=-4.0, max_value=4.0),
+        c=st.floats(min_value=-2.0, max_value=2.0),
+        periods=st.integers(min_value=1, max_value=2),
+        amp=st.floats(min_value=0.01, max_value=1.0),
+        speed=st.floats(min_value=-2.0, max_value=2.0),
+        t=st.floats(min_value=0.0, max_value=8.0),
+    )
+    def test_shifted_forcing_matches_the_forcing_built_at_each_time(self, k, a, b, c, periods, amp, speed, t):
+        # one right-hand side at t = 0, phase-shifted, against the
+        # right-hand side of the wave's samples at t: on a box of whole
+        # periods whose degree-(k+1) harmonics (mode <= 12) stay below n/2
+        p = Params(1, 0.0, b, (3.0 - b) / 2.0) if k == 1 else Params(k, a, b, c)
+        g = Grid(64, 2 * np.pi * periods)
+
+        def value(x, t):
+            return amp * np.sin(x - speed * t)
+
+        def dt_value(x, t):
+            return -speed * amp * np.cos(x - speed * t)
+
+        got = mms_forcing(Field(g, value(g.nodes, 0.0)), speed, p)(t)
+        want = np.fft.rfft(mms_forcing_reference(value, dt_value, p, g)(g.nodes, t))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert got[-1].imag == 0.0
 
     def test_traveling_sine_reproduced(self):
         p = preset("novikov")
         g = Grid(128, 2 * np.pi)
-        forcing = mms_forcing(sine_wave, sine_wave_dt, p, g)
+        forcing = sine_forcing(p, g)
         cfg = SimConfig(params=p, grid=g, t_end=1.0, cfl_safety=1.0, dt_max=1.0 / 256, forcing=forcing)
         traj = simulate(cfg, Field(g, sine_wave(g.nodes, 0.0)))
         err = np.max(np.abs(traj.final.values - sine_wave(g.nodes, traj.last_time)))
@@ -797,7 +782,7 @@ class TestMms:
     def test_fourth_order_in_time(self):
         p = preset("forq")
         g = Grid(64, 2 * np.pi)
-        forcing = mms_forcing(sine_wave, sine_wave_dt, p, g)
+        forcing = sine_forcing(p, g)
         errs = []
         for dt in (1.0 / 32, 1.0 / 64):
             cfg = SimConfig(params=p, grid=g, t_end=1.0, cfl_safety=1.0, dt_max=dt, forcing=forcing)
