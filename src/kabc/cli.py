@@ -87,15 +87,19 @@ def parse_config(path=None, overrides=(), subcommand="simulate", out_dir=None) -
 
 
 def build_profile(spec: RunSpec) -> Field:
-    """The run's start: a peakon or exp_tail profile is mollified at 3 dx."""
+    """The run's start: a peakon or exp_tail profile is mollified at 3 dx.
+    A start whose spectrum is not finite is an invalid profile too."""
     shape, value = spec.profile
     grid = spec.sim.grid
     try:
-        if shape == "file":
-            return read_snapshot(value, grid=grid)
-        return mollified_profile(shape, value, 3.0 * grid.dx, grid)
+        u0 = (read_snapshot(value, grid=grid) if shape == "file"
+              else mollified_profile(shape, value, 3.0 * grid.dx, grid))
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
+            if not np.all(np.isfinite(u0.hat)):
+                raise ValueError("its spectrum is not finite: the samples are too large to transform")
     except ValueError as err:
         raise ConfigError(f"invalid profile: {err}") from None
+    return u0
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,9 @@ def resolve(subcommand: str, cfg: dict, out_dir: str) -> RunSpec:
         spec = replace(spec, fit_window=_fit_window(vals, grid))
     if subcommand == "mms":
         _check_mms_box(grid, p)
+        # a longer dt0 would give its first levels one step of t_end each
+        if vals["mms.dt0"] > t_end:
+            raise ConfigError(f"mms.dt0 must be at most mms.t_end = {t_end!r}, got {vals['mms.dt0']!r}")
     return spec
 
 

@@ -36,31 +36,19 @@ def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
     return w
 
 
-def _sobolev_total(power: np.ndarray, grid: Grid, s: float) -> float:
-    """Squared H^s norm from the power |hat|^2 of an rfft half-spectrum."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    return np.sum(_sobolev_weight(grid, s) * power) * grid.length / grid.n**2
-
-
 def sobolev_norm(f: Field, s: float) -> float:
     """H^s norm, normalized so the square at s = 1 is the integral of
-    u^2 + u_x^2 over the box."""
+    u^2 + u_x^2 over the box; read from f's kept spectrum."""
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    grid = f.grid
     with np.errstate(over="ignore"):  # huge fields report an inf norm
-        return math.sqrt(_sobolev_total(np.abs(f.hat) ** 2, f.grid, s))
+        return math.sqrt(np.sum(_sobolev_weight(grid, s) * np.abs(f.hat) ** 2) * grid.length / grid.n**2)
 
 
 def h1_squared(f: Field) -> float:
     """Integral of u^2 + u_x^2 (the tracked conservation quantity)."""
     return sobolev_norm(f, 1.0) ** 2
-
-
-def hs_and_h1_squared(hat: np.ndarray, grid: Grid, s: float) -> tuple[float, float]:
-    """(sobolev_norm, h1_squared) of the field whose rfft is hat, from one
-    |hat|^2 pass; bitwise equal to the two calls on that field."""
-    with np.errstate(over="ignore"):
-        power = np.abs(hat) ** 2
-        return math.sqrt(_sobolev_total(power, grid, s)), math.sqrt(_sobolev_total(power, grid, 1.0)) ** 2
 
 
 @dataclass(frozen=True)

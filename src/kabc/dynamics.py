@@ -12,14 +12,14 @@ stepped explicitly with CFL-adaptive classical RK4.
 The RK4 state is the rfft half-spectrum of u, not its samples: each
 right-hand side evaluation goes from spectrum to spectrum, and a step makes
 one inverse transform to store the new samples and one forward transform of
-them to step on next.  simulate's loop is the only long-lived owner of a
-spectrum; it hands each stored state, samples only, to its caller, which may
-end the run there, and keeps only the last.  One evaluation costs one
-inverse FFT on the padded grid per upsampled factor (u, u_x, and u_xx when
-c_f2_2 != 0) and one forward FFT there per bracket (local, f1, and f2 when
-it has a nonzero coefficient): 4 at k = 1 (CH, DP), 5 at k = 2 (Novikov,
-FORQ) and 6 at k >= 3 with a != 0.  A forcing is a half-spectrum too, added
-to every evaluation without a transform.
+them, the new Field's kept hat, which the step's norms, the next step and
+every reader of the stored state share.  simulate hands each stored state
+to its caller, which may end the run there, and keeps only the last.  One
+evaluation costs one inverse FFT on the padded grid per upsampled factor
+(u, u_x, and u_xx when c_f2_2 != 0) and one forward FFT there per bracket
+(local, f1, and f2 when it has a nonzero coefficient): 4 at k = 1 (CH, DP),
+5 at k = 2 (Novikov, FORQ) and 6 at k >= 3 with a != 0.  A forcing is a
+half-spectrum too, added to every evaluation without a transform.
 """
 
 from __future__ import annotations
@@ -104,11 +104,12 @@ class Trajectory:
     steps, sup_hs, max_h1_dev (largest |E(t) - E(0)|, E the squared H^1
     norm), min_dt (smallest step but the last, which alone may be cut short
     to land on t_end) and exceeded_t (first step time with an H^s norm above
-    bound = 2^{1+1/k} hs0; None when hs0 is zero).  final is a sample-only
-    Field (n doubles).  stop_reason says why a run ended before t_end (its
-    field went non-finite, its step no longer advanced t, it reached
-    MAX_STEPS steps, or its on_state returned a reason), and is None for a
-    run that reached it; final and last are then the last good state's.
+    bound = 2^{1+1/k} hs0; None when hs0 is zero).  final is the last
+    state's Field, with its kept spectrum.  stop_reason says why a run ended
+    before t_end (its field went non-finite, its step no longer advanced t,
+    it reached MAX_STEPS steps, or its on_state returned a reason), and is
+    None for a run that reached it; final and last are then the last good
+    state's.
     """
 
     def __init__(self, config: SimConfig, final: Field, first: StepRecord):
@@ -242,15 +243,15 @@ class RhsOperator:
         return rhs_hat
 
 
-def cfl_dt(u: Field, p: Params, safety: float, dt_max: float, uh: np.ndarray) -> float:
+def cfl_dt(u: Field, p: Params, safety: float, dt_max: float) -> float:
     """CFL step from the advective characteristic speed u^k - a u^{k-2} u_x^2
-    (the u_x coefficient of the evolution form), floored at 1e-12.  uh must be
-    u.hat: the caller holds the spectrum, so no transform is repeated."""
+    (the u_x coefficient of the evolution form, u_x from u's kept
+    spectrum), floored at 1e-12."""
     v = u.values
     with np.errstate(over="ignore", invalid="ignore"):
         speed = v**p.k
         if p.a != 0.0:
-            ux = get_ops(u.grid).deriv(uh, 1)
+            ux = get_ops(u.grid).deriv(u.hat, 1)
             speed = speed - p.a * v ** (p.k - 2) * ux * ux
         vmax = float(np.max(np.abs(speed)))
     if not math.isfinite(vmax):
@@ -271,8 +272,9 @@ def rk4_step(f: Callable, y: np.ndarray, t: float, dt: float) -> np.ndarray:
 def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> Trajectory:
     """Advance u0 to cfg.t_end with CFL-adaptive RK4 steps.
 
-    Folds each step's record (H^SOBOLEV_S norm, squared H^1 norm, step
-    size) into the Trajectory's reductions and keeps the last state.
+    Steps on each state's kept spectrum (Field.hat), folds each step's
+    record (sobolev_norm at SOBOLEV_S, h1_squared, step size) into the
+    Trajectory's reductions and keeps the last state.
     on_state(rec, u), when given, gets each stored state as it is made (u0,
     every output_stride-th step and the end) with its record (rec.t is its
     time); a reason it returns (not None) ends the run at that state, with
@@ -288,9 +290,8 @@ def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> 
 
     store = on_state or (lambda rec, u: None)
     t = 0.0
-    uh = u0.hat
-    hs0, h1_sq = diagnostics.hs_and_h1_squared(uh, cfg.grid, SOBOLEV_S)
-    traj = Trajectory(cfg, u0, StepRecord(0.0, 0.0, hs0, h1_sq))
+    traj = Trajectory(cfg, u0, StepRecord(0.0, 0.0, diagnostics.sobolev_norm(u0, SOBOLEV_S),
+                                          diagnostics.h1_squared(u0)))
     traj.stop_reason = store(traj.first, u0)
 
     stored = 0  # the step of the last stored state
@@ -299,7 +300,7 @@ def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> 
             traj.stop_reason = f"reached the cap of {MAX_STEPS:g} steps at t = {t:.6g}"
             break
         try:
-            dt = cfl_dt(traj.final, cfg.params, cfg.cfl_safety, cfg.dt_max, uh)
+            dt = cfl_dt(traj.final, cfg.params, cfg.cfl_safety, cfg.dt_max)
             if not traj.steps and cfg.t_end > MAX_STEPS * dt:
                 steps = cfg.t_end / dt if dt else math.inf  # dt underflows on a tiny box
                 about = f"about {steps:.3g}" if math.isfinite(steps) else f"more than {np.finfo(float).max:.3g}"
@@ -310,20 +311,17 @@ def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> 
                 traj.stop_reason = f"time step {dt:.3g} no longer advances t = {t:.6g}"
                 break
             with np.errstate(over="ignore", invalid="ignore"):  # as in RhsOperator: inf is the blow-up signal
-                uh_new = rk4_step(op, uh, t, dt)
-                u_new = np.fft.irfft(uh_new, cfg.grid.n)
+                u_new = np.fft.irfft(rk4_step(op, traj.final.hat, t, dt), cfg.grid.n)
             if not np.all(np.isfinite(u_new)):
                 raise BlowUpError
         except BlowUpError:
             traj.stop_reason = f"non-finite field after t = {t:.6g}"
             break
         t += dt
-        # step on the transform of the stored samples, not on uh_new: the
-        # two differ at round-off, and the samples are what the run reports
-        traj.final = Field(cfg.grid, u_new)
-        uh = traj.final.hat
-        hs, h1_sq = diagnostics.hs_and_h1_squared(uh, cfg.grid, SOBOLEV_S)
-        traj.add(StepRecord(t, dt, hs, h1_sq))
+        # step next on the rfft of the stored samples, not on rk4_step's
+        # spectrum: the two differ at round-off, and the run reports samples
+        traj.final = u = Field(cfg.grid, u_new)
+        traj.add(StepRecord(t, dt, diagnostics.sobolev_norm(u, SOBOLEV_S), diagnostics.h1_squared(u)))
         if traj.steps % cfg.output_stride == 0 or t >= cfg.t_end - T_END_TOL:
             stored = traj.steps
             traj.stop_reason = store(traj.last, traj.final)

@@ -52,12 +52,13 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Real samples on a Grid.
+    """Real samples on a Grid, and their spectrum.
 
-    Value-semantic: the sample array is copied and made read-only on
-    construction.  A Field holds its samples only: hat transforms them on
-    every access, so a stored Field costs n doubles and not twice that.
-    Operations return new Fields and never mutate their inputs.
+    Value-semantic: the samples are copied and made read-only on
+    construction, and hat, the state's one spectrum, is transformed on first
+    access and then kept read-only too, so every reader of a state (the
+    stepper, its norms, a derivative) shares one rfft.  Operations return
+    new Fields and never mutate their inputs.
     """
 
     grid: Grid
@@ -73,10 +74,12 @@ class Field:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    @property
+    @cached_property
     def hat(self) -> np.ndarray:
-        """rfft of the samples, computed on each access."""
-        return np.fft.rfft(self.values)
+        """rfft of the samples, computed on first access and kept read-only."""
+        h = np.fft.rfft(self.values)
+        h.flags.writeable = False
+        return h
 
 
 class SpectralOps:
@@ -84,10 +87,11 @@ class SpectralOps:
 
     Works on raw arrays: deriv and upsample take an rfft half-spectrum,
     apply and product take samples; derivative below is their one Field
-    form.  Instances are cached per grid and shared, so they hold no scratch
-    memory: upsample and reduce_hat allocate their results unless the
-    caller passes its own buffers (out=, work=), which is how RhsOperator
-    assembles a right-hand side without allocating.
+    form, which reads the Field's kept spectrum.  Instances are cached per
+    grid and shared, so they hold no scratch memory: upsample and reduce_hat
+    allocate their results unless the caller passes its own buffers (out=,
+    work=), which is how RhsOperator assembles a right-hand side without
+    allocating.
     """
 
     def __init__(self, grid: Grid):

@@ -277,6 +277,9 @@ class TestParseConfig:
             # its harmonics up to mode (k+1) j must stay below n/2
             ("mms", ["grid.length=10", "grid.n=64"], "grid.length must be 2*pi times an integer >= 1"),
             ("mms", ["grid.n=64"], "grid.n must exceed 2 (k+1) j = 80"),
+            # a dt0 above t_end would step each early level once, by t_end
+            ("mms", ["mms.dt0=10"], "mms.dt0 must be at most mms.t_end = 1.0, got 10.0"),
+            ("mms", ["mms.dt0=1.5"], "mms.dt0 must be at most mms.t_end = 1.0, got 1.5"),
         ],
     )
     def test_stepping_and_study_keys_rejected_at_parse(self, tmp_path, capsys, subcommand, overrides, key):
@@ -295,6 +298,11 @@ class TestParseConfig:
 def test_grid_n_ceiling_is_inclusive():
     # reading a size allocates nothing; 2**24 + 2 is a row of the test above
     assert _KEYS["grid.n"][1](2**24, "grid.n") == 2**24
+
+
+def test_mms_dt0_may_equal_t_end():
+    # dt0 = 10 and 1.5 at t_end 1 are rows of the test above
+    assert parse_config(None, ["mms.dt0=0.5", "mms.t_end=0.5"], "mms").mms[1] == 0.5
 
 
 def test_gamma_ceiling_is_inclusive():
@@ -941,6 +949,25 @@ class TestOtherSubcommands:
         with pytest.raises(ConfigError, match="grid mismatch"):
             build_profile(spec)
 
+    @pytest.mark.parametrize("subcommand", ["simulate", "lagrangian"])
+    def test_profile_file_whose_spectrum_overflows_exits_3(self, tmp_path, subcommand):
+        # finite samples whose rfft is not: n * 1e306 overflows the mean bin
+        g = Grid(1024, DEFAULT_CONFIG["grid"]["length"])
+        snap = tmp_path / "u0.csv"
+        write_snapshot(Field(g, np.full(g.n, 1e306)), snap)
+        out = tmp_path / "out"
+        argv = [subcommand, "--out", str(out), "--set", "grid.n=1024", "--set",
+                f'profile={{"shape": "file", "path": "{snap}"}}']
+        # in a child, so that any numpy warning would reach the stderr read here
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-m", "kabc.cli", *argv], capture_output=True, text=True, timeout=60,
+                              env=env)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.splitlines() == ["kabc: configuration error: invalid profile: its spectrum is not "
+                                            "finite: the samples are too large to transform"]
+        assert "invalid profile" in manifest_of(out)["result"]["error"]
+
 
 # 2,100 seeds fill a block of CSV_BLOCK_ROWS (4,096) rows every two states,
 # so particles.csv goes to its writer in blocks while the run steps
@@ -1447,8 +1474,9 @@ class TestRunFuzz:
         if subcommand == "peakon-verify":
             overrides["peakon_verify.cases"] = [{"preset": "ch", "gamma": case_gamma}]
         if subcommand == "mms":
-            # one period, so that every n drawn passes the mms box rule
-            overrides.update({"mms.levels": levels, "grid.length": 2 * math.pi})
+            # one period, so that every n drawn passes the mms box rule, and
+            # a dt0 no longer than the t_end drawn, which parse requires
+            overrides.update({"mms.levels": levels, "grid.length": 2 * math.pi, "mms.dt0": t_end})
         with tempfile.TemporaryDirectory() as tmp:
             out = os.path.join(tmp, "out")
             argv = [subcommand, "--out", out]

@@ -342,18 +342,18 @@ class TestCflDt:
     def test_zero_field_gives_dt_max(self):
         g = Grid(64, 2 * np.pi)
         f = Field(g, np.zeros(64))
-        assert cfl_dt(f, preset("ch"), 0.5, 0.3, f.hat) == 0.3
+        assert cfl_dt(f, preset("ch"), 0.5, 0.3) == 0.3
 
     def test_arithmetic(self):
         # max speed u^k = 2, dx = 0.1, safety 0.4, dt_max 1 -> 0.02
         g = Grid(64, 6.4)
         f = Field(g, np.full(64, 2.0))
-        assert cfl_dt(f, preset("ch"), 0.4, 1.0, f.hat) == pytest.approx(0.02, rel=1e-12)
+        assert cfl_dt(f, preset("ch"), 0.4, 1.0) == pytest.approx(0.02, rel=1e-12)
 
     def test_peakon_speed_scale(self):
         g = Grid(1024, 40 * np.pi)
         u = mollified_profile("peakon", 1.0, 3 * g.dx, g)
-        dt = cfl_dt(u, preset("ch"), 0.4, 10.0, u.hat)
+        dt = cfl_dt(u, preset("ch"), 0.4, 10.0)
         assert dt == pytest.approx(0.4 * g.dx / np.max(np.abs(u.values)), rel=1e-6)
 
     def test_gradient_term_enters_for_a_nonzero(self):
@@ -361,8 +361,8 @@ class TestCflDt:
         # the characteristic speed must shrink dt when a != 0
         g = Grid(128, 2 * np.pi)
         u = Field(g, 0.5 * np.sin(4 * g.nodes))
-        dt_forq = cfl_dt(u, preset("forq"), 0.4, 10.0, u.hat)
-        dt_nov = cfl_dt(u, preset("novikov"), 0.4, 10.0, u.hat)
+        dt_forq = cfl_dt(u, preset("forq"), 0.4, 10.0)
+        dt_nov = cfl_dt(u, preset("novikov"), 0.4, 10.0)
         assert dt_forq < dt_nov
 
 

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from kabc.dynamics import SimConfig, simulate
+from kabc.dynamics import RhsOperator, SimConfig, simulate
 from kabc.lagrangian import (
     STRETCH_FLOOR,
     advect,
@@ -284,6 +284,34 @@ class TestAdvectStencil:
         paths, _ = advect_all(states, np.array([1.0, 2.0, 3.0]), k)
         assert len(paths) == len(states) > 2
         assert len(calls) == 4 * (len(paths) - 1)
+
+
+def test_particles_add_no_transform_to_the_run(monkeypatch):
+    # release, advect and momentum_along read each stored state's kept
+    # spectrum, so a lagrangian run's forward transforms are simulate's
+    # own: u0's, then each step's 4 RHS calls' and its new samples'
+    g = Grid(64, 2 * np.pi)
+    p = preset("novikov")
+    rfft, calls = np.fft.rfft, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    u0 = Field(g, 0.3 * np.sin(g.nodes) + 0.1 * np.cos(2 * g.nodes) + 0.05)
+    RhsOperator(g, p)(rfft(u0.values), 0.0)
+    per_rhs = len(calls)
+    calls.clear()
+    seeds, ps = np.linspace(1.0, 5.0, 5), []
+
+    def take(rec, u):
+        ps.append(advect(ps[-1], rec.t, u, p.k) if ps else release(seeds, rec.t, u))
+        momentum_along(u, ps[-1].eta)
+
+    steps = simulate(SimConfig(params=p, grid=g, t_end=0.05, dt_max=0.01), u0, take).steps
+    assert steps == 5 and len(ps) == steps + 1
+    assert len(calls) == 1 + steps * (4 * per_rhs + 1)
 
 
 class TestConservationCheck:

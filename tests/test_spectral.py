@@ -55,6 +55,25 @@ class TestField:
         f = Field(g, np.sin(g.nodes))
         assert np.allclose(f.hat, np.fft.rfft(f.values))
 
+    def test_hat_is_transformed_once_and_kept_read_only(self, monkeypatch):
+        rfft, calls = np.fft.rfft, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        g = Grid(32, 2 * np.pi)
+        f = Field(g, np.sin(g.nodes))
+        assert f.hat is f.hat
+        derivative(f, 1)
+        derivative(f, 2)
+        assert len(calls) == 1
+        with pytest.raises(ValueError):
+            f.hat[1] = 0.0
+        with pytest.raises(ValueError):
+            f.hat *= 2.0
+
 
 class TestRoundtrip:
     def test_sine(self):
