@@ -42,7 +42,7 @@ from .config import SUBCOMMANDS, ConfigError, RunSpec
 from .dynamics import mms_forcing, simulate
 from .exact import mollified_profile
 from .params import Params
-from .spectral import Field, Grid, derivative
+from .spectral import Field, Grid, get_ops
 
 EXIT_OK = 0
 EXIT_BLOWUP = 2
@@ -88,15 +88,23 @@ def parse_config(path=None, overrides=(), subcommand="simulate", out_dir=None) -
 
 def build_profile(spec: RunSpec) -> Field:
     """The run's start: a peakon or exp_tail profile is mollified at 3 dx.
-    A start whose spectrum is not finite is an invalid profile too."""
+    A start whose spectrum, or first or second derivative samples (which the
+    runs compute from it), are not finite is an invalid profile too."""
     shape, value = spec.profile
     grid = spec.sim.grid
+    ops = get_ops(grid)
     try:
         u0 = (read_snapshot(value, grid=grid) if shape == "file"
               else mollified_profile(shape, value, 3.0 * grid.dx, grid))
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
             if not np.all(np.isfinite(u0.hat)):
                 raise ValueError("its spectrum is not finite: the samples are too large to transform")
+            # |a derivative sample| <= (2/n) sum |hat * mult|, and the inverse transform's
+            # partial sums stay below n^2 times that sum: transform only when it overflows
+            for order, mult in ((1, ops.ik), (2, ops.d2)):
+                if not (math.isfinite(grid.n**2 * np.sum(np.abs(u0.hat * mult)))
+                        or np.all(np.isfinite(ops.deriv(u0.hat, order)))):
+                    raise ValueError(f"its order-{order} derivative is not finite: the samples are too large")
     except ValueError as err:
         raise ConfigError(f"invalid profile: {err}") from None
     return u0
@@ -325,7 +333,8 @@ def compute_simulate(spec: RunSpec):
     rows = []  # a diagnostics.csv row per stored state
 
     def take(rec, u):
-        fit_u, fit_ux = (diagnostics.decay_fit(f, spec.fit_window) for f in (u, derivative(u, 1)))
+        ux = Field(u.grid, get_ops(u.grid).deriv(u.hat, 1))
+        fit_u, fit_ux = (diagnostics.decay_fit(f, spec.fit_window) for f in (u, ux))
         try:
             crest = diagnostics.crest_position(u)
         except ValueError:

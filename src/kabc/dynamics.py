@@ -220,20 +220,20 @@ class RhsOperator:
 
     def _eval(self, uh: np.ndarray, t: float) -> np.ndarray:
         ops, m, up, pad, fine_hat = self.ops, self.m, self._upow, self._pad_hat, self._fine_hat
-        u = ops.upsample(uh, m, out=self._u, work=pad)
-        ux = ops.upsample(uh, m, mult=ops.ik, out=self._ux, work=pad)
+        u = ops.upsample(uh, m, 1.0, self._u, pad)
+        ux = ops.upsample(uh, m, ops.ik, self._ux, pad)
         if self._uxx is not None:
-            ops.upsample(uh, m, mult=ops.d2, out=self._uxx, work=pad)
+            ops.upsample(uh, m, ops.d2, self._uxx, pad)
         for j in range(2, self.k + 2):
             np.multiply(up[j - 1], u, out=up[j])
         np.multiply(ux, ux, out=self._ux2)
         np.multiply(self._ux2, ux, out=self._ux3)
 
-        rhs_hat = ops.reduce_hat(self._bracket(self._local), m, work=fine_hat).copy()
-        f1_hat = ops.reduce_hat(self._bracket(self._f1), m, work=fine_hat)
+        rhs_hat = ops.reduce_hat(self._bracket(self._local), m, fine_hat).copy()
+        f1_hat = ops.reduce_hat(self._bracket(self._f1), m, fine_hat)
         rhs_hat -= np.multiply(ops.green_dx, f1_hat, out=f1_hat)
         if self._f2:
-            f2_hat = ops.reduce_hat(self._bracket(self._f2), m, work=fine_hat)
+            f2_hat = ops.reduce_hat(self._bracket(self._f2), m, fine_hat)
             rhs_hat -= np.multiply(ops.helmholtz, f2_hat, out=f2_hat)
 
         if self.forcing is not None:
@@ -312,15 +312,16 @@ def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> 
                 break
             with np.errstate(over="ignore", invalid="ignore"):  # as in RhsOperator: inf is the blow-up signal
                 u_new = np.fft.irfft(rk4_step(op, traj.final.hat, t, dt), cfg.grid.n)
-            if not np.all(np.isfinite(u_new)):
-                raise BlowUpError
+            # step next on the rfft of the stored samples, not on rk4_step's
+            # spectrum: the two differ at round-off, and the run reports samples
+            try:
+                traj.final = u = Field(cfg.grid, u_new)
+            except ValueError:  # irfft gave n samples, so the rejection is a non-finite one
+                raise BlowUpError from None
         except BlowUpError:
             traj.stop_reason = f"non-finite field after t = {t:.6g}"
             break
         t += dt
-        # step next on the rfft of the stored samples, not on rk4_step's
-        # spectrum: the two differ at round-off, and the run reports samples
-        traj.final = u = Field(cfg.grid, u_new)
         traj.add(StepRecord(t, dt, diagnostics.sobolev_norm(u, SOBOLEV_S), diagnostics.h1_squared(u)))
         if traj.steps % cfg.output_stride == 0 or t >= cfg.t_end - T_END_TOL:
             stored = traj.steps

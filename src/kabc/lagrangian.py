@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .params import Params
-from .spectral import Field, derivative
+from .spectral import Field, get_ops
 
 # eta_x at or below this ends advection: the flow map is no longer a
 # diffeomorphism to working precision (wave-breaking indicator).
@@ -40,7 +40,7 @@ class Particles:
 
 
 def _samples(u: Field) -> np.ndarray:
-    return np.stack((u.values, derivative(u, 1).values))
+    return np.stack((u.values, get_ops(u.grid).deriv(u.hat, 1)))
 
 
 def release(seeds, t: float, u: Field) -> Particles:
@@ -53,7 +53,7 @@ def release(seeds, t: float, u: Field) -> Particles:
 
 def momentum(u: Field) -> Field:
     """Momentum density m = u - u_xx."""
-    return Field(u.grid, u.values - derivative(u, 2).values)
+    return Field(u.grid, u.values - get_ops(u.grid).deriv(u.hat, 2))
 
 
 def cubic_interp_periodic(values: np.ndarray, grid, q: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 All operators are diagonal in Fourier space (derivatives, the smoothing
 inverse (1 - d_xx)^{-1} and its x-derivative) except the products, which are
-computed alias-free on a zero-padded grid and truncated back.
+computed alias-free on a zero-padded grid and truncated back.  SpectralOps
+works on raw arrays: a Field's derivative is get_ops(f.grid).deriv(f.hat, k).
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -86,12 +87,10 @@ class SpectralOps:
     """Precomputed multipliers and padding sizes for one grid.
 
     Works on raw arrays: deriv and upsample take an rfft half-spectrum,
-    apply and product take samples; derivative below is their one Field
-    form, which reads the Field's kept spectrum.  Instances are cached per
-    grid and shared, so they hold no scratch memory: upsample and reduce_hat
-    allocate their results unless the caller passes its own buffers (out=,
-    work=), which is how RhsOperator assembles a right-hand side without
-    allocating.
+    apply and product take samples.  Instances are cached per grid and
+    shared, so they hold no scratch memory: upsample and reduce_hat write
+    into buffers the caller owns, which is how RhsOperator assembles a
+    right-hand side without allocating.
     """
 
     def __init__(self, grid: Grid):
@@ -120,34 +119,26 @@ class SpectralOps:
         m = math.ceil((n_factors + 1) * self.grid.n / 2)
         return m + (m % 2)
 
-    def upsample(self, hat: np.ndarray, m: int, mult: Optional[np.ndarray] = None,
-                 out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None) -> np.ndarray:
-        """Trigonometric interpolation onto a padded size m > n, from the
-        half-spectrum (times the multiplier mult, when given).
+    def upsample(self, hat: np.ndarray, m: int, mult, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """Trigonometric interpolation of the half-spectrum times mult (a
+        multiplier array, or the number 1.0) onto a padded size m > n.
 
-        out receives the m samples.  work is the padded half-spectrum, of
-        length m//2 + 1: only its first n//2 + 1 bins are written, so the
-        caller must pass one whose upper bins are zero.  Both are allocated
-        when not given.
+        out receives the m samples and is returned.  work is the padded
+        half-spectrum, of length m//2 + 1: only its first n//2 + 1 bins are
+        written, so the caller must pass one whose upper bins are zero.
         """
         n = self.grid.n
-        if work is None:
-            work = np.zeros(m // 2 + 1, dtype=complex)
-        if mult is None:
-            work[: n // 2 + 1] = hat
-        else:
-            np.multiply(hat, mult, out=work[: n // 2 + 1])
+        np.multiply(hat, mult, out=work[: n // 2 + 1])
         work[n // 2] *= 0.5  # split the combined +-Nyquist bin
         fine = np.fft.irfft(work, m, out=out)
         fine *= m / n
         return fine
 
-    def reduce_hat(self, fine_values: np.ndarray, m: int, work: Optional[np.ndarray] = None) -> np.ndarray:
+    def reduce_hat(self, fine_values: np.ndarray, m: int, work: np.ndarray) -> np.ndarray:
         """Truncate samples on a padded size m > n back to the base rfft.
 
         work, of length m//2 + 1, receives the forward transform, and the
-        result is then a view of its first n//2 + 1 bins; it is allocated
-        when not given.
+        result is a view of its first n//2 + 1 bins.
         """
         n = self.grid.n
         out = np.fft.rfft(fine_values, out=work)[: n // 2 + 1]
@@ -161,17 +152,14 @@ class SpectralOps:
         if p == 1:
             return np.asarray(factor_values[0], dtype=float).copy()
         m = self.pad_size(p)
-        fine = self.upsample(np.fft.rfft(factor_values[0]), m)
+        pad, (acc, fine) = np.zeros(m // 2 + 1, dtype=complex), np.empty((2, m))
+        self.upsample(np.fft.rfft(factor_values[0]), m, 1.0, acc, pad)
         for v in factor_values[1:]:
-            fine *= self.upsample(np.fft.rfft(v), m)
-        return np.fft.irfft(self.reduce_hat(fine, m), self.grid.n)
+            acc *= self.upsample(np.fft.rfft(v), m, 1.0, fine, pad)
+        return np.fft.irfft(self.reduce_hat(acc, m, pad), self.grid.n)
 
 
 @lru_cache(maxsize=64)
 def get_ops(grid: Grid) -> SpectralOps:
     return SpectralOps(grid)
 
-
-def derivative(f: Field, order: int = 1) -> Field:
-    """Spectral derivative of order 1 or 2 (Nyquist zeroed for order 1)."""
-    return Field(f.grid, get_ops(f.grid).deriv(f.hat, order))

@@ -21,7 +21,7 @@ import numpy as np
 from kabc.dynamics import RhsOperator
 from kabc.exact import peakon_speed
 from kabc.params import Params, periodic_peakon_admissible
-from kabc.spectral import Field, Grid, derivative, get_ops
+from kabc.spectral import Field, Grid, get_ops
 
 
 def circle_peakon_speed(gamma: float, p: Params) -> float:
@@ -104,9 +104,9 @@ def local_form_residual(u: Field, ut: Field, p: Params) -> Field:
         raise ValueError("u and ut must share one grid")
     k, a, b, c = p.k, p.a, p.b, p.c
     ops = get_ops(u.grid)
-    v, ux, uxx = u.values, derivative(u, 1).values, derivative(u, 2).values
+    v, ux, uxx = u.values, ops.deriv(u.hat, 1), ops.deriv(u.hat, 2)
     uxxx = ops.apply(uxx, ops.ik)
-    out = ut.values - derivative(ut, 2).values
+    out = ut.values - ops.deriv(ut.hat, 2)
     out = out + (b + 1.0) * ops.product([v] * k + [ux])
     out = out + (2.0 * c - 3.0 * k) * ops.product([v] * (k - 1) + [ux, uxx])
     out = out - ops.product([v] * k + [uxxx])

@@ -41,7 +41,7 @@ from kabc.cli import (
 )
 from kabc.config import DEFAULT_CONFIG, _KEYS, _PROFILE_SHAPES
 from kabc.params import _FIXED_PRESETS, preset
-from kabc.spectral import Field, Grid
+from kabc.spectral import Field, Grid, get_ops
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -949,24 +949,54 @@ class TestOtherSubcommands:
         with pytest.raises(ConfigError, match="grid mismatch"):
             build_profile(spec)
 
+    @staticmethod
+    def run_on_file_profile(tmp_path, subcommand, values):
+        """Run subcommand at n = 1024 on the default box from a file profile
+        of these samples, in a child, so that any numpy warning would reach
+        the stderr it returns."""
+        g = Grid(1024, DEFAULT_CONFIG["grid"]["length"])
+        snap = tmp_path / "u0.csv"
+        write_snapshot(Field(g, values(g)), snap)
+        argv = [subcommand, "--out", str(tmp_path / "out"), "--set", "grid.n=1024", "--set",
+                f'profile={{"shape": "file", "path": "{snap}"}}']
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        return subprocess.run([sys.executable, "-m", "kabc.cli", *argv], capture_output=True, text=True, timeout=60,
+                              env=env)
+
     @pytest.mark.parametrize("subcommand", ["simulate", "lagrangian"])
     def test_profile_file_whose_spectrum_overflows_exits_3(self, tmp_path, subcommand):
         # finite samples whose rfft is not: n * 1e306 overflows the mean bin
-        g = Grid(1024, DEFAULT_CONFIG["grid"]["length"])
-        snap = tmp_path / "u0.csv"
-        write_snapshot(Field(g, np.full(g.n, 1e306)), snap)
-        out = tmp_path / "out"
-        argv = [subcommand, "--out", str(out), "--set", "grid.n=1024", "--set",
-                f'profile={{"shape": "file", "path": "{snap}"}}']
-        # in a child, so that any numpy warning would reach the stderr read here
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run([sys.executable, "-m", "kabc.cli", *argv], capture_output=True, text=True, timeout=60,
-                              env=env)
+        proc = self.run_on_file_profile(tmp_path, subcommand, lambda g: np.full(g.n, 1e306))
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr.splitlines() == ["kabc: configuration error: invalid profile: its spectrum is not "
                                             "finite: the samples are too large to transform"]
-        assert "invalid profile" in manifest_of(out)["result"]["error"]
+        assert "invalid profile" in manifest_of(tmp_path / "out")["result"]["error"]
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "lagrangian"])
+    def test_profile_file_whose_derivative_overflows_exits_3(self, tmp_path, subcommand):
+        # a finite spectrum (its mode-300 bin is 5.12e307) that ik takes past
+        # the largest double, so the u_x samples every run computes are not finite
+        proc = self.run_on_file_profile(tmp_path, subcommand,
+                                        lambda g: 1e305 * np.sin(300 * 2 * np.pi * g.nodes / g.length))
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.splitlines() == ["kabc: configuration error: invalid profile: its order-1 derivative "
+                                            "is not finite: the samples are too large"]
+        assert "invalid profile" in manifest_of(tmp_path / "out")["result"]["error"]
+
+    def test_profile_whose_derivative_bound_overflows_but_samples_do_not(self, tmp_path):
+        # n^2 * sum |hat * ik| overflows, so the u_x samples are transformed and
+        # checked, and they are finite: the start is accepted
+        g = Grid(1024, 2 * math.pi)
+        u0 = 1e300 * np.sin(g.nodes)
+        snap = tmp_path / "u0.csv"
+        write_snapshot(Field(g, u0), snap)
+        spec = parse_config(None, ["grid.n=1024", f"grid.length={2 * math.pi!r}",
+                                   f'profile={{"shape": "file", "path": "{snap}"}}'], "simulate", str(tmp_path / "x"))
+        got = build_profile(spec)
+        assert np.array_equal(got.values, u0)
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(g.n**2 * np.sum(np.abs(got.hat * get_ops(g).ik)))
 
 
 # 2,100 seeds fill a block of CSV_BLOCK_ROWS (4,096) rows every two states,

@@ -15,7 +15,7 @@ from kabc.diagnostics import (
 )
 from kabc.exact import peakon_speed
 from kabc.params import preset
-from kabc.spectral import Field, Grid, derivative
+from kabc.spectral import Field, Grid, get_ops
 from oracles import WeightSpec, peakon_line_eval, weighted_sup
 
 
@@ -237,7 +237,7 @@ class TestSnapshotDecayFits:
     # simulate's diagnostics.csv fits u and u_x of each stored state
     def fits(self, f):
         window = default_tail_window(f.grid)
-        return decay_fit(f, window), decay_fit(derivative(f, 1), window)
+        return decay_fit(f, window), decay_fit(Field(f.grid, get_ops(f.grid).deriv(f.hat, 1)), window)
 
     def test_zero_trajectory_all_floor(self):
         g = Grid(512, 40 * np.pi)

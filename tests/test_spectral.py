@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kabc.spectral import Field, Grid, derivative, get_ops
+from kabc.spectral import Field, Grid, get_ops
 
 
 def band_limited(grid, max_mode, seed):
@@ -66,8 +66,8 @@ class TestField:
         g = Grid(32, 2 * np.pi)
         f = Field(g, np.sin(g.nodes))
         assert f.hat is f.hat
-        derivative(f, 1)
-        derivative(f, 2)
+        get_ops(g).deriv(f.hat, 1)
+        get_ops(g).deriv(f.hat, 2)
         assert len(calls) == 1
         with pytest.raises(ValueError):
             f.hat[1] = 0.0
@@ -110,24 +110,32 @@ class TestDerivative:
     def test_sin_first(self):
         g = Grid(64, 2 * np.pi)
         f = Field(g, np.sin(g.nodes))
-        assert np.max(np.abs(derivative(f, 1).values - np.cos(g.nodes))) < 1e-12
+        assert np.max(np.abs(get_ops(g).deriv(f.hat, 1) - np.cos(g.nodes))) < 1e-12
 
     def test_sin_second(self):
         g = Grid(64, 2 * np.pi)
         f = Field(g, np.sin(g.nodes))
-        assert np.max(np.abs(derivative(f, 2).values + np.sin(g.nodes))) < 1e-12
+        assert np.max(np.abs(get_ops(g).deriv(f.hat, 2) + np.sin(g.nodes))) < 1e-12
 
     def test_exp_cos_analytic(self):
         g = Grid(128, 2 * np.pi)
         x = g.nodes
         f = Field(g, np.exp(np.cos(x)))
         want = -np.sin(x) * np.exp(np.cos(x))
-        assert np.max(np.abs(derivative(f, 1).values - want)) < 1e-10
+        assert np.max(np.abs(get_ops(g).deriv(f.hat, 1) - want)) < 1e-10
 
     def test_invalid_order(self):
         g = Grid(16, 1.0)
         with pytest.raises(ValueError):
-            derivative(Field(g, np.zeros(16)), 3)
+            get_ops(g).deriv(Field(g, np.zeros(16)).hat, 3)
+
+    def test_nyquist_zeroed_at_order_one(self):
+        # the +-n/2 mode has no odd derivative on the grid; order 2 keeps it
+        g = Grid(16, 2 * np.pi)
+        f = Field(g, np.cos(np.pi * np.arange(16)))
+        ops = get_ops(g)
+        assert np.array_equal(ops.deriv(f.hat, 1), np.zeros(16))
+        assert np.max(np.abs(ops.deriv(f.hat, 2) + 64.0 * f.values)) < 1e-12
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_cached_transform_bit_identical(self, order):
@@ -137,7 +145,7 @@ class TestDerivative:
         ops = get_ops(g)
         mult = ops.ik if order == 1 else ops.d2
         want = np.fft.irfft(np.fft.rfft(f.values) * mult, g.n)
-        assert np.array_equal(derivative(f, order).values, want)
+        assert np.array_equal(ops.deriv(f.hat, order), want)
 
 
 class TestHelmholtzInverse:
@@ -180,7 +188,7 @@ class TestHelmholtzInverse:
         f = band_limited(g, g.n // 3, seed=3)
         ops = get_ops(g)
         w = Field(g, ops.apply(f.values, ops.helmholtz))
-        back = w.values - derivative(w, 2).values
+        back = w.values - ops.deriv(w.hat, 2)
         assert np.max(np.abs(back - f.values)) < 1e-10 * max(1.0, np.max(np.abs(f.values)))
 
     @settings(deadline=None, max_examples=20)
@@ -212,7 +220,7 @@ class TestGreenDxConvolve:
         g = Grid(128, 2 * np.pi)
         f = band_limited(g, 30, seed=11)
         ops = get_ops(g)
-        lhs = derivative(Field(g, ops.apply(f.values, ops.green_dx)), 1).values
+        lhs = ops.deriv(Field(g, ops.apply(f.values, ops.green_dx)).hat, 1)
         rhs = ops.apply(f.values, ops.helmholtz) - f.values
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(f.values)))
 
@@ -237,6 +245,34 @@ def convolve_modes(spectra, n):
     for m in range(-half + 1, half):
         out[m % n] = acc[center + m]
     return out * n
+
+
+class TestPaddedTransforms:
+    def test_upsample_writes_and_returns_out(self):
+        # at m = 2n every other fine node is a coarse node, so the
+        # interpolant of hat * mult reads back the samples of its multiplier
+        g = Grid(32, 2 * np.pi)
+        f = band_limited(g, 15, seed=4)
+        ops = get_ops(g)
+        m = ops.pad_size(3)
+        assert m == 2 * g.n
+        out, work = np.empty(m), np.zeros(m // 2 + 1, dtype=complex)
+        for mult, want in ((1.0, f.values), (ops.ik, ops.deriv(f.hat, 1)), (ops.d2, ops.deriv(f.hat, 2))):
+            fine = ops.upsample(f.hat, m, mult, out, work)
+            assert fine is out
+            assert np.max(np.abs(fine[::2] - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+            assert not np.any(work[g.n // 2 + 1 :])  # only the low bins are written
+
+    def test_reduce_hat_is_a_view_of_work(self):
+        g = Grid(32, 2 * np.pi)
+        f = band_limited(g, 15, seed=5)
+        ops = get_ops(g)
+        m = ops.pad_size(2)
+        fine = ops.upsample(f.hat, m, 1.0, np.empty(m), np.zeros(m // 2 + 1, dtype=complex))
+        work = np.empty(m // 2 + 1, dtype=complex)
+        back = ops.reduce_hat(fine, m, work)
+        assert np.shares_memory(back, work) and back.shape == f.hat.shape
+        assert np.max(np.abs(back - f.hat)) < 1e-12
 
 
 class TestDealiasedProduct:
