@@ -51,7 +51,7 @@ MAX_STEPS = 10**7
 
 
 class BlowUpError(RuntimeError):
-    """A stage or step produced non-finite samples."""
+    """A state's CFL speed, or a step's new samples, are not finite."""
 
 
 class StepLimitError(RuntimeError):
@@ -167,7 +167,8 @@ class RhsOperator:
     reentrant: one call at a time.  Each call still returns a fresh array,
     never a view of the workspace, so results of earlier calls stay valid
     (rk4_step holds four of them at once).  forcing(t), when given, is added
-    to every call's half-spectrum.
+    to every call's half-spectrum.  A call tests no finiteness and silences no
+    overflow: inf or NaN bins go on to the caller (simulate stops on them).
     """
 
     def __init__(self, grid: Grid, params: Params, forcing: Optional[Callable] = None):
@@ -200,25 +201,6 @@ class RhsOperator:
         shape = (self.grid.n // 2 + 1,)
         if np.shape(uh) != shape:
             raise ValueError(f"expected an rfft half-spectrum of shape {shape}, got shape {np.shape(uh)}")
-        # overflow to inf is the blow-up signal, not a warning condition
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._eval(uh, t)
-
-    def _bracket(self, terms) -> np.ndarray:
-        """Sum of the terms in order, into the bracket accumulator.  Each term
-        is multiplied left to right, and u^0 = 1 is skipped: x * 1 = x."""
-        acc = self._acc
-        for i, (coef, j, *factors) in enumerate(terms):
-            out = self._term if i else acc
-            first, rest = (factors[0], factors[1:]) if j == 0 else (self._upow[j], factors)
-            np.multiply(coef, first, out=out)
-            for f in rest:
-                np.multiply(out, f, out=out)
-            if i:
-                acc += out
-        return acc
-
-    def _eval(self, uh: np.ndarray, t: float) -> np.ndarray:
         ops, m, up, pad, fine_hat = self.ops, self.m, self._upow, self._pad_hat, self._fine_hat
         u = ops.upsample(uh, m, 1.0, self._u, pad)
         ux = ops.upsample(uh, m, ops.ik, self._ux, pad)
@@ -238,9 +220,21 @@ class RhsOperator:
 
         if self.forcing is not None:
             rhs_hat += self.forcing(t)
-        if not np.all(np.isfinite(rhs_hat)):
-            raise BlowUpError(f"non-finite right-hand side at t = {t:.6g}")
         return rhs_hat
+
+    def _bracket(self, terms) -> np.ndarray:
+        """Sum of the terms in order, into the bracket accumulator.  Each term
+        is multiplied left to right, and u^0 = 1 is skipped: x * 1 = x."""
+        acc = self._acc
+        for i, (coef, j, *factors) in enumerate(terms):
+            out = self._term if i else acc
+            first, rest = (factors[0], factors[1:]) if j == 0 else (self._upow[j], factors)
+            np.multiply(coef, first, out=out)
+            for f in rest:
+                np.multiply(out, f, out=out)
+            if i:
+                acc += out
+        return acc
 
 
 def cfl_dt(u: Field, p: Params, safety: float, dt_max: float) -> float:
@@ -281,8 +275,10 @@ def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> 
     that stop_reason.  A run also ends early, with its stop_reason, when a
     step goes non-finite or is too small to advance t, or after MAX_STEPS
     steps; the last good state is then stored if it was not already (what
-    on_state returns there is not read).  A run that the first CFL step puts
-    above MAX_STEPS steps (t_end / dt) raises StepLimitError before it steps.
+    on_state returns there is not read).  Field's check of a step's samples
+    is the one blow-up detector: a non-finite RK4 stage reaches it.  A run
+    that the first CFL step puts above MAX_STEPS steps (t_end / dt) raises
+    StepLimitError before it steps.
     """
     if u0.grid != cfg.grid:
         raise ValueError("u0 must live on cfg.grid")
@@ -310,7 +306,7 @@ def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> 
             if t + dt == t:  # dt is below the spacing of doubles at t
                 traj.stop_reason = f"time step {dt:.3g} no longer advances t = {t:.6g}"
                 break
-            with np.errstate(over="ignore", invalid="ignore"):  # as in RhsOperator: inf is the blow-up signal
+            with np.errstate(over="ignore", invalid="ignore"):  # inf is the blow-up signal, not a warning
                 u_new = np.fft.irfft(rk4_step(op, traj.final.hat, t, dt), cfg.grid.n)
             # step next on the rfft of the stored samples, not on rk4_step's
             # spectrum: the two differ at round-off, and the run reports samples
@@ -346,8 +342,9 @@ def mms_forcing(u0: Field, c: float, p: Params) -> Callable:
     does not shift: for A sin x on a box of j periods, while (k+1) j < n/2,
     which config checks for an mms run.
     """
-    uh, xi = u0.hat, u0.grid.wavenumbers
-    g0 = -c * get_ops(u0.grid).ik * uh - RhsOperator(u0.grid, p)(uh, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in simulate: inf is the blow-up signal
+        uh, xi = u0.hat, u0.grid.wavenumbers
+        g0 = -c * get_ops(u0.grid).ik * uh - RhsOperator(u0.grid, p)(uh, 0.0)
 
     def forcing(t: float) -> np.ndarray:
         g = g0 * np.exp(-1j * c * t * xi)

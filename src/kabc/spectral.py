@@ -115,9 +115,15 @@ class SpectralOps:
 
     def pad_size(self, n_factors: int) -> int:
         """Smallest even grid size keeping a product of n_factors fields
-        alias-free: m >= (p + 1) * n / 2."""
+        alias-free, m >= (p + 1) * n / 2, with no prime factor above 11: the
+        FFT is many times slower at a size with a large prime factor."""
         m = math.ceil((n_factors + 1) * self.grid.n / 2)
-        return m + (m % 2)
+        m += m % 2
+        # m has no prime factor above 11 exactly when it divides 2310^e, 2310 =
+        # 2 * 3 * 5 * 7 * 11 and e any exponent at least log2(m)
+        while pow(2310, m.bit_length(), m):
+            m += 2
+        return m
 
     def upsample(self, hat: np.ndarray, m: int, mult, out: np.ndarray, work: np.ndarray) -> np.ndarray:
         """Trigonometric interpolation of the half-spectrum times mult (a

@@ -812,6 +812,37 @@ class TestOtherSubcommands:
         assert result["blew_up"] is True and result["error"] == "mms level 2 (dt 0.0625): stopped for the test"
         assert result["finest_error"] == float(rows[-1][1]) and result["orders"] == [float(rows[-1][2])]
 
+    @pytest.mark.parametrize("overrides", [
+        ["mms.amplitude=-1e300", "grid.n=32"],
+        ['params={"k":5,"a":0.5,"b":1,"c":1}', "mms.amplitude=1e60", "grid.n=64"],
+        ["mms.amplitude=1.7e308", "grid.n=1024"],  # u0's spectrum overflows too
+    ])
+    def test_mms_whose_forcing_overflows_exits_3_at_the_step_cap(self, tmp_path, capsys, overrides):
+        # the forcing's N(u0) is not finite, and the first CFL step already
+        # puts the run above the step cap: the forcing raises nothing itself
+        out = tmp_path / "mms"
+        argv = ["mms", "--out", str(out), "--set", "grid.length=6.283185307179586"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("kabc: configuration error: t_end 1 at the first CFL step")
+        assert manifest_of(out)["result"]["exit"] == EXIT_CONFIG
+
+    def test_mms_level_with_zero_error_has_no_order(self, tmp_path, capsys):
+        # at the smallest subnormal amplitude both levels end exactly on the
+        # manufactured solution, and log2(0 / 0) is no order
+        out = tmp_path / "mms"
+        argv = ["mms", "--out", str(out), "--set", "mms.amplitude=5e-324", "--set", "grid.n=8", "--set",
+                "grid.length=6.283185307179586", "--set", "mms.levels=2", "--set", "mms.t_end=1e-6",
+                "--set", "mms.dt0=1e-6"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in (out / "mms.csv").read_text().splitlines()[1:]]
+        assert [row[1:] for row in rows] == [["0", "nan"], ["0", "nan"]]
+        assert (out / "summary.csv").read_text().splitlines()[1].split(",")[1:] == ["0", "nan"]
+        assert math.isnan(manifest_of(out)["result"]["orders"][0])
+
     def test_lagrangian_wave_breaking_keeps_its_particles(self, tmp_path):
         # across 10 steps of this k = 3 peakon a stretch turns negative: the
         # particles stop at the state before, their rows are written, and the
@@ -985,8 +1016,8 @@ class TestOtherSubcommands:
         assert "invalid profile" in manifest_of(tmp_path / "out")["result"]["error"]
 
     def test_profile_whose_derivative_bound_overflows_but_samples_do_not(self, tmp_path):
-        # n^2 * sum |hat * ik| overflows, so the u_x samples are transformed and
-        # checked, and they are finite: the start is accepted
+        # n^2 * sum |hat * ik|, a bound on the u_x samples, overflows, but the
+        # samples build_profile transforms and checks are finite: the start is accepted
         g = Grid(1024, 2 * math.pi)
         u0 = 1e300 * np.sin(g.nodes)
         snap = tmp_path / "u0.csv"
@@ -1467,13 +1498,14 @@ BOX = DEFAULT_CONFIG["grid"]["length"]
 
 class TestRunFuzz:
     """Whole runs of configs near the validity edges: every run exits with a
-    documented code, prints no traceback, and leaves a manifest wherever it
-    made its output directory."""
+    documented code other than 5 (a fault of kabc), prints no traceback, and
+    leaves a manifest wherever it made its output directory."""
 
     # |gamma| near 0, near the case floor 1e-12 and near the bound 1e140
     GAMMAS = (0.0, 5e-324, 1e-300, 1e-12, -1e-12, 1e140, -1e140, math.nextafter(1e140, math.inf))
     CASE_GAMMAS = (1e-12, math.nextafter(1e-12, 0.0), 1e-13, 1.0, 1e140, math.nextafter(1e140, math.inf))
     WIDTHS = (BOX / 4, math.nextafter(BOX / 4, 0.0), math.nextafter(BOX / 4, math.inf))
+    K5 = {"k": 5, "a": 0.5, "b": 1, "c": 1}
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -1486,15 +1518,24 @@ class TestRunFuzz:
         t_end=st.sampled_from([math.nextafter(1e-12, math.inf), 1e-6, 0.05]),
         output_stride=st.sampled_from([1, 10**9, 2**70]),
         levels=st.sampled_from([1, 12]),
+        amplitude=st.sampled_from([0.1, 1e150, -1e300, 5e-324]),
+        params=st.sampled_from([{"preset": "ch"}, K5]),
     )
     @example(subcommand="peakon-verify", n=256, profile={"shape": "peakon", "gamma": 1.0}, case_gamma=1e-13,
-             dt_max=1e-2, t_end=0.05, output_stride=1, levels=1)
+             dt_max=1e-2, t_end=0.05, output_stride=1, levels=1, amplitude=0.1, params={"preset": "ch"})
+    # an mms forcing whose N(u0) is not finite, and a level whose error is exactly 0
+    @example(subcommand="mms", n=32, profile={"shape": "peakon", "gamma": 1.0}, case_gamma=1.0, dt_max=1e-2,
+             t_end=0.05, output_stride=1, levels=1, amplitude=-1e300, params={"preset": "ch"})
+    @example(subcommand="mms", n=64, profile={"shape": "peakon", "gamma": 1.0}, case_gamma=1.0, dt_max=1e-2,
+             t_end=0.05, output_stride=1, levels=1, amplitude=1e60, params=K5)
+    @example(subcommand="mms", n=8, profile={"shape": "peakon", "gamma": 1.0}, case_gamma=1.0, dt_max=1e-2,
+             t_end=1e-6, output_stride=1, levels=2, amplitude=5e-324, params={"preset": "ch"})
     def test_run_exits_with_a_documented_code(self, subcommand, n, profile, case_gamma, dt_max, t_end,
-                                              output_stride, levels):
+                                              output_stride, levels, amplitude, params):
         # each run sets the keys it reads, so that one rejected value does
         # not stop every run; the t_end drawn is the run's own
         t_end_key = {"peakon-verify": "peakon_verify.t_end", "mms": "mms.t_end"}.get(subcommand, "t_end")
-        overrides = {"grid.n": n, "dt_max": dt_max, t_end_key: t_end, "output_stride": output_stride}
+        overrides = {"params": params, "grid.n": n, "dt_max": dt_max, t_end_key: t_end, "output_stride": output_stride}
         if subcommand in ("simulate", "lagrangian"):
             overrides["profile"] = profile
         if subcommand == "simulate":
@@ -1506,7 +1547,8 @@ class TestRunFuzz:
         if subcommand == "mms":
             # one period, so that every n drawn passes the mms box rule, and
             # a dt0 no longer than the t_end drawn, which parse requires
-            overrides.update({"mms.levels": levels, "grid.length": 2 * math.pi, "mms.dt0": t_end})
+            overrides.update({"mms.levels": levels, "grid.length": 2 * math.pi, "mms.dt0": t_end,
+                              "mms.amplitude": amplitude})
         with tempfile.TemporaryDirectory() as tmp:
             out = os.path.join(tmp, "out")
             argv = [subcommand, "--out", out]
@@ -1515,7 +1557,7 @@ class TestRunFuzz:
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = main(argv)
-            assert code in (EXIT_OK, EXIT_BLOWUP, EXIT_CONFIG, EXIT_IO, EXIT_INTERNAL)
+            assert code in (EXIT_OK, EXIT_BLOWUP, EXIT_CONFIG, EXIT_IO)
             assert "Traceback" not in err.getvalue()
             if os.path.exists(out):
                 assert manifest_of(out)["result"]["exit"] == code

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -273,6 +275,29 @@ class TestPaddedTransforms:
         back = ops.reduce_hat(fine, m, work)
         assert np.shares_memory(back, work) and back.shape == f.hat.shape
         assert np.max(np.abs(back - f.hat)) < 1e-12
+
+
+class TestPadSize:
+    @staticmethod
+    def smooth(m):
+        return all(q <= 11 for q in range(2, m + 1) if m % q == 0 and all(q % r for r in range(2, q)))
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 6, 12])
+    def test_smallest_even_11_smooth_size_past_the_alias_bound(self, p):
+        for n in range(8, 400, 2):
+            m, low = get_ops(Grid(n, 1.0)).pad_size(p), math.ceil((p + 1) * n / 2)
+            assert m >= low and m % 2 == 0 and self.smooth(m)
+            assert not any(self.smooth(j) for j in range(low + low % 2, m, 2))
+
+    def test_power_of_two_sizes_keep_their_padding(self):
+        # m = (k + 2) n / 2 has no prime factor above 11 for k <= 10
+        for k in range(1, 11):
+            for n in (8, 64, 1024, 8192):
+                assert get_ops(Grid(n, 1.0)).pad_size(k + 1) == (k + 2) * n // 2
+
+    def test_a_large_prime_factor_is_stepped_over(self):
+        # (p + 1) n / 2 = 8196 = 4 * 3 * 683 for Novikov's cubic at n = 4098
+        assert get_ops(Grid(4098, 1.0)).pad_size(3) == 8232  # 2^3 * 3 * 7^3
 
 
 class TestDealiasedProduct:
