@@ -54,7 +54,7 @@ OUT_ROOT_ENV = "KABC_OUT"
 
 # Every file a run writes, and its .part: run removes these, and nothing else
 ARTIFACT_NAME = re.compile(
-    r"(manifest\.json|(diagnostics|final|summary|speeds|mms|particles|aggregate|snap_\d{6})\.csv)(\.part)?")
+    r"(manifest\.json|(diagnostics|final|summary|speeds|mms|particles|aggregate|snap_\d{6,})\.csv)(\.part)?")
 
 
 def parse_config(path=None, overrides=(), subcommand="simulate", out_dir=None) -> RunSpec:
@@ -277,14 +277,6 @@ class _CsvWriter:
                     os.remove(part)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _write_manifest(spec: RunSpec, started, wall_s, result: dict) -> None:
     manifest = {
         "schema_version": 1,
@@ -305,7 +297,7 @@ def _write_manifest(spec: RunSpec, started, wall_s, result: dict) -> None:
             periodic_peakon_admissible=params_mod.periodic_peakon_admissible(p),
         )
     with open(os.path.join(spec.out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -330,10 +322,7 @@ def compute_simulate(spec: RunSpec):
     def take(rec, u):
         ux = Field(u.grid, get_ops(u.grid).deriv(u.hat, 1))
         fit_u, fit_ux = (diagnostics.decay_fit(f, spec.fit_window) for f in (u, ux))
-        try:
-            crest = diagnostics.crest_position(u)
-        except ValueError:
-            crest = math.nan
+        crest = diagnostics.crest_position(u)
         if spec.write_snapshots:
             writer.send(f"snap_{len(rows):06d}.csv", *_snapshot_table(u))
         rows.append((rec.t, rec.hs_norm, rec.h1_sq, rec.dt, crest, fit_u.theta_hat, fit_ux.theta_hat, fit_u.r2,
@@ -352,16 +341,18 @@ def compute_simulate(spec: RunSpec):
 
 
 def _peakon_case(spec: RunSpec, label: str, p: Params, gamma: float):
-    """One speeds.csv row (NaN speed if the case stopped early), the case's
-    growth bound record with its params, and its stop reason (None if it
-    reached t_end).  Its trajectory dies on return, so a run holds one case's
-    trajectory at a time, and of its states only the crest positions."""
+    """One speeds.csv row (NaN speed if the case stopped early, a state with
+    no single crest included), the case's growth bound record with its
+    params, and its stop reason (None if it reached t_end).  Its trajectory
+    dies on return, so a run holds one case's trajectory at a time, and of
+    its states only the crest positions."""
     u0 = mollified_profile("peakon", gamma, spec.sim.grid.dx, spec.sim.grid)  # at dx, finer than a profile's 3 dx
     times, crests = [], []
 
     def take(rec, u):
         times.append(rec.t)
         crests.append(diagnostics.crest_position(u))
+        return f"no single crest at t = {rec.t:.6g}" if math.isnan(crests[-1]) else None
 
     traj = simulate(replace(spec.sim, params=p), u0, take)
     expected = exact.peakon_speed(gamma, p)

@@ -81,8 +81,8 @@ _POSITIVE = _real("> 0", lambda x: x > 0.0)
 # zero, while 1e146 starts right up to 2**22 nodes
 GAMMA_MAX = 1e140
 _GAMMA = _real(f"at most {GAMMA_MAX:g} in magnitude", lambda x: abs(x) <= GAMMA_MAX)
-# A case's crest is tracked; diagnostics.crest_position calls a field flat
-# when its range is at most 1e-13 max(1, |max|), so a case stays a decade above
+# A case's crest is tracked: diagnostics.crest_position is NaN, which stops the
+# case, for a field of range at most 1e-13 max(1, |max|), so a case starts a decade above
 CASE_GAMMA_MIN = 1e-12
 _CASE_GAMMA = _real(f"in [{CASE_GAMMA_MIN:g}, {GAMMA_MAX:g}]", lambda x: CASE_GAMMA_MIN <= x <= GAMMA_MAX)
 # a shorter run would take no step
@@ -304,6 +304,18 @@ def _lagrangian_seeds(vals: dict, grid: Grid) -> np.ndarray:
     return np.array([in_box(s, "lagrangian.seeds") for s in seeds])
 
 
+def _check_box(grid: Grid) -> None:
+    """Every run measures the H^SOBOLEV_S norm of its states, whose weights
+    are at most 2 (1 + xi^2)^s, xi = pi n / L the top wavenumber: on a box so
+    small that this is not finite, the norm would read inf * 0."""
+    xi = np.float64(math.pi * grid.n / grid.length)  # a float's ** raises where np.float64's gives inf
+    with np.errstate(over="ignore"):
+        top = 2.0 * (1.0 + xi * xi) ** dynamics.SOBOLEV_S
+    if not np.isfinite(top):
+        raise ConfigError(f"grid.length must keep the H^{dynamics.SOBOLEV_S:g} norm's top weight "
+                          f"2 (1 + (pi n / L)^2)^{dynamics.SOBOLEV_S:g} finite at n = {grid.n}, got {grid.length!r}")
+
+
 def _check_mms_box(grid: Grid, p: Params) -> None:
     """An mms study's wave A sin(x - t) is periodic on the box only when
     grid.length is 2 pi j for an integer j >= 1 (to 1e-12 relative), and its
@@ -373,6 +385,7 @@ def resolve(subcommand: str, cfg: dict, out_dir: str) -> RunSpec:
     )
     if subcommand == "sweep":
         return replace(spec, points=_sweep_points(cfg, vals, out_dir))
+    _check_box(grid)
     spec = replace(spec, profile=_profile(vals, grid), peakon_cases=_peakon_cases(vals),
                    seeds=_lagrangian_seeds(vals, grid))
     # the default fit window needs n >= 128, finer than an mms run needs

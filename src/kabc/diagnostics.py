@@ -111,15 +111,14 @@ def default_tail_window(grid) -> tuple[float, float]:
 
 def crest_position(f: Field) -> float:
     """Crest location by quadratic interpolation through the three nodes
-    around the maximum."""
+    around the maximum; NaN when the maximum is ambiguous: a flat field
+    (range at most 1e-13 max(1, |max|)) or a tie for it."""
     grid = f.grid
     v = f.values
     j = int(np.argmax(v))
-    vmax, vmin = v[j], float(np.min(v))
-    if vmax - vmin <= 1e-13 * max(1.0, abs(vmax)):
-        raise ValueError("ambiguous maximum: field is flat")
-    if int(np.sum(v == vmax)) > 1:
-        raise ValueError("ambiguous maximum: multiple global maxima")
+    vmax = v[j]
+    if vmax - float(np.min(v)) <= 1e-13 * max(1.0, abs(vmax)) or int(np.sum(v == vmax)) > 1:
+        return math.nan
     ym, y0, yp = v[(j - 1) % grid.n], v[j], v[(j + 1) % grid.n]
     denom = ym - 2.0 * y0 + yp
     delta = 0.0 if denom == 0.0 else 0.5 * (ym - yp) / denom

@@ -14,7 +14,8 @@ right-hand side evaluation goes from spectrum to spectrum, and a step makes
 one inverse transform to store the new samples and one forward transform of
 them, the new Field's kept hat, which the step's norms, the next step and
 every reader of the stored state share.  simulate hands each stored state
-to its caller, which may end the run there, and keeps only the last.  One
+to its caller, which may end the run there, and keeps only the last; a
+fault inside a run ends it with a stop reason, not an exception.  One
 evaluation costs one inverse FFT on the padded grid per upsampled factor
 (u, u_x, and u_xx when c_f2_2 != 0) and one forward FFT there per bracket
 (local, f1, and f2 when it has a nonzero coefficient): 4 at k = 1 (CH, DP),
@@ -48,10 +49,6 @@ SOBOLEV_S = 3.0
 # for about an hour (0.34 ms a step on one core of a 2-vCPU x86 host); its
 # memory does not grow with its steps.
 MAX_STEPS = 10**7
-
-
-class BlowUpError(RuntimeError):
-    """A state's CFL speed, or a step's new samples, are not finite."""
 
 
 class StepLimitError(RuntimeError):
@@ -106,10 +103,10 @@ class Trajectory:
     to land on t_end) and exceeded_t (first step time with an H^s norm above
     bound = 2^{1+1/k} hs0; None when hs0 is zero).  final is the last
     state's Field, with its kept spectrum.  stop_reason says why a run ended
-    before t_end (its field went non-finite, its step no longer advanced t,
-    it reached MAX_STEPS steps, or its on_state returned a reason), and is
-    None for a run that reached it; final and last are then the last good
-    state's.
+    before t_end (its field went non-finite, its step, 0 where the CFL speed
+    overflowed, no longer advanced t, it reached MAX_STEPS steps, or its
+    on_state returned a reason), and is None for a run that reached it;
+    final and last are then the last good state's.
     """
 
     def __init__(self, config: SimConfig, final: Field, first: StepRecord):
@@ -240,7 +237,7 @@ class RhsOperator:
 def cfl_dt(u: Field, p: Params, safety: float, dt_max: float) -> float:
     """CFL step from the advective characteristic speed u^k - a u^{k-2} u_x^2
     (the u_x coefficient of the evolution form, u_x from u's kept
-    spectrum), floored at 1e-12."""
+    spectrum), floored at 1e-12; 0 when the speed is inf or NaN."""
     v = u.values
     with np.errstate(over="ignore", invalid="ignore"):
         speed = v**p.k
@@ -248,10 +245,9 @@ def cfl_dt(u: Field, p: Params, safety: float, dt_max: float) -> float:
             ux = get_ops(u.grid).deriv(u.hat, 1)
             speed = speed - p.a * v ** (p.k - 2) * ux * ux
         vmax = float(np.max(np.abs(speed)))
-    if not math.isfinite(vmax):
-        raise BlowUpError("non-finite CFL speed")
-    vmax = max(vmax, 1e-12)
-    return min(dt_max, safety * u.grid.dx / vmax)
+    if not math.isfinite(vmax):  # inf, or NaN from inf - inf; min(dt_max, nan) would be dt_max
+        return 0.0
+    return min(dt_max, safety * u.grid.dx / max(vmax, 1e-12))
 
 
 def rk4_step(f: Callable, y: np.ndarray, t: float, dt: float) -> np.ndarray:
@@ -275,10 +271,11 @@ def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> 
     that stop_reason.  A run also ends early, with its stop_reason, when a
     step goes non-finite or is too small to advance t, or after MAX_STEPS
     steps; the last good state is then stored if it was not already (what
-    on_state returns there is not read).  Field's check of a step's samples
-    is the one blow-up detector: a non-finite RK4 stage reaches it.  A run
-    that the first CFL step puts above MAX_STEPS steps (t_end / dt) raises
-    StepLimitError before it steps.
+    on_state returns there is not read).  No fault inside a run raises:
+    Field's check of a step's samples is the one blow-up detector (a
+    non-finite RK4 stage reaches it), and an overflowing CFL speed gives a
+    zero step.  A run that the first CFL step puts above MAX_STEPS steps
+    (t_end / dt) raises StepLimitError before it steps.
     """
     if u0.grid != cfg.grid:
         raise ValueError("u0 must live on cfg.grid")
@@ -295,26 +292,23 @@ def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> 
         if traj.steps >= MAX_STEPS:  # its steps shrank after the first one
             traj.stop_reason = f"reached the cap of {MAX_STEPS:g} steps at t = {t:.6g}"
             break
+        dt = cfl_dt(traj.final, cfg.params, cfg.cfl_safety, cfg.dt_max)
+        if not traj.steps and cfg.t_end > MAX_STEPS * dt:
+            steps = cfg.t_end / dt if dt else math.inf  # dt is 0 on an overflowing speed or a tiny box
+            about = f"about {steps:.3g}" if math.isfinite(steps) else f"more than {np.finfo(float).max:.3g}"
+            raise StepLimitError(f"t_end {cfg.t_end:g} at the first CFL step {dt:.3g} needs {about} "
+                                 f"steps, above the cap of {MAX_STEPS:g}")
+        dt = min(dt, cfg.t_end - t)
+        if t + dt == t:  # dt is 0 or below the spacing of doubles at t
+            traj.stop_reason = f"time step {dt:.3g} no longer advances t = {t:.6g}"
+            break
+        with np.errstate(over="ignore", invalid="ignore"):  # inf is the blow-up signal, not a warning
+            u_new = np.fft.irfft(rk4_step(op, traj.final.hat, t, dt), cfg.grid.n)
+        # step next on the rfft of the stored samples, not on rk4_step's
+        # spectrum: the two differ at round-off, and the run reports samples
         try:
-            dt = cfl_dt(traj.final, cfg.params, cfg.cfl_safety, cfg.dt_max)
-            if not traj.steps and cfg.t_end > MAX_STEPS * dt:
-                steps = cfg.t_end / dt if dt else math.inf  # dt underflows on a tiny box
-                about = f"about {steps:.3g}" if math.isfinite(steps) else f"more than {np.finfo(float).max:.3g}"
-                raise StepLimitError(f"t_end {cfg.t_end:g} at the first CFL step {dt:.3g} needs {about} "
-                                     f"steps, above the cap of {MAX_STEPS:g}")
-            dt = min(dt, cfg.t_end - t)
-            if t + dt == t:  # dt is below the spacing of doubles at t
-                traj.stop_reason = f"time step {dt:.3g} no longer advances t = {t:.6g}"
-                break
-            with np.errstate(over="ignore", invalid="ignore"):  # inf is the blow-up signal, not a warning
-                u_new = np.fft.irfft(rk4_step(op, traj.final.hat, t, dt), cfg.grid.n)
-            # step next on the rfft of the stored samples, not on rk4_step's
-            # spectrum: the two differ at round-off, and the run reports samples
-            try:
-                traj.final = u = Field(cfg.grid, u_new)
-            except ValueError:  # irfft gave n samples, so the rejection is a non-finite one
-                raise BlowUpError from None
-        except BlowUpError:
+            traj.final = u = Field(cfg.grid, u_new)
+        except ValueError:  # irfft gave n samples, so the rejection is a non-finite one
             traj.stop_reason = f"non-finite field after t = {t:.6g}"
             break
         t += dt

@@ -816,10 +816,12 @@ class TestOtherSubcommands:
         ["mms.amplitude=-1e300", "grid.n=32"],
         ['params={"k":5,"a":0.5,"b":1,"c":1}', "mms.amplitude=1e60", "grid.n=64"],
         ["mms.amplitude=1.7e308", "grid.n=1024"],  # u0's spectrum overflows too
+        ['params={"preset":"novikov"}', "mms.amplitude=1e200", "grid.n=16"],  # so does the CFL speed u^2
     ])
     def test_mms_whose_forcing_overflows_exits_3_at_the_step_cap(self, tmp_path, capsys, overrides):
         # the forcing's N(u0) is not finite, and the first CFL step already
-        # puts the run above the step cap: the forcing raises nothing itself
+        # puts the run above the step cap: the forcing raises nothing itself.
+        # Where the CFL speed of the finite u0 overflows, that step is 0
         out = tmp_path / "mms"
         argv = ["mms", "--out", str(out), "--set", "grid.length=6.283185307179586"]
         for item in overrides:
@@ -881,6 +883,66 @@ class TestOtherSubcommands:
         assert result["exit"] == EXIT_BLOWUP and math.isnan(result["worst_rel_err"])
         assert re.fullmatch(r"case 0: time step \S+ no longer advances t = \S+", result["error"])
         assert len(result["softbound"]) == 2
+
+    @pytest.mark.parametrize("n, length, t_end, t", [(512, "1e-13", "1e-9", "0"),
+                                                     (64, "1e-10", "1e-11", "1.20759e-14")])
+    def test_peakon_case_without_a_single_crest_stops(self, tmp_path, capsys, n, length, t_end, t):
+        # on a box of 1e-13 the peakon start is flat to 1e-13 of its crest;
+        # on one of 1e-10 two nodes tie for the maximum after 1,965 steps.
+        # The case stops at that state, with a NaN row, not an error
+        out = tmp_path / "pk"
+        argv = ["peakon-verify", "--out", str(out), "--set", f"grid.n={n}", "--set", f"grid.length={length}",
+                "--set", f"peakon_verify.t_end={t_end}", "--set", 'peakon_verify.cases=[{"preset": "ch"}]']
+        assert main(argv) == EXIT_BLOWUP
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in (out / "speeds.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 1 and rows[0][0] == "ch" and math.isnan(float(rows[0][3]))
+        result = manifest_of(out)["result"]
+        assert result["exit"] == EXIT_BLOWUP and result["error"] == f"case 0: no single crest at t = {t}"
+
+    @pytest.mark.parametrize("n, length, t_end, code", [(512, "1e-13", "1e-9", EXIT_BLOWUP),
+                                                        (64, "1e-10", "1e-11", EXIT_CONFIG)])
+    def test_peakon_verify_on_a_tiny_box_is_no_internal_error(self, tmp_path, capsys, n, length, t_end, code):
+        # the four default cases: at 1e-13 each stops with no single crest;
+        # at 1e-10 the CH case stops so, and the Novikov case's first CFL
+        # step puts it above the step cap
+        out = tmp_path / "pk"
+        argv = ["peakon-verify", "--out", str(out), "--set", f"grid.n={n}", "--set", f"grid.length={length}",
+                "--set", f"peakon_verify.t_end={t_end}"]
+        assert main(argv) == code
+        assert len(capsys.readouterr().err.splitlines()) == (code == EXIT_CONFIG)
+        assert manifest_of(out)["result"]["exit"] == code
+
+    # the smallest box that parse admits at n = 8 and at n = 512: the top
+    # weight 2 (1 + (pi n / L)^2)^3 of the H^3 norm is finite there
+    SMALLEST_BOX = {8: 1.187478072818041e-50, 512: 7.599859666035462e-49}
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "peakon-verify", "lagrangian"])
+    @pytest.mark.parametrize("n, length", [(512, 1e-160), (512, math.nextafter(SMALLEST_BOX[512], 0.0)),
+                                           (8, math.nextafter(SMALLEST_BOX[8], 0.0))])
+    def test_box_whose_norm_weight_overflows_exits_3(self, tmp_path, capsys, subcommand, n, length):
+        out = tmp_path / "out"
+        argv = [subcommand, "--out", str(out), "--set", f"grid.n={n}", "--set", f"grid.length={length!r}",
+                "--set", "peakon_verify.t_end=1e-9", "--set", "lagrangian.seeds=[0]"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("kabc: configuration error: grid.length must keep the H^3 norm's")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand, n", [("simulate", 512), ("peakon-verify", 512), ("peakon-verify", 8),
+                                               ("lagrangian", 512), ("lagrangian", 8)])
+    def test_smallest_box_runs_without_a_warning(self, tmp_path, capsys, subcommand, n):
+        # numpy warnings are errors under pytest, so one would exit 5.  The
+        # peakon cases are flat and stop at t = 0; a simulate or lagrangian
+        # start's first CFL step puts it above the step cap
+        length = self.SMALLEST_BOX[n]
+        out = tmp_path / "out"
+        argv = [subcommand, "--out", str(out), "--set", f"grid.n={n}", "--set", f"grid.length={length!r}",
+                "--set", "peakon_verify.t_end=1e-9", "--set", f"fit.window=[{0.1 * length!r}, {0.375 * length!r}]"]
+        code = main(argv)
+        assert code == (EXIT_BLOWUP if subcommand == "peakon-verify" else EXIT_CONFIG)
+        err = capsys.readouterr().err.splitlines()
+        assert err == [] if code == EXIT_BLOWUP else (len(err) == 1 and "above the cap" in err[0])
 
     def test_simulate_summary_min_theta(self, tmp_path):
         out = str(tmp_path / "sim")
@@ -1274,6 +1336,15 @@ class TestOutputDirectory:
             assert (out / name).read_text() == "x\n", name
         assert not (out / "summary.csv.part").exists() and not (out / "snap_000009.csv").exists()
 
+    @pytest.mark.parametrize("name, match", [
+        ("snap_000000.csv", True), ("snap_999999.csv", True), ("snap_1000000.csv", True),
+        ("snap_12345678.csv", True), ("snap_00001.csv", False), ("snap_1e6.csv", False),
+    ])
+    @pytest.mark.parametrize("part", ["", ".part"])
+    def test_snapshot_names_of_six_or_more_digits_are_artifacts(self, name, match, part):
+        # the 1,000,001st snapshot is snap_1000000.csv
+        assert bool(ARTIFACT_NAME.fullmatch(name + part)) is match
+
     def test_profile_file_in_the_output_directory_is_kept(self, tmp_path):
         out = tmp_path / "D"
         argv = ["simulate", "--set", "grid.n=256", "--set", "t_end=0.02", "--out", str(out)]
@@ -1498,21 +1569,29 @@ BOX = DEFAULT_CONFIG["grid"]["length"]
 
 class TestRunFuzz:
     """Whole runs of configs near the validity edges: every run exits with a
-    documented code other than 5 (a fault of kabc), prints no traceback, and
-    leaves a manifest wherever it made its output directory."""
+    documented code other than 5 (a fault of kabc), prints no traceback and
+    at most one stderr line when it fails, and leaves a manifest wherever it
+    made its output directory."""
 
     # |gamma| near 0, near the case floor 1e-12 and near the bound 1e140
     GAMMAS = (0.0, 5e-324, 1e-300, 1e-12, -1e-12, 1e140, -1e140, math.nextafter(1e140, math.inf))
     CASE_GAMMAS = (1e-12, math.nextafter(1e-12, 0.0), 1e-13, 1.0, 1e140, math.nextafter(1e140, math.inf))
-    WIDTHS = (BOX / 4, math.nextafter(BOX / 4, 0.0), math.nextafter(BOX / 4, math.inf))
+    # boxes from the default down past the smallest one parse admits (below
+    # 7.6e-49 at n = 512, 1.2e-50 at n = 8)
+    LENGTHS = (BOX, 1e-8, 1e-13, 7.6e-49, 1e-160)
     K5 = {"k": 5, "a": 0.5, "b": 1, "c": 1}
+    # the arguments of an @example row, which overrides some of them
+    BASE = dict(subcommand="simulate", n=64, length=BOX, profile={"shape": "peakon", "gamma": 1.0}, case_gamma=1.0,
+                dt_max=1e-2, t_end=0.05, output_stride=1, levels=1, amplitude=0.1, params={"preset": "ch"})
 
     @settings(max_examples=30, deadline=None)
     @given(
         subcommand=st.sampled_from(["simulate", "peakon-verify", "mms", "lagrangian"]),
         n=st.sampled_from([8, 10, 16, 64]),
+        length=st.sampled_from(LENGTHS),
         profile=st.one_of(st.builds(lambda g: {"shape": "peakon", "gamma": g}, st.sampled_from(GAMMAS)),
-                          st.builds(lambda w: {"shape": "bump", "width": w}, st.sampled_from(WIDTHS))),
+                          # a bump's width is drawn as ulps from L/4, the widest allowed on the drawn box
+                          st.builds(lambda u: {"shape": "bump", "quarter_ulps": u}, st.sampled_from([-1, 0, 1]))),
         case_gamma=st.sampled_from(CASE_GAMMAS),
         dt_max=st.sampled_from([5e-324, 1e-3, 1e-2, 1e300]),
         t_end=st.sampled_from([math.nextafter(1e-12, math.inf), 1e-6, 0.05]),
@@ -1521,27 +1600,38 @@ class TestRunFuzz:
         amplitude=st.sampled_from([0.1, 1e150, -1e300, 5e-324]),
         params=st.sampled_from([{"preset": "ch"}, K5]),
     )
-    @example(subcommand="peakon-verify", n=256, profile={"shape": "peakon", "gamma": 1.0}, case_gamma=1e-13,
-             dt_max=1e-2, t_end=0.05, output_stride=1, levels=1, amplitude=0.1, params={"preset": "ch"})
+    @example(**dict(BASE, subcommand="peakon-verify", n=256, case_gamma=1e-13))
     # an mms forcing whose N(u0) is not finite, and a level whose error is exactly 0
-    @example(subcommand="mms", n=32, profile={"shape": "peakon", "gamma": 1.0}, case_gamma=1.0, dt_max=1e-2,
-             t_end=0.05, output_stride=1, levels=1, amplitude=-1e300, params={"preset": "ch"})
-    @example(subcommand="mms", n=64, profile={"shape": "peakon", "gamma": 1.0}, case_gamma=1.0, dt_max=1e-2,
-             t_end=0.05, output_stride=1, levels=1, amplitude=1e60, params=K5)
-    @example(subcommand="mms", n=8, profile={"shape": "peakon", "gamma": 1.0}, case_gamma=1.0, dt_max=1e-2,
-             t_end=1e-6, output_stride=1, levels=2, amplitude=5e-324, params={"preset": "ch"})
-    def test_run_exits_with_a_documented_code(self, subcommand, n, profile, case_gamma, dt_max, t_end,
+    @example(**dict(BASE, subcommand="mms", n=32, amplitude=-1e300))
+    @example(**dict(BASE, subcommand="mms", amplitude=1e60, params=K5))
+    @example(**dict(BASE, subcommand="mms", n=8, t_end=1e-6, levels=2, amplitude=5e-324))
+    # a Novikov mms start whose CFL speed overflows (a zero first step) or is finite but huge
+    @example(**dict(BASE, subcommand="mms", n=16, amplitude=1e200, params={"preset": "novikov"}))
+    @example(**dict(BASE, subcommand="mms", n=16, amplitude=1e150, params={"preset": "novikov"}))
+    # peakon cases on tiny boxes: a flat start, and a tie for the maximum after 1,965 steps
+    @example(**dict(BASE, subcommand="peakon-verify", n=512, length=1e-13, t_end=1e-9))
+    @example(**dict(BASE, subcommand="peakon-verify", length=1e-10, t_end=1e-11))
+    # boxes whose H^3 weight overflows, and the smallest one admitted at n = 512
+    @example(**dict(BASE, subcommand="peakon-verify", n=512, length=1e-160, t_end=1e-9))
+    @example(**dict(BASE, subcommand="lagrangian", n=512, length=1e-160))
+    @example(**dict(BASE, subcommand="simulate", n=512, length=7.6e-49))
+    @example(**dict(BASE, subcommand="lagrangian", n=512, length=7.6e-49))
+    def test_run_exits_with_a_documented_code(self, subcommand, n, length, profile, case_gamma, dt_max, t_end,
                                               output_stride, levels, amplitude, params):
         # each run sets the keys it reads, so that one rejected value does
         # not stop every run; the t_end drawn is the run's own
         t_end_key = {"peakon-verify": "peakon_verify.t_end", "mms": "mms.t_end"}.get(subcommand, "t_end")
-        overrides = {"params": params, "grid.n": n, "dt_max": dt_max, t_end_key: t_end, "output_stride": output_stride}
+        overrides = {"params": params, "grid.n": n, "grid.length": length, "dt_max": dt_max, t_end_key: t_end,
+                     "output_stride": output_stride}
         if subcommand in ("simulate", "lagrangian"):
+            if profile["shape"] == "bump":
+                ulps = profile["quarter_ulps"]
+                profile = {"shape": "bump", "width": math.nextafter(length / 4, ulps * math.inf) if ulps else length / 4}
             overrides["profile"] = profile
         if subcommand == "simulate":
             # the default fit window spans too few grid spacings below
             # n = 128; at n = 64 this one spans 17.6 and ends at the seam's bound
-            overrides["fit.window"] = [0.1 * BOX, 0.375 * BOX]
+            overrides["fit.window"] = [0.1 * length, 0.375 * length]
         if subcommand == "peakon-verify":
             overrides["peakon_verify.cases"] = [{"preset": "ch", "gamma": case_gamma}]
         if subcommand == "mms":
@@ -1559,6 +1649,8 @@ class TestRunFuzz:
                 code = main(argv)
             assert code in (EXIT_OK, EXIT_BLOWUP, EXIT_CONFIG, EXIT_IO)
             assert "Traceback" not in err.getvalue()
+            if code != EXIT_OK:
+                assert len(err.getvalue().splitlines()) <= 1
             if os.path.exists(out):
                 assert manifest_of(out)["result"]["exit"] == code
             if code == EXIT_BLOWUP:  # a stopped run writes what it reached

@@ -201,25 +201,25 @@ class TestCrestTrack:
             assert speed == pytest.approx(peakon_speed(gamma, p), rel=1e-3)
 
     def test_flat_field_rejected(self):
+        # a flat field has no crest: its position is NaN, as a fit with too
+        # few samples has a NaN theta_hat
         g = Grid(64, 2 * np.pi)
-        f = Field(g, np.ones(64))
-        with pytest.raises(ValueError, match="flat"):
-            crest_position(f)
+        assert math.isnan(crest_position(Field(g, np.ones(64))))
+        assert math.isnan(crest_position(Field(g, 1e300 + 1e285 * np.sin(g.nodes))))
         with pytest.raises(ValueError, match="two states"):
             crest_track([0.0], [1.0], g.length)
 
     def test_single_field_crest(self):
         # the quadratic through the three nodes around the maximum places an
         # off-node crest to a small fraction of dx; a tie for the maximum is
-        # ambiguous and refused
+        # ambiguous, and its position is NaN
         g = Grid(256, 2 * np.pi)
         x0 = np.pi + 0.3 * g.dx
         crest = crest_position(Field(g, np.exp(-4.0 * (g.nodes - x0) ** 2)))
         assert crest == pytest.approx(x0, abs=1e-3 * g.dx)
         two = np.zeros(256)
         two[[10, 50]] = 1.0
-        with pytest.raises(ValueError, match="multiple global maxima"):
-            crest_position(Field(g, two))
+        assert math.isnan(crest_position(Field(g, two)))
 
     def test_seam_crossing_unwraps(self):
         p = preset("ch")

@@ -369,6 +369,14 @@ class TestCflDt:
         dt = cfl_dt(u, preset("ch"), 0.4, 10.0)
         assert dt == pytest.approx(0.4 * g.dx / np.max(np.abs(u.values)), rel=1e-6)
 
+    @pytest.mark.parametrize("name, values", [
+        ("novikov", lambda x: np.full_like(x, 1e200)),  # u^2 overflows: an inf speed
+        ("forq", lambda x: 1e160 * np.sin(x)),  # u^2 - a u_x^2 is inf - inf: a NaN speed
+    ])
+    def test_non_finite_speed_gives_a_zero_step(self, name, values):
+        g = Grid(64, 2 * np.pi)
+        assert cfl_dt(Field(g, values(g.nodes)), preset(name), 0.4, 1e-2) == 0.0
+
     def test_gradient_term_enters_for_a_nonzero(self):
         # steep field: u_x^2 dominates u^2, so the -a u^{k-2} u_x^2 part of
         # the characteristic speed must shrink dt when a != 0
@@ -494,14 +502,15 @@ class TestSimulate:
         assert len(calls) == 1 + steps * (4 * per_rhs + 1)  # u0's transform first
 
     def test_blowup_contained(self):
+        # a finite start whose CFL speed u^2 overflows has a zero first step,
+        # which the first-step cap refuses before any state is stored
         g = Grid(64, 2 * np.pi)
         u0 = Field(g, np.full(64, 1e200))
         cfg = SimConfig(params=preset("novikov"), grid=g, t_end=1.0)
-        traj, states = stored_states(cfg, u0)
-        assert traj.stop_reason == "non-finite field after t = 0"
-        assert traj.last_time < 1.0
-        for _, snap in states:
-            assert np.all(np.isfinite(snap.values))
+        states = []
+        with pytest.raises(StepLimitError, match=r"first CFL step 0 needs more than 1\.8e\+308 steps"):
+            simulate(cfg, u0, lambda rec, u: states.append(u))
+        assert len(states) == 1 and np.all(states[0].values == 1e200)
 
     @pytest.mark.parametrize("output_stride", [1, 3, 10**6])
     def test_blowup_stores_the_last_good_state_once(self, output_stride):
