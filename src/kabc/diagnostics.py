@@ -111,13 +111,17 @@ def default_tail_window(grid) -> tuple[float, float]:
 
 def crest_position(f: Field) -> float:
     """Crest location by quadratic interpolation through the three nodes
-    around the maximum; NaN when the maximum is ambiguous: a flat field
-    (range at most 1e-13 max(1, |max|)) or a tie for it."""
+    around the maximum; a tie between two neighbours (the seam pair n-1, 0
+    among them) puts it midway.  NaN when the maximum is ambiguous: a flat
+    field (range at most 1e-13 max(1, |max|)), or a maximum held by two
+    nodes apart or by three or more."""
     grid = f.grid
     v = f.values
     j = int(np.argmax(v))
     vmax = v[j]
-    if vmax - float(np.min(v)) <= 1e-13 * max(1.0, abs(vmax)) or int(np.sum(v == vmax)) > 1:
+    ties = np.flatnonzero(v == vmax)  # j is the first
+    if (vmax - float(np.min(v)) <= 1e-13 * max(1.0, abs(vmax)) or len(ties) > 2
+            or len(ties) == 2 and ties[1] - j not in (1, grid.n - 1)):
         return math.nan
     ym, y0, yp = v[(j - 1) % grid.n], v[j], v[(j + 1) % grid.n]
     denom = ym - 2.0 * y0 + yp

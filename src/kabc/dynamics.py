@@ -43,6 +43,11 @@ T_END_TOL = 1e-12
 # Order s of the H^s norm simulate measures each step (StepRecord.hs_norm)
 SOBOLEV_S = 3.0
 
+# cfl_dt's step, in dx over the speed, for every run.  The top mode then has
+# |lambda dt| = pi CFL_SAFETY, and RK4 is stable on the imaginary axis only up
+# to 2 sqrt 2, so it must be <= 0.900: at 1 RK4 amplifies it by |R(i pi)| = 2.03.
+CFL_SAFETY = 0.4
+
 # simulate refuses a run whose first CFL step puts it above this many steps,
 # and ends one that reaches it.
 # The longest runs here take a few thousand.  At 10**7 even an n = 8 run steps
@@ -57,18 +62,13 @@ class StepLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One run: parameters, grid, horizon and stepping controls.
-
-    cfl_safety scales the CFL step: runs keep the default 0.4, and a
-    fixed-dt study (an mms level) steps at 1.  forcing, when present, is a
-    callable t -> rfft half-spectrum (length n//2 + 1) added to the
-    right-hand side.
-    """
+    """One run: parameters, grid, horizon and stepping controls (each step
+    is cfl_dt's, at most dt_max).  forcing, when present, is a callable t ->
+    rfft half-spectrum (length n//2 + 1) added to the right-hand side."""
 
     params: Params
     grid: Grid
     t_end: float
-    cfl_safety: float = 0.4
     dt_max: float = 1e-2
     output_stride: int = 1
     forcing: Optional[Callable] = None
@@ -76,8 +76,6 @@ class SimConfig:
     def __post_init__(self):
         if not (math.isfinite(self.t_end) and self.t_end > T_END_TOL):
             raise ValueError(f"t_end must be finite and > {T_END_TOL:g}")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError("cfl_safety must lie in (0, 1]")
         if not self.dt_max > 0.0:
             raise ValueError("dt_max must be positive")
         if self.output_stride < 1:
@@ -109,11 +107,11 @@ class Trajectory:
     final and last are then the last good state's.
     """
 
-    def __init__(self, config: SimConfig, final: Field, first: StepRecord):
-        self.config, self.final, self.stop_reason = config, final, None
+    def __init__(self, k: int, final: Field, first: StepRecord):
+        self.final, self.stop_reason = final, None
         self.first = self.last = first
         self.steps, self.sup_hs, self.max_h1_dev, self.min_dt = 0, first.hs_norm, 0.0, math.inf
-        self.bound_factor = 2.0 ** (1.0 + 1.0 / config.params.k)
+        self.bound_factor = 2.0 ** (1.0 + 1.0 / k)
         self.bound = self.bound_factor * first.hs_norm
         self.exceeded_t: Optional[float] = None
 
@@ -234,10 +232,10 @@ class RhsOperator:
         return acc
 
 
-def cfl_dt(u: Field, p: Params, safety: float, dt_max: float) -> float:
-    """CFL step from the advective characteristic speed u^k - a u^{k-2} u_x^2
-    (the u_x coefficient of the evolution form, u_x from u's kept
-    spectrum), floored at 1e-12; 0 when the speed is inf or NaN."""
+def cfl_dt(u: Field, p: Params, dt_max: float) -> float:
+    """CFL step CFL_SAFETY dx / |speed|, at most dt_max, from the advective
+    speed u^k - a u^{k-2} u_x^2 (the u_x coefficient of the evolution form,
+    u_x from u's kept spectrum) floored at 1e-12; 0 when it is inf or NaN."""
     v = u.values
     with np.errstate(over="ignore", invalid="ignore"):
         speed = v**p.k
@@ -247,7 +245,7 @@ def cfl_dt(u: Field, p: Params, safety: float, dt_max: float) -> float:
         vmax = float(np.max(np.abs(speed)))
     if not math.isfinite(vmax):  # inf, or NaN from inf - inf; min(dt_max, nan) would be dt_max
         return 0.0
-    return min(dt_max, safety * u.grid.dx / max(vmax, 1e-12))
+    return min(dt_max, CFL_SAFETY * u.grid.dx / max(vmax, 1e-12))
 
 
 def rk4_step(f: Callable, y: np.ndarray, t: float, dt: float) -> np.ndarray:
@@ -283,8 +281,8 @@ def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> 
 
     store = on_state or (lambda rec, u: None)
     t = 0.0
-    traj = Trajectory(cfg, u0, StepRecord(0.0, 0.0, diagnostics.sobolev_norm(u0, SOBOLEV_S),
-                                          diagnostics.h1_squared(u0)))
+    traj = Trajectory(cfg.params.k, u0, StepRecord(0.0, 0.0, diagnostics.sobolev_norm(u0, SOBOLEV_S),
+                                                   diagnostics.h1_squared(u0)))
     traj.stop_reason = store(traj.first, u0)
 
     stored = 0  # the step of the last stored state
@@ -292,7 +290,7 @@ def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> 
         if traj.steps >= MAX_STEPS:  # its steps shrank after the first one
             traj.stop_reason = f"reached the cap of {MAX_STEPS:g} steps at t = {t:.6g}"
             break
-        dt = cfl_dt(traj.final, cfg.params, cfg.cfl_safety, cfg.dt_max)
+        dt = cfl_dt(traj.final, cfg.params, cfg.dt_max)
         if not traj.steps and cfg.t_end > MAX_STEPS * dt:
             steps = cfg.t_end / dt if dt else math.inf  # dt is 0 on an overflowing speed or a tiny box
             about = f"about {steps:.3g}" if math.isfinite(steps) else f"more than {np.finfo(float).max:.3g}"

@@ -300,8 +300,8 @@ def test_criterion_9_scaling_symmetry():
     lam, k, t_end = 2.0, 2, 0.5
     grid = Grid(128, 2 * math.pi)
     u0 = Field(grid, 0.25 * np.sin(grid.nodes) + 0.1 * np.cos(2 * grid.nodes))
-    cfg_a = SimConfig(params=p, grid=grid, t_end=t_end, cfl_safety=1.0, dt_max=2e-3, output_stride=10**9)
-    cfg_b = SimConfig(params=p, grid=grid, t_end=t_end / lam**k, cfl_safety=1.0, dt_max=2e-3 / lam**k, output_stride=10**9)
+    cfg_a = SimConfig(params=p, grid=grid, t_end=t_end, dt_max=2e-3, output_stride=10**9)
+    cfg_b = SimConfig(params=p, grid=grid, t_end=t_end / lam**k, dt_max=2e-3 / lam**k, output_stride=10**9)
     ta = simulate(cfg_a, u0)
     tb = simulate(cfg_b, Field(grid, lam * u0.values))
     SOFTBOUNDS.extend([("scaling-base", ta.softbound()), ("scaling-rescaled", tb.softbound())])

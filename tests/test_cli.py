@@ -742,22 +742,38 @@ class TestOtherSubcommands:
         )
         assert run(parse_config(path, [], "mms", out)) == EXIT_OK
         rows = (tmp_path / "mms" / "mms.csv").read_text().splitlines()
-        assert rows[0] == "dt,final_max_error,observed_order"
+        assert rows[0] == "dt,final_max_error,observed_order,at_roundoff"
         orders = [float(r.split(",")[2]) for r in rows[2:]]
         assert all(abs(o - 4.0) < 0.5 for o in orders)
 
-    def test_mms_level_cut_by_cfl_exits_3(self, tmp_path, capsys):
-        # CH at amplitude 3 steps at the CFL step (0.018 to 0.033), not at
-        # the level dt 0.1: its dt column and orders would be false
+    @pytest.mark.parametrize("n, amplitude, cfl_step", [(64, 3, "0.01309"), (32, 1, "0.0785397")])
+    def test_mms_level_cut_by_cfl_exits_3(self, tmp_path, capsys, n, amplitude, cfl_step):
+        # CH steps at its CFL step, not at the level dt 0.1: its dt column and
+        # orders would be false.  At amplitude 1 on n = 32 a study stepped at
+        # safety 1 (a CFL step of 0.196) once ran; every run steps at 0.4
         out = tmp_path / "mms"
         argv = ["mms", "--out", str(out), "--set", 'params.preset="ch"', "--set", "grid.length=6.283185307179586",
-                "--set", "grid.n=64", "--set", "mms.amplitude=3", "--set", "mms.dt0=0.1", "--set", "mms.levels=3"]
+                "--set", f"grid.n={n}", "--set", f"mms.amplitude={amplitude}", "--set", "mms.dt0=0.1",
+                "--set", "mms.levels=3"]
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("kabc: configuration error: mms.dt0")
-        assert "CFL step" in err and "Traceback" not in err
+        assert f"CFL step is {cfl_step}\n" in err and "Traceback" not in err
         assert "mms.dt0" in manifest_of(out)["result"]["error"]
         assert not (out / "mms.csv").exists()
+
+    def test_mms_order_at_round_off_is_not_the_study_order(self, tmp_path):
+        # at the defaults the finest level's error (9.7e-15) is below the
+        # round-off floor 1e3 eps |amplitude| = 2.2e-14, and its order 3.66
+        # says nothing of RK4: last_order is the order before it
+        out = tmp_path / "mms"
+        assert main(["mms", "--out", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in (out / "mms.csv").read_text().splitlines()[1:]]
+        assert [row[3] for row in rows] == ["false"] * 4 + ["true"]
+        summary = (out / "summary.csv").read_text().splitlines()[1].split(",")
+        assert summary[:2] == rows[-1][:2] and summary[2] == rows[-2][2]
+        assert 3.986 < float(summary[2]) < 3.987 and float(rows[-1][2]) < 3.7
+        assert "last_order_reason" not in manifest_of(out)["result"]
 
     def test_mms_last_step_cut_to_land_on_t_end_is_not_a_cfl_cut(self, tmp_path):
         # t_end 1.03 is no multiple of any level dt (0.0625, 0.03125,
@@ -769,9 +785,9 @@ class TestOtherSubcommands:
         assert [float(row.split(",")[0]) for row in rows[1:]] == [0.0625, 0.03125, 0.015625]
 
     def test_mms_level_blowup_exits_2(self, tmp_path, capsys):
-        # CH at amplitude 1 and dt 0.09 steepens until its step no longer
-        # advances t near 54.5; the collapsing steps before that must not read
-        # as a CFL cut (exit 3)
+        # CH at amplitude 1 steps at its CFL step (0.039 at the start, below
+        # dt 0.09) and steepens until its step no longer advances t near 58; a
+        # level that stopped must not read as a CFL cut (exit 3)
         out = tmp_path / "mms"
         argv = ["mms", "--out", str(out), "--set", 'params={"preset":"ch"}', "--set", "grid.n=64",
                 "--set", "grid.length=6.283185307179586", "--set", "mms.amplitude=1", "--set", "mms.dt0=0.09",
@@ -784,7 +800,7 @@ class TestOtherSubcommands:
                                result["error"]).group(1))
         assert 50.0 < t < 60.0
         # the stopped level 0 leaves no level to report: both tables are header-only
-        assert (out / "mms.csv").read_text() == "dt,final_max_error,observed_order\n"
+        assert (out / "mms.csv").read_text() == "dt,final_max_error,observed_order,at_roundoff\n"
         assert (out / "summary.csv").read_text() == "finest_dt,finest_error,last_order\n"
         assert result["finest_error"] is None and result["orders"] == []
 
@@ -807,7 +823,7 @@ class TestOtherSubcommands:
         rows = [line.split(",") for line in (out / "mms.csv").read_text().splitlines()[1:]]
         assert [float(row[0]) for row in rows] == [0.25, 0.125]
         summary = (out / "summary.csv").read_text().splitlines()
-        assert len(summary) == 2 and summary[1].split(",") == rows[-1]
+        assert len(summary) == 2 and summary[1].split(",") == rows[-1][:3]
         result = manifest_of(out)["result"]
         assert result["blew_up"] is True and result["error"] == "mms level 2 (dt 0.0625): stopped for the test"
         assert result["finest_error"] == float(rows[-1][1]) and result["orders"] == [float(rows[-1][2])]
@@ -833,7 +849,8 @@ class TestOtherSubcommands:
 
     def test_mms_level_with_zero_error_has_no_order(self, tmp_path, capsys):
         # at the smallest subnormal amplitude both levels end exactly on the
-        # manufactured solution, and log2(0 / 0) is no order
+        # manufactured solution, and log2(0 / 0) is no order; an error of 0
+        # is at round-off, so the study has no last_order, and says why
         out = tmp_path / "mms"
         argv = ["mms", "--out", str(out), "--set", "mms.amplitude=5e-324", "--set", "grid.n=8", "--set",
                 "grid.length=6.283185307179586", "--set", "mms.levels=2", "--set", "mms.t_end=1e-6",
@@ -841,9 +858,11 @@ class TestOtherSubcommands:
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().err == ""
         rows = [line.split(",") for line in (out / "mms.csv").read_text().splitlines()[1:]]
-        assert [row[1:] for row in rows] == [["0", "nan"], ["0", "nan"]]
+        assert [row[1:] for row in rows] == [["0", "nan", "true"], ["0", "nan", "true"]]
         assert (out / "summary.csv").read_text().splitlines()[1].split(",")[1:] == ["0", "nan"]
-        assert math.isnan(manifest_of(out)["result"]["orders"][0])
+        result = manifest_of(out)["result"]
+        assert math.isnan(result["orders"][0])
+        assert result["last_order_reason"].startswith("no two successive levels have an error above the round-off floor")
 
     def test_lagrangian_wave_breaking_keeps_its_particles(self, tmp_path):
         # across 10 steps of this k = 3 peakon a stretch turns negative: the
@@ -884,28 +903,25 @@ class TestOtherSubcommands:
         assert re.fullmatch(r"case 0: time step \S+ no longer advances t = \S+", result["error"])
         assert len(result["softbound"]) == 2
 
-    @pytest.mark.parametrize("n, length, t_end, t", [(512, "1e-13", "1e-9", "0"),
-                                                     (64, "1e-10", "1e-11", "1.20759e-14")])
-    def test_peakon_case_without_a_single_crest_stops(self, tmp_path, capsys, n, length, t_end, t):
-        # on a box of 1e-13 the peakon start is flat to 1e-13 of its crest;
-        # on one of 1e-10 two nodes tie for the maximum after 1,965 steps.
+    def test_peakon_case_without_a_single_crest_stops(self, tmp_path, capsys):
+        # on a box of 1e-13 the peakon start is flat to 1e-13 of its crest.
         # The case stops at that state, with a NaN row, not an error
         out = tmp_path / "pk"
-        argv = ["peakon-verify", "--out", str(out), "--set", f"grid.n={n}", "--set", f"grid.length={length}",
-                "--set", f"peakon_verify.t_end={t_end}", "--set", 'peakon_verify.cases=[{"preset": "ch"}]']
+        argv = ["peakon-verify", "--out", str(out), "--set", "grid.n=512", "--set", "grid.length=1e-13",
+                "--set", "peakon_verify.t_end=1e-9", "--set", 'peakon_verify.cases=[{"preset": "ch"}]']
         assert main(argv) == EXIT_BLOWUP
         assert capsys.readouterr().err == ""
         rows = [line.split(",") for line in (out / "speeds.csv").read_text().splitlines()[1:]]
         assert len(rows) == 1 and rows[0][0] == "ch" and math.isnan(float(rows[0][3]))
         result = manifest_of(out)["result"]
-        assert result["exit"] == EXIT_BLOWUP and result["error"] == f"case 0: no single crest at t = {t}"
+        assert result["exit"] == EXIT_BLOWUP and result["error"] == "case 0: no single crest at t = 0"
 
     @pytest.mark.parametrize("n, length, t_end, code", [(512, "1e-13", "1e-9", EXIT_BLOWUP),
-                                                        (64, "1e-10", "1e-11", EXIT_CONFIG)])
+                                                        (64, "1e-10", "1e-9", EXIT_CONFIG)])
     def test_peakon_verify_on_a_tiny_box_is_no_internal_error(self, tmp_path, capsys, n, length, t_end, code):
         # the four default cases: at 1e-13 each stops with no single crest;
-        # at 1e-10 the CH case stops so, and the Novikov case's first CFL
-        # step puts it above the step cap
+        # at 1e-10 the CH case's first CFL step puts it above the step cap
+        # (at t_end 1e-11 it would step past a tie of two neighbours, a crest)
         out = tmp_path / "pk"
         argv = ["peakon-verify", "--out", str(out), "--set", f"grid.n={n}", "--set", f"grid.length={length}",
                 "--set", f"peakon_verify.t_end={t_end}"]
@@ -1608,9 +1624,9 @@ class TestRunFuzz:
     # a Novikov mms start whose CFL speed overflows (a zero first step) or is finite but huge
     @example(**dict(BASE, subcommand="mms", n=16, amplitude=1e200, params={"preset": "novikov"}))
     @example(**dict(BASE, subcommand="mms", n=16, amplitude=1e150, params={"preset": "novikov"}))
-    # peakon cases on tiny boxes: a flat start, and a tie for the maximum after 1,965 steps
+    # peakon cases on tiny boxes: a flat start, and one whose first CFL step is above the step cap
     @example(**dict(BASE, subcommand="peakon-verify", n=512, length=1e-13, t_end=1e-9))
-    @example(**dict(BASE, subcommand="peakon-verify", length=1e-10, t_end=1e-11))
+    @example(**dict(BASE, subcommand="peakon-verify", length=1e-10, t_end=1e-9))
     # boxes whose H^3 weight overflows, and the smallest one admitted at n = 512
     @example(**dict(BASE, subcommand="peakon-verify", n=512, length=1e-160, t_end=1e-9))
     @example(**dict(BASE, subcommand="lagrangian", n=512, length=1e-160))

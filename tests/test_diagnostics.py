@@ -211,15 +211,30 @@ class TestCrestTrack:
 
     def test_single_field_crest(self):
         # the quadratic through the three nodes around the maximum places an
-        # off-node crest to a small fraction of dx; a tie for the maximum is
-        # ambiguous, and its position is NaN
+        # off-node crest to a small fraction of dx
         g = Grid(256, 2 * np.pi)
         x0 = np.pi + 0.3 * g.dx
         crest = crest_position(Field(g, np.exp(-4.0 * (g.nodes - x0) ** 2)))
         assert crest == pytest.approx(x0, abs=1e-3 * g.dx)
-        two = np.zeros(256)
-        two[[10, 50]] = 1.0
-        assert math.isnan(crest_position(Field(g, two)))
+
+    @pytest.mark.parametrize("nodes, crest", [
+        ([10, 11], 10.5),
+        ([0, 255], -0.5),  # the seam pair: the crest lies between nodes 255 and 256 = 0
+        ([10, 50], math.nan),
+        ([10, 11, 12], math.nan),
+        ([0, 1, 255], math.nan),
+    ])
+    def test_tie_for_the_maximum(self, nodes, crest):
+        # a tie between two neighbours is one crest, midway between them; a
+        # maximum held by two nodes apart or by three is ambiguous: NaN
+        g = Grid(256, 2 * np.pi)
+        v = 0.5 * np.cos(g.nodes - g.nodes[nodes[0]])
+        v[nodes] = 1.0
+        got = crest_position(Field(g, v))
+        if math.isnan(crest):
+            assert math.isnan(got)
+        else:
+            assert got == pytest.approx(crest * g.dx, abs=1e-12)
 
     def test_seam_crossing_unwraps(self):
         p = preset("ch")

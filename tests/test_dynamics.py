@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kabc.dynamics import (
+    CFL_SAFETY,
     MAX_STEPS,
     SOBOLEV_S,
     RhsOperator,
@@ -66,7 +67,7 @@ def fold(hs, h1_sq=None, dts=None):
     h1_sq = h1_sq or [1.0] * len(hs)
     dts = [0.0, *(dts or [0.1] * (len(hs) - 1))]
     recs = [StepRecord(i / 10, dt, h, e) for i, (h, e, dt) in enumerate(zip(hs, h1_sq, dts, strict=True))]
-    traj = Trajectory(SimConfig(params=preset("ch"), grid=g, t_end=1.0), Field(g, np.zeros(16)), recs[0])
+    traj = Trajectory(1, Field(g, np.zeros(16)), recs[0])
     for rec in recs[1:]:
         traj.add(rec)
     return traj
@@ -355,18 +356,33 @@ class TestCflDt:
     def test_zero_field_gives_dt_max(self):
         g = Grid(64, 2 * np.pi)
         f = Field(g, np.zeros(64))
-        assert cfl_dt(f, preset("ch"), 0.5, 0.3) == 0.3
+        assert cfl_dt(f, preset("ch"), 0.3) == 0.3
 
     def test_arithmetic(self):
-        # max speed u^k = 2, dx = 0.1, safety 0.4, dt_max 1 -> 0.02
+        # max speed u^k = 2, dx = 0.1, CFL_SAFETY 0.4, dt_max 1 -> 0.02
         g = Grid(64, 6.4)
         f = Field(g, np.full(64, 2.0))
-        assert cfl_dt(f, preset("ch"), 0.4, 1.0) == pytest.approx(0.02, rel=1e-12)
+        assert cfl_dt(f, preset("ch"), 1.0) == pytest.approx(0.02, rel=1e-12)
+
+    def test_top_mode_stays_inside_rk4_stability(self):
+        # at speed v the top mode xi = pi/dx of u_t = -v u_x has lambda =
+        # -i v xi, so a CFL step makes |lambda dt| = pi CFL_SAFETY.  RK4 keeps
+        # that mode from growing only while CFL_SAFETY <= 0.900 (2 sqrt 2 / pi):
+        # its amplification is 0.978 at 0.4 and 2.03 at a safety of 1
+        g, v = Grid(64, 6.4), 2.0
+        dt = cfl_dt(Field(g, np.full(64, v)), preset("ch"), 1.0)
+        lam = -1j * v * g.wavenumbers[-1]
+
+        def gain(dt):
+            return abs(rk4_step(lambda y, t: lam * y, np.ones(1, dtype=complex), 0.0, dt)[0])
+
+        assert gain(dt) <= 1.0 and gain(dt) == pytest.approx(0.978, abs=5e-4)
+        assert gain(dt / CFL_SAFETY) == pytest.approx(2.03, abs=5e-3)
 
     def test_peakon_speed_scale(self):
         g = Grid(1024, 40 * np.pi)
         u = mollified_profile("peakon", 1.0, 3 * g.dx, g)
-        dt = cfl_dt(u, preset("ch"), 0.4, 10.0)
+        dt = cfl_dt(u, preset("ch"), 10.0)
         assert dt == pytest.approx(0.4 * g.dx / np.max(np.abs(u.values)), rel=1e-6)
 
     @pytest.mark.parametrize("name, values", [
@@ -375,15 +391,15 @@ class TestCflDt:
     ])
     def test_non_finite_speed_gives_a_zero_step(self, name, values):
         g = Grid(64, 2 * np.pi)
-        assert cfl_dt(Field(g, values(g.nodes)), preset(name), 0.4, 1e-2) == 0.0
+        assert cfl_dt(Field(g, values(g.nodes)), preset(name), 1e-2) == 0.0
 
     def test_gradient_term_enters_for_a_nonzero(self):
         # steep field: u_x^2 dominates u^2, so the -a u^{k-2} u_x^2 part of
         # the characteristic speed must shrink dt when a != 0
         g = Grid(128, 2 * np.pi)
         u = Field(g, 0.5 * np.sin(4 * g.nodes))
-        dt_forq = cfl_dt(u, preset("forq"), 0.4, 10.0)
-        dt_nov = cfl_dt(u, preset("novikov"), 0.4, 10.0)
+        dt_forq = cfl_dt(u, preset("forq"), 10.0)
+        dt_nov = cfl_dt(u, preset("novikov"), 10.0)
         assert dt_forq < dt_nov
 
 
@@ -707,7 +723,7 @@ class TestSimulate:
         # between calls that would change its trajectory
         g = Grid(128, 2 * np.pi)
         forcing = sine_forcing(p, g)
-        cfg = SimConfig(params=p, grid=g, t_end=0.25, cfl_safety=1.0, dt_max=1.0 / 64, forcing=forcing)
+        cfg = SimConfig(params=p, grid=g, t_end=0.25, dt_max=1.0 / 64, forcing=forcing)
         u0 = Field(g, sine_wave(g.nodes, 0.0))
         traj, states = stored_states(cfg, u0)
 
@@ -730,8 +746,8 @@ class TestScalingSymmetry:
         lam, k, T = 2.0, 2, 0.5
         g = Grid(128, 2 * np.pi)
         u0 = Field(g, 0.25 * np.sin(g.nodes) + 0.1 * np.cos(2 * g.nodes))
-        cfg_a = SimConfig(params=p, grid=g, t_end=T, cfl_safety=1.0, dt_max=2e-3, output_stride=10**9)
-        cfg_b = SimConfig(params=p, grid=g, t_end=T / lam**k, cfl_safety=1.0, dt_max=2e-3 / lam**k, output_stride=10**9)
+        cfg_a = SimConfig(params=p, grid=g, t_end=T, dt_max=2e-3, output_stride=10**9)
+        cfg_b = SimConfig(params=p, grid=g, t_end=T / lam**k, dt_max=2e-3 / lam**k, output_stride=10**9)
         ta = simulate(cfg_a, u0)
         tb = simulate(cfg_b, Field(g, lam * u0.values))
         va = lam * ta.final.values
@@ -799,7 +815,7 @@ class TestMms:
         p = preset("novikov")
         g = Grid(128, 2 * np.pi)
         forcing = sine_forcing(p, g)
-        cfg = SimConfig(params=p, grid=g, t_end=1.0, cfl_safety=1.0, dt_max=1.0 / 256, forcing=forcing)
+        cfg = SimConfig(params=p, grid=g, t_end=1.0, dt_max=1.0 / 256, forcing=forcing)
         traj = simulate(cfg, Field(g, sine_wave(g.nodes, 0.0)))
         err = np.max(np.abs(traj.final.values - sine_wave(g.nodes, traj.last_time)))
         assert err < 1e-8
@@ -810,7 +826,7 @@ class TestMms:
         forcing = sine_forcing(p, g)
         errs = []
         for dt in (1.0 / 32, 1.0 / 64):
-            cfg = SimConfig(params=p, grid=g, t_end=1.0, cfl_safety=1.0, dt_max=dt, forcing=forcing)
+            cfg = SimConfig(params=p, grid=g, t_end=1.0, dt_max=dt, forcing=forcing)
             traj = simulate(cfg, Field(g, sine_wave(g.nodes, 0.0)))
             errs.append(np.max(np.abs(traj.final.values - sine_wave(g.nodes, traj.last_time))))
         assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.3)
