@@ -417,8 +417,9 @@ def compute_mms(spec: RunSpec):
 def compute_lagrangian(spec: RunSpec):
     seeds, p = spec.seeds, spec.sim.params
     n_seeds = len(seeds)
-    conserved = lagrangian.has_invariant(p)  # else the residuals are NaN
-    ps, m0, worst = None, None, -math.inf  # the particles, the first momentum_along, the largest residual so far
+    conserved = lagrangian.has_invariant(p)  # else the defects are NaN
+    ps, m0 = None, None  # the particles, the first momentum_along
+    worst = worst_defect = -math.inf  # the largest residual and absolute defect so far
     block = []  # the particles.csv rows not sent yet, an (n_seeds, 6) array per state
 
     def send():
@@ -426,14 +427,16 @@ def compute_lagrangian(spec: RunSpec):
         block.clear()
 
     def take(rec, u):
-        nonlocal ps, m0, worst
+        nonlocal ps, m0, worst, worst_defect
         ps = lagrangian.advect(ps, rec.t, u, p.k) if ps else lagrangian.release(seeds, rec.t, u)
         if ps.stop_reason is not None:
             return ps.stop_reason  # the field stops stepping with the particles
         m_along = lagrangian.momentum_along(u, ps.eta)
         m0 = m_along if m0 is None else m0
-        res = lagrangian.invariant_residuals(ps.etax, m_along, p, m0) if conserved else np.full(n_seeds, math.nan)
-        worst = np.maximum(worst, np.max(res))  # NaN once any residual is, as np.max over them all
+        defect, res = (lagrangian.invariant_defects(ps.etax, m_along, p, m0) if conserved
+                       else (np.full(n_seeds, math.nan),) * 2)
+        # NaN once any value is, as np.max over them all
+        worst, worst_defect = np.maximum(worst, np.max(res)), np.maximum(worst_defect, np.max(defect))
         # one row per seed, seed-fastest within each time
         block.append(np.column_stack((seeds, np.full(n_seeds, ps.t), ps.eta, ps.etax, m_along, res)))
         if len(block) * n_seeds >= CSV_BLOCK_ROWS:
@@ -445,8 +448,12 @@ def compute_lagrangian(spec: RunSpec):
             send()
     summary = (float(worst), n_seeds, ps.t)  # final_t: the last particle rows' time
     tables = {"summary.csv": (("max_invariant_residual", "n_seeds", "final_t"), [summary])}
+    # the defect relative to the largest |m0|, which no seed whose m0 is at round-off inflates
+    scale = float(np.max(np.abs(m0)))
+    defect = float(worst_defect) / scale if scale else math.nan
+    extras = {"max_invariant_residual": summary[0] if conserved else None,
+              "max_invariant_defect": defect if conserved else None, "softbound": traj.softbound()}
     # the particles visit only states the field reached, so their stop is the earlier one
-    extras = {"max_invariant_residual": summary[0] if conserved else None, "softbound": traj.softbound()}
     return _outcome(ps.stop_reason or traj.stop_reason, tables, extras)
 
 

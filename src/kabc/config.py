@@ -108,7 +108,9 @@ def _grid_n(value, key):
 _KEYS = {
     "params": ({"preset": "ch"}, None),
     "grid.n": (512, _grid_n),
-    "grid.length": (40.0 * math.pi, _POSITIVE),
+    # below a normal double the spacing L/n can round to 0 and the wavenumbers
+    # to inf * 0, so no weight of the H^3 norm (see _check_box) can be formed
+    "grid.length": (40.0 * math.pi, _real(f">= {sys.float_info.min!r}", lambda x: x >= sys.float_info.min)),
     "profile": ({"shape": "peakon", "gamma": 1.0}, None),
     "t_end": (1.0, _T_END),
     "dt_max": (1e-2, _POSITIVE),
@@ -305,15 +307,12 @@ def _lagrangian_seeds(vals: dict, grid: Grid) -> np.ndarray:
 
 
 def _check_box(grid: Grid) -> None:
-    """Every run measures the H^SOBOLEV_S norm of its states, whose weights
-    are at most 2 (1 + xi^2)^s, xi = pi n / L the top wavenumber: on a box so
-    small that this is not finite, the norm would read inf * 0."""
-    xi = np.float64(math.pi * grid.n / grid.length)  # a float's ** raises where np.float64's gives inf
-    with np.errstate(over="ignore"):
-        top = 2.0 * (1.0 + xi * xi) ** dynamics.SOBOLEV_S
-    if not np.isfinite(top):
-        raise ConfigError(f"grid.length must keep the H^{dynamics.SOBOLEV_S:g} norm's top weight "
-                          f"2 (1 + (pi n / L)^2)^{dynamics.SOBOLEV_S:g} finite at n = {grid.n}, got {grid.length!r}")
+    """Every run measures the H^SOBOLEV_S norm of its states: on a box so
+    small that one of its weights (diagnostics.sobolev_weight) is not
+    finite, the norm would read inf * 0."""
+    if not np.all(np.isfinite(diagnostics.sobolev_weight(grid, dynamics.SOBOLEV_S))):
+        raise ConfigError(f"grid.length must keep the H^{dynamics.SOBOLEV_S:g} norm's weights "
+                          f"(1 + xi^2)^{dynamics.SOBOLEV_S:g} finite at n = {grid.n}, got {grid.length!r}")
 
 
 def _check_mms_box(grid: Grid, p: Params) -> None:

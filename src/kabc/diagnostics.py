@@ -23,15 +23,16 @@ FIT_FLOOR = 1e-13
 
 
 @lru_cache(maxsize=64)
-def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
+def sobolev_weight(grid: Grid, s: float) -> np.ndarray:
     """count * (1 + xi^2)^s per rfft bin, read-only: the count is 2 for the
-    bins that stand for +-m pairs, 1 for the mean and Nyquist bins."""
+    bins that stand for +-m pairs, 1 for the mean and Nyquist bins.  A bin
+    whose weight overflows reads inf."""
     xi = grid.wavenumbers
-    weight = (1.0 + xi * xi) ** s
     count = np.full(grid.n // 2 + 1, 2.0)
     count[0] = 1.0
     count[-1] = 1.0
-    w = count * weight
+    with np.errstate(over="ignore"):
+        w = count * (1.0 + xi * xi) ** s
     w.flags.writeable = False
     return w
 
@@ -43,7 +44,7 @@ def sobolev_norm(f: Field, s: float) -> float:
         raise ValueError("s must be >= 0")
     grid = f.grid
     with np.errstate(over="ignore"):  # huge fields report an inf norm
-        return math.sqrt(np.sum(_sobolev_weight(grid, s) * np.abs(f.hat) ** 2) * grid.length / grid.n**2)
+        return math.sqrt(np.sum(sobolev_weight(grid, s) * np.abs(f.hat) ** 2) * grid.length / grid.n**2)
 
 
 def h1_squared(f: Field) -> float:

@@ -128,23 +128,25 @@ def has_invariant(p: Params) -> bool:
     return p.a == 0.0 and abs(p.c - (3.0 * p.k - p.b) / 2.0) <= 1e-12
 
 
-def invariant_residuals(stretch: np.ndarray, m_along: np.ndarray, p: Params,
-                        m0: Optional[np.ndarray] = None) -> np.ndarray:
-    """Relative defect of m(eta(t), t) * eta_x^{b/k} against m0, its value
-    at the first stored time (m_along[0] by default), from the stretches
-    eta_x and the momentum_along of each stored state, stacked with shape
-    (n_times, n_seeds), or of one state, with shape (n_seeds,).
+def invariant_defects(stretch: np.ndarray, m_along: np.ndarray, p: Params,
+                      m0: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Defect of m(eta(t), t) * eta_x^{b/k} against m0, its value at the
+    first stored time (m_along[0] by default), from the stretches eta_x and
+    the momentum_along of each stored state, stacked with shape
+    (n_times, n_seeds), or of one state, with shape (n_seeds,): the absolute
+    defect, and the residual, that defect relative to each seed's
+    |m0| + 1e-12.
 
     Only meaningful where has_invariant(p); other parameters are rejected
     (the balance law fails there).
     """
     if not has_invariant(p):
         raise ValueError("conservation law requires a = 0 and c = (3k - b)/2")
-    inv = m_along * stretch ** (p.b / p.k)
     m0 = m_along[0] if m0 is None else m0
-    return np.abs(inv - m0) / (np.abs(m0) + 1e-12)
+    defect = np.abs(m_along * stretch ** (p.b / p.k) - m0)
+    return defect, defect / (np.abs(m0) + 1e-12)
 
 
 def conservation_check(stretch: np.ndarray, m_along: np.ndarray, p: Params) -> float:
-    """Max of invariant_residuals over all seeds and times."""
-    return float(np.max(invariant_residuals(stretch, m_along, p)))
+    """Max of the invariant_defects residuals over all seeds and times."""
+    return float(np.max(invariant_defects(stretch, m_along, p)[1]))

@@ -45,8 +45,10 @@ class Grid:
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
-        """Nonnegative wavenumbers 2*pi*m/length, m = 0..n/2 (rfft layout)."""
-        xi = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
+        """Nonnegative wavenumbers 2*pi*m/length, m = 0..n/2 (rfft layout);
+        inf where they overflow, on a box of length near the smallest double."""
+        with np.errstate(over="ignore"):
+            xi = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
         xi.flags.writeable = False
         return xi
 

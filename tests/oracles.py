@@ -8,6 +8,7 @@ evolution form on samples, and local_form_residual checks it against the
 equivalent third-order local formulation.  mms_forcing_reference builds the
 mms forcing on samples, afresh at each time.  weighted_sup is the capped
 exponentially weighted sup norm of the paper's persistence estimates.
+momentum_power_integral is the Eulerian form of the characteristic law.
 """
 
 from __future__ import annotations
@@ -141,3 +142,14 @@ def weighted_sup(f: Field, w: WeightSpec) -> float:
     d = np.abs(f.grid.nodes - f.grid.length / 2.0)
     phi = np.exp(w.theta * np.minimum(d, w.cap_radius))
     return float(np.max(np.abs(f.values) * phi))
+
+
+def momentum_power_integral(u: Field, p: Params) -> float:
+    """I = integral of m^{k/b} dx, m = u - u_xx, which the a = 0,
+    c = (3k - b)/2 subfamily conserves while m > 0: raising the particle
+    law m(eta, t) eta_x^{b/k} = m(x0, 0) to the power k/b and integrating
+    over x0 gives it.  NaN where m is not positive somewhere."""
+    m = u.values - get_ops(u.grid).deriv(u.hat, 2)
+    if not np.all(m > 0.0):
+        return math.nan
+    return float(np.sum(m ** (p.k / p.b)) * u.grid.dx)
