@@ -16,11 +16,14 @@ them, the new Field's kept hat, which the step's norms, the next step and
 every reader of the stored state share.  simulate hands each stored state
 to its caller, which may end the run there, and keeps only the last; a
 fault inside a run ends it with a stop reason, not an exception.  One
-evaluation costs one inverse FFT on the padded grid per upsampled factor
-(u, u_x, and u_xx when c_f2_2 != 0) and one forward FFT there per bracket
-(local, f1, and f2 when it has a nonzero coefficient): 4 at k = 1 (CH, DP),
-5 at k = 2 (Novikov, FORQ) and 6 at k >= 3 with a != 0.  A forcing is a
-half-spectrum too, added to every evaluation without a transform.
+evaluation transforms one row on the padded grid per upsampled factor
+(u, u_x, and u_xx when c_f2_2 != 0) inversely, and one row there per bracket
+(local, f1, and f2 when it has a nonzero coefficient) forwardly: 4 rows at
+k = 1 (CH, DP), 5 at k = 2 (Novikov, FORQ) and 6 at k >= 3 with a != 0.  Up
+to a padded size of STACK_MAX_M the rows of each direction are stacked into
+one transform call, so such an evaluation makes 2 calls; above it, one call
+per row.  A forcing is a half-spectrum too, added to every evaluation
+without a transform.
 """
 
 from __future__ import annotations
@@ -54,6 +57,19 @@ CFL_SAFETY = 0.4
 # for about an hour (0.34 ms a step on one core of a 2-vCPU x86 host); its
 # memory does not grow with its steps.
 MAX_STEPS = 10**7
+
+# RhsOperator stacks its upsampled rows into one inverse transform call, and
+# its bracket rows into one forward call, at padded sizes m up to this; above
+# it, one call per row through one reused buffer.  On a 2-vCPU x86 host
+# (numpy 2.4), per RHS call in-process, medians of 25 interleaved repeats in
+# three orderings, stacked against one call per row: FORQ n = 128 (m = 256)
+# -32% to -34%, Novikov n = 1024 (m = 2048) -19% to -22%, CH n = 4096
+# (m = 6144) -19% to -23%, Novikov n = 4096 (m = 8192) -18% to -19%.  At
+# m = 12288 and 16384 those repeats read -12% to -24% too, but stepped end
+# to end the larger stacks lose: peakon-8192 (bench/run.py, 6 alternating
+# pairs) read 312 steps/s unstacked there against 273 with every size
+# stacked, slower in 6 of 6, and its peak RSS rose 1.5%.
+STACK_MAX_M = 8192
 
 
 class StepLimitError(RuntimeError):
@@ -149,87 +165,121 @@ class RhsOperator:
     of u_t.  All monomials have total degree k+1 in (u, u_x, u_xx) and are
     formed on a zero-padded grid of size m = pad_size(k+1), upsampled
     straight from the spectrum, then truncated back before the smoothing
-    multipliers are applied; see the module docstring for the FFTs per call.
-    Terms with zero coefficient are pruned up front, so no negative power of
-    u is ever evaluated (Params rejects the parameter sets that would need
-    one).
+    multipliers are applied; see the module docstring for the rows each
+    call transforms.  Terms with zero coefficient are pruned up front, so no
+    negative power of u is ever evaluated (Params rejects the parameter sets
+    that would need one).
 
     The operator owns a workspace, allocated once and rewritten by every
-    call: the padded half-spectrum (m//2 + 1 bins, zero above n/2), the
-    padded forward-transform output, and real rows of length m for u, u_x
-    (and u_xx when c_f2_2 != 0), u_x^2, u_x^3, the powers u^2 .. u^(k+1),
-    one bracket accumulator and one term scratch.  So an operator is not
-    reentrant: one call at a time.  Each call still returns a fresh array,
-    never a view of the workspace, so results of earlier calls stay valid
-    (rk4_step holds four of them at once).  forcing(t), when given, is added
-    to every call's half-spectrum.  A call tests no finiteness and silences no
-    overflow: inf or NaN bins go on to the caller (simulate stops on them).
+    call: real rows of length m for u, u_x (and u_xx when c_f2_2 != 0),
+    u_x^2, u_x^3, the powers u^2 .. u^(k+1) and one term scratch, and the
+    bracket accumulators and padded half-spectra (m//2 + 1 bins) the
+    transforms go through.  Up to m = STACK_MAX_M every upsampled row and
+    every bracket has its own row there, and each stack is transformed in
+    one call; above it one padded spectrum (zero above n/2), one
+    accumulator and one forward output serve the rows in turn, a call each.
+    So an operator is not reentrant: one call at a time.  Each call still returns a fresh array, never a view of the
+    workspace, so results of earlier calls stay valid (rk4_step holds four
+    of them at once).  forcing(t), when given, is added to every call's
+    half-spectrum.  A call tests no finiteness and silences no overflow: inf
+    or NaN bins go on to the caller (simulate stops on them).
     """
 
     def __init__(self, grid: Grid, params: Params, forcing: Optional[Callable] = None):
         self.grid = grid
         self.params = params
         self.forcing = forcing
-        self.ops = get_ops(grid)
+        self.ops = ops = get_ops(grid)
         cs = coefficients(params)
         k = params.k
         self.k = k
-        self.m = m = self.ops.pad_size(k + 1)
-        self._pad_hat = np.zeros(m // 2 + 1, dtype=complex)  # bins above n/2 stay zero
-        self._fine_hat = np.empty(m // 2 + 1, dtype=complex)
-        self._u, self._ux, self._ux2, self._ux3, self._acc, self._term = np.empty((6, m))
-        self._uxx = np.empty(m) if cs.c_f2_2 != 0.0 else None
-        # u^1 is the u row itself; u^0 = 1 is never stored (see _bracket)
+        self.m = m = ops.pad_size(k + 1)
+        # each upsampled row's multiplier of u's spectrum (None: the spectrum
+        # itself), and the rows: u, u_x (and u_xx)
+        mults = [None, ops.ik] + ([ops.d2] if cs.c_f2_2 != 0.0 else [])
+        fine = np.empty((len(mults), m))
+        self._u, self._ux, *uxx = fine
+        self._ux2, self._ux3, self._term = np.empty((3, m))
+        # u^1 is the u row itself; u^0 = 1 is never stored (see operands)
         self._upow = {1: self._u, **{j: np.empty(m) for j in range(2, k + 2)}}
 
         # brackets as terms (coef, j, factor, ...) = coef * u^j * factor * ...
         def nonzero(*terms):
             return [term for term in terms if term[0] != 0.0]
 
+        def operands(coef, j, *factors):
+            """A term's operands, multiplied left to right: u^0 = 1 is not
+            stored, and a coefficient of 1.0 before another factor is
+            dropped, since x * 1 = x."""
+            factors = (self._upow[j], *factors) if j else factors
+            return factors if coef == 1.0 and len(factors) > 1 else (coef, *factors)
+
         ux, ux2, ux3 = self._ux, self._ux2, self._ux3
-        self._local = [(-1.0, k, ux)] + nonzero((cs.c_cub, k - 2, ux3))
-        self._f1 = [(cs.c_f1_1, k + 1)] + nonzero((cs.c_f1_2, k - 1, ux2), (cs.c_f1_3, k - 3, ux2, ux2))
-        self._f2 = nonzero((cs.c_f2_1, k - 2, ux3), (cs.c_f2_2, k - 3, ux3, self._uxx))
+        f2 = nonzero((cs.c_f2_1, k - 2, ux3), (cs.c_f2_2, k - 3, ux3, *uxx))
+        # (terms, smoother) per bracket: rhs = local - G_x f1 - G f2
+        brackets = [([(-1.0, k, ux)] + nonzero((cs.c_cub, k - 2, ux3)), None),
+                    ([(cs.c_f1_1, k + 1)] + nonzero((cs.c_f1_2, k - 1, ux2), (cs.c_f1_3, k - 3, ux2, ux2)),
+                     ops.green_dx)] + ([(f2, ops.helmholtz)] if f2 else [])
+        brackets = [([operands(*term) for term in terms], smoother) for terms, smoother in brackets]
+
+        # per transform call, its rows and buffers: all rows stacked, or one
+        # row per call through one reused padded spectrum and accumulator
+        h, bins = grid.n // 2 + 1, m // 2 + 1
+        if m <= STACK_MAX_M:
+            pad = np.zeros((len(mults), bins), dtype=complex)  # bins above n/2 stay zero
+            acc, fine_hat = np.empty((len(brackets), m)), np.empty((len(brackets), bins), dtype=complex)
+            self._upsamples = [(list(zip(mults, pad[:, :h])), pad, fine)]
+            self._reduces = [([(*bracket, row) for bracket, row in zip(brackets, acc)], acc, fine_hat)]
+        else:
+            pad = np.zeros(bins, dtype=complex)  # bins above n/2 stay zero
+            acc, fine_hat = np.empty(m), np.empty(bins, dtype=complex)
+            self._upsamples = [([(mult, pad[:h])], pad, row) for mult, row in zip(mults, fine)]
+            self._reduces = [([(*bracket, acc)], acc, fine_hat) for bracket in brackets]
 
     def __call__(self, uh: np.ndarray, t: float) -> np.ndarray:
         # n samples would otherwise be silently read as a spectrum
-        shape = (self.grid.n // 2 + 1,)
-        if np.shape(uh) != shape:
-            raise ValueError(f"expected an rfft half-spectrum of shape {shape}, got shape {np.shape(uh)}")
-        ops, m, up, pad, fine_hat = self.ops, self.m, self._upow, self._pad_hat, self._fine_hat
-        u = ops.upsample(uh, m, 1.0, self._u, pad)
-        ux = ops.upsample(uh, m, ops.ik, self._ux, pad)
-        if self._uxx is not None:
-            ops.upsample(uh, m, ops.d2, self._uxx, pad)
+        h = self.grid.n // 2 + 1
+        if np.shape(uh) != (h,):
+            raise ValueError(f"expected an rfft half-spectrum of shape {(h,)}, got shape {np.shape(uh)}")
+        ops, m, up = self.ops, self.m, self._upow
+        for rows, pad, fine in self._upsamples:
+            for mult, low in rows:
+                if mult is None:
+                    np.copyto(low, uh)
+                else:
+                    np.multiply(uh, mult, out=low)
+            ops.upsample(pad, m, fine)
+        u, ux = self._u, self._ux
         for j in range(2, self.k + 2):
             np.multiply(up[j - 1], u, out=up[j])
         np.multiply(ux, ux, out=self._ux2)
         np.multiply(self._ux2, ux, out=self._ux3)
 
-        rhs_hat = ops.reduce_hat(self._bracket(self._local), m, fine_hat).copy()
-        f1_hat = ops.reduce_hat(self._bracket(self._f1), m, fine_hat)
-        rhs_hat -= np.multiply(ops.green_dx, f1_hat, out=f1_hat)
-        if self._f2:
-            f2_hat = ops.reduce_hat(self._bracket(self._f2), m, fine_hat)
-            rhs_hat -= np.multiply(ops.helmholtz, f2_hat, out=f2_hat)
+        rhs_hat = None
+        for rows, acc, fine_hat in self._reduces:
+            for terms, _, row in rows:
+                self._bracket(terms, row)
+            hats = ops.reduce_hat(acc, m, fine_hat).reshape(-1, h)  # a row per bracket, stacked or not
+            for (_, smoother, _), hat in zip(rows, hats):
+                if smoother is None:  # the local bracket, always first
+                    rhs_hat = hat.copy()
+                else:
+                    rhs_hat -= np.multiply(smoother, hat, out=hat)
 
         if self.forcing is not None:
             rhs_hat += self.forcing(t)
         return rhs_hat
 
-    def _bracket(self, terms) -> np.ndarray:
-        """Sum of the terms in order, into the bracket accumulator.  Each term
-        is multiplied left to right, and u^0 = 1 is skipped: x * 1 = x."""
-        acc = self._acc
-        for i, (coef, j, *factors) in enumerate(terms):
+    def _bracket(self, terms, acc: np.ndarray) -> None:
+        """Sum of the terms in order, into acc, each the product of its
+        operands taken left to right."""
+        for i, (first, second, *rest) in enumerate(terms):
             out = self._term if i else acc
-            first, rest = (factors[0], factors[1:]) if j == 0 else (self._upow[j], factors)
-            np.multiply(coef, first, out=out)
+            np.multiply(first, second, out=out)
             for f in rest:
                 np.multiply(out, f, out=out)
             if i:
                 acc += out
-        return acc
 
 
 def cfl_dt(u: Field, p: Params, dt_max: float) -> float:
@@ -241,7 +291,8 @@ def cfl_dt(u: Field, p: Params, dt_max: float) -> float:
         speed = v**p.k
         if p.a != 0.0:
             ux = get_ops(u.grid).deriv(u.hat, 1)
-            speed = speed - p.a * v ** (p.k - 2) * ux * ux
+            weight = p.a if p.k == 2 else p.a * v ** (p.k - 2)  # v^0 = 1 is not formed
+            speed = speed - weight * ux * ux
         vmax = float(np.max(np.abs(speed)))
     if not math.isfinite(vmax):  # inf, or NaN from inf - inf; min(dt_max, nan) would be dt_max
         return 0.0
@@ -332,14 +383,25 @@ def mms_forcing(u0: Field, c: float, p: Params) -> Callable:
     made real as rfft makes it.  The shift is exact while the degree-(k+1)
     products of u0 have nothing at or above mode n/2, whose bin, made real,
     does not shift: for A sin x on a box of j periods, while (k+1) j < n/2,
-    which config checks for an mms run.
+    which config checks for an mms run.  forcing(t) is read-only and kept
+    for the last two distinct times asked: an RK4 step asks t, t + dt/2
+    twice and t + dt, and the next step's t is that t + dt, so each step
+    evaluates two phase shifts.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # as in simulate: inf is the blow-up signal
         uh, xi = u0.hat, u0.grid.wavenumbers
         g0 = -c * get_ops(u0.grid).ik * uh - RhsOperator(u0.grid, p)(uh, 0.0)
 
+    recent = {}  # the last two distinct times' forcings
+
     def forcing(t: float) -> np.ndarray:
-        g = g0 * np.exp(-1j * c * t * xi)
-        g[-1] = g[-1].real
+        g = recent.get(t)
+        if g is None:
+            g = g0 * np.exp(-1j * c * t * xi)
+            g[-1] = g[-1].real
+            g.flags.writeable = False
+            if len(recent) == 2:
+                del recent[next(iter(recent))]
+            recent[t] = g
         return g
     return forcing

@@ -64,16 +64,17 @@ def cubic_interp_periodic(values: np.ndarray, grid, q: np.ndarray) -> np.ndarray
     last one); each is interpolated with the same stencil, so the result has
     shape values.shape[:-1] + q.shape.
     """
-    n, dx = grid.n, grid.dx
-    s = np.asarray(q, dtype=float) / dx
+    s = np.asarray(q, dtype=float) / grid.dx
     j = np.floor(s).astype(int)
     f = s - j
-    jm, j0, j1, j2 = (j - 1) % n, j % n, (j + 1) % n, (j + 2) % n
     wm = -f * (f - 1.0) * (f - 2.0) / 6.0
     w0 = (f * f - 1.0) * (f - 2.0) / 2.0
     w1 = -f * (f + 1.0) * (f - 2.0) / 2.0
     w2 = f * (f * f - 1.0) / 6.0
-    return wm * values[..., jm] + w0 * values[..., j0] + w1 * values[..., j1] + w2 * values[..., j2]
+
+    def at(offset):  # the samples at node j + offset, wrapped into the box
+        return values.take(j + offset, axis=-1, mode="wrap")
+    return wm * at(-1) + w0 * at(0) + w1 * at(1) + w2 * at(2)
 
 
 def advect(ps: Particles, t: float, u: Field, k: int) -> Particles:
@@ -81,8 +82,9 @@ def advect(ps: Particles, t: float, u: Field, k: int) -> Particles:
 
     u between grid nodes is cubic-interpolated; between the two states it is
     linear in t, so one RK4 step per interval keeps the stage fields smooth.
-    The interval's end samples of u and u_x are stacked once, so each RK
-    stage computes one stencil (indices and weights) for all four.  Requires
+    The interval's end samples of u and u_x are stacked once, so each
+    midpoint stage computes one stencil (indices and weights) for all four;
+    the stages at the ends read only their own state's two.  Requires
     the states to be stored densely (output_stride such that their spacing
     is ~2x the solver step).  A step that overflows or comes out non-finite
     (near a blow-up), or that takes some eta_x to STRETCH_FLOOR (wave
@@ -94,9 +96,12 @@ def advect(ps: Particles, t: float, u: Field, k: int) -> Particles:
     h = t - ps.t
 
     def rate(eta_c, etax_c, frac):
-        u0, ux0, u1, ux1 = cubic_interp_periodic(ends, u.grid, eta_c)
-        uv = (1.0 - frac) * u0 + frac * u1
-        uxv = (1.0 - frac) * ux0 + frac * ux1
+        if frac in (0.0, 1.0):  # (1 - 0) a + 0 b = a, and 0 a + 1 b = b
+            uv, uxv = cubic_interp_periodic(new if frac else ps.samples, u.grid, eta_c)
+        else:
+            u0, ux0, u1, ux1 = cubic_interp_periodic(ends, u.grid, eta_c)
+            uv = (1.0 - frac) * u0 + frac * u1
+            uxv = (1.0 - frac) * ux0 + frac * ux1
         return uv**k, k * uv ** (k - 1) * uxv * etax_c
 
     eta, etax = ps.eta, ps.etax

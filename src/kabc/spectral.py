@@ -9,6 +9,7 @@ works on raw arrays: a Field's derivative is get_ops(f.grid).deriv(f.hat, k).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -18,7 +19,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid: n samples (even, >= 8) on [0, length)."""
+    """Uniform periodic grid: n samples (even, >= 8) on [0, length), the
+    length finite and at least the smallest normal double: below it the
+    spacing length / n can round to 0 and the wavenumbers cannot be formed."""
 
     n: int
     length: float
@@ -29,8 +32,8 @@ class Grid:
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"n must be even and >= 8, got {self.n}")
         length = float(self.length)
-        if not (math.isfinite(length) and length > 0.0):
-            raise ValueError(f"length must be positive and finite, got {length!r}")
+        if not (math.isfinite(length) and length >= sys.float_info.min):
+            raise ValueError(f"length must be finite and >= {sys.float_info.min!r}, got {length!r}")
         object.__setattr__(self, "length", length)
 
     @property
@@ -88,11 +91,11 @@ class Field:
 class SpectralOps:
     """Precomputed multipliers and padding sizes for one grid.
 
-    Works on raw arrays: deriv and upsample take an rfft half-spectrum,
-    apply and product take samples.  Instances are cached per grid and
-    shared, so they hold no scratch memory: upsample and reduce_hat write
-    into buffers the caller owns, which is how RhsOperator assembles a
-    right-hand side without allocating.
+    Works on raw arrays: deriv takes an rfft half-spectrum, upsample padded
+    ones, apply and product take samples.  Instances are cached per grid and
+    shared, so they hold no scratch memory: upsample and reduce_hat work in
+    buffers the caller owns, one row or a stack of rows per transform call,
+    which is how RhsOperator assembles a right-hand side without allocating.
     """
 
     def __init__(self, grid: Grid):
@@ -127,17 +130,19 @@ class SpectralOps:
             m += 2
         return m
 
-    def upsample(self, hat: np.ndarray, m: int, mult, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """Trigonometric interpolation of the half-spectrum times mult (a
-        multiplier array, or the number 1.0) onto a padded size m > n.
+    def upsample(self, work: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
+        """Trigonometric interpolation onto a padded size m > n of the
+        half-spectra in work's first n//2 + 1 bins.
 
-        out receives the m samples and is returned.  work is the padded
-        half-spectrum, of length m//2 + 1: only its first n//2 + 1 bins are
-        written, so the caller must pass one whose upper bins are zero.
+        work is one padded half-spectrum, of length m//2 + 1, or a stack of
+        them (rows x bins); the caller writes the low bins and must keep the
+        upper ones zero.  out, of length m or rows x m, receives the samples
+        of every row from one inverse transform and is returned.
         """
         n = self.grid.n
-        np.multiply(hat, mult, out=work[: n // 2 + 1])
-        work[n // 2] *= 0.5  # split the combined +-Nyquist bin
+        # split the combined +-Nyquist bin of each row (.T puts the bins
+        # first in both forms, and costs a 1-D row less than [..., n // 2])
+        work.T[n // 2] *= 0.5
         fine = np.fft.irfft(work, m, out=out)
         fine *= m / n
         return fine
@@ -145,13 +150,14 @@ class SpectralOps:
     def reduce_hat(self, fine_values: np.ndarray, m: int, work: np.ndarray) -> np.ndarray:
         """Truncate samples on a padded size m > n back to the base rfft.
 
-        work, of length m//2 + 1, receives the forward transform, and the
-        result is a view of its first n//2 + 1 bins.
+        fine_values is one row of m samples or a stack of them (rows x m),
+        all forward-transformed in one call into work (m//2 + 1 bins per
+        row), and the result is a view of each row's first n//2 + 1 bins.
         """
         n = self.grid.n
-        out = np.fft.rfft(fine_values, out=work)[: n // 2 + 1]
+        out = np.fft.rfft(fine_values, out=work)[..., : n // 2 + 1]
         out *= n / m  # only the kept bins are scaled
-        out[n // 2] = 2.0 * out[n // 2].real  # recombine the +-n/2 modes
+        out.T[n // 2] = 2.0 * out.T[n // 2].real  # recombine the +-n/2 modes
         return out
 
     def product(self, factor_values: Sequence[np.ndarray]) -> np.ndarray:
@@ -160,10 +166,13 @@ class SpectralOps:
         if p == 1:
             return np.asarray(factor_values[0], dtype=float).copy()
         m = self.pad_size(p)
+        h = self.grid.n // 2 + 1
         pad, (acc, fine) = np.zeros(m // 2 + 1, dtype=complex), np.empty((2, m))
-        self.upsample(np.fft.rfft(factor_values[0]), m, 1.0, acc, pad)
+        np.fft.rfft(factor_values[0], out=pad[:h])
+        self.upsample(pad, m, acc)
         for v in factor_values[1:]:
-            acc *= self.upsample(np.fft.rfft(v), m, 1.0, fine, pad)
+            np.fft.rfft(v, out=pad[:h])
+            acc *= self.upsample(pad, m, fine)
         return np.fft.irfft(self.reduce_hat(acc, m, pad), self.grid.n)
 
 

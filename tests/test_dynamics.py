@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kabc import dynamics
 from kabc.dynamics import (
     CFL_SAFETY,
     MAX_STEPS,
     SOBOLEV_S,
+    STACK_MAX_M,
     RhsOperator,
     SimConfig,
     StepLimitError,
@@ -165,23 +167,29 @@ class TestRhs:
         ],
     )
     def test_fft_budget(self, p, ffts, monkeypatch):
-        # one padded inverse FFT per upsampled factor, one padded forward FFT
-        # per bracket, nothing at the base size
+        # one padded inverse row per upsampled factor, one padded forward row
+        # per bracket, nothing at the base size: in one call each way up to
+        # STACK_MAX_M, one call per row above it
         g = Grid(64, 2 * np.pi)
-        op = RhsOperator(g, p)
         uh = band_limited(g, 8, seed=0).hat
-        calls = []
+        calls = []  # rows transformed by each call
 
         def counted(fft):
-            def call(*args, **kwargs):
-                calls.append(fft)
-                return fft(*args, **kwargs)
+            def call(a, *args, **kwargs):
+                calls.append(math.prod(np.shape(a)[:-1]))
+                return fft(a, *args, **kwargs)
             return call
 
+        stacked = RhsOperator(g, p)
+        monkeypatch.setattr(dynamics, "STACK_MAX_M", stacked.m - 1)
+        per_row = RhsOperator(g, p)
         monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft))
         monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft))
-        op(uh, 0.0)
-        assert len(calls) == ffts
+        stacked(uh, 0.0)
+        assert stacked.m <= STACK_MAX_M and len(calls) == 2 and sum(calls) == ffts
+        calls.clear()
+        per_row(uh, 0.0)
+        assert calls == [1] * ffts
 
     @pytest.mark.parametrize(
         "p, forced",
@@ -208,6 +216,33 @@ class TestRhs:
         assert np.array_equal(out_b, RhsOperator(g, p, forcing)(b, 0.3))
         assert np.array_equal(out_a, kept_a)
         assert not np.shares_memory(out_a, out_b)
+
+    @pytest.mark.parametrize(
+        "p, forced",
+        [
+            (preset("ch"), False),
+            (preset("dp"), False),
+            (preset("novikov"), False),
+            (preset("forq"), False),
+            (Params(3, 0.5, 1.0, 0.5), False),
+            (Params(4, -0.4, 2.0, 1.0), False),
+            (preset("forq"), True),
+        ],
+    )
+    def test_stacked_rows_match_one_row_at_a_time(self, p, forced, monkeypatch):
+        # the same grid with its padded size at STACK_MAX_M (stacked) and
+        # just above it (a row at a time): the arithmetic is the same, bit
+        # for bit, on every call
+        g = Grid(128, 2 * np.pi)
+        forcing = sine_forcing(p, g) if forced else None
+        m = RhsOperator(g, p).m
+        ops = {}
+        for bound in (m, m - 1):
+            monkeypatch.setattr(dynamics, "STACK_MAX_M", bound)
+            ops[bound] = RhsOperator(g, p, forcing)
+        for seed in (1, 2):
+            uh = band_limited(g, 10, seed=seed).hat
+            assert np.array_equal(ops[m](uh, 0.3), ops[m - 1](uh, 0.3))
 
     @pytest.mark.parametrize("p, n", [(preset("ch"), 2050), (preset("novikov"), 2062), (preset("forq"), 130)])
     def test_smooth_padding_agrees_with_the_alias_bound_size(self, p, n, monkeypatch):
@@ -830,3 +865,25 @@ class TestMms:
             traj = simulate(cfg, Field(g, sine_wave(g.nodes, 0.0)))
             errs.append(np.max(np.abs(traj.final.values - sine_wave(g.nodes, traj.last_time))))
         assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.3)
+
+    def test_a_forced_step_shifts_the_phase_twice(self, monkeypatch):
+        # forcing keeps its last two distinct times: a step asks t, t + dt/2
+        # twice and t + dt, and the next step starts at that t + dt bit for
+        # bit, so after the first step (three shifts) each takes two
+        p = preset("forq")
+        g = Grid(64, 2 * np.pi)
+        forcing, fresh = sine_forcing(p, g), sine_forcing(p, g)
+        exp, shifts = np.exp, []
+
+        def counted(*args, **kwargs):
+            shifts.append(1)
+            return exp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counted)
+        states = []
+        cfg = SimConfig(params=p, grid=g, t_end=0.25, dt_max=1.0 / 64, forcing=forcing)
+        steps = simulate(cfg, Field(g, sine_wave(g.nodes, 0.0)), lambda rec, u: states.append(rec.t)).steps
+        assert steps == 16 and len(shifts) == 2 * steps + 1
+        got = forcing(states[-1])
+        assert not got.flags.writeable and forcing(states[-1]) is got
+        assert np.array_equal(got, fresh(states[-1]))

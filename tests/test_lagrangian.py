@@ -269,20 +269,22 @@ class TestAdvectStencil:
         assert np.array_equal(stretch, want_stretch)
 
     def test_one_interpolation_call_per_stage(self, smooth_traj, monkeypatch):
+        # the midpoint stages interpolate u and u_x of both states, the end
+        # stages only their own state's two
         from kabc import lagrangian
 
-        calls = []
+        calls = []  # rows interpolated by each call
         interp = lagrangian.cubic_interp_periodic
 
-        def counted(*args):
-            calls.append(1)
-            return interp(*args)
+        def counted(values, *args):
+            calls.append(len(values))
+            return interp(values, *args)
 
         monkeypatch.setattr(lagrangian, "cubic_interp_periodic", counted)
         states, k = smooth_traj
         paths, _ = advect_all(states, np.array([1.0, 2.0, 3.0]), k)
         assert len(paths) == len(states) > 2
-        assert len(calls) == 4 * (len(paths) - 1)
+        assert calls == [2, 4, 4, 2] * (len(paths) - 1)
 
 
 def test_particles_add_no_transform_to_the_run(monkeypatch):

@@ -1,4 +1,7 @@
 import math
+import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +41,20 @@ class TestGrid:
             Grid(4, 1.0)
         with pytest.raises(ValueError):
             Grid(64, -1.0)
+
+    @pytest.mark.parametrize("length", [5e-324, 1e-310, math.nextafter(sys.float_info.min, 0.0)])
+    def test_rejects_a_length_below_the_smallest_normal_double(self, length):
+        # below it length / n can round to 0 (rfftfreq divides by it) or the
+        # wavenumbers read 0 * inf = NaN at bin 0
+        with pytest.raises(ValueError, match=re.escape(repr(sys.float_info.min))):
+            Grid(8, length)
+
+    def test_the_smallest_normal_double_is_a_length(self):
+        # its wavenumbers overflow past bin 0 and read inf, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xi = Grid(8, sys.float_info.min).wavenumbers
+        assert xi[0] == 0.0 and np.all(np.isinf(xi[1:]))
 
 
 class TestField:
@@ -260,7 +277,8 @@ class TestPaddedTransforms:
         assert m == 2 * g.n
         out, work = np.empty(m), np.zeros(m // 2 + 1, dtype=complex)
         for mult, want in ((1.0, f.values), (ops.ik, ops.deriv(f.hat, 1)), (ops.d2, ops.deriv(f.hat, 2))):
-            fine = ops.upsample(f.hat, m, mult, out, work)
+            np.multiply(f.hat, mult, out=work[: g.n // 2 + 1])
+            fine = ops.upsample(work, m, out)
             assert fine is out
             assert np.max(np.abs(fine[::2] - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
             assert not np.any(work[g.n // 2 + 1 :])  # only the low bins are written
@@ -270,11 +288,36 @@ class TestPaddedTransforms:
         f = band_limited(g, 15, seed=5)
         ops = get_ops(g)
         m = ops.pad_size(2)
-        fine = ops.upsample(f.hat, m, 1.0, np.empty(m), np.zeros(m // 2 + 1, dtype=complex))
+        pad = np.zeros(m // 2 + 1, dtype=complex)
+        pad[: g.n // 2 + 1] = f.hat
+        fine = ops.upsample(pad, m, np.empty(m))
         work = np.empty(m // 2 + 1, dtype=complex)
         back = ops.reduce_hat(fine, m, work)
         assert np.shares_memory(back, work) and back.shape == f.hat.shape
         assert np.max(np.abs(back - f.hat)) < 1e-12
+
+    # n = 8192 pads past dynamics.STACK_MAX_M, where RhsOperator stops stacking
+    @pytest.mark.parametrize("n", [32, 128, 8192])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_stacked_rows_transform_as_single_rows(self, n, rows):
+        # one call on a stack of rows gives each row's one-row result bit
+        # for bit, both ways
+        g = Grid(n, 2 * np.pi)
+        ops = get_ops(g)
+        m, h = ops.pad_size(3), n // 2 + 1
+        hats = [band_limited(g, n // 4, seed=10 + r).hat * mult for r, mult in enumerate((1.0, ops.ik, ops.d2))]
+        stack = np.zeros((rows, m // 2 + 1), dtype=complex)
+        for row, hat in zip(stack, hats):
+            row[:h] = hat
+        fine = ops.upsample(stack, m, np.empty((rows, m)))
+        back = ops.reduce_hat(fine, m, np.empty((rows, m // 2 + 1), dtype=complex))
+        assert fine.shape == (rows, m) and back.shape == (rows, h)
+        for r in range(rows):
+            one = np.zeros(m // 2 + 1, dtype=complex)
+            one[:h] = hats[r]
+            one_fine = ops.upsample(one, m, np.empty(m))
+            assert np.array_equal(fine[r], one_fine)
+            assert np.array_equal(back[r], ops.reduce_hat(one_fine, m, np.empty(m // 2 + 1, dtype=complex)))
 
 
 class TestPadSize:
