@@ -75,6 +75,19 @@ def fold(hs, h1_sq=None, dts=None):
     return traj
 
 
+# parameter sets, unforced and forced, whose RHS workspaces differ: k = 1 to
+# 4, with and without the a and u_xx terms
+WORKSPACE_SETS = [
+    (preset("ch"), False),
+    (preset("dp"), False),
+    (preset("novikov"), False),
+    (preset("forq"), False),
+    (Params(3, 0.5, 1.0, 0.5), False),
+    (Params(4, -0.4, 2.0, 1.0), False),
+    (preset("forq"), True),
+]
+
+
 def sine_wave(x, t):
     """The manufactured solution 0.1 sin(x - t)."""
     return 0.1 * np.sin(x - t)
@@ -191,18 +204,7 @@ class TestRhs:
         per_row(uh, 0.0)
         assert calls == [1] * ffts
 
-    @pytest.mark.parametrize(
-        "p, forced",
-        [
-            (preset("ch"), False),
-            (preset("dp"), False),
-            (preset("novikov"), False),
-            (preset("forq"), False),
-            (Params(3, 0.5, 1.0, 0.5), False),
-            (Params(4, -0.4, 2.0, 1.0), False),
-            (preset("forq"), True),
-        ],
-    )
+    @pytest.mark.parametrize("p, forced", WORKSPACE_SETS)
     def test_workspace_hygiene(self, p, forced):
         # the workspace is rewritten by every call: a second call must match
         # a fresh operator's, and must not write into the first result
@@ -217,18 +219,7 @@ class TestRhs:
         assert np.array_equal(out_a, kept_a)
         assert not np.shares_memory(out_a, out_b)
 
-    @pytest.mark.parametrize(
-        "p, forced",
-        [
-            (preset("ch"), False),
-            (preset("dp"), False),
-            (preset("novikov"), False),
-            (preset("forq"), False),
-            (Params(3, 0.5, 1.0, 0.5), False),
-            (Params(4, -0.4, 2.0, 1.0), False),
-            (preset("forq"), True),
-        ],
-    )
+    @pytest.mark.parametrize("p, forced", WORKSPACE_SETS)
     def test_stacked_rows_match_one_row_at_a_time(self, p, forced, monkeypatch):
         # the same grid with its padded size at STACK_MAX_M (stacked) and
         # just above it (a row at a time): the arithmetic is the same, bit
@@ -880,10 +871,9 @@ class TestMms:
             return exp(*args, **kwargs)
 
         monkeypatch.setattr(np, "exp", counted)
-        states = []
         cfg = SimConfig(params=p, grid=g, t_end=0.25, dt_max=1.0 / 64, forcing=forcing)
-        steps = simulate(cfg, Field(g, sine_wave(g.nodes, 0.0)), lambda rec, u: states.append(rec.t)).steps
-        assert steps == 16 and len(shifts) == 2 * steps + 1
-        got = forcing(states[-1])
-        assert not got.flags.writeable and forcing(states[-1]) is got
-        assert np.array_equal(got, fresh(states[-1]))
+        traj = simulate(cfg, Field(g, sine_wave(g.nodes, 0.0)))
+        assert traj.steps == 16 and len(shifts) == 2 * traj.steps + 1
+        got = forcing(traj.last_time)
+        assert not got.flags.writeable and forcing(traj.last_time) is got
+        assert np.array_equal(got, fresh(traj.last_time))
