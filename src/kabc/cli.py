@@ -418,7 +418,7 @@ def compute_lagrangian(spec: RunSpec):
     seeds, p = spec.seeds, spec.sim.params
     n_seeds = len(seeds)
     conserved = lagrangian.has_invariant(p)  # else the defects are NaN
-    ps, m0 = None, None  # the particles, the first momentum_along
+    ps, m0 = None, None  # the particles, m at their first paths
     worst = worst_defect = -math.inf  # the largest residual and absolute defect so far
     block = []  # the particles.csv rows not sent yet, an (n_seeds, 6) array per state
 
@@ -431,7 +431,7 @@ def compute_lagrangian(spec: RunSpec):
         ps = lagrangian.advect(ps, rec.t, u, p.k) if ps else lagrangian.release(seeds, rec.t, u)
         if ps.stop_reason is not None:
             return ps.stop_reason  # the field stops stepping with the particles
-        m_along = lagrangian.momentum_along(u, ps.eta)
+        m_along = ps.here[2]
         m0 = m_along if m0 is None else m0
         defect, res = (lagrangian.invariant_defects(ps.etax, m_along, p, m0) if conserved
                        else (np.full(n_seeds, math.nan),) * 2)

@@ -6,9 +6,9 @@ eta_x obeys its own linear equation d(eta_x)/dt = k u^{k-1} u_x(eta, t) eta_x
 and is integrated jointly rather than differenced between neighbors, one
 stored state at a time: release places the particles in a run's first state
 and advect steps them to each next one as the run makes it, until a step
-breaks the wave or goes non-finite (Particles.stop_reason).  For
-a = 0 and c = (3k - b)/2 the momentum m = u - u_xx satisfies
-m(eta(t), t) * eta_x(t)^{b/k} = m(x0, 0) along every path.
+breaks the wave or goes non-finite (Particles.stop_reason).  Each carries
+u, u_x and m = u - u_xx read at its paths (Particles.here).  For a = 0 and
+c = (3k - b)/2, m(eta(t), t) * eta_x(t)^{b/k} = m(x0, 0) along every path.
 """
 
 from __future__ import annotations
@@ -29,18 +29,20 @@ STRETCH_FLOOR = 1e-10
 @dataclass(frozen=True)
 class Particles:
     """Paths eta(x0, t) and stretches eta_x(x0, t) of the seeds x0 at the
-    time t of a stored state, with its u and u_x, which the next step reads;
+    time t of a stored state, with that state's u, u_x and m on the grid
+    (samples) and at eta (here), which the next step and a run read;
     stop_reason, when set, says why the step after t was not taken."""
 
     t: float
     eta: np.ndarray   # (n_seeds,)
     etax: np.ndarray  # (n_seeds,)
-    samples: np.ndarray  # (2, n): u and u_x at t
+    samples: np.ndarray  # (3, n): u, u_x and m at t
+    here: np.ndarray  # (3, n_seeds): samples at eta
     stop_reason: Optional[str] = None
 
 
 def _samples(u: Field) -> np.ndarray:
-    return np.stack((u.values, get_ops(u.grid).deriv(u.hat, 1)))
+    return np.stack((u.values, get_ops(u.grid).deriv(u.hat, 1), momentum(u).values))
 
 
 def release(seeds, t: float, u: Field) -> Particles:
@@ -48,7 +50,8 @@ def release(seeds, t: float, u: Field) -> Particles:
     eta = np.asarray(seeds, dtype=float).copy()
     if eta.ndim != 1 or eta.size == 0:
         raise ValueError("seeds must be a non-empty 1-d sequence")
-    return Particles(t, eta, np.ones_like(eta), _samples(u))
+    samples = _samples(u)
+    return Particles(t, eta, np.ones_like(eta), samples, cubic_interp_periodic(samples, u.grid, eta))
 
 
 def momentum(u: Field) -> Field:
@@ -80,51 +83,44 @@ def cubic_interp_periodic(values: np.ndarray, grid, q: np.ndarray) -> np.ndarray
 def advect(ps: Particles, t: float, u: Field, k: int) -> Particles:
     """Step the particles ps to the next stored state u, at time t.
 
-    u between grid nodes is cubic-interpolated; between the two states it is
-    linear in t, so one RK4 step per interval keeps the stage fields smooth.
-    The interval's end samples of u and u_x are stacked once, so each
-    midpoint stage computes one stencil (indices and weights) for all four;
-    the stages at the ends read only their own state's two.  Requires
-    the states to be stored densely (output_stride such that their spacing
-    is ~2x the solver step).  A step that overflows or comes out non-finite
-    (near a blow-up), or that takes some eta_x to STRETCH_FLOOR (wave
-    breaking), is not taken: ps comes back with its stop_reason, and no
-    non-finite position is cast to a grid index.
+    One RK4 step spans the interval, with u cubic-interpolated between grid
+    nodes and linear in t between the two states, so its error grows with
+    their spacing (output_stride; see the README).  The first stage reads
+    ps.here, each midpoint stage interpolates u and u_x of both states in
+    one stencil, and the last stage the new state's two.  A step that
+    overflows or comes out non-finite (near a blow-up), or that takes some
+    eta_x to STRETCH_FLOOR (wave breaking), is not taken: ps comes back with
+    its stop_reason, and no non-finite position is cast to a grid index.
+    A taken step reads the new state's u, u_x and m at its eta after those
+    checks, so that read cannot pre-empt a stop.
     """
     new = _samples(u)
-    ends = np.concatenate((ps.samples, new))
+    ends = np.concatenate((ps.samples[:2], new[:2]))
     h = t - ps.t
 
-    def rate(eta_c, etax_c, frac):
-        if frac in (0.0, 1.0):  # (1 - 0) a + 0 b = a, and 0 a + 1 b = b
-            uv, uxv = cubic_interp_periodic(new if frac else ps.samples, u.grid, eta_c)
-        else:
-            u0, ux0, u1, ux1 = cubic_interp_periodic(ends, u.grid, eta_c)
-            uv = (1.0 - frac) * u0 + frac * u1
-            uxv = (1.0 - frac) * ux0 + frac * ux1
+    def rate(uv, uxv, etax_c):
         return uv**k, k * uv ** (k - 1) * uxv * etax_c
+
+    def midpoint(eta_c, etax_c):  # u and u_x halfway between the two states
+        u0, ux0, u1, ux1 = cubic_interp_periodic(ends, u.grid, eta_c)
+        return rate(0.5 * u0 + 0.5 * u1, 0.5 * ux0 + 0.5 * ux1, etax_c)
 
     eta, etax = ps.eta, ps.etax
     try:
         # finite inputs give a non-finite value only through an overflow or
         # an invalid operation, so each raises before it reaches a cast
         with np.errstate(over="raise", invalid="raise"):
-            d1, s1 = rate(eta, etax, 0.0)
-            d2, s2 = rate(eta + 0.5 * h * d1, etax + 0.5 * h * s1, 0.5)
-            d3, s3 = rate(eta + 0.5 * h * d2, etax + 0.5 * h * s2, 0.5)
-            d4, s4 = rate(eta + h * d3, etax + h * s3, 1.0)
+            d1, s1 = rate(*ps.here[:2], etax)
+            d2, s2 = midpoint(eta + 0.5 * h * d1, etax + 0.5 * h * s1)
+            d3, s3 = midpoint(eta + 0.5 * h * d2, etax + 0.5 * h * s2)
+            d4, s4 = rate(*cubic_interp_periodic(new[:2], u.grid, eta + h * d3), etax + h * s3)
             eta = eta + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
             etax = etax + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
     except FloatingPointError:
         return replace(ps, stop_reason=f"non-finite particle step after t = {ps.t:.6g}")
     if np.any(etax <= STRETCH_FLOOR):
         return replace(ps, stop_reason=f"eta_x lost positivity at t = {t:.6g} (min {float(np.min(etax)):.3e})")
-    return Particles(t, eta, etax, new)
-
-
-def momentum_along(u: Field, eta: np.ndarray) -> np.ndarray:
-    """m = u - u_xx of the state u at the path positions eta."""
-    return cubic_interp_periodic(momentum(u).values, u.grid, eta)
+    return Particles(t, eta, etax, new, cubic_interp_periodic(new, u.grid, eta))
 
 
 def has_invariant(p: Params) -> bool:
@@ -137,9 +133,9 @@ def invariant_defects(stretch: np.ndarray, m_along: np.ndarray, p: Params,
                       m0: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """Defect of m(eta(t), t) * eta_x^{b/k} against m0, its value at the
     first stored time (m_along[0] by default), from the stretches eta_x and
-    the momentum_along of each stored state, stacked with shape
-    (n_times, n_seeds), or of one state, with shape (n_seeds,): the absolute
-    defect, and the residual, that defect relative to each seed's
+    m at the paths (Particles.here[2]) of each stored state, stacked with
+    shape (n_times, n_seeds), or of one state, with shape (n_seeds,): the
+    absolute defect, and the residual, that defect relative to each seed's
     |m0| + 1e-12.
 
     Only meaningful where has_invariant(p); other parameters are rejected

@@ -8,7 +8,9 @@ evolution form on samples, and local_form_residual checks it against the
 equivalent third-order local formulation.  mms_forcing_reference builds the
 mms forcing on samples, afresh at each time.  weighted_sup is the capped
 exponentially weighted sup norm of the paper's persistence estimates.
-momentum_power_integral is the Eulerian form of the characteristic law.
+momentum_power_integral is the Eulerian form of the characteristic law,
+and momentum_along reads m at the paths on its own, the reference for the
+m that the particles carry.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from kabc.dynamics import RhsOperator
 from kabc.exact import peakon_speed
+from kabc.lagrangian import cubic_interp_periodic, momentum
 from kabc.params import Params, periodic_peakon_admissible
 from kabc.spectral import Field, Grid, get_ops
 
@@ -153,3 +156,9 @@ def momentum_power_integral(u: Field, p: Params) -> float:
     if not np.all(m > 0.0):
         return math.nan
     return float(np.sum(m ** (p.k / p.b)) * u.grid.dx)
+
+
+def momentum_along(u: Field, eta: np.ndarray) -> np.ndarray:
+    """m = u - u_xx of the state u at the path positions eta, in a stencil
+    of its own."""
+    return cubic_interp_periodic(momentum(u).values, u.grid, eta)

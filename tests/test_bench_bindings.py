@@ -31,10 +31,12 @@ def bench():
     return run, workloads
 
 
-# (dynamics.steps, dynamics.rhs_calls, spectral.fft_calls) of each smoke run;
-# the tracer counts transform calls, and every smoke size stacks the RHS rows
-# into 2 calls (dynamics.STACK_MAX_M)
-SMOKE_COUNTS = {"peakon-2048": (242, 968, 2482), "mms-32": (30, 121, 333), "lagrangian-256": (20, 80, 245)}
+# (dynamics.steps, dynamics.rhs_calls, spectral.fft_calls,
+# lagrangian.interp_calls) of each smoke run; the tracer counts transform
+# calls, and every smoke size stacks the RHS rows into 2 calls
+# (dynamics.STACK_MAX_M); the particles interpolate once at release and 4
+# times per stored state after it
+SMOKE_COUNTS = {"peakon-2048": (242, 968, 2482, 0), "mms-32": (30, 121, 333, 0), "lagrangian-256": (20, 80, 245, 81)}
 
 
 @pytest.mark.parametrize("name", sorted(SMOKE_COUNTS))
@@ -48,5 +50,6 @@ def test_traced_smoke_run_yields_every_layer_metric(bench, name, tmp_path):
         listed = {m["name"] for m in json.load(fh)["per_layer"]}
     # trace.overhead_s compares traced and untraced wall times across runs
     assert listed - {"trace.overhead_s"} <= set(layer)
-    counts = tuple(layer[key] for key in ("dynamics.steps", "dynamics.rhs_calls", "spectral.fft_calls"))
+    keys = ("dynamics.steps", "dynamics.rhs_calls", "spectral.fft_calls", "lagrangian.interp_calls")
+    counts = tuple(layer[key] for key in keys)
     assert counts == SMOKE_COUNTS[name]

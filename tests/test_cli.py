@@ -43,6 +43,7 @@ from kabc.cli import (
 from kabc.config import DEFAULT_CONFIG, _KEYS, _PROFILE_SHAPES
 from kabc.params import _FIXED_PRESETS, preset
 from kabc.spectral import Field, Grid, get_ops
+from oracles import momentum_along
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -1040,8 +1041,9 @@ class TestOtherSubcommands:
     @pytest.mark.parametrize("preset", ["novikov", "forq"])
     def test_particles_rows_seed_fastest(self, tmp_path, preset):
         # the written table equals, bitwise, the rows of a (time, seed) loop
-        # with the seed fastest (each %.17g token parses back to its double);
-        # forq is off the a = 0 subfamily (NaN residuals)
+        # with the seed fastest (each %.17g token parses back to its double),
+        # its m_along read at the paths by the oracle momentum_along; forq is
+        # off the a = 0 subfamily (NaN residuals)
         from kabc import lagrangian
         from kabc.dynamics import simulate
 
@@ -1064,7 +1066,7 @@ class TestOtherSubcommands:
         ps = [lagrangian.release(seeds, *states[0])]
         for t, u in states[1:]:
             ps.append(lagrangian.advect(ps[-1], t, u, spec.sim.params.k))
-        m_along = np.array([lagrangian.momentum_along(u, p.eta) for (_, u), p in zip(states, ps)])
+        m_along = np.array([momentum_along(u, p.eta) for (_, u), p in zip(states, ps)])
         stretch = np.array([p.etax for p in ps])
         try:
             defect, res = lagrangian.invariant_defects(stretch, m_along, spec.sim.params)

@@ -12,12 +12,11 @@ from kabc.lagrangian import (
     cubic_interp_periodic,
     invariant_defects,
     momentum,
-    momentum_along,
     release,
 )
 from kabc.params import Params, preset
 from kabc.spectral import Field, Grid, get_ops
-from oracles import green_periodic, momentum_power_integral
+from oracles import green_periodic, momentum_along, momentum_power_integral
 
 
 def steady_states(grid, values, times):
@@ -269,8 +268,10 @@ class TestAdvectStencil:
         assert np.array_equal(stretch, want_stretch)
 
     def test_one_interpolation_call_per_stage(self, smooth_traj, monkeypatch):
-        # the midpoint stages interpolate u and u_x of both states, the end
-        # stages only their own state's two
+        # release reads u, u_x and m at the seeds; then each step's first
+        # stage reuses that read, the midpoint stages interpolate u and u_x
+        # of both states, the last stage the new state's two, and the
+        # particles read the new state's three at their new paths
         from kabc import lagrangian
 
         calls = []  # rows interpolated by each call
@@ -284,11 +285,32 @@ class TestAdvectStencil:
         states, k = smooth_traj
         paths, _ = advect_all(states, np.array([1.0, 2.0, 3.0]), k)
         assert len(paths) == len(states) > 2
-        assert calls == [2, 4, 4, 2] * (len(paths) - 1)
+        assert calls == [3] + [4, 4, 2, 3] * (len(paths) - 1)
+
+
+class TestCarriedRead:
+    @pytest.mark.parametrize("p", [preset("ch"), preset("novikov"), preset("gkbch", k=3, b=2.0)],
+                             ids=["ch", "novikov", "gkbch-k3"])
+    def test_here_equals_a_fresh_read_at_the_paths(self, p):
+        # after release and after each advect, the carried u, u_x and m at
+        # eta equal, bitwise, one interpolation call per field at eta
+        g = Grid(128, 2 * np.pi)
+        u0 = Field(g, 0.3 * np.sin(g.nodes) + 0.1 * np.cos(2 * g.nodes) + 0.05)
+        states = run_states(SimConfig(params=p, grid=g, t_end=0.05, dt_max=5e-3, output_stride=1), u0)
+        assert len(states) > 2
+        ps = release(np.linspace(0.2, 6.0, 11), *states[0])
+        for j, (t, u) in enumerate(states):
+            ps = advect(ps, t, u, p.k) if j else ps
+            assert ps.stop_reason is None and ps.t == t
+            ux = get_ops(g).deriv(u.hat, 1)
+            fresh = [cubic_interp_periodic(u.values, g, ps.eta), cubic_interp_periodic(ux, g, ps.eta),
+                     momentum_along(u, ps.eta)]
+            assert ps.here.shape == (3, ps.eta.size)
+            assert np.array_equal(ps.here, np.array(fresh))
 
 
 def test_particles_add_no_transform_to_the_run(monkeypatch):
-    # release, advect and momentum_along read each stored state's kept
+    # release and advect read u_x and m from each stored state's kept
     # spectrum, so a lagrangian run's forward transforms are simulate's
     # own: u0's, then each step's 4 RHS calls' and its new samples'
     g = Grid(64, 2 * np.pi)
@@ -308,7 +330,6 @@ def test_particles_add_no_transform_to_the_run(monkeypatch):
 
     def take(rec, u):
         ps.append(advect(ps[-1], rec.t, u, p.k) if ps else release(seeds, rec.t, u))
-        momentum_along(u, ps[-1].eta)
 
     steps = simulate(SimConfig(params=p, grid=g, t_end=0.05, dt_max=0.01), u0, take).steps
     assert steps == 5 and len(ps) == steps + 1
