@@ -277,6 +277,16 @@ class _CsvWriter:
                     os.remove(part)
 
 
+def _json_safe(value):
+    """value with every non-finite float, at any depth of dicts, lists and
+    tuples, made None, so the manifest is strict JSON (null, not NaN)."""
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_manifest(spec: RunSpec, started, wall_s, result: dict) -> None:
     manifest = {
         "schema_version": 1,
@@ -297,7 +307,7 @@ def _write_manifest(spec: RunSpec, started, wall_s, result: dict) -> None:
             periodic_peakon_admissible=params_mod.periodic_peakon_admissible(p),
         )
     with open(os.path.join(spec.out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(_json_safe(manifest), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -405,7 +415,9 @@ def compute_mms(spec: RunSpec):
     clean = [row[2] for prev, row in zip(rows, rows[1:]) if not (prev[3] or row[3])]
     last_order = clean[-1] if clean else math.nan
     extras = {"finest_error": rows[-1][1] if rows else None, "orders": [r[2] for r in rows[1:]]}
-    if rows and not clean:
+    if len(rows) == 1:
+        extras["last_order_reason"] = "the study ran one level, so no order can be observed"
+    elif rows and not clean:
         extras["last_order_reason"] = f"no two successive levels have an error above the round-off floor {floor:.3g}"
     tables = {
         "mms.csv": (("dt", "final_max_error", "observed_order", "at_roundoff"), rows),

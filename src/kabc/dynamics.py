@@ -383,25 +383,14 @@ def mms_forcing(u0: Field, c: float, p: Params) -> Callable:
     made real as rfft makes it.  The shift is exact while the degree-(k+1)
     products of u0 have nothing at or above mode n/2, whose bin, made real,
     does not shift: for A sin x on a box of j periods, while (k+1) j < n/2,
-    which config checks for an mms run.  forcing(t) is read-only and kept
-    for the last two distinct times asked: an RK4 step asks t, t + dt/2
-    twice and t + dt, and the next step's t is that t + dt, so each step
-    evaluates two phase shifts.
+    which config checks for an mms run.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # as in simulate: inf is the blow-up signal
         uh, xi = u0.hat, u0.grid.wavenumbers
         g0 = -c * get_ops(u0.grid).ik * uh - RhsOperator(u0.grid, p)(uh, 0.0)
 
-    recent = {}  # the last two distinct times' forcings
-
     def forcing(t: float) -> np.ndarray:
-        g = recent.get(t)
-        if g is None:
-            g = g0 * np.exp(-1j * c * t * xi)
-            g[-1] = g[-1].real
-            g.flags.writeable = False
-            if len(recent) == 2:
-                del recent[next(iter(recent))]
-            recent[t] = g
+        g = g0 * np.exp(-1j * c * t * xi)
+        g[-1] = g[-1].real
         return g
     return forcing

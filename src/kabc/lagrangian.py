@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .params import Params
+from .params import PARAM_TOL, Params
 from .spectral import Field, get_ops
 
 # eta_x at or below this ends advection: the flow map is no longer a
@@ -126,7 +126,7 @@ def advect(ps: Particles, t: float, u: Field, k: int) -> Particles:
 def has_invariant(p: Params) -> bool:
     """Whether m(eta, t) * eta_x^{b/k} is conserved along the paths: the
     a = 0, c = (3k - b)/2 subfamily."""
-    return p.a == 0.0 and abs(p.c - (3.0 * p.k - p.b) / 2.0) <= 1e-12
+    return p.a == 0.0 and abs(p.c - (3.0 * p.k - p.b) / 2.0) <= PARAM_TOL
 
 
 def invariant_defects(stretch: np.ndarray, m_along: np.ndarray, p: Params,

@@ -52,9 +52,14 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+def refuse_constant(token):
+    # strict parsers (jq among them) reject NaN and Infinity tokens
+    raise ValueError(f"{token} is not JSON")
+
+
 def manifest_of(out_dir):
     with open(os.path.join(out_dir, "manifest.json")) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=refuse_constant)
 
 
 class TestParseConfig:
@@ -670,6 +675,16 @@ class TestRunSimulate:
 WAVE_BREAKING = ["--set", 'params={"k":3,"a":0,"b":0,"c":0}', "--set", 'profile={"shape":"peakon","gamma":8.0}',
                  "--set", "grid.n=128", "--set", "output_stride=10"]
 
+# runs whose manifests hold a value that is not finite, written as null: an
+# mms order of 0 / 0, the worst_rel_err of a stopped peakon case, and the
+# invariant defect over a momentum that is 0 everywhere
+ZERO_ERROR_MMS = ["mms", "--set", "mms.amplitude=5e-324", "--set", "grid.n=8", "--set",
+                  "grid.length=6.283185307179586", "--set", "mms.levels=2", "--set", "mms.t_end=1e-6",
+                  "--set", "mms.dt0=1e-6"]
+STOPPED_PEAKON_CASE = ["peakon-verify", "--set", "grid.n=256", "--set", "peakon_verify.t_end=0.5", "--set",
+                       'peakon_verify.cases=[{"k":3,"a":0,"b":0,"c":0,"gamma":2.0},{"preset":"ch","gamma":1.0}]']
+ZERO_MOMENTUM = ["lagrangian", "--set", "grid.n=64", "--set", "profile.gamma=0", "--set", "t_end=0.05"]
+
 
 class TestOtherSubcommands:
     def test_peakon_verify_table(self, tmp_path):
@@ -861,6 +876,30 @@ class TestOtherSubcommands:
         assert result["blew_up"] is True and result["error"] == "mms level 2 (dt 0.0625): stopped for the test"
         assert result["finest_error"] == float(rows[-1][1]) and result["orders"] == [float(rows[-1][2])]
 
+    @pytest.mark.parametrize("levels, stop_dt, code", [(1, None, EXIT_OK), (3, 0.125, EXIT_BLOWUP)])
+    def test_mms_with_one_level_has_no_order_to_observe(self, tmp_path, monkeypatch, levels, stop_dt, code):
+        # one level, run alone or before level 1 stopped, is above the
+        # round-off floor: its study has no order because it has one level
+        from kabc import cli
+
+        real = cli.simulate
+
+        def stop_at(cfg, u0, on_state=None):
+            traj = real(cfg, u0, on_state)
+            if cfg.dt_max == stop_dt:
+                traj.stop_reason = "stopped for the test"
+            return traj
+
+        monkeypatch.setattr(cli, "simulate", stop_at)
+        out = tmp_path / "mms"
+        argv = ["mms", "--out", str(out), "--set", "mms.dt0=0.25", "--set", f"mms.levels={levels}"]
+        assert main(argv) == code
+        rows = [line.split(",") for line in (out / "mms.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 1 and rows[0][2:] == ["nan", "false"]
+        result = manifest_of(out)["result"]
+        assert result["orders"] == [] and result["finest_error"] > 1e-10
+        assert result["last_order_reason"] == "the study ran one level, so no order can be observed"
+
     @pytest.mark.parametrize("overrides", [
         ["mms.amplitude=-1e300", "grid.n=32"],
         ['params={"k":5,"a":0.5,"b":1,"c":1}', "mms.amplitude=1e60", "grid.n=64"],
@@ -885,16 +924,13 @@ class TestOtherSubcommands:
         # manufactured solution, and log2(0 / 0) is no order; an error of 0
         # is at round-off, so the study has no last_order, and says why
         out = tmp_path / "mms"
-        argv = ["mms", "--out", str(out), "--set", "mms.amplitude=5e-324", "--set", "grid.n=8", "--set",
-                "grid.length=6.283185307179586", "--set", "mms.levels=2", "--set", "mms.t_end=1e-6",
-                "--set", "mms.dt0=1e-6"]
-        assert main(argv) == EXIT_OK
+        assert main([*ZERO_ERROR_MMS, "--out", str(out)]) == EXIT_OK
         assert capsys.readouterr().err == ""
         rows = [line.split(",") for line in (out / "mms.csv").read_text().splitlines()[1:]]
         assert [row[1:] for row in rows] == [["0", "nan", "true"], ["0", "nan", "true"]]
         assert (out / "summary.csv").read_text().splitlines()[1].split(",")[1:] == ["0", "nan"]
         result = manifest_of(out)["result"]
-        assert math.isnan(result["orders"][0])
+        assert result["orders"][0] is None
         assert result["last_order_reason"].startswith("no two successive levels have an error above the round-off floor")
 
     def test_lagrangian_wave_breaking_keeps_its_particles(self, tmp_path):
@@ -920,10 +956,7 @@ class TestOtherSubcommands:
         # advances t (its crest would read a speed of 2666 against 8); the
         # other case still runs
         out = tmp_path / "pk"
-        cases = [{"k": 3, "a": 0, "b": 0, "c": 0, "gamma": 2.0}, {"preset": "ch", "gamma": 1.0}]
-        argv = ["peakon-verify", "--out", str(out), "--set", "grid.n=256",
-                "--set", f"peakon_verify.cases={json.dumps(cases)}", "--set", "peakon_verify.t_end=0.5"]
-        assert main(argv) == EXIT_BLOWUP
+        assert main([*STOPPED_PEAKON_CASE, "--out", str(out)]) == EXIT_BLOWUP
         rows = [line.split(",") for line in (out / "speeds.csv").read_text().splitlines()[1:]]
         assert [row[0] for row in rows] == ["custom", "ch"]
         assert float(rows[0][2]) == 8.0
@@ -932,7 +965,7 @@ class TestOtherSubcommands:
         summary = (out / "summary.csv").read_text().splitlines()[1].split(",")
         assert summary[0] == "2" and math.isnan(float(summary[1]))
         result = manifest_of(out)["result"]
-        assert result["exit"] == EXIT_BLOWUP and math.isnan(result["worst_rel_err"])
+        assert result["exit"] == EXIT_BLOWUP and result["worst_rel_err"] is None
         assert re.fullmatch(r"case 0: time step \S+ no longer advances t = \S+", result["error"])
         assert len(result["softbound"]) == 2
 
@@ -1095,11 +1128,15 @@ class TestOtherSubcommands:
 
     def test_lagrangian_defect_of_a_zero_momentum_is_nan(self, tmp_path):
         out = tmp_path / "lag"
-        argv = ["lagrangian", "--out", str(out), "--set", "grid.n=64", "--set", "profile.gamma=0",
-                "--set", "t_end=0.05"]
-        assert main(argv) == EXIT_OK
+        assert main([*ZERO_MOMENTUM, "--out", str(out)]) == EXIT_OK
         result = manifest_of(out)["result"]
-        assert result["max_invariant_residual"] == 0.0 and math.isnan(result["max_invariant_defect"])
+        assert result["max_invariant_residual"] == 0.0 and result["max_invariant_defect"] is None
+
+    @pytest.mark.parametrize("argv", [ZERO_ERROR_MMS, STOPPED_PEAKON_CASE, ZERO_MOMENTUM])
+    def test_manifest_with_a_value_that_is_not_finite_is_strict_json(self, tmp_path, argv):
+        out = tmp_path / "run"
+        main([*argv, "--out", str(out)])
+        json.loads((out / "manifest.json").read_text(), parse_constant=refuse_constant)
 
     def test_profile_file_grid_mismatch(self, tmp_path):
         g = Grid(64, 2 * math.pi)

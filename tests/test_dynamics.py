@@ -856,24 +856,3 @@ class TestMms:
             traj = simulate(cfg, Field(g, sine_wave(g.nodes, 0.0)))
             errs.append(np.max(np.abs(traj.final.values - sine_wave(g.nodes, traj.last_time))))
         assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.3)
-
-    def test_a_forced_step_shifts_the_phase_twice(self, monkeypatch):
-        # forcing keeps its last two distinct times: a step asks t, t + dt/2
-        # twice and t + dt, and the next step starts at that t + dt bit for
-        # bit, so after the first step (three shifts) each takes two
-        p = preset("forq")
-        g = Grid(64, 2 * np.pi)
-        forcing, fresh = sine_forcing(p, g), sine_forcing(p, g)
-        exp, shifts = np.exp, []
-
-        def counted(*args, **kwargs):
-            shifts.append(1)
-            return exp(*args, **kwargs)
-
-        monkeypatch.setattr(np, "exp", counted)
-        cfg = SimConfig(params=p, grid=g, t_end=0.25, dt_max=1.0 / 64, forcing=forcing)
-        traj = simulate(cfg, Field(g, sine_wave(g.nodes, 0.0)))
-        assert traj.steps == 16 and len(shifts) == 2 * traj.steps + 1
-        got = forcing(traj.last_time)
-        assert not got.flags.writeable and forcing(traj.last_time) is got
-        assert np.array_equal(got, fresh(traj.last_time))
