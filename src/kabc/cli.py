@@ -7,14 +7,16 @@ returns its exit code, its small CSV tables as ``{filename: (header, rows)}``
 and the manifest extras, built in one pass: simulate hands it each stored
 state as it is made.  The tables that grow with the run (``particles.csv``,
 the snapshots) are written while it runs instead: the runner sends their rows
-to a writer process (``_CsvWriter``), so formatting them takes the second
-core and no run holds them.  A run that stops early returns what it reached,
-and ``_outcome`` turns its one stop reason into the exit code, blew_up and
-error.  ``run`` clears an earlier run's artifacts from the output directory
-and writes the returned tables (a sweep's ``aggregate.csv`` too) and one JSON
-manifest.  The numeric tables are 2-D float arrays, written in blocks of rows
-with ``%.17g``: the bytes of the value-by-value ``_fmt`` path.  Numeric
-artifacts are reproducible bit-for-bit, manifests differ in timestamps.
+to a writer process (``_CsvWriter``) in keyed blocks (``_Keyed``), so
+formatting them takes the second core, which formats a block's seeds (or
+nodes) and times once each, and no run holds them.  A run that stops early
+returns what it reached, and ``_outcome`` turns its one stop reason into the
+exit code, blew_up and error.  ``run`` clears an earlier run's artifacts from
+the output directory and writes the returned tables (a sweep's
+``aggregate.csv`` too) and one JSON manifest.  The numeric tables are 2-D
+float arrays or keyed blocks, written in blocks of rows with ``%.17g``: the
+bytes of the value-by-value ``_fmt`` path.  Numeric artifacts are
+reproducible bit-for-bit, manifests differ in timestamps.
 
 Exit codes: 0 success, 2 a run that stopped early (partial outputs kept), 3
 configuration error (command-line usage included), 4 I/O failure, 5
@@ -34,6 +36,7 @@ import sys
 import time
 import traceback
 from dataclasses import asdict, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,11 +162,26 @@ def _fmt(v) -> str:
 CSV_BLOCK_ROWS = 4096
 
 
+class _Keyed(NamedTuple):
+    """Float rows whose leading columns repeat, as a streamed table sends
+    them: for each state i, then each key, the row (key, *leads[i], *body
+    row), the body's rows in that order (key fastest).  particles.csv's keys
+    are the seeds and each state's lead its time; a snapshot's keys are the
+    nodes, with one state and no lead.  Its sender sizes a block, which is
+    formatted in one %-call."""
+
+    keys: np.ndarray  # (n_keys,)
+    leads: list  # a tuple of floats per state
+    body: np.ndarray  # (len(leads) * n_keys, n_body)
+
+
 def _write_rows(fh, header, rows) -> None:
     """Write a header line (none when header is None) and the rows.  A 2-D
     float array is formatted CSV_BLOCK_ROWS rows per %-call with "%.17g",
-    which gives the bytes _fmt gives each float; any other iterable of rows
-    goes value by value through _fmt."""
+    which gives the bytes _fmt gives each float.  A _Keyed block formats
+    each key and each state's leads once, with "%.17g", into the template
+    of its %-call, which then formats only the body.  Any other iterable of
+    rows goes value by value through _fmt."""
     if header is not None:
         fh.write(",".join(header) + "\n")
     if isinstance(rows, np.ndarray):
@@ -171,6 +189,11 @@ def _write_rows(fh, header, rows) -> None:
         for start in range(0, len(rows), CSV_BLOCK_ROWS):
             block = rows[start : start + CSV_BLOCK_ROWS]
             fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+    elif isinstance(rows, _Keyed):
+        heads = ["%.17g," % v for v in rows.keys.tolist()]  # no "%" in a formatted float
+        line = ",".join(["%.17g"] * rows.body.shape[1]) + "\n"
+        tails = ["".join(["%.17g," % v for v in lead]) + line for lead in rows.leads]
+        fh.write("".join([tail.join(heads) + tail for tail in tails]) % tuple(rows.body.ravel().tolist()))
     else:
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -182,10 +205,11 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _write_parts(conn, run_end) -> None:
-    """The writer process: writes the (path, header, rows) messages of conn
-    with _write_rows, a message with a header starting the file path, until
-    a None (done) or EOF (the run went away).  A failure is sent back as its
-    text, and the process exits 1."""
+    """The writer process: writes the (path, header, rows) messages of conn,
+    rows a _Keyed block, with _write_rows, which formats the block's keys and
+    leads once each; a message with a header starts the file path.  It runs
+    until a None (done) or EOF (the run went away).  A failure is sent back
+    as its text, and the process exits 1."""
     run_end.close()
     fh = None
     try:
@@ -208,12 +232,14 @@ class _CsvWriter:
     """CSV files that a forked writer process formats and writes while the
     run steps, so the run's own process only makes the rows.
 
-    send(name, header, rows) hands it a 2-D float array of rows for the file
+    send(name, header, rows) hands it a _Keyed block of rows for the file
     name in out_dir, in order; the first rows sent for a name start that
-    file (one file at a time).  The process starts at the first send and
-    writes each file as <name>.part.  Leaving the with-block ends it and
-    renames each file to name, or, when the block raised, stops it and
-    removes them.  A writer that failed raises OSError, with its error.
+    file (one file at a time).  The writer formats each key (a seed, a node)
+    and each state's leads (a time) once per block, and the body row by
+    row.  The process starts at the first send and writes each file as
+    <name>.part.  Leaving the with-block ends it and renames each file to
+    name, or, when the block raised, stops it and removes them.  A writer
+    that failed raises OSError, with its error.
     """
 
     def __init__(self, out_dir: str):
@@ -222,7 +248,7 @@ class _CsvWriter:
     def __enter__(self):
         return self
 
-    def send(self, name: str, header, rows: np.ndarray) -> None:
+    def send(self, name: str, header, rows: _Keyed) -> None:
         if self.proc is None:
             import multiprocessing  # here, so that runs that write no stream do not import it
 
@@ -333,8 +359,8 @@ def compute_simulate(spec: RunSpec):
         ux = Field(u.grid, get_ops(u.grid).deriv(u.hat, 1))
         fit_u, fit_ux = (diagnostics.decay_fit(f, spec.fit_window) for f in (u, ux))
         crest = diagnostics.crest_position(u)
-        if spec.write_snapshots:
-            writer.send(f"snap_{len(rows):06d}.csv", *_snapshot_table(u))
+        if spec.write_snapshots:  # the nodes are the keys, of one state with no lead
+            writer.send(f"snap_{len(rows):06d}.csv", ("x", "u"), _Keyed(u.grid.nodes, [()], u.values[:, None]))
         rows.append((rec.t, rec.hs_norm, rec.h1_sq, rec.dt, crest, fit_u.theta_hat, fit_ux.theta_hat, fit_u.r2,
                      fit_u.floor_hit, fit_ux.r2, fit_ux.floor_hit))
 
@@ -432,11 +458,13 @@ def compute_lagrangian(spec: RunSpec):
     conserved = lagrangian.has_invariant(p)  # else the defects are NaN
     ps, m0 = None, None  # the particles, m at their first paths
     worst = worst_defect = -math.inf  # the largest residual and absolute defect so far
-    block = []  # the particles.csv rows not sent yet, an (n_seeds, 6) array per state
+    # the particles.csv rows not sent yet: the time of each state, and its
+    # rows' eta, eta_x, m_along and residual, written into body in place
+    times, body = [], np.empty((math.ceil(CSV_BLOCK_ROWS / n_seeds) * n_seeds, 4))
 
-    def send():
-        writer.send("particles.csv", PARTICLE_HEADER, np.concatenate(block))
-        block.clear()
+    def send():  # the seeds are the keys, each state's time its lead
+        writer.send("particles.csv", PARTICLE_HEADER, _Keyed(seeds, times, body[: len(times) * n_seeds]))
+        times.clear()
 
     def take(rec, u):
         nonlocal ps, m0, worst, worst_defect
@@ -450,13 +478,15 @@ def compute_lagrangian(spec: RunSpec):
         # NaN once any value is, as np.max over them all
         worst, worst_defect = np.maximum(worst, np.max(res)), np.maximum(worst_defect, np.max(defect))
         # one row per seed, seed-fastest within each time
-        block.append(np.column_stack((seeds, np.full(n_seeds, ps.t), ps.eta, ps.etax, m_along, res)))
-        if len(block) * n_seeds >= CSV_BLOCK_ROWS:
+        rows = body[len(times) * n_seeds : (len(times) + 1) * n_seeds]
+        rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = ps.eta, ps.etax, m_along, res
+        times.append((ps.t,))
+        if len(times) * n_seeds == len(body):
             send()
 
     with _CsvWriter(spec.out_dir) as writer:
         traj = simulate(spec.sim, build_profile(spec), take)
-        if block:
+        if times:
             send()
     summary = (float(worst), n_seeds, ps.t)  # final_t: the last particle rows' time
     tables = {"summary.csv": (("max_invariant_residual", "n_seeds", "final_t"), [summary])}

@@ -70,10 +70,11 @@ def cubic_interp_periodic(values: np.ndarray, grid, q: np.ndarray) -> np.ndarray
     s = np.asarray(q, dtype=float) / grid.dx
     j = np.floor(s).astype(int)
     f = s - j
-    wm = -f * (f - 1.0) * (f - 2.0) / 6.0
-    w0 = (f * f - 1.0) * (f - 2.0) / 2.0
-    w1 = -f * (f + 1.0) * (f - 2.0) / 2.0
-    w2 = f * (f * f - 1.0) / 6.0
+    neg, fm2, ff1 = -f, f - 2.0, f * f - 1.0  # each formed once for the four weights
+    wm = neg * (f - 1.0) * fm2 / 6.0
+    w0 = ff1 * fm2 / 2.0
+    w1 = neg * (f + 1.0) * fm2 / 2.0
+    w2 = f * ff1 / 6.0
 
     def at(offset):  # the samples at node j + offset, wrapped into the box
         return values.take(j + offset, axis=-1, mode="wrap")
@@ -99,11 +100,13 @@ def advect(ps: Particles, t: float, u: Field, k: int) -> Particles:
     h = t - ps.t
 
     def rate(uv, uxv, etax_c):
-        return uv**k, k * uv ** (k - 1) * uxv * etax_c
+        if k == 1:  # u^0 = 1 and u^1 = u are not formed
+            return uv, uxv * etax_c
+        return uv**k, k * (uv if k == 2 else uv ** (k - 1)) * uxv * etax_c
 
     def midpoint(eta_c, etax_c):  # u and u_x halfway between the two states
-        u0, ux0, u1, ux1 = cubic_interp_periodic(ends, u.grid, eta_c)
-        return rate(0.5 * u0 + 0.5 * u1, 0.5 * ux0 + 0.5 * ux1, etax_c)
+        u0, ux0, u1, ux1 = 0.5 * cubic_interp_periodic(ends, u.grid, eta_c)
+        return rate(u0 + u1, ux0 + ux1, etax_c)
 
     eta, etax = ps.eta, ps.etax
     try:

@@ -30,6 +30,7 @@ from kabc.cli import (
     SUBCOMMANDS,
     RunSpec,
     _RUNNERS,
+    _Keyed,
     _write_csv,
     build_profile,
     compute_lagrangian,
@@ -451,6 +452,34 @@ class TestCsvWriter:
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "array.csv")
             _write_csv(path, header, table)
+            got = open(path, "rb").read()
+        assert got == self.fmt_loop_bytes(header, table)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_keys=st.integers(1, 5),
+        n_leads=st.integers(0, 2),
+        n_body=st.integers(1, 4),
+        nrows=st.sampled_from([1, 2, 7, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1]),
+        pool=st.lists(st.sampled_from(SPECIAL) | st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40),
+        pick=st.integers(0, 2**32 - 1),
+    )
+    def test_keyed_path_writes_the_fmt_bytes(self, n_keys, n_leads, n_body, nrows, pool, pick):
+        # a streamed block formats its keys (seeds, nodes) and each state's
+        # leads (a time) once, and its body row by row, into _fmt's bytes
+        values = np.array(pool + list(self.SPECIAL))
+        rng = np.random.default_rng(pick)
+
+        def draw(*shape):
+            return values[rng.integers(len(values), size=shape)]
+
+        n_states = -(-nrows // n_keys)
+        keys, leads, body = draw(n_keys), draw(n_states, n_leads), draw(n_states * n_keys, n_body)
+        table = np.column_stack((np.tile(keys, n_states), np.repeat(leads, n_keys, axis=0), body))
+        header = tuple(f"c{i}" for i in range(table.shape[1]))
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "keyed.csv")
+            _write_csv(path, header, _Keyed(keys, [tuple(lead) for lead in leads.tolist()], body))
             got = open(path, "rb").read()
         assert got == self.fmt_loop_bytes(header, table)
 
@@ -1262,6 +1291,34 @@ class TestStreamedTables:
             assert len(rows) == 6 * 2100  # u0 and 5 steps of dt_max
         if code == EXIT_INTERNAL:
             assert err == "kabc: internal error: RuntimeError: raised for the test\n"
+
+    @pytest.mark.parametrize("preset", ["novikov", "forq"])
+    def test_particle_blocks_of_any_size_write_the_same_bytes(self, tmp_path, monkeypatch, preset):
+        # 3 seeds and 8 states: in blocks of 7 rows a block holds 3 states,
+        # the last one 2; forq is off the a = 0 subfamily (NaN residuals)
+        from kabc import cli
+
+        overrides = [f'params.preset="{preset}"', "grid.n=128", f"grid.length={2 * math.pi!r}",
+                     'profile={"shape": "bump", "width": 1.0}', "t_end=0.07", "lagrangian.seeds=[2.5, 3, 3.5]"]
+        real_send = cli._CsvWriter.send
+
+        def particles(name):
+            sends = []
+
+            def send(writer, *args):
+                sends.append(args[0])
+                return real_send(writer, *args)
+
+            monkeypatch.setattr(cli._CsvWriter, "send", send)
+            assert run(parse_config(None, overrides, "lagrangian", str(tmp_path / name))) == EXIT_OK
+            return (tmp_path / name / "particles.csv").read_bytes(), len(sends)
+
+        whole, one = particles("whole")
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
+        blocks, many = particles("blocks")
+        assert (one, many) == (1, 3) and whole.count(b"\n") == 1 + 8 * 3
+        assert (whole.count(b",nan\n") == 8 * 3) == (preset == "forq")
+        assert blocks == whole
 
     def test_parallel_lagrangian_sweep_matches_single_runs(self, tmp_path):
         import multiprocessing
