@@ -7,13 +7,15 @@ returns its exit code, its small CSV tables as ``{filename: (header, rows)}``
 and the manifest extras, built in one pass: simulate hands it each stored
 state as it is made.  The tables that grow with the run (``particles.csv``,
 the snapshots) are written while it runs instead: the runner sends their rows
-to a writer process (``_CsvWriter``) in keyed blocks (``_Keyed``), so
-formatting them takes the second core, which formats a block's seeds (or
-nodes) and times once each, and no run holds them.  A run that stops early
-returns what it reached, and ``_outcome`` turns its one stop reason into the
-exit code, blew_up and error.  ``run`` clears an earlier run's artifacts from
-the output directory and writes the returned tables (a sweep's
-``aggregate.csv`` too) and one JSON manifest.  The numeric tables are 2-D
+to a writer process (``_CsvWriter``), so formatting them takes the second
+core and no run holds them.  A snapshot goes as its (n, 2) array, and
+``particles.csv`` in keyed blocks (``_Keyed``), whose seeds and times are
+formatted once per block.  A run that stops early returns what it reached,
+and ``_outcome`` turns its one stop reason into the exit code, blew_up and
+error.  ``run`` clears an earlier run's artifacts from the output directory
+and writes the returned tables (a sweep's ``aggregate.csv`` too) and one JSON
+manifest.  Every table is written as ``<name>.part`` and renamed when whole,
+so a table whose write fails leaves no file.  The numeric tables are 2-D
 float arrays or keyed blocks, written in blocks of rows with ``%.17g``: the
 bytes of the value-by-value ``_fmt`` path.  Numeric artifacts are
 reproducible bit-for-bit, manifests differ in timestamps.
@@ -163,24 +165,22 @@ CSV_BLOCK_ROWS = 4096
 
 
 class _Keyed(NamedTuple):
-    """Float rows whose leading columns repeat, as a streamed table sends
-    them: for each state i, then each key, the row (key, *leads[i], *body
-    row), the body's rows in that order (key fastest).  particles.csv's keys
-    are the seeds and each state's lead its time; a snapshot's keys are the
-    nodes, with one state and no lead.  Its sender sizes a block, which is
-    formatted in one %-call."""
+    """A block of particles.csv rows: for each state i, then each key (a
+    seed), the row (key, times[i], *body row), the body's rows in that order
+    (key fastest).  Its sender sizes a block, which is formatted in one
+    %-call."""
 
     keys: np.ndarray  # (n_keys,)
-    leads: list  # a tuple of floats per state
-    body: np.ndarray  # (len(leads) * n_keys, n_body)
+    times: list  # a float per state
+    body: np.ndarray  # (len(times) * n_keys, n_body)
 
 
 def _write_rows(fh, header, rows) -> None:
     """Write a header line (none when header is None) and the rows.  A 2-D
     float array is formatted CSV_BLOCK_ROWS rows per %-call with "%.17g",
     which gives the bytes _fmt gives each float.  A _Keyed block formats
-    each key and each state's leads once, with "%.17g", into the template
-    of its %-call, which then formats only the body.  Any other iterable of
+    each key and each state's time once, with "%.17g", into the template of
+    its %-call, which then formats only the body.  Any other iterable of
     rows goes value by value through _fmt."""
     if header is not None:
         fh.write(",".join(header) + "\n")
@@ -192,7 +192,7 @@ def _write_rows(fh, header, rows) -> None:
     elif isinstance(rows, _Keyed):
         heads = ["%.17g," % v for v in rows.keys.tolist()]  # no "%" in a formatted float
         line = ",".join(["%.17g"] * rows.body.shape[1]) + "\n"
-        tails = ["".join(["%.17g," % v for v in lead]) + line for lead in rows.leads]
+        tails = ["%.17g,%s" % (t, line) for t in rows.times]
         fh.write("".join([tail.join(heads) + tail for tail in tails]) % tuple(rows.body.ravel().tolist()))
     else:
         for row in rows:
@@ -205,9 +205,8 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _write_parts(conn, run_end) -> None:
-    """The writer process: writes the (path, header, rows) messages of conn,
-    rows a _Keyed block, with _write_rows, which formats the block's keys and
-    leads once each; a message with a header starts the file path.  It runs
+    """The writer process: writes the (path, header, rows) messages of conn
+    with _write_rows; a message with a header starts the file path.  It runs
     until a None (done) or EOF (the run went away).  A failure is sent back
     as its text, and the process exits 1."""
     run_end.close()
@@ -232,14 +231,13 @@ class _CsvWriter:
     """CSV files that a forked writer process formats and writes while the
     run steps, so the run's own process only makes the rows.
 
-    send(name, header, rows) hands it a _Keyed block of rows for the file
-    name in out_dir, in order; the first rows sent for a name start that
-    file (one file at a time).  The writer formats each key (a seed, a node)
-    and each state's leads (a time) once per block, and the body row by
-    row.  The process starts at the first send and writes each file as
-    <name>.part.  Leaving the with-block ends it and renames each file to
-    name, or, when the block raised, stops it and removes them.  A writer
-    that failed raises OSError, with its error.
+    send(name, header, rows) hands it rows for the file name in out_dir, in
+    order: a snapshot's array, or a _Keyed block of particles.csv; the first
+    rows sent for a name start that file (one file at a time).  The process
+    starts at the first send and writes each file as <name>.part.  Leaving
+    the with-block ends it and renames each file to name, or, when the block
+    raised, stops it and removes them (_land).  A writer that failed raises
+    OSError, with its error.
     """
 
     def __init__(self, out_dir: str):
@@ -248,7 +246,7 @@ class _CsvWriter:
     def __enter__(self):
         return self
 
-    def send(self, name: str, header, rows: _Keyed) -> None:
+    def send(self, name: str, header, rows) -> None:
         if self.proc is None:
             import multiprocessing  # here, so that runs that write no stream do not import it
 
@@ -295,12 +293,18 @@ class _CsvWriter:
         finally:
             self.proc.join()
             self.conn.close()
-            whole = exc_type is None and self.proc.exitcode == 0
-            for name, part in self.parts.items():
-                if whole:
-                    os.replace(part, os.path.join(self.out_dir, name))
-                elif os.path.exists(part):
-                    os.remove(part)
+            _land(self.out_dir, self.parts, exc_type is None and self.proc.exitcode == 0)
+
+
+def _land(out_dir, names, whole: bool) -> None:
+    """Rename each name's <name>.part in out_dir to name when all of them
+    are whole, else remove each one that exists."""
+    for name in names:
+        part = os.path.join(out_dir, name + ".part")
+        if whole:
+            os.replace(part, os.path.join(out_dir, name))
+        elif os.path.exists(part):
+            os.remove(part)
 
 
 def _json_safe(value):
@@ -359,8 +363,8 @@ def compute_simulate(spec: RunSpec):
         ux = Field(u.grid, get_ops(u.grid).deriv(u.hat, 1))
         fit_u, fit_ux = (diagnostics.decay_fit(f, spec.fit_window) for f in (u, ux))
         crest = diagnostics.crest_position(u)
-        if spec.write_snapshots:  # the nodes are the keys, of one state with no lead
-            writer.send(f"snap_{len(rows):06d}.csv", ("x", "u"), _Keyed(u.grid.nodes, [()], u.values[:, None]))
+        if spec.write_snapshots:
+            writer.send(f"snap_{len(rows):06d}.csv", *_snapshot_table(u))
         rows.append((rec.t, rec.hs_norm, rec.h1_sq, rec.dt, crest, fit_u.theta_hat, fit_ux.theta_hat, fit_u.r2,
                      fit_u.floor_hit, fit_ux.r2, fit_ux.floor_hit))
 
@@ -462,7 +466,7 @@ def compute_lagrangian(spec: RunSpec):
     # rows' eta, eta_x, m_along and residual, written into body in place
     times, body = [], np.empty((math.ceil(CSV_BLOCK_ROWS / n_seeds) * n_seeds, 4))
 
-    def send():  # the seeds are the keys, each state's time its lead
+    def send():
         writer.send("particles.csv", PARTICLE_HEADER, _Keyed(seeds, times, body[: len(times) * n_seeds]))
         times.clear()
 
@@ -480,7 +484,7 @@ def compute_lagrangian(spec: RunSpec):
         # one row per seed, seed-fastest within each time
         rows = body[len(times) * n_seeds : (len(times) + 1) * n_seeds]
         rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = ps.eta, ps.etax, m_along, res
-        times.append((ps.t,))
+        times.append(ps.t)
         if len(times) * n_seeds == len(body):
             send()
 
@@ -547,8 +551,13 @@ def run(spec: RunSpec) -> int:
                 if ARTIFACT_NAME.fullmatch(entry.name) and not entry.is_dir() and os.path.realpath(entry) != keep:
                     os.remove(entry)
         code, tables, extras = _RUNNERS[spec.subcommand](spec)
-        for name, (header, rows) in tables.items():
-            _write_csv(os.path.join(spec.out_dir, name), header, rows)
+        whole = False
+        try:
+            for name, (header, rows) in tables.items():
+                _write_csv(os.path.join(spec.out_dir, name + ".part"), header, rows)
+            whole = True
+        finally:
+            _land(spec.out_dir, tables, whole)
     except (ConfigError, dynamics.StepLimitError) as err:
         code, extras = EXIT_CONFIG, {"error": str(err)}
         print(f"kabc: configuration error: {err}", file=sys.stderr)

@@ -100,6 +100,40 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/config.json", [], "simulate")
 
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (["simulate"], '{"t_end": ', "malformed config file {path}: Expecting value: line 1 column 11 (char 10)"),
+            (["simulate"], "[1, 2]", "config file must hold a JSON object"),
+            (["simulate", "--set", "t_end"], None, "--set expects key=value, got 't_end'"),
+            (["simulate", "--set", "grid=5"], None, "grid must be an object, got 5"),
+            (["simulate", "--set", 'params={"k": 2, "a": 0, "c": 1}'], None, "params block is missing 'b'"),
+            (["peakon-verify", "--set", "peakon_verify.cases=[5]"], None,
+             "peakon_verify.cases[0] 5: a case must be an object"),
+            (["simulate", "--set", 'params={"preset": "ch", "k": 2}'], None,
+             "invalid parameters: preset 'ch' takes no free parameters"),
+            (["simulate", "--set", 'params={"preset": "gkbch", "k": 2, "b": 1, "a": 0}'], None,
+             "invalid parameters: unexpected parameters for gkbch: ['a']"),
+            (["simulate", "--set", 'params={"preset": "ab", "a": 0, "b": 1, "k": 2}'], None,
+             "invalid parameters: unexpected parameters for ab: ['k']"),
+        ],
+        ids=["malformed-file", "file-not-object", "set-without-value", "grid-not-object", "params-missing-b",
+             "case-not-object", "ch-given-k", "gkbch-given-a", "ab-given-k"],
+    )
+    def test_rejection_exits_3_with_its_message(self, tmp_path, capsys, argv, text, message):
+        out, path = tmp_path / "out", tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+            argv = argv + ["--config", str(path)]
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"kabc: configuration error: {message.format(path=path)}\n"
+        assert not out.exists()
+
+    def test_unknown_subcommand(self):
+        # the command line names only known ones; parse_config checks its argument too
+        with pytest.raises(ConfigError, match="^unknown subcommand 'bogus'$"):
+            parse_config(None, [], "bogus")
+
     def test_sweep_expansion(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -458,15 +492,14 @@ class TestCsvWriter:
     @settings(max_examples=40, deadline=None)
     @given(
         n_keys=st.integers(1, 5),
-        n_leads=st.integers(0, 2),
         n_body=st.integers(1, 4),
         nrows=st.sampled_from([1, 2, 7, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1]),
         pool=st.lists(st.sampled_from(SPECIAL) | st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40),
         pick=st.integers(0, 2**32 - 1),
     )
-    def test_keyed_path_writes_the_fmt_bytes(self, n_keys, n_leads, n_body, nrows, pool, pick):
-        # a streamed block formats its keys (seeds, nodes) and each state's
-        # leads (a time) once, and its body row by row, into _fmt's bytes
+    def test_keyed_path_writes_the_fmt_bytes(self, n_keys, n_body, nrows, pool, pick):
+        # a particle block formats its keys (the seeds) and each state's time
+        # once, and its body row by row, into _fmt's bytes
         values = np.array(pool + list(self.SPECIAL))
         rng = np.random.default_rng(pick)
 
@@ -474,12 +507,12 @@ class TestCsvWriter:
             return values[rng.integers(len(values), size=shape)]
 
         n_states = -(-nrows // n_keys)
-        keys, leads, body = draw(n_keys), draw(n_states, n_leads), draw(n_states * n_keys, n_body)
-        table = np.column_stack((np.tile(keys, n_states), np.repeat(leads, n_keys, axis=0), body))
+        keys, times, body = draw(n_keys), draw(n_states), draw(n_states * n_keys, n_body)
+        table = np.column_stack((np.tile(keys, n_states), np.repeat(times, n_keys), body))
         header = tuple(f"c{i}" for i in range(table.shape[1]))
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "keyed.csv")
-            _write_csv(path, header, _Keyed(keys, [tuple(lead) for lead in leads.tolist()], body))
+            _write_csv(path, header, _Keyed(keys, times.tolist(), body))
             got = open(path, "rb").read()
         assert got == self.fmt_loop_bytes(header, table)
 
@@ -495,6 +528,35 @@ class TestCsvWriter:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
         assert len((tmp_path / "big.csv").read_text().splitlines()) == 100_001
+
+    def test_streamed_snapshot_memory_is_bounded(self, tmp_path, monkeypatch):
+        # the rows simulate streams for a state of 100,000 nodes, as its
+        # writer process gets them, are written in the same bound
+        from kabc import cli
+
+        class Sent(Exception):
+            pass
+
+        sent = []
+
+        def send(writer, *message):  # keeps the first snapshot and ends the run
+            sent.append(message)
+            raise Sent
+
+        monkeypatch.setattr(cli._CsvWriter, "send", send)
+        spec = parse_config(None, ["grid.n=100000", "write_snapshots=true"], "simulate", str(tmp_path / "out"))
+        with pytest.raises(Sent):
+            cli.compute_simulate(spec)
+        [(name, header, rows)] = sent
+        assert name == "snap_000000.csv"
+        tracemalloc.start()
+        try:
+            _write_csv(tmp_path / name, header, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20  # the bound of an array table above
+        assert read_snapshot(tmp_path / name, spec.sim.grid).values.shape == (100_000,)
 
 
 class TestSnapshotIO:
@@ -525,6 +587,17 @@ class TestSnapshotIO:
                 "--set", f"grid.length={2 * np.pi}", "--out", str(out)]
         assert main(argv) == EXIT_CONFIG
         assert "grid mismatch: node positions differ" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, message", [("1,2,3", "expected 2 columns"), ("abc,1", "non-numeric row")])
+    def test_malformed_rows_exit_3_with_the_error_in_the_manifest(self, tmp_path, capsys, row, message):
+        path, out = tmp_path / "u0.csv", tmp_path / "out"
+        path.write_text(f"x,u\n{row}\n")
+        profile = json.dumps({"shape": "file", "path": str(path)})
+        assert main(["simulate", "--set", "grid.n=128", "--set", f"profile={profile}", "--out", str(out)]) == EXIT_CONFIG
+        error = f"invalid profile: malformed snapshot file {path}: {message}"
+        assert capsys.readouterr().err == f"kabc: configuration error: {error}\n"
+        assert os.listdir(out) == ["manifest.json"]
+        assert manifest_of(out)["result"] == {"exit": EXIT_CONFIG, "error": error}
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -1292,6 +1365,33 @@ class TestStreamedTables:
         if code == EXIT_INTERNAL:
             assert err == "kabc: internal error: RuntimeError: raised for the test\n"
 
+    @pytest.mark.parametrize("at", ["first", "done"])
+    def test_writer_killed_without_a_word(self, tmp_path, monkeypatch, capsys, at):
+        # a writer killed by a signal sends no error, so the run reports its
+        # exit code: killed at its first message, the run finds its pipe
+        # broken at a later send; killed at the done message, when it joins it
+        import multiprocessing
+        import signal
+
+        from kabc import cli
+
+        def dying(conn, run_end):
+            run_end.close()
+            if at == "first":
+                conn.recv()
+            else:
+                for _ in iter(conn.recv, None):
+                    pass
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(cli, "_write_parts", dying)
+        out = tmp_path / "out"
+        argv = ["lagrangian", "--out", str(out), *MANY_SEEDS, "--set", "grid.n=128", "--set", "t_end=0.05"]
+        assert main(argv) == EXIT_IO
+        assert multiprocessing.active_children() == []
+        assert os.listdir(out) == ["manifest.json"]
+        assert capsys.readouterr().err == "kabc: I/O error: CSV writer exited with code -9\n"
+
     @pytest.mark.parametrize("preset", ["novikov", "forq"])
     def test_particle_blocks_of_any_size_write_the_same_bytes(self, tmp_path, monkeypatch, preset):
         # 3 seeds and 8 states: in blocks of 7 rows a block holds 3 states,
@@ -1363,6 +1463,24 @@ def test_runners_read_only_the_resolved_values(tmp_path, subcommand, overrides):
     assert tables_of(spec) == expected
 
 
+def fail_summary_writes(monkeypatch, nth):
+    """The nth write of a summary.csv (from 1) fails partway through its
+    header, as on a full disk."""
+    from kabc import cli
+
+    real, calls = cli._write_rows, []
+
+    def failing(fh, header, rows):
+        if os.path.basename(fh.name).startswith("summary.csv"):
+            calls.append(None)
+            if len(calls) == nth:
+                fh.write(",".join(header[:2]) + ",")
+                raise OSError("disk full for the test")
+        real(fh, header, rows)
+
+    monkeypatch.setattr(cli, "_write_rows", failing)
+
+
 class TestSweep:
     def test_sweep_subruns_and_aggregate(self, tmp_path):
         out = str(tmp_path / "sweep")
@@ -1388,6 +1506,19 @@ class TestSweep:
             name, rest = line.split(",", 1)
             sub_summary = (tmp_path / "sweep" / name / "summary.csv").read_text().splitlines()
             assert rest == sub_summary[1]  # aggregate rows bitwise equal
+
+    def test_point_whose_summary_write_fails_is_left_out(self, tmp_path, monkeypatch):
+        # so the aggregate takes its header from the point that wrote one whole
+        fail_summary_writes(monkeypatch, 1)
+        out = tmp_path / "sweep"
+        sweep = {"axes": [{"key": "t_end", "values": [0.01, 0.02]}], "workers": 1}
+        spec = parse_config(None, ["grid.n=128", f"sweep={json.dumps(sweep)}"], "sweep", str(out))
+        assert run(spec) == EXIT_IO
+        (failed, _), (kept, _) = spec.points
+        assert manifest_of(out)["result"]["sub_run_exits"] == [EXIT_IO, EXIT_OK]
+        assert os.listdir(out / failed) == ["manifest.json"]
+        header, row = (out / kept / "summary.csv").read_text().splitlines()
+        assert (out / "aggregate.csv").read_text().splitlines() == [f"run,{header}", f"{kept},{row}"]
 
     def test_parallel_matches_serial(self, tmp_path):
         base = {
@@ -1489,6 +1620,16 @@ class TestOutputDirectory:
         missing = json.dumps({"shape": "file", "path": str(tmp_path / "missing.csv")})
         assert main(self.SIM + ["--set", f"profile={missing}", "--out", str(out)]) == EXIT_IO
         assert os.listdir(out) == ["manifest.json"]
+
+    def test_failed_table_write_leaves_no_table(self, tmp_path, monkeypatch, capsys):
+        # summary.csv is the last table simulate returns: the two before it
+        # were whole, and go too
+        fail_summary_writes(monkeypatch, 1)
+        out = tmp_path / "D"
+        assert main(["simulate", "--set", "grid.n=128", "--set", "t_end=0.02", "--out", str(out)]) == EXIT_IO
+        assert os.listdir(out) == ["manifest.json"]
+        assert capsys.readouterr().err == "kabc: I/O error: disk full for the test\n"
+        assert manifest_of(out)["result"]["error"] == "disk full for the test"
 
     def test_foreign_files_and_directories_stay(self, tmp_path):
         out = tmp_path / "D"
