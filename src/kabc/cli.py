@@ -7,18 +7,19 @@ returns its exit code, its small CSV tables as ``{filename: (header, rows)}``
 and the manifest extras, built in one pass: simulate hands it each stored
 state as it is made.  The tables that grow with the run (``particles.csv``,
 the snapshots) are written while it runs instead: the runner sends their rows
-to a writer process (``_CsvWriter``), so formatting them takes the second
-core and no run holds them.  A snapshot goes as its (n, 2) array, and
-``particles.csv`` in keyed blocks (``_Keyed``), whose seeds and times are
-formatted once per block.  A run that stops early returns what it reached,
-and ``_outcome`` turns its one stop reason into the exit code, blew_up and
-error.  ``run`` clears an earlier run's artifacts from the output directory
-and writes the returned tables (a sweep's ``aggregate.csv`` too) and one JSON
-manifest.  Every table is written as ``<name>.part`` and renamed when whole,
-so a table whose write fails leaves no file.  The numeric tables are 2-D
-float arrays or keyed blocks, written in blocks of rows with ``%.17g``: the
-bytes of the value-by-value ``_fmt`` path.  Numeric artifacts are
-reproducible bit-for-bit, manifests differ in timestamps.
+to a writer process (``_CsvWriter``, forked with a pipe), so formatting them
+takes the second core and no run holds them.  A snapshot goes as its (n, 2)
+array, and ``particles.csv`` in keyed blocks (``_Keyed``), whose seeds and
+times are formatted once per block.  A run that stops early returns what it
+reached, and ``_outcome`` turns its one stop reason into the exit code,
+blew_up and error.  ``run`` clears an earlier run's artifacts from the output
+directory and writes the returned tables (a sweep's ``aggregate.csv`` too) and
+one JSON manifest.  Every table is written as ``<name>.part``, and ``run``
+renames a run's streamed and returned tables at once when all are whole, or
+removes them all.  The process entry freezes the import-time heap.  The
+numeric tables are 2-D float arrays or keyed blocks, written in blocks of rows
+with ``%.17g``: the bytes of the value-by-value ``_fmt`` path.  Numeric
+artifacts are reproducible bit-for-bit, manifests differ in timestamps.
 
 Exit codes: 0 success, 2 a run that stopped early (partial outputs kept), 3
 configuration error (command-line usage included), 4 I/O failure, 5
@@ -30,10 +31,13 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import gc
 import json
 import math
 import os
+import pickle
 import re
+import signal
 import sys
 import time
 import traceback
@@ -204,15 +208,15 @@ def _write_csv(path, header, rows) -> None:
         _write_rows(fh, header, rows)
 
 
-def _write_parts(conn, run_end) -> None:
-    """The writer process: writes the (path, header, rows) messages of conn
-    with _write_rows; a message with a header starts the file path.  It runs
-    until a None (done) or EOF (the run went away).  A failure is sent back
-    as its text, and the process exits 1."""
-    run_end.close()
+def _write_parts(messages, reply) -> None:
+    """The writer process: writes the (path, header, rows) messages it
+    unpickles from the file messages with _write_rows; a message with a
+    header starts the file path.  It runs until a None (done) or EOF (the
+    run stopped it).  A failure is written to reply as its text, and the
+    process exits 1."""
     fh = None
     try:
-        for path, header, rows in iter(conn.recv, None):
+        for path, header, rows in iter(lambda: pickle.load(messages), None):
             if header is not None:
                 if fh is not None:
                     fh.close()
@@ -223,7 +227,7 @@ def _write_parts(conn, run_end) -> None:
     except EOFError:  # the run went away, and removes the parts
         pass
     except Exception as err:  # an I/O error, say a full disk
-        conn.send(str(err))
+        reply.write(str(err).encode())
         sys.exit(1)
 
 
@@ -234,77 +238,82 @@ class _CsvWriter:
     send(name, header, rows) hands it rows for the file name in out_dir, in
     order: a snapshot's array, or a _Keyed block of particles.csv; the first
     rows sent for a name start that file (one file at a time).  The process
-    starts at the first send and writes each file as <name>.part.  Leaving
-    the with-block ends it and renames each file to name, or, when the block
-    raised, stops it and removes them (_land).  A writer that failed raises
-    OSError, with its error.
+    starts at the first send, reads the pickled messages from a pipe and
+    writes each file as <name>.part, which run renames or removes.  Leaving
+    the with-block closes the pipe and reaps it.  A writer that failed
+    raises OSError, with its error.
     """
 
     def __init__(self, out_dir: str):
-        self.out_dir, self.parts, self.proc, self.conn = out_dir, {}, None, None
+        self.out_dir, self.name, self.pid, self.code = out_dir, None, None, None
 
     def __enter__(self):
         return self
 
     def send(self, name: str, header, rows) -> None:
-        if self.proc is None:
-            import multiprocessing  # here, so that runs that write no stream do not import it
-
-            # fork, not spawn: a spawned child would import numpy again
-            # (about 0.2 s), and the writer only unpickles and writes files,
-            # so it takes no lock that another thread of the run may hold
-            ctx = multiprocessing.get_context("fork")
-            self.conn, writer_end = ctx.Pipe()
-            # a daemon, so a run that dies without joining it does not leave it behind
-            self.proc = ctx.Process(target=_write_parts, args=(writer_end, self.conn), daemon=True)
-            self.proc.start()
-            writer_end.close()
-        if name in self.parts:
+        if self.pid is None:
+            # a fork shares the imported modules; the writer only unpickles
+            # and writes files, so it takes no lock another thread may hold
+            (messages, pipe), (self.reply, reply) = os.pipe(), os.pipe()
+            self.pipe = os.fdopen(pipe, "wb", buffering=0)  # a blocking pipe takes all of each write
+            self.pid = os.fork()
+            if self.pid == 0:  # the writer; os._exit runs none of the run's exit handlers
+                try:
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)  # a Ctrl-C to the group is the run's
+                    self.pipe.close()  # so that the run's end is its EOF
+                    _write_parts(os.fdopen(messages, "rb"), os.fdopen(reply, "wb", buffering=0))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(messages)
+            os.close(reply)
+        if name == self.name:
             header = None  # the file has it
-        else:
-            self.parts[name] = os.path.join(self.out_dir, name + ".part")
-        self._send((self.parts[name], header, rows))
+        self.name = name
+        self._send((os.path.join(self.out_dir, name + ".part"), header, rows))
 
     def _send(self, message) -> None:
         try:
-            self.conn.send(message)
-        except OSError:  # the writer has stopped
+            pickle.dump(message, self.pipe, pickle.HIGHEST_PROTOCOL)
+        except BrokenPipeError:  # the writer has stopped
             raise OSError(self._failure()) from None
+
+    def _reap(self) -> int:
+        """The writer's exit code, once it has ended."""
+        if self.code is None:
+            self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.code
 
     def _failure(self) -> str:
         """Why the writer stopped: its error text, or its exit code."""
-        self.proc.join()
-        try:
-            return f"CSV writer: {self.conn.recv()}"
-        except (EOFError, OSError):
-            return f"CSV writer exited with code {self.proc.exitcode}"
+        code, text = self._reap(), os.read(self.reply, 1 << 16).decode()
+        return f"CSV writer: {text}" if text else f"CSV writer exited with code {code}"
 
     def __exit__(self, exc_type, exc, tb):
-        if self.proc is None:
+        if self.pid is None:
             return
         try:
             if exc_type is None:
                 self._send(None)
-                self.proc.join()
-                if self.proc.exitcode:
+                if self._reap():
                     raise OSError(self._failure())
-            else:
-                self.proc.terminate()
         finally:
-            self.proc.join()
-            self.conn.close()
-            _land(self.out_dir, self.parts, exc_type is None and self.proc.exitcode == 0)
+            self.pipe.close()  # a writer stopped mid-run reads EOF and ends
+            self._reap()
+            os.close(self.reply)
 
 
-def _land(out_dir, names, whole: bool) -> None:
-    """Rename each name's <name>.part in out_dir to name when all of them
-    are whole, else remove each one that exists."""
-    for name in names:
-        part = os.path.join(out_dir, name + ".part")
-        if whole:
-            os.replace(part, os.path.join(out_dir, name))
-        elif os.path.exists(part):
-            os.remove(part)
+def _clear(out_dir, keep, land=False) -> None:
+    """Remove each file in out_dir that a run writes, all but keep; with
+    land, rename each <name>.part of them to name instead, and keep the rest."""
+    with os.scandir(out_dir) as entries:
+        paths = [entry.path for entry in entries
+                 if ARTIFACT_NAME.fullmatch(entry.name) and not entry.is_dir() and os.path.realpath(entry) != keep]
+    for path in paths:
+        if not land:
+            os.remove(path)
+        elif path.endswith(".part"):
+            os.replace(path, path[: -len(".part")])
 
 
 def _json_safe(value):
@@ -546,18 +555,15 @@ def run(spec: RunSpec) -> int:
     t0 = time.perf_counter()
     try:
         keep = os.path.realpath(spec.profile[1]) if spec.profile and spec.profile[0] == "file" else None
-        with os.scandir(spec.out_dir) as entries:
-            for entry in entries:
-                if ARTIFACT_NAME.fullmatch(entry.name) and not entry.is_dir() and os.path.realpath(entry) != keep:
-                    os.remove(entry)
-        code, tables, extras = _RUNNERS[spec.subcommand](spec)
+        _clear(spec.out_dir, keep)
         whole = False
         try:
+            code, tables, extras = _RUNNERS[spec.subcommand](spec)
             for name, (header, rows) in tables.items():
                 _write_csv(os.path.join(spec.out_dir, name + ".part"), header, rows)
             whole = True
-        finally:
-            _land(spec.out_dir, tables, whole)
+        finally:  # the streamed tables and the returned ones land at once, or go
+            _clear(spec.out_dir, keep, land=whole)
     except (ConfigError, dynamics.StepLimitError) as err:
         code, extras = EXIT_CONFIG, {"error": str(err)}
         print(f"kabc: configuration error: {err}", file=sys.stderr)
@@ -608,5 +614,11 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """python -m kabc.cli and the kabc script: main, with the heap the imports made frozen."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -6,9 +6,11 @@ import math
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -1192,7 +1194,8 @@ class TestOtherSubcommands:
         )
         code, tables, extras = compute_lagrangian(spec)
         assert code == EXIT_OK and "particles.csv" not in tables
-        header, *lines = (tmp_path / "particles.csv").read_text().splitlines()
+        # the runner leaves the streamed table as its .part, which run lands
+        header, *lines = (tmp_path / "particles.csv.part").read_text().splitlines()
         assert header == "seed,t,eta,eta_x,m_along,invariant_residual"
         table = np.array([[float(tok) for tok in line.split(",")] for line in lines])
 
@@ -1307,6 +1310,16 @@ class TestOtherSubcommands:
 MANY_SEEDS = ["--set", f"lagrangian.seeds={np.linspace(0.0, 40 * math.pi, 2100, endpoint=False).tolist()}"]
 
 
+def no_child_left():
+    """Whether this process has no child, running or exited unreaped (the
+    check of the guard in tests/conftest.py, which sees a raw fork too)."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 class TestStreamedTables:
     """particles.csv and the snapshots go to a writer process as the run
     steps; it must be gone after every run, and only whole files kept."""
@@ -1325,8 +1338,6 @@ class TestStreamedTables:
 
     @pytest.mark.parametrize("case", ["ok", "wave-breaking", "writer-fails", "advect-raises", "snapshot-run-raises"])
     def test_writer_lifecycle(self, tmp_path, monkeypatch, capsys, case):
-        import multiprocessing
-
         from kabc import cli, diagnostics, lagrangian
 
         out = tmp_path / "out"
@@ -1353,7 +1364,7 @@ class TestStreamedTables:
             "snapshot-run-raises": (EXIT_INTERNAL, {"manifest.json"}),
         }[case]
         assert main(argv) == code
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
         assert set(os.listdir(out)) == files
         err = capsys.readouterr().err
         if case == "writer-fails":
@@ -1369,18 +1380,16 @@ class TestStreamedTables:
     def test_writer_killed_without_a_word(self, tmp_path, monkeypatch, capsys, at):
         # a writer killed by a signal sends no error, so the run reports its
         # exit code: killed at its first message, the run finds its pipe
-        # broken at a later send; killed at the done message, when it joins it
-        import multiprocessing
-        import signal
+        # broken at a later send; killed at the done message, when it reaps it
+        import pickle
 
         from kabc import cli
 
-        def dying(conn, run_end):
-            run_end.close()
+        def dying(messages, reply):
             if at == "first":
-                conn.recv()
+                pickle.load(messages)
             else:
-                for _ in iter(conn.recv, None):
+                for _ in iter(lambda: pickle.load(messages), None):
                     pass
             os.kill(os.getpid(), signal.SIGKILL)
 
@@ -1388,7 +1397,7 @@ class TestStreamedTables:
         out = tmp_path / "out"
         argv = ["lagrangian", "--out", str(out), *MANY_SEEDS, "--set", "grid.n=128", "--set", "t_end=0.05"]
         assert main(argv) == EXIT_IO
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
         assert os.listdir(out) == ["manifest.json"]
         assert capsys.readouterr().err == "kabc: I/O error: CSV writer exited with code -9\n"
 
@@ -1421,14 +1430,12 @@ class TestStreamedTables:
         assert blocks == whole
 
     def test_parallel_lagrangian_sweep_matches_single_runs(self, tmp_path):
-        import multiprocessing
-
         overrides = [*MANY_SEEDS[1::2], "grid.n=128", "t_end=0.05"]
         axes = [{"key": "params.preset", "values": ["novikov", "forq"]}]
         sweep = {"subcommand": "lagrangian", "axes": axes, "workers": 2}
         spec = parse_config(None, [*overrides, f"sweep={json.dumps(sweep)}"], "sweep", str(tmp_path / "sweep"))
         assert run(spec) == EXIT_OK
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
         for (name, point), preset in zip(spec.points, axes[0]["values"]):
             single = tmp_path / preset
             assert run(parse_config(None, [*overrides, f'params.preset="{preset}"'], "lagrangian", str(single))) == 0
@@ -1631,6 +1638,18 @@ class TestOutputDirectory:
         assert capsys.readouterr().err == "kabc: I/O error: disk full for the test\n"
         assert manifest_of(out)["result"]["error"] == "disk full for the test"
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--set", "grid.n=128", "--set", "t_end=0.02", "--set", "write_snapshots=true"],
+        ["lagrangian", *MANY_SEEDS, "--set", "grid.n=128", "--set", "t_end=0.05"],
+    ], ids=["snapshots", "particles"])
+    def test_failed_table_write_leaves_no_streamed_table(self, tmp_path, monkeypatch, capsys, argv):
+        # the streamed tables were whole, and land only with the returned ones
+        fail_summary_writes(monkeypatch, 1)
+        out = tmp_path / "D"
+        assert main([*argv, "--out", str(out)]) == EXIT_IO
+        assert os.listdir(out) == ["manifest.json"]
+        assert capsys.readouterr().err == "kabc: I/O error: disk full for the test\n"
+
     def test_foreign_files_and_directories_stay(self, tmp_path):
         out = tmp_path / "D"
         foreign = ["notes.txt", "u0.csv", "snap_1.csv", "final.csv.bak", "sub_000_t_end=1/summary.csv"]
@@ -1686,6 +1705,84 @@ class TestOutputDirectory:
         argv = ["sweep", "--set", 'profile={"shape": "file"}', "--set", f"sweep={json.dumps(sweep)}"]
         assert main(argv + ["--out", str(out)]) == EXIT_IO
         assert (out / "aggregate.csv").read_bytes() == b""
+
+
+class TestProcessEntry:
+    """python -m kabc.cli, the entry that freezes the heap its imports made
+    and forks the CSV writer, started in a process group of its own: its
+    CSVs are the bytes of an in-process run, and when it ends no .part file
+    and no process of its group is left."""
+
+    @staticmethod
+    def start(argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        # the child's SIGINT is Python's only if it does not inherit it ignored
+        inherited = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            return subprocess.Popen([sys.executable, "-m", "kabc.cli", *argv], stdout=subprocess.DEVNULL,
+                                    stderr=subprocess.PIPE, text=True, env=env, start_new_session=True)
+        finally:
+            signal.signal(signal.SIGINT, inherited)
+
+    @staticmethod
+    def group_is_gone(proc):
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            return True
+        return False
+
+    def finish(self, argv):
+        """(exit code, stderr) of the run of argv, once its group is gone."""
+        proc = self.start(argv)
+        _, err = proc.communicate(timeout=120)
+        assert self.group_is_gone(proc)
+        return proc.returncode, err
+
+    @pytest.mark.parametrize("argv", [
+        ["lagrangian", *MANY_SEEDS, "--set", "grid.n=128", "--set", "t_end=0.05"],
+        ["simulate", "--set", "grid.n=128", "--set", "t_end=0.05", "--set", "write_snapshots=true"],
+    ], ids=["particle-blocks", "snapshots"])
+    def test_csvs_match_an_in_process_run(self, tmp_path, argv):
+        assert self.finish([*argv, "--out", str(tmp_path / "entry")]) == (EXIT_OK, "")
+        subcommand, *sets = argv
+        assert run(parse_config(None, sets[1::2], subcommand, str(tmp_path / "run"))) == EXIT_OK
+        tables = {side: {path.name: path.read_bytes() for path in (tmp_path / side).iterdir()
+                         if path.name != "manifest.json"} for side in ("entry", "run")}
+        assert tables["entry"] == tables["run"]
+        assert len(tables["run"]) >= 2 and not any(name.endswith(".part") for name in tables["run"])
+
+    def test_each_failure_prints_its_one_line(self, tmp_path):
+        stop = ["lagrangian", *WAVE_BREAKING, "--out", str(tmp_path / "stop")]
+        assert self.finish(stop) == (EXIT_BLOWUP, "")  # a stop is a result, in the manifest
+        assert manifest_of(tmp_path / "stop")["result"]["blew_up"] is True
+        assert self.finish(["simulate", "--set", "bogus=1", "--out", str(tmp_path / "bogus")]) == (
+            EXIT_CONFIG, "kabc: configuration error: unknown config keys: bogus\n")
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        assert self.finish(["simulate", "--out", str(blocker)]) == (
+            EXIT_IO, f"kabc: I/O error: [Errno 17] File exists: '{blocker}'\n")
+
+    def test_group_sigint_leaves_no_file_and_no_process(self, tmp_path):
+        # a terminal's Ctrl-C reaches the run and its writer: the run dies
+        # of it with one traceback, its writer reaped and every part removed
+        out = tmp_path / "out"
+        proc = self.start(["lagrangian", *MANY_SEEDS, "--set", "grid.n=128", "--set", "t_end=1", "--out", str(out)])
+        try:
+            deadline = time.monotonic() + 60
+            while not (streaming := (out / "particles.csv.part").exists()) and time.monotonic() < deadline:
+                time.sleep(0.005)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert streaming and proc.returncode == -signal.SIGINT
+        assert err.count("Traceback") == 1 and err.endswith("KeyboardInterrupt\n")
+        assert os.listdir(out) == []
+        assert self.group_is_gone(proc)
 
 
 class TestMainEntry:

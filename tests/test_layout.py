@@ -77,3 +77,26 @@ def test_config_touches_no_file_and_imports_nothing_from_cli():
     assert [name for name in imported if "cli" in name.split(".")] == []
     calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert calls & {"open", "os.remove", "os.replace", "os.makedirs"} == set()
+
+
+def test_no_multiprocessing_and_gc_only_at_the_process_entry():
+    # the CSV writer is a fork with a pipe (a sweep's pool is
+    # concurrent.futures'), and only the process entry touches the
+    # collector, so main called in-process leaves the caller's alone
+    multiprocessing, gc = [], set()
+    for module, tree in syntax_trees(SRC).items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Import):
+                    roots = [alias.name.split(".")[0] for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    roots = [(node.module or "").split(".")[0]]
+                else:
+                    roots = []
+                if "multiprocessing" in roots:
+                    multiprocessing.append(module)
+                named = isinstance(node, ast.Name) and node.id == "gc"
+                if named or isinstance(node, ast.ImportFrom) and roots == ["gc"]:
+                    gc.add((module, getattr(top, "name", None)))
+    assert multiprocessing == []
+    assert gc == {("cli", "entry")}
