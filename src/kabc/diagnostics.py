@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -50,6 +51,22 @@ def sobolev_norm(f: Field, s: float) -> float:
 def h1_squared(f: Field) -> float:
     """Integral of u^2 + u_x^2 (the tracked conservation quantity)."""
     return sobolev_norm(f, 1.0) ** 2
+
+
+def norm_pair(grid: Grid, s: float) -> Callable[[np.ndarray], tuple[float, float]]:
+    """hat -> (sobolev_norm at s, h1_squared) of the state on grid whose
+    spectrum is hat, bit for bit those two functions' values: one |hat|^2
+    serves both sums, and the weight tables are looked up here, once.  It
+    silences no overflow itself, so a caller that may meet a huge state
+    holds np.errstate(over="ignore") around it, as simulate's step does."""
+    hs_weight, h1_weight = sobolev_weight(grid, s), sobolev_weight(grid, 1.0)
+    length, n2 = grid.length, grid.n**2
+
+    def norms(hat: np.ndarray) -> tuple[float, float]:
+        power = np.abs(hat) ** 2
+        return (math.sqrt(np.sum(hs_weight * power) * length / n2),
+                math.sqrt(np.sum(h1_weight * power) * length / n2) ** 2)
+    return norms
 
 
 @dataclass(frozen=True)

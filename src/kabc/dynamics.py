@@ -10,20 +10,26 @@ first-order in space plus smoothing convolutions, hence non-stiff, and is
 stepped explicitly with CFL-adaptive classical RK4.
 
 The RK4 state is the rfft half-spectrum of u, not its samples: each
-right-hand side evaluation goes from spectrum to spectrum, and a step makes
-one inverse transform to store the new samples and one forward transform of
-them, the new Field's kept hat, which the step's norms, the next step and
-every reader of the stored state share.  simulate hands each stored state
-to its caller, which may end the run there, and keeps only the last; a
-fault inside a run ends it with a stop reason, not an exception.  One
-evaluation transforms one row on the padded grid per upsampled factor
-(u, u_x, and u_xx when c_f2_2 != 0) inversely, and one row there per bracket
-(local, f1, and f2 when it has a nonzero coefficient) forwardly: 4 rows at
-k = 1 (CH, DP), 5 at k = 2 (Novikov, FORQ) and 6 at k >= 3 with a != 0.  Up
-to a padded size of STACK_MAX_M the rows of each direction are stacked into
-one transform call, so such an evaluation makes 2 calls; above it, one call
-per row.  A forcing is a half-spectrum too, added to every evaluation
-without a transform.
+right-hand side evaluation goes from spectrum to spectrum.  A step takes
+its size from cfl_dt of the state (one inverse transform of u_x when a !=
+0), then makes one pass under one np.errstate: four evaluations, one
+inverse transform to the new samples, their finiteness check (the one
+blow-up detector), the new Field over them (not copied), and one forward
+transform of them, its kept hat, from whose |hat|^2 both of the step's
+norms are summed and which the next step and every reader of the stored
+state share.  simulate hands each stored state to its caller, which may end
+the run there, and keeps only the last; a fault inside a run ends it with a
+stop reason, not an exception.  One evaluation transforms one row on the
+padded grid per upsampled factor (u, u_x, and u_xx when c_f2_2 != 0)
+inversely, and one row there per bracket (local, f1, and f2 when it has a
+nonzero coefficient) forwardly: 4 rows at k = 1 (CH, DP), 5 at k = 2
+(Novikov, FORQ) and 6 at k >= 3 with a != 0.  Up to a padded size of
+STACK_MAX_M the rows of each direction are stacked into one transform call,
+so such an evaluation makes 2 calls; above it, one call per row.  A forcing
+is a half-spectrum too, added to every evaluation without a transform, and
+evaluated once per distinct stage time: RK4's two midpoint stages share
+t + dt/2, and a step's last stage time t + dt is the next step's t bit for
+bit, so a run evaluates it twice a step and once at its start.
 """
 
 from __future__ import annotations
@@ -80,7 +86,9 @@ class StepLimitError(RuntimeError):
 class SimConfig:
     """One run: parameters, grid, horizon and stepping controls (each step
     is cfl_dt's, at most dt_max).  forcing, when present, is a callable t ->
-    rfft half-spectrum (length n//2 + 1) added to the right-hand side."""
+    rfft half-spectrum (length n//2 + 1) added to the right-hand side.  It
+    must be a pure function of t: the right-hand side reuses its value at a
+    time it was last called at (see RhsOperator)."""
 
     params: Params
     grid: Grid
@@ -178,30 +186,37 @@ class RhsOperator:
     every bracket has its own row there, and each stack is transformed in
     one call; above it one padded spectrum (zero above n/2), one
     accumulator and one forward output serve the rows in turn, a call each.
-    So an operator is not reentrant: one call at a time.  Each call still returns a fresh array, never a view of the
-    workspace, so results of earlier calls stay valid (rk4_step holds four
-    of them at once).  forcing(t), when given, is added to every call's
-    half-spectrum.  A call tests no finiteness and silences no overflow: inf
-    or NaN bins go on to the caller (simulate stops on them).
+    So an operator is not reentrant: one call at a time.  Each call still
+    returns a fresh array, never a view of the workspace, so results of
+    earlier calls stay valid (rk4_step holds four of them at once).  The
+    per-call work is laid out here as flat lists of ufunc operands, so a
+    call runs its ufuncs and transforms with little Python around them.
+    forcing(t), when given, is added to every call's half-spectrum; the
+    operator keeps the last time and value, and a call at that same time
+    (exact float equality) adds the kept value instead of calling forcing
+    again.  A call tests no finiteness and silences no overflow: inf or NaN
+    bins go on to the caller (simulate stops on them).
     """
 
     def __init__(self, grid: Grid, params: Params, forcing: Optional[Callable] = None):
         self.grid = grid
         self.params = params
         self.forcing = forcing
+        self._forced_at, self._forced = None, None  # the last forcing time and value
         self.ops = ops = get_ops(grid)
         cs = coefficients(params)
         k = params.k
-        self.k = k
         self.m = m = ops.pad_size(k + 1)
         # each upsampled row's multiplier of u's spectrum (None: the spectrum
         # itself), and the rows: u, u_x (and u_xx)
         mults = [None, ops.ik] + ([ops.d2] if cs.c_f2_2 != 0.0 else [])
         fine = np.empty((len(mults), m))
-        self._u, self._ux, *uxx = fine
-        self._ux2, self._ux3, self._term = np.empty((3, m))
+        u, ux, *uxx = fine
+        ux2, ux3, scratch = np.empty((3, m))
         # u^1 is the u row itself; u^0 = 1 is never stored (see operands)
-        self._upow = {1: self._u, **{j: np.empty(m) for j in range(2, k + 2)}}
+        upow = {1: u, **{j: np.empty(m) for j in range(2, k + 2)}}
+        # the pointwise products (a, b, out) in order: u^2 .. u^(k+1), u_x^2, u_x^3
+        self._powers = [(upow[j - 1], u, upow[j]) for j in range(2, k + 2)] + [(ux, ux, ux2), (ux2, ux, ux3)]
 
         # brackets as terms (coef, j, factor, ...) = coef * u^j * factor * ...
         def nonzero(*terms):
@@ -211,37 +226,50 @@ class RhsOperator:
             """A term's operands, multiplied left to right: u^0 = 1 is not
             stored, and a coefficient of 1.0 before another factor is
             dropped, since x * 1 = x."""
-            factors = (self._upow[j], *factors) if j else factors
+            factors = (upow[j], *factors) if j else factors
             return factors if coef == 1.0 and len(factors) > 1 else (coef, *factors)
 
-        ux, ux2, ux3 = self._ux, self._ux2, self._ux3
         f2 = nonzero((cs.c_f2_1, k - 2, ux3), (cs.c_f2_2, k - 3, ux3, *uxx))
         # (terms, smoother) per bracket: rhs = local - G_x f1 - G f2
         brackets = [([(-1.0, k, ux)] + nonzero((cs.c_cub, k - 2, ux3)), None),
                     ([(cs.c_f1_1, k + 1)] + nonzero((cs.c_f1_2, k - 1, ux2), (cs.c_f1_3, k - 3, ux2, ux2)),
                      ops.green_dx)] + ([(f2, ops.helmholtz)] if f2 else [])
-        brackets = [([operands(*term) for term in terms], smoother) for terms, smoother in brackets]
+
+        def summed(terms, acc):
+            """A bracket's terms as (first, second, rest, out, total): each
+            term's operands are multiplied left to right into out, acc for
+            the first term and the scratch row for a later one, which is
+            then added into total (acc)."""
+            steps = []
+            for i, term in enumerate(terms):
+                first, second, *rest = operands(*term)
+                steps.append((first, second, rest, scratch if i else acc, acc if i else None))
+            return steps
 
         # per transform call, its rows and buffers: all rows stacked, or one
-        # row per call through one reused padded spectrum and accumulator
+        # row per call through one reused padded spectrum and accumulator.
+        # A reduce is (its brackets' summed terms, accumulator, forward
+        # output, and per bracket its smoother and its row's kept bins)
         h, bins = grid.n // 2 + 1, m // 2 + 1
         if m <= STACK_MAX_M:
             pad = np.zeros((len(mults), bins), dtype=complex)  # bins above n/2 stay zero
             acc, fine_hat = np.empty((len(brackets), m)), np.empty((len(brackets), bins), dtype=complex)
             self._upsamples = [(list(zip(mults, pad[:, :h])), pad, fine)]
-            self._reduces = [([(*bracket, row) for bracket, row in zip(brackets, acc)], acc, fine_hat)]
+            self._reduces = [([op for (terms, _), row in zip(brackets, acc) for op in summed(terms, row)], acc,
+                              fine_hat, [(smoother, row[:h]) for (_, smoother), row in zip(brackets, fine_hat)])]
         else:
             pad = np.zeros(bins, dtype=complex)  # bins above n/2 stay zero
             acc, fine_hat = np.empty(m), np.empty(bins, dtype=complex)
             self._upsamples = [([(mult, pad[:h])], pad, row) for mult, row in zip(mults, fine)]
-            self._reduces = [([(*bracket, acc)], acc, fine_hat) for bracket in brackets]
+            self._reduces = [(summed(terms, acc), acc, fine_hat, [(smoother, fine_hat[:h])])
+                             for terms, smoother in brackets]
+        self._shape = (h,)
 
     def __call__(self, uh: np.ndarray, t: float) -> np.ndarray:
         # n samples would otherwise be silently read as a spectrum
-        h = self.grid.n // 2 + 1
-        if np.shape(uh) != (h,):
-            raise ValueError(f"expected an rfft half-spectrum of shape {(h,)}, got shape {np.shape(uh)}")
-        ops, m, up = self.ops, self.m, self._upow
+        if uh.shape != self._shape:
+            raise ValueError(f"expected an rfft half-spectrum of shape {self._shape}, got shape {uh.shape}")
+        ops, m = self.ops, self.m
         for rows, pad, fine in self._upsamples:
             for mult, low in rows:
                 if mult is None:
@@ -249,37 +277,29 @@ class RhsOperator:
                 else:
                     np.multiply(uh, mult, out=low)
             ops.upsample(pad, m, fine)
-        u, ux = self._u, self._ux
-        for j in range(2, self.k + 2):
-            np.multiply(up[j - 1], u, out=up[j])
-        np.multiply(ux, ux, out=self._ux2)
-        np.multiply(self._ux2, ux, out=self._ux3)
+        for a, b, out in self._powers:
+            np.multiply(a, b, out=out)
 
         rhs_hat = None
-        for rows, acc, fine_hat in self._reduces:
-            for terms, _, row in rows:
-                self._bracket(terms, row)
-            hats = ops.reduce_hat(acc, m, fine_hat).reshape(-1, h)  # a row per bracket, stacked or not
-            for (_, smoother, _), hat in zip(rows, hats):
+        for terms, acc, fine_hat, hats in self._reduces:
+            for a, b, rest, out, total in terms:
+                np.multiply(a, b, out=out)
+                for f in rest:
+                    np.multiply(out, f, out=out)
+                if total is not None:
+                    total += out
+            ops.reduce_hat(acc, m, fine_hat)  # into fine_hat, whose kept bins are the views in hats
+            for smoother, hat in hats:
                 if smoother is None:  # the local bracket, always first
                     rhs_hat = hat.copy()
                 else:
                     rhs_hat -= np.multiply(smoother, hat, out=hat)
 
         if self.forcing is not None:
-            rhs_hat += self.forcing(t)
+            if t != self._forced_at:  # RK4's midpoint stages, and a step and the next, share a time
+                self._forced_at, self._forced = t, self.forcing(t)
+            rhs_hat += self._forced
         return rhs_hat
-
-    def _bracket(self, terms, acc: np.ndarray) -> None:
-        """Sum of the terms in order, into acc, each the product of its
-        operands taken left to right."""
-        for i, (first, second, *rest) in enumerate(terms):
-            out = self._term if i else acc
-            np.multiply(first, second, out=out)
-            for f in rest:
-                np.multiply(out, f, out=out)
-            if i:
-                acc += out
 
 
 def cfl_dt(u: Field, p: Params, dt_max: float) -> float:
@@ -312,8 +332,9 @@ def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> 
     """Advance u0 to cfg.t_end with CFL-adaptive RK4 steps.
 
     Steps on each state's kept spectrum (Field.hat), folds each step's
-    record (sobolev_norm at SOBOLEV_S, h1_squared, step size) into the
-    Trajectory's reductions and keeps the last state.
+    record (sobolev_norm at SOBOLEV_S and h1_squared, both from one
+    diagnostics.norm_pair pass, and the step size) into the Trajectory's
+    reductions and keeps the last state.
     on_state(rec, u), when given, gets each stored state as it is made (u0,
     every output_stride-th step and the end) with its record (rec.t is its
     time); a reason it returns (not None) ends the run at that state, with
@@ -330,10 +351,11 @@ def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> 
         raise ValueError("u0 must live on cfg.grid")
     op = RhsOperator(cfg.grid, cfg.params, cfg.forcing)
 
+    norms = diagnostics.norm_pair(cfg.grid, SOBOLEV_S)
     store = on_state or (lambda rec, u: None)
     t = 0.0
-    traj = Trajectory(cfg.params.k, u0, StepRecord(0.0, 0.0, diagnostics.sobolev_norm(u0, SOBOLEV_S),
-                                                   diagnostics.h1_squared(u0)))
+    with np.errstate(over="ignore"):  # huge fields report an inf norm
+        traj = Trajectory(cfg.params.k, u0, StepRecord(0.0, 0.0, *norms(u0.hat)))
     traj.stop_reason = store(traj.first, u0)
 
     stored = 0  # the step of the last stored state
@@ -351,17 +373,19 @@ def simulate(cfg: SimConfig, u0: Field, on_state: Optional[Callable] = None) -> 
         if t + dt == t:  # dt is 0 or below the spacing of doubles at t
             traj.stop_reason = f"time step {dt:.3g} no longer advances t = {t:.6g}"
             break
-        with np.errstate(over="ignore", invalid="ignore"):  # inf is the blow-up signal, not a warning
-            u_new = np.fft.irfft(rk4_step(op, traj.final.hat, t, dt), cfg.grid.n)
-        # step next on the rfft of the stored samples, not on rk4_step's
-        # spectrum: the two differ at round-off, and the run reports samples
-        try:
-            traj.final = u = Field(cfg.grid, u_new)
-        except ValueError:  # irfft gave n samples, so the rejection is a non-finite one
-            traj.stop_reason = f"non-finite field after t = {t:.6g}"
-            break
+        # one pass over the new state, under one errstate: inf is the blow-up signal, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            # step next on the rfft of the stored samples, not on rk4_step's
+            # spectrum: the two differ at round-off, and the run reports samples
+            try:
+                u = Field.adopt(cfg.grid, np.fft.irfft(rk4_step(op, traj.final.hat, t, dt), cfg.grid.n))
+            except ValueError:  # irfft gave n samples, so the rejection is a non-finite one
+                traj.stop_reason = f"non-finite field after t = {t:.6g}"
+                break
+            hs, h1 = norms(u.hat)
+        traj.final = u
         t += dt
-        traj.add(StepRecord(t, dt, diagnostics.sobolev_norm(u, SOBOLEV_S), diagnostics.h1_squared(u)))
+        traj.add(StepRecord(t, dt, hs, h1))
         if traj.steps % cfg.output_stride == 0 or t >= cfg.t_end - T_END_TOL:
             stored = traj.steps
             traj.stop_reason = store(traj.last, traj.final)
@@ -380,7 +404,7 @@ def mms_forcing(u0: Field, c: float, p: Params) -> Callable:
     and truncation is bin by bin), so N(u*(t)) is N(u0) shifted by c t.  N
     is evaluated once, at t = 0, and forcing(t) is the half-spectrum
     g0 exp(-i xi c t), with g0 = -c ik u0_hat - N(u0_hat), its Nyquist bin
-    made real as rfft makes it.  The shift is exact while the degree-(k+1)
+    made real as rfft makes it, returned read-only (an RhsOperator keeps it).  The shift is exact while the degree-(k+1)
     products of u0 have nothing at or above mode n/2, whose bin, made real,
     does not shift: for A sin x on a box of j periods, while (k+1) j < n/2,
     which config checks for an mms run.
@@ -392,5 +416,6 @@ def mms_forcing(u0: Field, c: float, p: Params) -> Callable:
     def forcing(t: float) -> np.ndarray:
         g = g0 * np.exp(-1j * c * t * xi)
         g[-1] = g[-1].real
+        g.flags.writeable = False
         return g
     return forcing

@@ -61,24 +61,28 @@ class Field:
     """Real samples on a Grid, and their spectrum.
 
     Value-semantic: the samples are copied and made read-only on
-    construction, and hat, the state's one spectrum, is transformed on first
-    access and then kept read-only too, so every reader of a state (the
-    stepper, its norms, a derivative) shares one rfft.  Operations return
-    new Fields and never mutate their inputs.
+    construction (adopt makes fresh samples read-only in place instead),
+    and hat, the state's one spectrum, is transformed on first access and
+    then kept read-only too, so every reader of a state (the stepper, its
+    norms, a derivative) shares one rfft.  Operations return new Fields and
+    never mutate their inputs.
     """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n,):
-            raise ValueError(f"expected {self.grid.n} samples, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field samples must be finite")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen_samples(self.grid, np.array(self.values, dtype=float)))
+
+    @classmethod
+    def adopt(cls, grid: Grid, values: np.ndarray) -> Field:
+        """A Field over values, a fresh float array that no one else holds
+        (an inverse transform's output, say): checked as the constructor
+        checks its samples, then made read-only in place, not copied."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "values", _frozen_samples(grid, values))
+        return field
 
     @cached_property
     def hat(self) -> np.ndarray:
@@ -86,6 +90,17 @@ class Field:
         h = np.fft.rfft(self.values)
         h.flags.writeable = False
         return h
+
+
+def _frozen_samples(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """v, a float array, made read-only once it holds grid.n finite samples;
+    else ValueError."""
+    if v.shape != (grid.n,):
+        raise ValueError(f"expected {grid.n} samples, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("field samples must be finite")
+    v.flags.writeable = False
+    return v
 
 
 class SpectralOps:

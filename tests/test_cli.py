@@ -1305,8 +1305,9 @@ class TestOtherSubcommands:
             assert not math.isfinite(g.n**2 * np.sum(np.abs(got.hat * get_ops(g).ik)))
 
 
-# 2,100 seeds fill a block of CSV_BLOCK_ROWS (4,096) rows every two states,
-# so particles.csv goes to its writer in blocks while the run steps
+# 2,100 seeds fill a block of CSV_BLOCK_ROWS (1,024) rows, rounded up to whole
+# states, at every state, so particles.csv goes to its writer in blocks while
+# the run steps
 MANY_SEEDS = ["--set", f"lagrangian.seeds={np.linspace(0.0, 40 * math.pi, 2100, endpoint=False).tolist()}"]
 
 
@@ -1375,6 +1376,23 @@ class TestStreamedTables:
             assert len(rows) == 6 * 2100  # u0 and 5 steps of dt_max
         if code == EXIT_INTERNAL:
             assert err == "kabc: internal error: RuntimeError: raised for the test\n"
+
+    def test_a_writer_that_cannot_start_leaves_no_descriptor_open(self, tmp_path, monkeypatch, capsys):
+        # a fork refused for want of a process is the run's I/O failure, and
+        # the pipes opened for the writer close with it: an in-process sweep
+        # or a library caller would otherwise pile them up run after run
+        import errno
+
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        spec = parse_config(None, ["grid.n=128", "t_end=0.05"], "lagrangian", str(tmp_path / "out"))
+        before = len(os.listdir("/proc/self/fd"))
+        assert run(spec) == EXIT_IO
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert capsys.readouterr().err == "kabc: I/O error: [Errno 11] Resource temporarily unavailable\n"
+        assert os.listdir(tmp_path / "out") == ["manifest.json"]
 
     @pytest.mark.parametrize("at", ["first", "done"])
     def test_writer_killed_without_a_word(self, tmp_path, monkeypatch, capsys, at):

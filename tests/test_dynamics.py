@@ -614,19 +614,38 @@ class TestSimulate:
         assert sparse_states[-1] == (sparse.last, sparse.final) and sparse.last == traj.last
         assert np.all(np.isfinite(sparse.final.values))
 
-    @pytest.mark.parametrize("name", ["ch", "forq"])
-    def test_records_are_the_stored_snapshots_norms(self, name):
-        # simulate measures the spectrum it steps on; that must be the
-        # transform of the samples it stores, bit for bit
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+    @pytest.mark.parametrize("p", [preset("ch"), preset("dp"), preset("novikov"), preset("forq"),
+                                   Params(3, 0.5, 1.0, 2.0)], ids=["ch", "dp", "novikov", "forq", "k3"])
+    def test_a_step_matches_the_reference_functions(self, p, forced):
+        # simulate measures, sizes and forces each step in one pass; every
+        # record must be, bit for bit, what the reference functions give on
+        # the states it stores: sobolev_norm and h1_squared of the stored
+        # samples' spectrum (the one it steps on), and a step of cfl_dt of
+        # the state before, cut to land on t_end.  The forcing is evaluated
+        # once per distinct stage time: at t = 0, then 2 a step (t + dt/2,
+        # shared by two stages, and t + dt, the next step's t).  On a mean
+        # of 1 and at this dt_max every step is the CFL step but the last,
+        # which lands on t_end
         g = Grid(128, 2 * np.pi)
-        u0 = band_limited(g, 10, seed=4)
-        cfg = SimConfig(params=preset(name), grid=g, t_end=0.3)
-        traj, states = stored_states(cfg, u0)
-        assert len(states) == traj.steps + 1 > 10
+        times, forcing = [], None
+        if forced:
+            shifted = sine_forcing(p, g)
+
+            def forcing(t):
+                times.append(t)
+                return shifted(t)
+
+        cfg = SimConfig(params=p, grid=g, t_end=0.3, dt_max=1.0, forcing=forcing)
+        traj, states = stored_states(cfg, Field(g, 1.0 + band_limited(g, 10, seed=4, amp=0.1).values))
+        assert traj.stop_reason is None and len(states) == traj.steps + 1 > 10
         assert states[0][0] is traj.first and states[-1][0] is traj.last
         for rec, snap in states:
             assert rec.hs_norm == diagnostics.sobolev_norm(snap, SOBOLEV_S)
             assert rec.h1_sq == diagnostics.h1_squared(snap)
+        for (before, u), (rec, _) in zip(states, states[1:]):
+            assert rec.dt == min(cfl_dt(u, p, cfg.dt_max), cfg.t_end - before.t)
+        assert len(times) == (2 * traj.steps + 1 if forced else 0)
 
     def test_run_memory_is_independent_of_its_stored_states(self):
         # with no on_state a run keeps no stored state but its last: 1,000
