@@ -20,9 +20,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from kabc.artifacts import ARTIFACT_NAME, CSV_BLOCK_ROWS, _Keyed, write_csv
 from kabc.cli import (
-    ARTIFACT_NAME,
-    CSV_BLOCK_ROWS,
     ConfigError,
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -32,8 +31,6 @@ from kabc.cli import (
     SUBCOMMANDS,
     RunSpec,
     _RUNNERS,
-    _Keyed,
-    _write_csv,
     build_profile,
     compute_lagrangian,
     compute_mms,
@@ -471,7 +468,7 @@ class TestCsvWriter:
         """Bytes of the value-by-value _fmt path for the same rows."""
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "loop.csv")
-            _write_csv(path, header, [tuple(row) for row in table])
+            write_csv(path, header, [tuple(row) for row in table])
             return open(path, "rb").read()
 
     @settings(max_examples=40, deadline=None)
@@ -487,7 +484,7 @@ class TestCsvWriter:
         header = tuple(f"c{i}" for i in range(ncols))
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "array.csv")
-            _write_csv(path, header, table)
+            write_csv(path, header, table)
             got = open(path, "rb").read()
         assert got == self.fmt_loop_bytes(header, table)
 
@@ -514,7 +511,7 @@ class TestCsvWriter:
         header = tuple(f"c{i}" for i in range(table.shape[1]))
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "keyed.csv")
-            _write_csv(path, header, _Keyed(keys, times.tolist(), body))
+            write_csv(path, header, _Keyed(keys, times.tolist(), body))
             got = open(path, "rb").read()
         assert got == self.fmt_loop_bytes(header, table)
 
@@ -524,7 +521,7 @@ class TestCsvWriter:
         table = np.random.default_rng(0).normal(size=(100_000, 6))
         tracemalloc.start()
         try:
-            _write_csv(tmp_path / "big.csv", tuple("abcdef"), table)
+            write_csv(tmp_path / "big.csv", tuple("abcdef"), table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -534,7 +531,7 @@ class TestCsvWriter:
     def test_streamed_snapshot_memory_is_bounded(self, tmp_path, monkeypatch):
         # the rows simulate streams for a state of 100,000 nodes, as its
         # writer process gets them, are written in the same bound
-        from kabc import cli
+        from kabc import artifacts, cli
 
         class Sent(Exception):
             pass
@@ -545,7 +542,7 @@ class TestCsvWriter:
             sent.append(message)
             raise Sent
 
-        monkeypatch.setattr(cli._CsvWriter, "send", send)
+        monkeypatch.setattr(artifacts.CsvWriter, "send", send)
         spec = parse_config(None, ["grid.n=100000", "write_snapshots=true"], "simulate", str(tmp_path / "out"))
         with pytest.raises(Sent):
             cli.compute_simulate(spec)
@@ -553,7 +550,7 @@ class TestCsvWriter:
         assert name == "snap_000000.csv"
         tracemalloc.start()
         try:
-            _write_csv(tmp_path / name, header, rows)
+            write_csv(tmp_path / name, header, rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1339,7 +1336,7 @@ class TestStreamedTables:
 
     @pytest.mark.parametrize("case", ["ok", "wave-breaking", "writer-fails", "advect-raises", "snapshot-run-raises"])
     def test_writer_lifecycle(self, tmp_path, monkeypatch, capsys, case):
-        from kabc import cli, diagnostics, lagrangian
+        from kabc import artifacts, diagnostics, lagrangian
 
         out = tmp_path / "out"
         argv = ["lagrangian", "--out", str(out), *MANY_SEEDS, "--set", "grid.n=128", "--set", "t_end=0.05"]
@@ -1350,7 +1347,7 @@ class TestStreamedTables:
             def failing(fh, header, rows):
                 raise OSError("disk full for the test")
 
-            monkeypatch.setattr(cli, "_write_rows", failing)
+            monkeypatch.setattr(artifacts, "_write_rows", failing)
         elif case == "advect-raises":  # at the third state, after the first block was sent
             self.raise_at_call(monkeypatch, lagrangian, "advect", 2)
         elif case == "snapshot-run-raises":  # at the third state, after two snapshots were sent
@@ -1401,7 +1398,7 @@ class TestStreamedTables:
         # broken at a later send; killed at the done message, when it reaps it
         import pickle
 
-        from kabc import cli
+        from kabc import artifacts
 
         def dying(messages, reply):
             if at == "first":
@@ -1411,7 +1408,7 @@ class TestStreamedTables:
                     pass
             os.kill(os.getpid(), signal.SIGKILL)
 
-        monkeypatch.setattr(cli, "_write_parts", dying)
+        monkeypatch.setattr(artifacts, "_write_parts", dying)
         out = tmp_path / "out"
         argv = ["lagrangian", "--out", str(out), *MANY_SEEDS, "--set", "grid.n=128", "--set", "t_end=0.05"]
         assert main(argv) == EXIT_IO
@@ -1423,11 +1420,11 @@ class TestStreamedTables:
     def test_particle_blocks_of_any_size_write_the_same_bytes(self, tmp_path, monkeypatch, preset):
         # 3 seeds and 8 states: in blocks of 7 rows a block holds 3 states,
         # the last one 2; forq is off the a = 0 subfamily (NaN residuals)
-        from kabc import cli
+        from kabc import artifacts
 
         overrides = [f'params.preset="{preset}"', "grid.n=128", f"grid.length={2 * math.pi!r}",
                      'profile={"shape": "bump", "width": 1.0}', "t_end=0.07", "lagrangian.seeds=[2.5, 3, 3.5]"]
-        real_send = cli._CsvWriter.send
+        real_send = artifacts.CsvWriter.send
 
         def particles(name):
             sends = []
@@ -1436,12 +1433,12 @@ class TestStreamedTables:
                 sends.append(args[0])
                 return real_send(writer, *args)
 
-            monkeypatch.setattr(cli._CsvWriter, "send", send)
+            monkeypatch.setattr(artifacts.CsvWriter, "send", send)
             assert run(parse_config(None, overrides, "lagrangian", str(tmp_path / name))) == EXIT_OK
             return (tmp_path / name / "particles.csv").read_bytes(), len(sends)
 
         whole, one = particles("whole")
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
+        monkeypatch.setattr(artifacts, "CSV_BLOCK_ROWS", 7)
         blocks, many = particles("blocks")
         assert (one, many) == (1, 3) and whole.count(b"\n") == 1 + 8 * 3
         assert (whole.count(b",nan\n") == 8 * 3) == (preset == "forq")
@@ -1491,9 +1488,9 @@ def test_runners_read_only_the_resolved_values(tmp_path, subcommand, overrides):
 def fail_summary_writes(monkeypatch, nth):
     """The nth write of a summary.csv (from 1) fails partway through its
     header, as on a full disk."""
-    from kabc import cli
+    from kabc import artifacts
 
-    real, calls = cli._write_rows, []
+    real, calls = artifacts._write_rows, []
 
     def failing(fh, header, rows):
         if os.path.basename(fh.name).startswith("summary.csv"):
@@ -1503,7 +1500,7 @@ def fail_summary_writes(monkeypatch, nth):
                 raise OSError("disk full for the test")
         real(fh, header, rows)
 
-    monkeypatch.setattr(cli, "_write_rows", failing)
+    monkeypatch.setattr(artifacts, "_write_rows", failing)
 
 
 class TestSweep:
@@ -1655,6 +1652,25 @@ class TestOutputDirectory:
         assert os.listdir(out) == ["manifest.json"]
         assert capsys.readouterr().err == "kabc: I/O error: disk full for the test\n"
         assert manifest_of(out)["result"]["error"] == "disk full for the test"
+
+    def test_failed_manifest_write_leaves_no_manifest(self, tmp_path, monkeypatch, capsys):
+        # the disk fills partway through the manifest: the tables have landed,
+        # no manifest.json holds a fragment, and the next run clears the .part
+        import errno
+
+        def full(obj, fh, **kwargs):
+            fh.write('{"schema_version": 1, "subc')
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", full)
+        out = tmp_path / "D"
+        argv = ["simulate", "--set", "grid.n=128", "--set", "t_end=0.02", "--out", str(out)]
+        assert main(argv) == EXIT_IO
+        assert sorted(os.listdir(out)) == ["diagnostics.csv", "final.csv", "manifest.json.part", "summary.csv"]
+        assert capsys.readouterr().err == "kabc: I/O error: [Errno 28] No space left on device\n"
+        monkeypatch.undo()
+        assert main(argv) == EXIT_OK
+        assert sorted(os.listdir(out)) == ["diagnostics.csv", "final.csv", "manifest.json", "summary.csv"]
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--set", "grid.n=128", "--set", "t_end=0.02", "--set", "write_snapshots=true"],
